@@ -6,11 +6,10 @@ enable it with --long.
 """
 
 import argparse
-import os
 import time
 
 from odd_diagrams.classes import classes_of_sn
-from odd_diagrams.duality import non_self_dual_census
+from odd_diagrams.duality import non_self_dual_classes
 
 
 def main():
@@ -21,14 +20,13 @@ def main():
     parser.add_argument("--jobs", type=int, default=0, help="workers (0 = all cores)")
     args = parser.parse_args()
 
-    jobs = args.jobs or os.cpu_count() or 1
     top = min(args.max_n, 10 if args.long else 9)
     for n in range(args.min_n, top + 1):
         start = time.perf_counter()
-        total = len(classes_of_sn(n))
-        bad = non_self_dual_census(n, jobs=jobs)
+        classes = classes_of_sn(n)
+        bad = non_self_dual_classes(classes, jobs=args.jobs)
         print(
-            f"n={n}: classes={total} non_self_dual={bad} "
+            f"n={n}: classes={len(classes)} non_self_dual={len(bad)} "
             f"({time.perf_counter() - start:.1f}s)"
         )
 

@@ -16,6 +16,7 @@ from .duality import (
     boundary_bipartite_graphs,
     is_self_dual,
     non_self_dual_census,
+    non_self_dual_classes,
     top_heavy_check,
 )
 from .intervals import BruhatInterval, hasse_edges, interval_elements, rank_vector

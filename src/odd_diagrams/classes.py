@@ -5,7 +5,7 @@ from dataclasses import dataclass
 
 from .diagrams import Diagram, odd_diagram, odd_diagram_key
 from .intervals import interval_elements, rank_vector
-from .perms import Perm, all_perms, bruhat_leq, format_perm, length
+from .perms import Perm, all_perms, format_perm, length
 
 __all__ = [
     "OddDiagramClass",
@@ -38,16 +38,11 @@ class OddDiagramClass:
 
 
 def _build_class(members: list[Perm]) -> OddDiagramClass:
+    # Theorem B (checked by verify theorem_b): the class is [shortest, longest]
     members.sort()
-    lo = min(members, key=length)
-    hi = max(members, key=length)
-    # cheap insurance on the interval theorem: length extremes must also be
-    # Bruhat extremes
-    for w in members:
-        if not (bruhat_leq(lo, w) and bruhat_leq(w, hi)):
-            raise AssertionError(
-                f"class of {format_perm(lo)} is not a Bruhat interval"
-            )
+    lengths = [length(w) for w in members]
+    lo = members[lengths.index(min(lengths))]
+    hi = members[lengths.index(max(lengths))]
     return OddDiagramClass(odd_diagram(lo), tuple(members), lo, hi)
 
 

@@ -2,7 +2,6 @@
 
 import argparse
 import json
-import os
 import sys
 
 from . import classes as classes_mod
@@ -116,16 +115,13 @@ def cmd_census(args) -> int:
     if args.n >= 10 and not args.long:
         print("census at n >= 10 requires --long", file=sys.stderr)
         return USAGE_ERROR
-    jobs = args.jobs or os.cpu_count() or 1
     all_classes = classes_mod.classes_of_sn(args.n)
-    bad = duality.non_self_dual_census(args.n, jobs=jobs)
-    print(f"classes: {len(all_classes)}, non-self-dual: {bad}")
-    if args.list and bad:
-        for cls in all_classes:
-            interval = intervals.BruhatInterval(cls.min_elem, cls.max_elem, cls.members)
-            if len(cls.members) > 1 and not duality.is_self_dual(interval):
-                print(f"  [{perms.format_perm(cls.min_elem)}, "
-                      f"{perms.format_perm(cls.max_elem)}]")
+    bad = duality.non_self_dual_classes(all_classes, jobs=args.jobs)
+    print(f"classes: {len(all_classes)}, non-self-dual: {len(bad)}")
+    if args.list:
+        for cls in bad:
+            print(f"  [{perms.format_perm(cls.min_elem)}, "
+                  f"{perms.format_perm(cls.max_elem)}]")
     return 0
 
 
@@ -142,7 +138,7 @@ def cmd_verify(args) -> int:
         )
         if not args.long:
             return USAGE_ERROR
-    report = verify.run_checks(args.n, names, seed=args.seed, jobs=args.jobs or 1)
+    report = verify.run_checks(args.n, names, seed=args.seed)
     for check in report.checks:
         status = "ok" if check.failed == 0 else "FAIL"
         line = (f"{check.name:34s} {status:4s} passed={check.passed} "
@@ -218,7 +214,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--checks", help="comma-separated check names (default: all)")
     p.add_argument("--long", action="store_true", help="allow long-running sizes")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--jobs", type=int, default=0, help="worker count (0 = 1)")
     p.add_argument("--out", help="write the JSON report here")
     p.set_defaults(func=cmd_verify)
 

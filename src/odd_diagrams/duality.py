@@ -1,9 +1,11 @@
 """Self-duality of Bruhat intervals: top-heaviness, anti-automorphism
 search, and the boundary bipartite-graph criterion."""
 
+import os
 from collections import Counter
 from dataclasses import dataclass
 
+from .classes import OddDiagramClass, classes_of_sn
 from .intervals import BruhatInterval, _cached_interval, hasse_edges, rank_vector
 from .perms import Perm, identity, length
 
@@ -13,6 +15,7 @@ __all__ = [
     "is_self_dual",
     "boundary_bipartite_graphs",
     "bipartite_criterion",
+    "non_self_dual_classes",
     "non_self_dual_census",
 ]
 
@@ -58,27 +61,20 @@ def is_self_dual(interval: BruhatInterval) -> bool:
     """
     if len(interval) == 1:
         return True
-    ranks = rank_vector(interval)
-    if ranks != tuple(reversed(ranks)):
-        return False
     levels, up, down = _levels_and_adjacency(interval)
-    top = len(levels) - 1
-    order = [i for level in levels for i in level]
-    rank_of = {}
-    for r, level in enumerate(levels):
-        for i in level:
-            rank_of[i] = r
+    sizes = [len(level) for level in levels]
+    if sizes != sizes[::-1]:
+        return False
+    # elements bottom-up, each with the rank level it must be mapped into
+    steps = [(x, levels[-1 - r]) for r, level in enumerate(levels) for x in level]
+    mapping = [0] * len(steps)
+    used = [False] * len(steps)
 
-    mapping: dict[int, int] = {}
-    used: set[int] = set()
-
-    def extend(pos: int) -> bool:
-        if pos == len(order):
-            return True
-        x = order[pos]
-        r = rank_of[x]
-        for target in levels[top - r]:
-            if target in used:
+    def placements(pos: int):
+        """Map the element of steps[pos] to each admissible target, undoing on resume."""
+        x, targets = steps[pos]
+        for target in targets:
+            if used[target]:
                 continue
             if len(up[x]) != len(down[target]) or len(down[x]) != len(up[target]):
                 continue
@@ -87,14 +83,21 @@ def is_self_dual(interval: BruhatInterval) -> bool:
             if any(target not in down[mapping[y]] for y in down[x]):
                 continue
             mapping[x] = target
-            used.add(target)
-            if extend(pos + 1):
-                return True
-            del mapping[x]
-            used.remove(target)
-        return False
+            used[target] = True
+            yield True
+            used[target] = False
 
-    return extend(0)
+    # one generator per placed element on an explicit stack: intervals can
+    # have more elements than Python's recursion limit
+    stack = [placements(0)]
+    while stack:
+        if not next(stack[-1], False):
+            stack.pop()
+        elif len(stack) == len(steps):
+            return True
+        else:
+            stack.append(placements(len(stack)))
+    return False
 
 
 def boundary_bipartite_graphs(
@@ -181,23 +184,27 @@ def bipartite_criterion(interval: BruhatInterval) -> bool:
     return _bipartite_isomorphic(bottom_graph, top_graph)
 
 
-def non_self_dual_census(n: int, allow_large: bool = False, jobs: int = 1) -> int:
-    """Number of odd diagram classes of S_n that are not self-dual."""
-    from .classes import classes_of_sn
-
-    if n < 1 or (n > 10 and not allow_large):
-        raise ValueError("census supports 1 <= n <= 10 (pass allow_large beyond)")
-    classes = classes_of_sn(n, allow_large=allow_large)
-    intervals = [
-        BruhatInterval(c.min_elem, c.max_elem, c.members)
-        for c in classes
-        if len(c.members) > 1
-    ]
+def non_self_dual_classes(
+    classes: list[OddDiagramClass], jobs: int = 1
+) -> list[OddDiagramClass]:
+    """The classes whose Bruhat interval is not self-dual, in input order;
+    ``jobs`` workers share the searches (0..os.cpu_count(), 0 = all cores)."""
+    cores = os.cpu_count() or 1
+    if not 0 <= jobs <= cores:
+        raise ValueError(f"jobs must be in 0..{cores}, got {jobs}")
+    jobs = jobs or cores
+    multi = [c for c in classes if len(c.members) > 1]
+    intervals = [BruhatInterval(c.min_elem, c.max_elem, c.members) for c in multi]
     if jobs > 1:
         import multiprocessing
 
         with multiprocessing.Pool(jobs) as pool:
-            results = pool.map(is_self_dual, intervals, chunksize=64)
+            verdicts = pool.map(is_self_dual, intervals, chunksize=64)
     else:
-        results = [is_self_dual(i) for i in intervals]
-    return sum(1 for ok in results if not ok)
+        verdicts = map(is_self_dual, intervals)
+    return [c for c, ok in zip(multi, verdicts) if not ok]
+
+
+def non_self_dual_census(n: int, allow_large: bool = False, jobs: int = 1) -> int:
+    """Number of odd diagram classes of S_n that are not self-dual."""
+    return len(non_self_dual_classes(classes_of_sn(n, allow_large=allow_large), jobs))

@@ -5,6 +5,7 @@ enumeration.  Checks backed by proved theorems must report failed = 0;
 open-question probes report their observations as findings instead.
 """
 
+import functools
 import random
 import time
 from dataclasses import dataclass, field
@@ -38,7 +39,6 @@ class VerificationReport:
     n: int
     checks: list[CheckResult]
     wall_time: float
-    jobs: int = 1
 
     @property
     def ok(self) -> bool:
@@ -46,9 +46,8 @@ class VerificationReport:
 
     def to_json(self) -> dict:
         return {
-            "schema": 1,
+            "schema": 2,
             "n": self.n,
-            "jobs": self.jobs,
             "wall_time": self.wall_time,
             "checks": [
                 {
@@ -63,7 +62,7 @@ class VerificationReport:
         }
 
 
-def check_bruhat_vs_covers(n: int, rng) -> CheckResult:
+def check_bruhat_vs_covers(n: int, rng, class_table) -> CheckResult:
     """bruhat_leq agrees with the transitive closure of the cover relation."""
     result = CheckResult("bruhat_vs_covers", "exhaustive")
     elems = list(perms.all_perms(n))
@@ -81,7 +80,7 @@ def check_bruhat_vs_covers(n: int, rng) -> CheckResult:
     return result
 
 
-def check_cover_gradedness(n: int, rng) -> CheckResult:
+def check_cover_gradedness(n: int, rng, class_table) -> CheckResult:
     """Covers raise length by exactly 1 via exactly one transposition."""
     result = CheckResult("cover_gradedness", "exhaustive")
     for u in perms.all_perms(n):
@@ -97,7 +96,7 @@ def check_cover_gradedness(n: int, rng) -> CheckResult:
     return result
 
 
-def check_diagram_counts(n: int, rng) -> CheckResult:
+def check_diagram_counts(n: int, rng, class_table) -> CheckResult:
     """|Rothe| = length, |odd| = odd length, odd diagram inside Rothe."""
     result = CheckResult("diagram_counts", "exhaustive")
     for w in perms.all_perms(n):
@@ -112,10 +111,10 @@ def check_diagram_counts(n: int, rng) -> CheckResult:
     return result
 
 
-def check_theorem_b(n: int, rng) -> CheckResult:
+def check_theorem_b(n: int, rng, class_table) -> CheckResult:
     """Every odd diagram class is the Bruhat interval between its extremes."""
     result = CheckResult("theorem_b", "exhaustive")
-    for cls in classes_mod.classes_of_sn(n):
+    for cls in class_table():
         try:
             classes_mod.class_extremes(cls)
             result.record(True)
@@ -124,10 +123,10 @@ def check_theorem_b(n: int, rng) -> CheckResult:
     return result
 
 
-def check_parity(n: int, rng) -> CheckResult:
+def check_parity(n: int, rng, class_table) -> CheckResult:
     """Within a class, each value occupies positions of one parity."""
     result = CheckResult("parity", "exhaustive")
-    for cls in classes_mod.classes_of_sn(n):
+    for cls in class_table():
         base = perms.inverse(cls.min_elem)
         ok = all(
             all(
@@ -140,7 +139,7 @@ def check_parity(n: int, rng) -> CheckResult:
     return result
 
 
-def check_legality_sufficiency(n: int, rng) -> CheckResult:
+def check_legality_sufficiency(n: int, rng, class_table) -> CheckResult:
     """The three-part criterion implies definitional legality.
 
     Legal transpositions failing the criterion are recorded as findings:
@@ -165,10 +164,10 @@ def check_legality_sufficiency(n: int, rng) -> CheckResult:
     return result
 
 
-def check_uniform_partition(n: int, rng) -> CheckResult:
+def check_uniform_partition(n: int, rng, class_table) -> CheckResult:
     """Blocks are equal-sized intervals; phi maps each member to a cover."""
     result = CheckResult("uniform_partition", "exhaustive")
-    for cls in classes_mod.classes_of_sn(n):
+    for cls in class_table():
         if len(cls.members) == 1:
             continue
         try:
@@ -189,11 +188,11 @@ def check_uniform_partition(n: int, rng) -> CheckResult:
     return result
 
 
-def check_factorization(n: int, rng) -> CheckResult:
+def check_factorization(n: int, rng, class_table) -> CheckResult:
     """factorize's product equals the enumerated Poincare polynomial and
     that polynomial is palindromic."""
     result = CheckResult("factorization", "exhaustive")
-    for cls in classes_mod.classes_of_sn(n):
+    for cls in class_table():
         outcome = partition.factorize(cls.min_elem, cls.max_elem)
         direct = polynomials.poincare(cls.min_elem, cls.max_elem)
         ok = outcome.product == direct and polynomials.is_palindromic(direct)
@@ -201,7 +200,7 @@ def check_factorization(n: int, rng) -> CheckResult:
     return result
 
 
-def check_rpoly_descent_independence(n: int, rng) -> CheckResult:
+def check_rpoly_descent_independence(n: int, rng, class_table) -> CheckResult:
     """R-polynomials do not depend on the chosen descent of y."""
     result = CheckResult("rpoly_descent_independence", "exhaustive")
     elems = list(perms.all_perms(n))
@@ -225,7 +224,7 @@ def _pick(w, preferred):
     return preferred if preferred in ds else min(ds)
 
 
-def check_interval_bfs_vs_filter(n: int, rng, samples: int = 500) -> CheckResult:
+def check_interval_bfs_vs_filter(n: int, rng, class_table, samples: int = 500) -> CheckResult:
     """BFS interval enumeration equals the brute-force full-group filter."""
     result = CheckResult("interval_bfs_vs_filter", "sampled")
     elems = list(perms.all_perms(n))
@@ -243,7 +242,7 @@ def check_interval_bfs_vs_filter(n: int, rng, samples: int = 500) -> CheckResult
     return result
 
 
-def check_top_heavy(n: int, rng) -> CheckResult:
+def check_top_heavy(n: int, rng, class_table) -> CheckResult:
     """Lower intervals are top-heavy."""
     result = CheckResult("top_heavy", "exhaustive")
     for w in perms.all_perms(n):
@@ -251,14 +250,14 @@ def check_top_heavy(n: int, rng) -> CheckResult:
     return result
 
 
-def check_self_dual_bipartite_agreement(n: int, rng) -> CheckResult:
+def check_self_dual_bipartite_agreement(n: int, rng, class_table) -> CheckResult:
     """Probe: self-duality vs the boundary bipartite-graph criterion.
 
     Disagreements are findings, not failures; the criterion is proved for
     lower intervals only.
     """
     result = CheckResult("self_dual_bipartite_agreement", "exhaustive")
-    for cls in classes_mod.classes_of_sn(n):
+    for cls in class_table():
         interval = intervals.BruhatInterval(cls.min_elem, cls.max_elem, cls.members)
         sd = duality.is_self_dual(interval)
         bc = duality.bipartite_criterion(interval)
@@ -275,10 +274,10 @@ def check_self_dual_bipartite_agreement(n: int, rng) -> CheckResult:
     return result
 
 
-def check_kl_class_probe(n: int, rng) -> CheckResult:
+def check_kl_class_probe(n: int, rng, class_table) -> CheckResult:
     """KL polynomial of every odd diagram class equals 1."""
     result = CheckResult("kl_class_probe", "exhaustive")
-    for cls in classes_mod.classes_of_sn(n):
+    for cls in class_table():
         p = polynomials.kl_polynomial(cls.min_elem, cls.max_elem)
         result.record(p == 1, {"min": perms.format_perm(cls.min_elem)})
     return result
@@ -301,12 +300,14 @@ CHECKS = {
 }
 
 
-def run_checks(n: int, names=None, seed: int = 0, jobs: int = 1) -> VerificationReport:
+def run_checks(n: int, names=None, seed: int = 0) -> VerificationReport:
     names = list(CHECKS) if names is None else names
     unknown = [name for name in names if name not in CHECKS]
     if unknown:
         raise ValueError(f"unknown checks: {unknown}; available: {sorted(CHECKS)}")
     rng = random.Random(seed)
     start = time.perf_counter()
-    results = [CHECKS[name](n, rng) for name in names]
-    return VerificationReport(n, results, time.perf_counter() - start, jobs)
+    # the class table of S_n, built on first use and shared by the checks
+    class_table = functools.cache(lambda: classes_mod.classes_of_sn(n))
+    results = [CHECKS[name](n, rng, class_table) for name in names]
+    return VerificationReport(n, results, time.perf_counter() - start)

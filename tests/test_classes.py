@@ -3,14 +3,15 @@ import math
 import pytest
 
 from odd_diagrams.classes import (
+    OddDiagramClass,
     class_extremes,
     class_of,
     class_report,
     classes_of_sn,
 )
-from odd_diagrams.diagrams import is_legal, odd_diagram
+from odd_diagrams.diagrams import is_legal, odd_diagram, odd_diagram_key
 from odd_diagrams.intervals import interval_elements
-from odd_diagrams.perms import inverse, length, parse_perm
+from odd_diagrams.perms import all_perms, bruhat_leq, inverse, length, parse_perm
 
 
 def test_s2_classes():
@@ -113,3 +114,24 @@ def test_class_report_fields():
     assert sorted(record["factor_lengths"]) == [2, 3, 3]
     assert record["kl_is_one"] is True
     assert all(len(box) == 2 for box in record["diagram"])
+
+
+def _rechecking_classes_of_sn(n):
+    """Reference builder that re-checks Theorem B on every member."""
+    groups = {}
+    for w in all_perms(n):
+        groups.setdefault(odd_diagram_key(w), []).append(w)
+    classes = []
+    for members in groups.values():
+        members.sort()
+        lo = min(members, key=length)
+        hi = max(members, key=length)
+        assert all(bruhat_leq(lo, w) and bruhat_leq(w, hi) for w in members)
+        classes.append(OddDiagramClass(odd_diagram(lo), tuple(members), lo, hi))
+    classes.sort(key=lambda c: c.min_elem)
+    return classes
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_classes_of_sn_matches_rechecking_builder(n):
+    assert classes_of_sn(n) == _rechecking_classes_of_sn(n)

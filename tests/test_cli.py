@@ -1,6 +1,10 @@
 import json
+import os
 
+from odd_diagrams import classes as classes_mod
+from odd_diagrams import verify
 from odd_diagrams.cli import run
+from odd_diagrams.perms import parse_perm
 
 
 def test_diagram(capsys):
@@ -65,6 +69,25 @@ def test_census(capsys):
     assert "non-self-dual: 0" in out
 
 
+def test_census_list_without_findings_prints_summary_only(capsys):
+    assert run(["census", "--n", "5", "--list", "--jobs", "1"]) == 0
+    assert capsys.readouterr().out == "classes: 70, non-self-dual: 0\n"
+
+
+def test_census_list_prints_non_self_dual_intervals(monkeypatch, capsys):
+    table = [classes_mod.class_of(parse_perm(w)) for w in ("5431627", "654172839")]
+    monkeypatch.setattr(classes_mod, "classes_of_sn", lambda n: table)
+    assert run(["census", "--n", "9", "--list", "--jobs", "1"]) == 0
+    out = capsys.readouterr().out
+    assert out == "classes: 2, non-self-dual: 1\n  [654172839, 958172634]\n"
+
+
+def test_census_rejects_jobs_out_of_range(capsys):
+    for jobs in (-1, (os.cpu_count() or 1) + 1):
+        assert run(["census", "--n", "3", "--jobs", str(jobs)]) == 2
+        assert "jobs must be in 0.." in capsys.readouterr().err
+
+
 def test_census_requires_long_at_10(capsys):
     assert run(["census", "--n", "10"]) == 2
 
@@ -83,12 +106,28 @@ def test_verify_subset(tmp_path, capsys):
         "--out", str(path),
     ]) == 0
     report = json.loads(path.read_text())
+    assert report["schema"] == 2
+    assert "jobs" not in report
     assert [c["name"] for c in report["checks"]] == ["theorem_b", "factorization"]
     assert all(c["failed"] == 0 for c in report["checks"])
 
 
 def test_verify_unknown_check(capsys):
     assert run(["verify", "--n", "3", "--checks", "nope"]) == 2
+
+
+def test_verify_has_no_jobs_option(capsys):
+    assert run(["verify", "--n", "3", "--jobs", "2"]) == 2
+
+
+def test_verify_builds_the_class_table_at_most_once(monkeypatch):
+    builds = []
+    build = classes_mod.classes_of_sn
+    monkeypatch.setattr(classes_mod, "classes_of_sn", lambda n: builds.append(n) or build(n))
+    assert verify.run_checks(4).ok
+    assert builds == [4]
+    assert verify.run_checks(4, ["diagram_counts", "top_heavy"]).ok
+    assert builds == [4]
 
 
 def test_usage_errors(capsys):

@@ -6,15 +6,22 @@ from odd_diagrams.duality import (
     boundary_bipartite_graphs,
     is_self_dual,
     non_self_dual_census,
+    non_self_dual_classes,
     top_heavy_check,
 )
-from odd_diagrams.intervals import BruhatInterval, interval_elements
-from odd_diagrams.perms import all_perms, identity, parse_perm
+from odd_diagrams.intervals import BruhatInterval, hasse_edges, interval_elements
+from odd_diagrams.perms import all_perms, identity, length, parse_perm
 
 
 def class_interval(w):
     cls = class_of(w)
     return BruhatInterval(cls.min_elem, cls.max_elem, cls.members)
+
+
+@pytest.fixture(scope="module")
+def golden_s9():
+    """The first non-self-dual class, found in S_9."""
+    return class_of(parse_perm("654172839"))
 
 
 def test_top_heavy_golden():
@@ -37,10 +44,71 @@ def test_s3_full_interval_self_dual():
     assert is_self_dual(interval_elements(identity(3), parse_perm("321")))
 
 
-def test_known_non_self_dual_class():
-    interval = class_interval(parse_perm("654172839"))
+def test_full_s7_interval_self_dual():
+    # 5040 elements: deeper than Python's recursion limit
+    w0 = tuple(range(7, 0, -1))
+    assert is_self_dual(BruhatInterval(identity(7), w0, tuple(all_perms(7))))
+
+
+def _recursive_is_self_dual(interval):
+    """Reference: the recursive backtracking search the iterative one replaced."""
+    elems = interval.elements
+    if len(elems) == 1:
+        return True
+    base = length(interval.bottom)
+    levels = [[] for _ in range(interval.rank + 1)]
+    for i, w in enumerate(elems):
+        levels[length(w) - base].append(i)
+    sizes = [len(level) for level in levels]
+    if sizes != sizes[::-1]:
+        return False
+    index = {w: i for i, w in enumerate(elems)}
+    up = [set() for _ in elems]
+    down = [set() for _ in elems]
+    for x, y in hasse_edges(interval):
+        up[index[x]].add(index[y])
+        down[index[y]].add(index[x])
+    top = len(levels) - 1
+    order = [i for level in levels for i in level]
+    rank_of = {i: r for r, level in enumerate(levels) for i in level}
+    mapping, used = {}, set()
+
+    def extend(pos):
+        if pos == len(order):
+            return True
+        x = order[pos]
+        for target in levels[top - rank_of[x]]:
+            if target in used:
+                continue
+            if len(up[x]) != len(down[target]) or len(down[x]) != len(up[target]):
+                continue
+            if any(target not in down[mapping[y]] for y in down[x]):
+                continue
+            mapping[x] = target
+            used.add(target)
+            if extend(pos + 1):
+                return True
+            del mapping[x]
+            used.remove(target)
+        return False
+
+    return extend(0)
+
+
+def test_iterative_search_matches_recursive(golden_s9):
+    intervals = [interval_elements(identity(5), w) for w in all_perms(5)]
+    intervals.append(BruhatInterval(golden_s9.min_elem, golden_s9.max_elem, golden_s9.members))
+    verdicts = [is_self_dual(i) for i in intervals]
+    assert verdicts == [_recursive_is_self_dual(i) for i in intervals]
+    assert True in verdicts and False in verdicts
+
+
+def test_known_non_self_dual_class(golden_s9):
+    interval = BruhatInterval(golden_s9.min_elem, golden_s9.max_elem, golden_s9.members)
     assert not is_self_dual(interval)
     assert not bipartite_criterion(interval)
+    figure2 = class_of(parse_perm("5431627"))
+    assert non_self_dual_classes([golden_s9, figure2]) == [golden_s9]
 
 
 def test_boundary_graph_shapes():
