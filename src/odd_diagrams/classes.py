@@ -61,10 +61,24 @@ def classes_of_sn(n: int, allow_large: bool = False) -> list[OddDiagramClass]:
 
 
 def class_of(w: Perm) -> OddDiagramClass:
-    """The odd diagram class containing w, found by scanning S_n."""
+    """The odd diagram class containing w, found by breadth-first search
+    over the same-parity transpositions that keep the odd diagram.
+
+    Classes are connected under such legal moves (``legal_move_toward``),
+    so this costs about (class size) * n^2/4 key evaluations, not n!.
+    """
     target = odd_diagram_key(w)
-    members = [x for x in all_perms(len(w)) if odd_diagram_key(x) == target]
-    return _build_class(members)
+    n = len(w)
+    seen = {w}
+    queue = [w]
+    for u in queue:
+        for i in range(n - 2):
+            for j in range(i + 2, n, 2):
+                x = u[:i] + (u[j],) + u[i + 1:j] + (u[i],) + u[j + 1:]
+                if x not in seen and odd_diagram_key(x) == target:
+                    seen.add(x)
+                    queue.append(x)
+    return _build_class(queue)
 
 
 def class_extremes(cls: OddDiagramClass) -> tuple[Perm, Perm]:

@@ -15,6 +15,7 @@ __all__ = [
     "is_self_dual",
     "boundary_bipartite_graphs",
     "bipartite_criterion",
+    "resolve_jobs",
     "non_self_dual_classes",
     "non_self_dual_census",
 ]
@@ -184,15 +185,21 @@ def bipartite_criterion(interval: BruhatInterval) -> bool:
     return _bipartite_isomorphic(bottom_graph, top_graph)
 
 
+def resolve_jobs(jobs: int) -> int:
+    """Worker count for ``jobs`` in 0..os.cpu_count() (0 = all cores);
+    anything else raises ``ValueError``."""
+    cores = os.cpu_count() or 1
+    if not 0 <= jobs <= cores:
+        raise ValueError(f"jobs must be in 0..{cores}, got {jobs}")
+    return jobs or cores
+
+
 def non_self_dual_classes(
     classes: list[OddDiagramClass], jobs: int = 1
 ) -> list[OddDiagramClass]:
     """The classes whose Bruhat interval is not self-dual, in input order;
     ``jobs`` workers share the searches (0..os.cpu_count(), 0 = all cores)."""
-    cores = os.cpu_count() or 1
-    if not 0 <= jobs <= cores:
-        raise ValueError(f"jobs must be in 0..{cores}, got {jobs}")
-    jobs = jobs or cores
+    jobs = resolve_jobs(jobs)
     multi = [c for c in classes if len(c.members) > 1]
     intervals = [BruhatInterval(c.min_elem, c.max_elem, c.members) for c in multi]
     if jobs > 1:

@@ -9,6 +9,7 @@ from odd_diagrams.classes import (
     class_report,
     classes_of_sn,
 )
+from odd_diagrams.cli import run
 from odd_diagrams.diagrams import is_legal, odd_diagram, odd_diagram_key
 from odd_diagrams.intervals import interval_elements
 from odd_diagrams.perms import all_perms, bruhat_leq, inverse, length, parse_perm
@@ -135,3 +136,31 @@ def _rechecking_classes_of_sn(n):
 @pytest.mark.parametrize("n", range(1, 8))
 def test_classes_of_sn_matches_rechecking_builder(n):
     assert classes_of_sn(n) == _rechecking_classes_of_sn(n)
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_class_of_matches_scan_of_sn(n):
+    # the full scan of S_n that class_of used to run is the oracle
+    scan = {}
+    for w in all_perms(n):
+        scan.setdefault(odd_diagram_key(w), []).append(w)
+    for members in scan.values():
+        lo = min(members, key=length)
+        hi = max(members, key=length)
+        expected = OddDiagramClass(odd_diagram(lo), tuple(sorted(members)), lo, hi)
+        for w in members:
+            assert class_of(w) == expected
+
+
+def test_class_of_in_s12_has_720_members():
+    cls = class_of(parse_perm("1,7,2,8,3,9,4,10,5,11,6,12"))
+    assert len(cls) == 720
+    assert len({odd_diagram(w) for w in cls.members}) == 1
+
+
+def test_class_command_needs_long_above_guarded_n(capsys):
+    perm = "1,7,2,8,3,9,4,10,5,11,6"
+    assert run(["class", "--perm", perm]) == 2
+    assert "requires --long" in capsys.readouterr().err
+    assert run(["class", "--perm", perm, "--long"]) == 0
+    assert "size: 120\n" in capsys.readouterr().out

@@ -135,3 +135,12 @@ def test_usage_errors(capsys):
     assert run(["diagram", "--perm", "1,1,2"]) == 2
     assert run(["nonsense"]) == 2
     assert run(["classes", "--n", "11"]) == 2
+
+
+def test_census_checks_jobs_before_building_the_table(monkeypatch, capsys):
+    def fail(*args, **kwargs):
+        raise AssertionError("class table built before --jobs was checked")
+
+    monkeypatch.setattr(classes_mod, "classes_of_sn", fail)
+    assert run(["census", "--n", "8", "--jobs", "-1"]) == 2
+    assert "jobs must be in 0.." in capsys.readouterr().err
