@@ -28,9 +28,6 @@ def cmd_diagram(args) -> int:
 
 def cmd_class(args) -> int:
     w = _perm(args.perm)
-    if len(w) > classes_mod.GUARDED_MAX_N and not args.long:
-        print(f"class at n > {classes_mod.GUARDED_MAX_N} requires --long", file=sys.stderr)
-        return USAGE_ERROR
     cls = classes_mod.class_of(w)
     interval = intervals.BruhatInterval(cls.min_elem, cls.max_elem, cls.members)
     print(f"min: {perms.format_perm(cls.min_elem)}")
@@ -118,9 +115,9 @@ def cmd_census(args) -> int:
     if args.n >= 10 and not args.long:
         print("census at n >= 10 requires --long", file=sys.stderr)
         return USAGE_ERROR
-    duality.resolve_jobs(args.jobs)
+    jobs = duality.resolve_jobs(args.jobs)
     all_classes = classes_mod.classes_of_sn(args.n)
-    bad = duality.non_self_dual_classes(all_classes, jobs=args.jobs)
+    bad = duality.non_self_dual_classes(all_classes, jobs=jobs)
     print(f"classes: {len(all_classes)}, non-self-dual: {len(bad)}")
     if args.list:
         for cls in bad:
@@ -171,7 +168,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("class", help="odd diagram class of a permutation")
     p.add_argument("--perm", required=True)
-    p.add_argument("--long", action="store_true", help="allow long-running sizes")
     p.set_defaults(func=cmd_class)
 
     p = sub.add_parser("poincare", help="Poincare polynomial of [u, v]")

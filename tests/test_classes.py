@@ -158,9 +158,6 @@ def test_class_of_in_s12_has_720_members():
     assert len({odd_diagram(w) for w in cls.members}) == 1
 
 
-def test_class_command_needs_long_above_guarded_n(capsys):
-    perm = "1,7,2,8,3,9,4,10,5,11,6"
-    assert run(["class", "--perm", perm]) == 2
-    assert "requires --long" in capsys.readouterr().err
-    assert run(["class", "--perm", perm, "--long"]) == 0
+def test_class_command_answers_above_guarded_n(capsys):
+    assert run(["class", "--perm", "1,7,2,8,3,9,4,10,5,11,6"]) == 0
     assert "size: 120\n" in capsys.readouterr().out
