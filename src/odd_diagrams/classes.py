@@ -4,7 +4,7 @@ import json
 from dataclasses import dataclass
 
 from .diagrams import Diagram, odd_diagram, odd_diagram_key
-from .intervals import interval_elements, rank_vector
+from .intervals import BruhatInterval, interval_elements, rank_vector
 from .perms import Perm, all_perms, format_perm, length
 
 __all__ = [
@@ -97,8 +97,8 @@ def class_report(cls: OddDiagramClass) -> dict:
     from .partition import factorize
     from .polynomials import kl_polynomial, one
 
-    interval = interval_elements(cls.min_elem, cls.max_elem)
-    ranks = rank_vector(interval)
+    # Theorem B: the members are the interval [min, max]
+    ranks = rank_vector(BruhatInterval(cls.min_elem, cls.max_elem, cls.members))
     result = factorize(cls.min_elem, cls.max_elem)
     return {
         "diagram": [list(box) for box in cls.diagram],
@@ -115,7 +115,6 @@ def class_report(cls: OddDiagramClass) -> dict:
 def report_for_n(n: int, allow_large: bool = False, with_duality: bool = True) -> dict:
     """Full JSON report for S_n, schema version 1."""
     from .duality import is_self_dual
-    from .intervals import BruhatInterval
 
     records = []
     for cls in classes_of_sn(n, allow_large=allow_large):

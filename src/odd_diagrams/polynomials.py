@@ -162,108 +162,214 @@ def _default_descent(u: Perm) -> int:
     return min(descent_set(u))
 
 
-def r_polynomial_choosing(
-    x: Perm, y: Perm, choose_descent: Callable[[Perm], int]
+def _r_recursive(
+    x: Perm, y: Perm, choose_descent: Callable[[Perm], int], memo: dict
 ) -> IntPolynomial:
-    """R-polynomial by the descent recursion, without memoization.
-
-    choose_descent picks which right descent of y drives the recursion;
-    the result is independent of the choice (property-tested).
-    """
     if x == y:
         return one()
     if not bruhat_leq(x, y):
         return zero()
+    key = (x, y)
+    cached = memo.get(key)
+    if cached is not None:
+        return cached
     i = choose_descent(y)
     s = (i, i + 1)
     ys = right_transpose(y, s)
     xs = right_transpose(x, s)
     if i in descent_set(x):
-        return r_polynomial_choosing(xs, ys, choose_descent)
-    return _Q * r_polynomial_choosing(xs, ys, choose_descent) + _Q_MINUS_1 * r_polynomial_choosing(x, ys, choose_descent)
+        result = _r_recursive(xs, ys, choose_descent, memo)
+    else:
+        result = (_Q * _r_recursive(xs, ys, choose_descent, memo)
+                  + _Q_MINUS_1 * _r_recursive(x, ys, choose_descent, memo))
+    memo[key] = result
+    return result
 
+
+def r_polynomial_choosing(
+    x: Perm, y: Perm, choose_descent: Callable[[Perm], int]
+) -> IntPolynomial:
+    """R-polynomial by the descent recursion, with a memo local to the call.
+
+    choose_descent picks which right descent of y drives the recursion;
+    the result is independent of the choice (property-tested).
+    """
+    return _r_recursive(x, y, choose_descent, {})
+
+
+# Memo caps. A top-level call clears a memo that has grown past its cap, so
+# a long-running process keeps about one cap's worth between calls (a single
+# call still holds all it needs). A full memo measured at n = 6 is about
+# 28 MB of R-polynomials or 17 MB of KL columns.
+_R_MEMO_CAP = 100_000  # R-polynomials, ~280 bytes each
+_KL_MEMO_CAP = 200_000  # P_{u,y} values over the stored columns, ~85 bytes each
 
 _R_MEMO: dict[tuple[Perm, Perm], IntPolynomial] = {}
 
 
 def r_polynomial(x: Perm, y: Perm) -> IntPolynomial:
-    """Memoized R-polynomial; recursion on the smallest descent of y."""
+    """R-polynomial by the recursion of ``r_polynomial_choosing`` on the
+    smallest descent of y, memoized across calls."""
+    if len(_R_MEMO) > _R_MEMO_CAP:
+        _R_MEMO.clear()
     if len(x) != len(y):
         raise ValueError("degree mismatch")
-    if x == y:
-        return one()
-    if not bruhat_leq(x, y):
-        return zero()
+    return _r_recursive(x, y, _default_descent, _R_MEMO)
+
+
+# (x, y) -> the column {u: (length(u), coefficients of P_{u,y})} over [x, y]
+_KL_MEMO: dict[tuple[Perm, Perm], dict[Perm, tuple[int, tuple[int, ...]]]] = {}
+_kl_memo_values = 0  # P_{u,y} values held by the columns of _KL_MEMO
+# one shared object per distinct (length, coefficients) entry of the
+# columns; most entries are (l, (1,)), so this saves most of their memory
+_KL_ENTRIES: dict[tuple[int, tuple[int, ...]], tuple[int, tuple[int, ...]]] = {}
+_ONE = (1,)
+
+
+def _swap(w: Perm, i: int) -> Perm:
+    """w s_{i+1}: swap the entries in 0-based positions i and i + 1."""
+    return w[:i] + (w[i + 1], w[i]) + w[i + 2:]
+
+
+def _checked(coeffs: list[int], d: int) -> tuple[int, ...]:
+    """Trimmed coefficients of P_{u,y} with d = length(y) - length(u);
+    raises unless deg <= (d - 1)/2 (deg 0 when d = 0) and P(0) = 1."""
+    while coeffs and coeffs[-1] == 0:
+        coeffs.pop()
+    if not coeffs or coeffs[0] != 1 or 2 * (len(coeffs) - 1) > max(d - 1, 0):
+        raise AssertionError(
+            f"KL polynomial {coeffs} breaks the degree bound or P(0) = 1 "
+            f"at length difference {d}; the KL computation is inconsistent"
+        )
+    return tuple(coeffs)
+
+
+def _kl_column(x: Perm, y: Perm) -> dict[Perm, tuple[int, tuple[int, ...]]]:
+    """P_{u,y} with length(u) for every u in [x, y]; requires x <= y."""
     key = (x, y)
-    cached = _R_MEMO.get(key)
-    if cached is not None:
-        return cached
-    i = _default_descent(y)
-    s = (i, i + 1)
-    ys = right_transpose(y, s)
-    xs = right_transpose(x, s)
-    if i in descent_set(x):
-        result = r_polynomial(xs, ys)
+    column = _KL_MEMO.get(key)
+    if column is not None:
+        return column
+    n = len(y)
+    i = next((i for i in range(n - 1) if y[i] > y[i + 1] and x[i] < x[i + 1]), None)
+    if i is not None:
+        column = _kl_column_step(x, y, i)
+    elif x == y:
+        column = {y: (length(y), _ONE)}
     else:
-        result = _Q * r_polynomial(xs, ys) + _Q_MINUS_1 * r_polynomial(x, ys)
-    _R_MEMO[key] = result
-    return result
+        # every right descent s of y is one of x: P_{u,y} = P_{us,y} gives
+        # P_{x,y} = P_{xs,y}, and [x, y] is the part of [xs, y] above x.
+        # x and xs differ only in their prefix of length i + 1, so for u
+        # above xs the tableau criterion for x <= u is that one prefix
+        i = next(i for i in range(n - 1) if y[i] > y[i + 1])
+        prefix = sorted(x[:i + 1])
+        column = {u: entry for u, entry in _kl_column(_swap(x, i), y).items()
+                  if all(a <= b for a, b in zip(prefix, sorted(u[:i + 1])))}
+    global _kl_memo_values
+    _KL_MEMO[key] = column
+    _kl_memo_values += len(column)
+    return column
 
 
-_KL_MEMO: dict[tuple[Perm, Perm], IntPolynomial] = {}
+def _kl_column_step(x: Perm, y: Perm, i: int) -> dict[Perm, tuple[int, tuple[int, ...]]]:
+    """The column of (x, y) from that of (x, v), v = ys, where s = s_{i+1}
+    is a right descent of y and not of x.
+
+    By the lifting property [x, y] is K and K s for K = [x, v], and each
+    s-pair {u < us} in it has u in K. For such u (Kazhdan-Lusztig 1979;
+    Bjorner-Brenti, Combinatorics of Coxeter Groups, Thm 5.1.7)
+
+        P_{u,y} = q P_{us,v} + P_{u,v} - sum mu(z,v) q^((l(y)-l(z))/2) P_{u,z}
+
+    over z in [u, v] with zs < z, where mu(z, v) is the coefficient of
+    q^((l(v)-l(z)-1)/2) in P_{z,v}; and P_{us,y} = P_{u,y}.
+    """
+    v = _swap(y, i)
+    known = _kl_column(x, v)
+    lv = known[v][0]
+    ly = lv + 1
+    # the sum, pushed from each z with mu(z, v) != 0 onto the u below it
+    sums: dict[Perm, list[int]] = {}
+    for z, (lz, pzv) in known.items():
+        gap = lv - lz
+        if gap % 2 == 0 or z[i] < z[i + 1]:
+            continue
+        top = (gap - 1) // 2
+        mu = pzv[top] if top < len(pzv) else 0
+        if not mu:
+            continue
+        shift = (ly - lz) // 2
+        for u, (lu, puz) in _kl_column(x, z).items():
+            if u[i] < u[i + 1]:
+                acc = sums.get(u)
+                if acc is None:
+                    acc = sums[u] = [0] * (ly - lu + 1)
+                for k, c in enumerate(puz, start=shift):
+                    acc[k] -= mu * c
+    column = {}
+    for u, (lu, puv) in known.items():
+        if u[i] > u[i + 1]:
+            continue
+        us = _swap(u, i)
+        d = ly - lu
+        coeffs = sums.get(u) or [0] * (d + 1)
+        for k, c in enumerate(puv):
+            coeffs[k] += c
+        entry = known.get(us)
+        if entry is not None:
+            for k, c in enumerate(entry[1], start=1):
+                coeffs[k] += c
+        # the bound at us, one length closer to y, is the stricter one
+        p = _checked(coeffs, d - 1)
+        column[u] = _KL_ENTRIES.setdefault((lu, p), (lu, p))
+        column[us] = _KL_ENTRIES.setdefault((lu + 1, p), (lu + 1, p))
+    return column
 
 
 def kl_polynomial(x: Perm, y: Perm) -> IntPolynomial:
-    """Kazhdan-Lusztig polynomial via the degree-bounded inversion relation.
+    """Kazhdan-Lusztig polynomial P_{x,y} by the descent recursion.
 
-    For fixed y, descending induction on length(x): the sum
-    sum_{x < z <= y} R_{x,z} P_{z,y} equals q^d P_{x,y}(1/q) - P_{x,y}
-    with d = length(y) - length(x), and the degree bound
-    deg P <= floor((d-1)/2) pins down every coefficient of P from the
-    upper half of the sum.
+    The work is one memoized column per (x, y): P_{u,y} for every u in
+    [x, y], built from the column of (x, ys) for a right descent s of y
+    that is not one of x (see ``_kl_column_step``), so no interval is
+    searched and only x <= y itself goes through ``bruhat_leq``. When x
+    has every right descent of y, P_{x,y} = P_{xs,y} and the column comes
+    from that of (xs, y). Every new entry is checked against deg P_{u,y}
+    <= (length(y) - length(u) - 1)/2 and P_{u,y}(0) = 1, or the call
+    raises AssertionError; ``verify kl_inversion`` re-checks the defining
+    relation with R-polynomials.
     """
+    global _kl_memo_values
+    if _kl_memo_values > _KL_MEMO_CAP:
+        _KL_MEMO.clear()
+        _KL_ENTRIES.clear()
+        _kl_memo_values = 0
     if len(x) != len(y):
         raise ValueError("degree mismatch")
     if x == y:
         return one()
     if not bruhat_leq(x, y):
         return zero()
-    key = (x, y)
-    cached = _KL_MEMO.get(key)
-    if cached is not None:
-        return cached
-    d = length(y) - length(x)
-    total = zero()
-    for z in _cached_interval(x, y).elements:
-        if z == x:
-            continue
-        total = total + r_polynomial(x, z) * kl_polynomial(z, y)
-    p = IntPolynomial(total.coeff(d - k) for k in range((d - 1) // 2 + 1))
-    if p.reversed_to(d) - p != total:
-        raise AssertionError(
-            "inversion relation violated; KL computation is inconsistent"
-        )
-    _KL_MEMO[key] = p
-    return p
+    return IntPolynomial(_kl_column(x, y)[x][1])
 
 
 def carrell_condition(x: Perm, y: Perm) -> bool:
     """Reflection-count test: for every w in [x, y], the number of
-    transpositions t with w < t w <= y equals length(y) - length(w)."""
+    transpositions t with w < t w <= y equals length(y) - length(w).
+
+    Such a t w lies above w >= x, so t w <= y iff t w is in [x, y]."""
     if not bruhat_leq(x, y):
         raise ValueError("x is not below y")
     n = len(x)
-    target_interval = _cached_interval(x, y)
-    for w in target_interval.elements:
+    members = set(_cached_interval(x, y).elements)
+    for w in members:
         win = inverse(w)
         count = 0
         for i in range(1, n):
             for j in range(i + 1, n + 1):
                 # w < (i j) w iff value i sits before value j
-                if win[i - 1] < win[j - 1]:
-                    tw = left_transpose(w, (i, j))
-                    if bruhat_leq(tw, y):
-                        count += 1
+                if win[i - 1] < win[j - 1] and left_transpose(w, (i, j)) in members:
+                    count += 1
         if count != length(y) - length(w):
             return False
     return True

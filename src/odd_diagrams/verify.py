@@ -283,6 +283,39 @@ def check_kl_class_probe(n: int, rng, class_table) -> CheckResult:
     return result
 
 
+def check_kl_inversion(n: int, rng, class_table) -> CheckResult:
+    """KL polynomials satisfy their defining conditions: for x <= y,
+    sum_{z in [x, y]} R_{x,z} P_{z,y} = q^d P_{x,y}(1/q) with
+    d = length(y) - length(x), and deg P_{x,y} <= (d - 1)/2 for x < y."""
+    result = CheckResult("kl_inversion", "exhaustive")
+    e = perms.identity(n)
+    for y in perms.all_perms(n):
+        below = intervals.interval_elements(e, y).elements
+        kl = {z: polynomials.kl_polynomial(z, y) for z in below}
+        ly = perms.length(y)
+        for x in below:
+            p = kl[x]
+            d = ly - perms.length(x)
+            ok = p == 1 if x == y else 2 * p.degree <= d - 1
+            if ok:
+                total = polynomials.zero()
+                for z in intervals.interval_elements(x, y).elements:
+                    total = total + polynomials.r_polynomial(x, z) * kl[z]
+                ok = total == p.reversed_to(d)
+            result.record(ok, {"x": perms.format_perm(x), "y": perms.format_perm(y)})
+    return result
+
+
+def check_kl_carrell(n: int, rng, class_table) -> CheckResult:
+    """P_{e,w} = 1 iff [e, w] passes the Carrell-Peterson reflection count."""
+    result = CheckResult("kl_carrell", "exhaustive")
+    e = perms.identity(n)
+    for w in perms.all_perms(n):
+        ok = (polynomials.kl_polynomial(e, w) == 1) == polynomials.carrell_condition(e, w)
+        result.record(ok, {"w": perms.format_perm(w)})
+    return result
+
+
 CHECKS = {
     "bruhat_vs_covers": check_bruhat_vs_covers,
     "cover_gradedness": check_cover_gradedness,
@@ -297,6 +330,8 @@ CHECKS = {
     "top_heavy": check_top_heavy,
     "self_dual_bipartite_agreement": check_self_dual_bipartite_agreement,
     "kl_class_probe": check_kl_class_probe,
+    "kl_inversion": check_kl_inversion,
+    "kl_carrell": check_kl_carrell,
 }
 
 

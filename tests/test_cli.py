@@ -2,7 +2,7 @@ import json
 import os
 
 from odd_diagrams import classes as classes_mod
-from odd_diagrams import verify
+from odd_diagrams import polynomials, verify
 from odd_diagrams.cli import run
 from odd_diagrams.perms import parse_perm
 
@@ -128,6 +128,18 @@ def test_verify_builds_the_class_table_at_most_once(monkeypatch):
     assert builds == [4]
     assert verify.run_checks(4, ["diagram_counts", "top_heavy"]).ok
     assert builds == [4]
+
+
+def test_kl_checks_catch_a_wrong_kl_polynomial(monkeypatch):
+    real = polynomials.kl_polynomial
+
+    def flattened(x, y):  # reports P_{1234,3412} = 1 + q as 1
+        p = real(x, y)
+        return polynomials.one() if p.degree > 0 else p
+
+    monkeypatch.setattr(polynomials, "kl_polynomial", flattened)
+    report = verify.run_checks(4, ["kl_inversion", "kl_carrell", "kl_class_probe"])
+    assert [c.failed > 0 for c in report.checks] == [True, True, False]
 
 
 def test_usage_errors(capsys):

@@ -4,12 +4,15 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from odd_diagrams import polynomials
 from odd_diagrams.intervals import interval_elements
 from odd_diagrams.perms import (
     all_perms,
     bruhat_leq,
     descent_set,
     identity,
+    inverse,
+    left_transpose,
     length,
     parse_perm,
 )
@@ -195,3 +198,143 @@ def test_carrell_equivalent_to_kl_one(n):
             kl_polynomial(w, y) == 1 for w in interval_elements(x, y).elements
         )
         assert carrell_condition(x, y) == expected
+
+
+# --- differential tests against the code the descent engines replaced ---
+
+
+def _kl_by_inversion(x, y, memo):
+    """The former KL engine: for fixed y, descending induction on length(x)
+    through sum_{x < z <= y} R_{x,z} P_{z,y} = q^d P_{x,y}(1/q) - P_{x,y},
+    whose upper half pins P_{x,y} down by the degree bound."""
+    if x == y:
+        return one()
+    if not bruhat_leq(x, y):
+        return zero()
+    key = (x, y)
+    if key not in memo:
+        d = length(y) - length(x)
+        total = zero()
+        for z in interval_elements(x, y).elements:
+            if z != x:
+                total = total + r_polynomial(x, z) * _kl_by_inversion(z, y, memo)
+        p = IntPolynomial(total.coeff(d - k) for k in range((d - 1) // 2 + 1))
+        assert p.reversed_to(d) - p == total
+        memo[key] = p
+    return memo[key]
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+def test_kl_matches_inversion_engine_on_every_pair(n):
+    memo = {}
+    for y in all_perms(n):
+        for x in all_perms(n):
+            assert kl_polynomial(x, y) == _kl_by_inversion(x, y, memo)
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+def test_kl_column_covers_exactly_its_interval(n):
+    for y in all_perms(n):
+        for x in all_perms(n):
+            if bruhat_leq(x, y):
+                column = polynomials._kl_column(x, y)
+                assert set(column) == set(interval_elements(x, y).elements)
+                assert all(lu == length(u) for u, (lu, _) in column.items())
+
+
+def test_kl_matches_inversion_engine_on_sampled_lower_intervals_of_s6():
+    rng = random.Random(6)
+    e = identity(6)
+    memo = {}
+    for w in rng.sample(sorted(all_perms(6)), 40):
+        for u in interval_elements(e, w).elements:
+            assert kl_polynomial(u, w) == _kl_by_inversion(u, w, memo)
+
+
+def test_kl_engine_rejects_an_entry_that_breaks_the_degree_bound(monkeypatch):
+    monkeypatch.setattr(polynomials, "_KL_MEMO", {})
+    e, v, y = identity(3), parse_perm("231"), parse_perm("321")
+    kl_polynomial(e, v)
+    # the column of (e, 321) is built from that of (e, 321 s_1) = (e, 231)
+    polynomials._KL_MEMO[(e, v)][e] = (0, (1, 5))
+    with pytest.raises(AssertionError):
+        kl_polynomial(e, y)
+
+
+def _carrell_by_bruhat(x, y):
+    """The former reflection count, comparing t w <= y in the Bruhat order."""
+    n = len(x)
+    for w in interval_elements(x, y).elements:
+        win = inverse(w)
+        count = 0
+        for i in range(1, n):
+            for j in range(i + 1, n + 1):
+                if win[i - 1] < win[j - 1] and bruhat_leq(left_transpose(w, (i, j)), y):
+                    count += 1
+        if count != length(y) - length(w):
+            return False
+    return True
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+def test_carrell_matches_bruhat_count_on_lower_intervals(n):
+    e = identity(n)
+    for w in all_perms(n):
+        assert carrell_condition(e, w) == _carrell_by_bruhat(e, w)
+
+
+def test_carrell_matches_bruhat_count_on_sampled_lower_intervals_of_s6():
+    rng = random.Random(6)
+    e = identity(6)
+    for w in rng.sample(sorted(all_perms(6)), 60):
+        assert carrell_condition(e, w) == _carrell_by_bruhat(e, w)
+
+
+def test_carrell_matches_bruhat_count_on_sampled_pairs_of_s5():
+    rng = random.Random(5)
+    elems = list(all_perms(5))
+    tried = 0
+    while tried < 300:
+        x, y = rng.choice(elems), rng.choice(elems)
+        if bruhat_leq(x, y):
+            tried += 1
+            assert carrell_condition(x, y) == _carrell_by_bruhat(x, y)
+
+
+# --- memo bounds ---
+
+
+@pytest.fixture
+def fresh_memos(monkeypatch):
+    monkeypatch.setattr(polynomials, "_KL_MEMO", {})
+    monkeypatch.setattr(polynomials, "_kl_memo_values", 0)
+    monkeypatch.setattr(polynomials, "_R_MEMO", {})
+
+
+def test_kl_memo_holds_a_lower_interval_sweep_of_s6_under_its_cap(fresh_memos, monkeypatch):
+    e = identity(6)
+    first = {w: kl_polynomial(e, w) for w in all_perms(6)}
+    memo = polynomials._KL_MEMO
+    assert all((e, w) in memo for w in first)  # nothing was cleared
+    assert polynomials._kl_memo_values == sum(len(c) for c in memo.values())
+    assert polynomials._kl_memo_values <= polynomials._KL_MEMO_CAP
+    # a cap the sweep overruns clears the memo between calls; results hold
+    full = polynomials._kl_memo_values
+    monkeypatch.setattr(polynomials, "_KL_MEMO_CAP", 5000)
+    peak = 0
+    for w, p in first.items():
+        assert kl_polynomial(e, w) == p
+        peak = max(peak, polynomials._kl_memo_values)
+    assert peak < full
+
+
+def test_r_memo_holds_a_lower_interval_sweep_of_s6_under_its_cap(fresh_memos, monkeypatch):
+    e = identity(6)
+    first = {w: r_polynomial(e, w) for w in all_perms(6)}
+    assert 0 < len(polynomials._R_MEMO) <= polynomials._R_MEMO_CAP
+    monkeypatch.setattr(polynomials, "_R_MEMO_CAP", 100)
+    peak = 0
+    for w, p in first.items():
+        assert r_polynomial(e, w) == p
+        peak = max(peak, len(polynomials._R_MEMO))
+    assert peak < len(first)
