@@ -5,7 +5,7 @@ from dataclasses import dataclass
 
 from .diagrams import Diagram, odd_diagram, odd_diagram_key
 from .intervals import BruhatInterval, interval_elements, rank_vector
-from .perms import Perm, all_perms, format_perm, length
+from .perms import Perm, all_perms, format_perm
 
 __all__ = [
     "OddDiagramClass",
@@ -33,16 +33,20 @@ class OddDiagramClass:
     def n(self) -> int:
         return len(self.min_elem)
 
+    @property
+    def interval(self) -> BruhatInterval:
+        """The class as the Bruhat interval [min_elem, max_elem] (Theorem B)."""
+        return BruhatInterval(self.min_elem, self.max_elem, self.members)
+
     def __len__(self) -> int:
         return len(self.members)
 
 
 def _build_class(members: list[Perm]) -> OddDiagramClass:
-    # Theorem B (checked by verify theorem_b): the class is [shortest, longest]
+    # Bruhat order refines lexicographic order, so by Theorem B (checked by
+    # verify theorem_b) the first and last sorted members are the extremes.
     members.sort()
-    lengths = [length(w) for w in members]
-    lo = members[lengths.index(min(lengths))]
-    hi = members[lengths.index(max(lengths))]
+    lo, hi = members[0], members[-1]
     return OddDiagramClass(odd_diagram(lo), tuple(members), lo, hi)
 
 
@@ -51,7 +55,7 @@ def classes_of_sn(n: int, allow_large: bool = False) -> list[OddDiagramClass]:
     if n < 1:
         raise ValueError("n must be positive")
     if n > GUARDED_MAX_N and not allow_large:
-        raise ValueError(f"n = {n} > {GUARDED_MAX_N}; pass allow_large to override")
+        raise ValueError(f"n = {n} > {GUARDED_MAX_N}; pass allow_large=True to override")
     groups: dict[int, list[Perm]] = {}
     for w in all_perms(n):
         groups.setdefault(odd_diagram_key(w), []).append(w)
@@ -93,12 +97,13 @@ def class_extremes(cls: OddDiagramClass) -> tuple[Perm, Perm]:
 
 
 def class_report(cls: OddDiagramClass) -> dict:
-    """Per-class JSON record; heavier fields are filled in by the CLI."""
+    """Per-class JSON record of the report, schema version 1."""
+    from .duality import is_self_dual
     from .partition import factorize
     from .polynomials import kl_polynomial, one
 
-    # Theorem B: the members are the interval [min, max]
-    ranks = rank_vector(BruhatInterval(cls.min_elem, cls.max_elem, cls.members))
+    interval = cls.interval
+    ranks = rank_vector(interval)
     result = factorize(cls.min_elem, cls.max_elem)
     return {
         "diagram": [list(box) for box in cls.diagram],
@@ -109,21 +114,14 @@ def class_report(cls: OddDiagramClass) -> dict:
         "poincare_coeffs": list(ranks),
         "factor_lengths": list(result.factor_lengths),
         "kl_is_one": kl_polynomial(cls.min_elem, cls.max_elem) == one(),
+        "self_dual": is_self_dual(interval),
     }
 
 
-def report_for_n(n: int, allow_large: bool = False, with_duality: bool = True) -> dict:
+def report_for_n(n: int, allow_large: bool = False) -> dict:
     """Full JSON report for S_n, schema version 1."""
-    from .duality import is_self_dual
-
-    records = []
-    for cls in classes_of_sn(n, allow_large=allow_large):
-        record = class_report(cls)
-        if with_duality:
-            interval = BruhatInterval(cls.min_elem, cls.max_elem, cls.members)
-            record["self_dual"] = is_self_dual(interval)
-        records.append(record)
-    return {"schema": 1, "n": n, "classes": records}
+    classes = classes_of_sn(n, allow_large=allow_large)
+    return {"schema": 1, "n": n, "classes": [class_report(cls) for cls in classes]}
 
 
 def dump_report(report: dict, path: str) -> None:

@@ -29,11 +29,10 @@ def cmd_diagram(args) -> int:
 def cmd_class(args) -> int:
     w = _perm(args.perm)
     cls = classes_mod.class_of(w)
-    interval = intervals.BruhatInterval(cls.min_elem, cls.max_elem, cls.members)
     print(f"min: {perms.format_perm(cls.min_elem)}")
     print(f"max: {perms.format_perm(cls.max_elem)}")
     print(f"size: {len(cls.members)}")
-    print(f"rank_vector: {list(intervals.rank_vector(interval))}")
+    print(f"rank_vector: {list(intervals.rank_vector(cls.interval))}")
     print("members: " + " ".join(perms.format_perm(x) for x in cls.members))
     return 0
 
@@ -101,6 +100,8 @@ def cmd_hasse(args) -> int:
 
 
 def cmd_classes(args) -> int:
+    if args.n > classes_mod.GUARDED_MAX_N and not args.long:
+        raise ValueError(f"classes at n > {classes_mod.GUARDED_MAX_N} requires --long")
     report = classes_mod.report_for_n(args.n, allow_large=args.long)
     if args.out:
         classes_mod.dump_report(report, args.out)
@@ -112,9 +113,10 @@ def cmd_classes(args) -> int:
 
 
 def cmd_census(args) -> int:
+    if args.n > classes_mod.GUARDED_MAX_N:
+        raise ValueError(f"census supports n <= {classes_mod.GUARDED_MAX_N}")
     if args.n >= 10 and not args.long:
-        print("census at n >= 10 requires --long", file=sys.stderr)
-        return USAGE_ERROR
+        raise ValueError("census at n >= 10 requires --long")
     jobs = duality.resolve_jobs(args.jobs)
     all_classes = classes_mod.classes_of_sn(args.n)
     bad = duality.non_self_dual_classes(all_classes, jobs=jobs)

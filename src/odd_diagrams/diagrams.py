@@ -37,14 +37,16 @@ def rothe_diagram(w: Perm) -> Diagram:
 
 
 def odd_diagram(w: Perm) -> Diagram:
-    """Rothe boxes (i, j) additionally satisfying i != w^-1(j) mod 2."""
-    inv = inverse(w)
+    """Rothe boxes (i, j) with i != w^-1(j) mod 2, sorted: odd_diagram_key's bits, lowest first."""
+    n = len(w)
+    key = odd_diagram_key(w)
     boxes = []
-    for i in range(1, len(w) + 1):
-        for j in range(1, w[i - 1]):
-            if i < inv[j - 1] and (i - inv[j - 1]) % 2 != 0:
-                boxes.append((i, j))
-    return tuple(sorted(boxes))
+    while key:
+        low = key & -key
+        i, j = divmod(low.bit_length() - 1, n)
+        boxes.append((i + 1, j + 1))
+        key ^= low
+    return tuple(boxes)
 
 
 def odd_diagram_key(w: Perm) -> int:

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 from .classes import OddDiagramClass, classes_of_sn
 from .intervals import BruhatInterval, _cached_interval, hasse_edges, rank_vector
-from .perms import Perm, identity, length
+from .perms import Perm, identity
 
 __all__ = [
     "BipartiteGraph",
@@ -39,11 +39,8 @@ def top_heavy_check(w: Perm) -> bool:
 
 def _levels_and_adjacency(interval: BruhatInterval):
     """Element indices grouped by rank, plus up/down cover adjacency."""
-    base = length(interval.bottom)
     index = {w: i for i, w in enumerate(interval.elements)}
-    levels: list[list[int]] = [[] for _ in range(interval.rank + 1)]
-    for i, w in enumerate(interval.elements):
-        levels[length(w) - base].append(i)
+    levels = [[index[w] for w in level] for level in interval.levels]
     up: list[set[int]] = [set() for _ in interval.elements]
     down: list[set[int]] = [set() for _ in interval.elements]
     for x, y in hasse_edges(interval):
@@ -62,10 +59,10 @@ def is_self_dual(interval: BruhatInterval) -> bool:
     """
     if len(interval) == 1:
         return True
-    levels, up, down = _levels_and_adjacency(interval)
-    sizes = [len(level) for level in levels]
+    sizes = rank_vector(interval)
     if sizes != sizes[::-1]:
         return False
+    levels, up, down = _levels_and_adjacency(interval)
     # elements bottom-up, each with the rank level it must be mapped into
     steps = [(x, levels[-1 - r]) for r, level in enumerate(levels) for x in level]
     mapping = [0] * len(steps)
@@ -109,23 +106,15 @@ def boundary_bipartite_graphs(
     if interval.rank < 2:
         raise ValueError("boundary graphs need an interval of rank >= 2")
     levels, up, down = _levels_and_adjacency(interval)
-    top = len(levels) - 1
-    elems = interval.elements
 
-    def graph(left_level: list[int], right_level: list[int], neighbors) -> BipartiteGraph:
-        rpos = {i: p for p, i in enumerate(right_level)}
+    def graph(left: int, right: int, neighbors) -> BipartiteGraph:
+        rpos = {i: p for p, i in enumerate(levels[right])}
         edges = frozenset(
-            (p, rpos[j]) for p, i in enumerate(left_level) for j in neighbors[i] if j in rpos
+            (p, rpos[j]) for p, i in enumerate(levels[left]) for j in neighbors[i] if j in rpos
         )
-        return BipartiteGraph(
-            tuple(elems[i] for i in left_level),
-            tuple(elems[i] for i in right_level),
-            edges,
-        )
+        return BipartiteGraph(interval.levels[left], interval.levels[right], edges)
 
-    bottom_graph = graph(levels[1], levels[2], up)
-    top_graph = graph(levels[top - 1], levels[top - 2], down)
-    return bottom_graph, top_graph
+    return graph(1, 2, up), graph(-2, -3, down)
 
 
 def _bipartite_isomorphic(g1: BipartiteGraph, g2: BipartiteGraph) -> bool:
@@ -201,7 +190,7 @@ def non_self_dual_classes(
     ``jobs`` workers share the searches (0..os.cpu_count(), 0 = all cores)."""
     jobs = resolve_jobs(jobs)
     multi = [c for c in classes if len(c.members) > 1]
-    intervals = [BruhatInterval(c.min_elem, c.max_elem, c.members) for c in multi]
+    intervals = (c.interval for c in multi)
     if jobs > 1:
         import multiprocessing
 

@@ -1,7 +1,8 @@
-"""Bruhat intervals [u, v]: elements, rank vectors, Hasse diagrams, DOT export."""
+"""Bruhat intervals [u, v]: elements, rank levels, Hasse diagrams, DOT export."""
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
+from itertools import combinations
 
 from .perms import Perm, bruhat_leq, format_perm, length, upward_covers
 
@@ -20,9 +21,19 @@ class BruhatInterval:
     def n(self) -> int:
         return len(self.bottom)
 
+    @cached_property
+    def levels(self) -> tuple[tuple[Perm, ...], ...]:
+        """levels[r] = the members at length(bottom) + r, in sorted order."""
+        lengths = [length(w) for w in self.elements]
+        base = min(lengths)
+        grouped: list[list[Perm]] = [[] for _ in range(max(lengths) - base + 1)]
+        for w, lw in zip(self.elements, lengths):
+            grouped[lw - base].append(w)
+        return tuple(map(tuple, grouped))
+
     @property
     def rank(self) -> int:
-        return length(self.top) - length(self.bottom)
+        return len(self.levels) - 1
 
     def __len__(self) -> int:
         return len(self.elements)
@@ -56,34 +67,34 @@ def _cached_interval(u: Perm, v: Perm) -> BruhatInterval:
 
 def rank_vector(interval: BruhatInterval) -> tuple[int, ...]:
     """counts[r] = number of members at length(bottom) + r."""
-    base = length(interval.bottom)
-    counts = [0] * (interval.rank + 1)
-    for w in interval.elements:
-        counts[length(w) - base] += 1
-    return tuple(counts)
+    return tuple(map(len, interval.levels))
 
 
 def hasse_edges(interval: BruhatInterval) -> list[tuple[Perm, Perm]]:
-    """All covering pairs (x, y) with both endpoints in the interval."""
-    members = set(interval.elements)
+    """All covering pairs (x, y) inside the interval, sorted: y is x with an
+    ascending pair of entries swapped, one level above x."""
     edges = []
-    for x in interval.elements:
-        for y in upward_covers(x):
-            if y in members:
-                edges.append((x, y))
+    for lower, upper in zip(interval.levels, interval.levels[1:]):
+        above = set(upper)
+        for x in lower:
+            row = list(x)
+            for i, j in combinations(range(interval.n), 2):
+                xi, xj = x[i], x[j]
+                if xi < xj:
+                    row[i], row[j] = xj, xi
+                    y = tuple(row)
+                    row[i], row[j] = xi, xj
+                    if y in above:
+                        edges.append((x, y))
     edges.sort()
     return edges
 
 
 def to_dot(interval: BruhatInterval) -> str:
     """Hasse diagram in DOT, one rank group per length level."""
-    base = length(interval.bottom)
-    levels: dict[int, list[Perm]] = {}
-    for w in interval.elements:
-        levels.setdefault(length(w) - base, []).append(w)
     lines = ["graph bruhat_interval {", "  rankdir=BT;", "  node [shape=plaintext];"]
-    for r in sorted(levels):
-        names = " ".join(f'"{format_perm(w)}"' for w in sorted(levels[r]))
+    for level in interval.levels:
+        names = " ".join(f'"{format_perm(w)}"' for w in level)
         lines.append(f"  {{ rank=same; {names} }}")
     for x, y in hasse_edges(interval):
         lines.append(f'  "{format_perm(x)}" -- "{format_perm(y)}";')

@@ -86,15 +86,6 @@ class IntPolynomial:
                     out[i + j] += a * b
         return IntPolynomial(out)
 
-    def scaled(self, c: int) -> IntPolynomial:
-        return IntPolynomial(c * a for a in self.coeffs)
-
-    def shifted(self, k: int) -> IntPolynomial:
-        """Multiply by the variable to the k-th power."""
-        if not self.coeffs:
-            return self
-        return IntPolynomial((0,) * k + self.coeffs)
-
     def reversed_to(self, d: int) -> IntPolynomial:
         """q^d * p(1/q) as an ordinary polynomial; requires d >= degree."""
         if d < self.degree:

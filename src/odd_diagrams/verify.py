@@ -258,7 +258,7 @@ def check_self_dual_bipartite_agreement(n: int, rng, class_table) -> CheckResult
     """
     result = CheckResult("self_dual_bipartite_agreement", "exhaustive")
     for cls in class_table():
-        interval = intervals.BruhatInterval(cls.min_elem, cls.max_elem, cls.members)
+        interval = cls.interval
         sd = duality.is_self_dual(interval)
         bc = duality.bipartite_criterion(interval)
         result.record(True)

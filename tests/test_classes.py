@@ -114,6 +114,7 @@ def test_class_report_fields():
     assert record["poincare_coeffs"] == [1, 3, 5, 5, 3, 1]
     assert sorted(record["factor_lengths"]) == [2, 3, 3]
     assert record["kl_is_one"] is True
+    assert record["self_dual"] is True
     assert all(len(box) == 2 for box in record["diagram"])
 
 

@@ -156,3 +156,17 @@ def test_census_checks_jobs_before_building_the_table(monkeypatch, capsys):
     monkeypatch.setattr(classes_mod, "classes_of_sn", fail)
     assert run(["census", "--n", "8", "--jobs", "-1"]) == 2
     assert "jobs must be in 0.." in capsys.readouterr().err
+
+
+def test_classes_above_guarded_n_names_the_long_flag(capsys):
+    assert run(["classes", "--n", "11"]) == 2
+    err = capsys.readouterr().err
+    assert "--long" in err
+    assert "allow_large" not in err
+
+
+def test_census_above_guarded_n_states_its_range(capsys):
+    assert run(["census", "--n", "11", "--long"]) == 2
+    err = capsys.readouterr().err
+    assert "census supports n <= 10" in err
+    assert "allow_large" not in err

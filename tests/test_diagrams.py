@@ -53,13 +53,37 @@ def test_diagram_sizes_and_containment(w):
     assert len(odd) == odd_length(w)
 
 
+def _looped_odd_diagram(w):
+    """Reference: the odd diagram from its definition, box by box."""
+    inv = [0] * len(w)
+    for p, x in enumerate(w, start=1):
+        inv[x - 1] = p
+    boxes = []
+    for i in range(1, len(w) + 1):
+        for j in range(1, w[i - 1]):
+            if i < inv[j - 1] and (i - inv[j - 1]) % 2 != 0:
+                boxes.append((i, j))
+    return tuple(sorted(boxes))
+
+
 @given(perm_strategy(max_n=7))
 def test_odd_diagram_key_matches_diagram(w):
     n = len(w)
     expected = 0
-    for (i, j) in odd_diagram(w):
+    for (i, j) in _looped_odd_diagram(w):
         expected |= 1 << ((i - 1) * n + (j - 1))
     assert odd_diagram_key(w) == expected
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_odd_diagram_matches_looped_definition(n):
+    for w in all_perms(n):
+        assert odd_diagram(w) == _looped_odd_diagram(w)
+
+
+@given(perm_strategy(max_n=10))
+def test_odd_diagram_matches_looped_definition_up_to_s10(w):
+    assert odd_diagram(w) == _looped_odd_diagram(w)
 
 
 def test_is_legal_golden():

@@ -13,11 +13,6 @@ from odd_diagrams.intervals import BruhatInterval, hasse_edges, interval_element
 from odd_diagrams.perms import all_perms, identity, length, parse_perm
 
 
-def class_interval(w):
-    cls = class_of(w)
-    return BruhatInterval(cls.min_elem, cls.max_elem, cls.members)
-
-
 @pytest.fixture(scope="module")
 def golden_s9():
     """The first non-self-dual class, found in S_9."""
@@ -97,14 +92,14 @@ def _recursive_is_self_dual(interval):
 
 def test_iterative_search_matches_recursive(golden_s9):
     intervals = [interval_elements(identity(5), w) for w in all_perms(5)]
-    intervals.append(BruhatInterval(golden_s9.min_elem, golden_s9.max_elem, golden_s9.members))
+    intervals.append(golden_s9.interval)
     verdicts = [is_self_dual(i) for i in intervals]
     assert verdicts == [_recursive_is_self_dual(i) for i in intervals]
     assert True in verdicts and False in verdicts
 
 
 def test_known_non_self_dual_class(golden_s9):
-    interval = BruhatInterval(golden_s9.min_elem, golden_s9.max_elem, golden_s9.members)
+    interval = golden_s9.interval
     assert not is_self_dual(interval)
     assert not bipartite_criterion(interval)
     figure2 = class_of(parse_perm("5431627"))
@@ -112,7 +107,7 @@ def test_known_non_self_dual_class(golden_s9):
 
 
 def test_boundary_graph_shapes():
-    interval = class_interval(parse_perm("5431627"))
+    interval = class_of(parse_perm("5431627")).interval
     bottom, top = boundary_bipartite_graphs(interval)
     assert (len(bottom.left), len(bottom.right)) == (3, 5)
     assert (len(top.left), len(top.right)) == (3, 5)
@@ -132,7 +127,7 @@ def test_boundary_graph_shapes():
 def test_bipartite_criterion_low_rank_vacuous():
     w = parse_perm("213")
     cls = class_of(w)
-    interval = BruhatInterval(cls.min_elem, cls.max_elem, cls.members)
+    interval = cls.interval
     assert interval.rank == 1
     assert bipartite_criterion(interval)
 
@@ -146,7 +141,7 @@ def test_small_censuses_are_zero(n):
 def test_self_duality_agrees_with_bipartite_criterion(n):
     disagreements = []
     for cls in classes_of_sn(n):
-        interval = BruhatInterval(cls.min_elem, cls.max_elem, cls.members)
+        interval = cls.interval
         if is_self_dual(interval) != bipartite_criterion(interval):
             disagreements.append(cls.min_elem)
     assert disagreements == []
@@ -157,7 +152,7 @@ def test_self_dual_classes_have_palindromic_ranks(n):
     from odd_diagrams.intervals import rank_vector
 
     for cls in classes_of_sn(n):
-        interval = BruhatInterval(cls.min_elem, cls.max_elem, cls.members)
+        interval = cls.interval
         if is_self_dual(interval):
             ranks = rank_vector(interval)
             assert ranks == tuple(reversed(ranks))
@@ -167,7 +162,7 @@ def test_self_duality_label_independent():
     # relabeling members by conjugation-like reversal gives the dual interval,
     # which must produce the same verdict
     cls = class_of(parse_perm("5431627"))
-    interval = BruhatInterval(cls.min_elem, cls.max_elem, cls.members)
+    interval = cls.interval
     verdict = is_self_dual(interval)
     assert verdict == is_self_dual(interval)  # deterministic
 

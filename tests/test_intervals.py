@@ -1,14 +1,25 @@
 import random
+from itertools import chain
 
 import pytest
 
+from odd_diagrams.classes import class_of, classes_of_sn
 from odd_diagrams.intervals import (
     hasse_edges,
     interval_elements,
     rank_vector,
     to_dot,
 )
-from odd_diagrams.perms import all_perms, bruhat_leq, covers, identity, length, parse_perm
+from odd_diagrams.perms import (
+    all_perms,
+    bruhat_leq,
+    covers,
+    format_perm,
+    identity,
+    length,
+    parse_perm,
+    upward_covers,
+)
 
 
 def test_singleton_interval():
@@ -86,3 +97,83 @@ def test_dot_export():
     assert '"123" -- "132";' in dot
     assert "rank=same" in dot
     assert dot.count("--") == 8
+
+
+def _cover_filter_hasse_edges(interval):
+    """Reference: every upward cover in S_n, kept when it is a member."""
+    members = set(interval.elements)
+    edges = []
+    for x in interval.elements:
+        for y in upward_covers(x):
+            if y in members:
+                edges.append((x, y))
+    edges.sort()
+    return edges
+
+
+def _length_grouped_to_dot(interval):
+    """Reference: DOT export grouping members by length itself."""
+    base = length(interval.bottom)
+    levels = {}
+    for w in interval.elements:
+        levels.setdefault(length(w) - base, []).append(w)
+    lines = ["graph bruhat_interval {", "  rankdir=BT;", "  node [shape=plaintext];"]
+    for r in sorted(levels):
+        names = " ".join(f'"{format_perm(w)}"' for w in sorted(levels[r]))
+        lines.append(f"  {{ rank=same; {names} }}")
+    for x, y in _cover_filter_hasse_edges(interval):
+        lines.append(f'  "{format_perm(x)}" -- "{format_perm(y)}";')
+    lines.append("}")
+    return "\n".join(lines)
+
+
+def test_hasse_edges_match_cover_filter_on_every_interval_up_to_s5():
+    count = 0
+    for n in range(1, 6):
+        elems = list(all_perms(n))
+        for u in elems:
+            for v in elems:
+                if bruhat_leq(u, v):
+                    interval = interval_elements(u, v)
+                    assert hasse_edges(interval) == _cover_filter_hasse_edges(interval)
+                    count += 1
+    assert count == 4017
+
+
+def test_hasse_edges_match_cover_filter_on_every_class_of_s7():
+    for cls in classes_of_sn(7):
+        interval = cls.interval
+        assert hasse_edges(interval) == _cover_filter_hasse_edges(interval)
+
+
+def test_hasse_edges_match_cover_filter_on_golden_s9_class():
+    interval = class_of(parse_perm("654172839")).interval
+    edges = hasse_edges(interval)
+    assert edges == _cover_filter_hasse_edges(interval)
+    assert edges
+
+
+def _assert_levels_group_by_length(interval):
+    levels = interval.levels
+    base = length(interval.bottom)
+    assert sorted(chain.from_iterable(levels)) == list(interval.elements)
+    assert levels[0] == (interval.bottom,) and levels[-1] == (interval.top,)
+    for r, level in enumerate(levels):
+        assert list(level) == sorted(level)
+        assert all(length(x) == base + r for x in level)
+    assert interval.rank == length(interval.top) - base
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+def test_levels_group_members_by_length(n):
+    for w in all_perms(n):
+        _assert_levels_group_by_length(interval_elements(identity(n), w))
+    for cls in classes_of_sn(n):
+        _assert_levels_group_by_length(cls.interval)
+
+
+def test_to_dot_matches_length_grouped_export():
+    intervals = [interval_elements(identity(4), w) for w in all_perms(4)]
+    intervals.append(class_of(parse_perm("5431627")).interval)
+    for interval in intervals:
+        assert to_dot(interval) == _length_grouped_to_dot(interval)
