@@ -6,7 +6,7 @@ from collections import Counter
 from dataclasses import dataclass
 
 from .classes import OddDiagramClass, classes_of_sn
-from .intervals import BruhatInterval, _cached_interval, hasse_edges, rank_vector
+from .intervals import BruhatInterval, _cached_interval, rank_vector
 from .perms import Perm, identity
 
 __all__ = [
@@ -37,19 +37,6 @@ def top_heavy_check(w: Perm) -> bool:
     return all(ranks[k] <= ranks[top - k] for k in range(top // 2 + 1))
 
 
-def _levels_and_adjacency(interval: BruhatInterval):
-    """Element indices grouped by rank, plus up/down cover adjacency."""
-    index = {w: i for i, w in enumerate(interval.elements)}
-    levels = [[index[w] for w in level] for level in interval.levels]
-    up: list[set[int]] = [set() for _ in interval.elements]
-    down: list[set[int]] = [set() for _ in interval.elements]
-    for x, y in hasse_edges(interval):
-        xi, yi = index[x], index[y]
-        up[xi].add(yi)
-        down[yi].add(xi)
-    return levels, up, down
-
-
 def is_self_dual(interval: BruhatInterval) -> bool:
     """Does the interval poset admit an order-reversing self-bijection?
 
@@ -62,7 +49,7 @@ def is_self_dual(interval: BruhatInterval) -> bool:
     sizes = rank_vector(interval)
     if sizes != sizes[::-1]:
         return False
-    levels, up, down = _levels_and_adjacency(interval)
+    levels, up, down = interval.cover_graph
     # elements bottom-up, each with the rank level it must be mapped into
     steps = [(x, levels[-1 - r]) for r, level in enumerate(levels) for x in level]
     mapping = [0] * len(steps)
@@ -105,7 +92,7 @@ def boundary_bipartite_graphs(
     the top; defined only for intervals of rank >= 2."""
     if interval.rank < 2:
         raise ValueError("boundary graphs need an interval of rank >= 2")
-    levels, up, down = _levels_and_adjacency(interval)
+    levels, up, down = interval.cover_graph
 
     def graph(left: int, right: int, neighbors) -> BipartiteGraph:
         rpos = {i: p for p, i in enumerate(levels[right])}

@@ -3,8 +3,9 @@
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import combinations
+from typing import Iterable
 
-from .perms import Perm, bruhat_leq, format_perm, length, upward_covers
+from .perms import Perm, bruhat_leq, format_perm, length
 
 __all__ = ["BruhatInterval", "interval_elements", "rank_vector", "hasse_edges", "to_dot"]
 
@@ -31,6 +32,18 @@ class BruhatInterval:
             grouped[lw - base].append(w)
         return tuple(map(tuple, grouped))
 
+    @cached_property
+    def cover_graph(self) -> tuple[list[list[int]], list[set[int]], list[set[int]]]:
+        """Member indices grouped as in ``levels``, and for each member index
+        the indices covering it (up) and covered by it (down)."""
+        index = {w: i for i, w in enumerate(self.elements)}
+        up: list[set[int]] = [set() for _ in self.elements]
+        down: list[set[int]] = [set() for _ in self.elements]
+        for x, y in hasse_edges(self):
+            up[index[x]].add(index[y])
+            down[index[y]].add(index[x])
+        return [[index[w] for w in level] for level in self.levels], up, down
+
     @property
     def rank(self) -> int:
         return len(self.levels) - 1
@@ -39,25 +52,45 @@ class BruhatInterval:
         return len(self.elements)
 
 
-def interval_elements(u: Perm, v: Perm) -> BruhatInterval:
-    """Materialize [u, v] by BFS upward from u through covering relations.
+def _swap(w: Perm, i: int) -> Perm:
+    """w s_{i+1}: swap the entries in 0-based positions i and i + 1."""
+    return w[:i] + (w[i + 1], w[i]) + w[i + 2:]
 
-    Every z in [u, v] is reachable from u by a saturated chain inside the
-    interval, so cost is proportional to interval size, not to n!.
-    """
+
+def _descent_step(x: Perm, y: Perm) -> tuple[int, bool]:
+    """For x < y: the first descent i of y (y[i] > y[i+1]) that x lacks and
+    True (case A), else the first descent of y and False (case B)."""
+    descents = [i for i in range(len(y) - 1) if y[i] > y[i + 1]]
+    return next(((i, True) for i in descents if x[i] < x[i + 1]), (descents[0], False))
+
+
+def _above(x: Perm, i: int, members: Iterable[Perm]) -> list[Perm]:
+    """The members above x, given that all are above x s_{i+1} < x. The two
+    differ in one prefix, so the tableau criterion reduces to that prefix."""
+    prefix = sorted(x[:i + 1])
+    return [u for u in members if all(a <= b for a, b in zip(prefix, sorted(u[:i + 1])))]
+
+
+def interval_elements(u: Perm, v: Perm) -> BruhatInterval:
+    """Materialize [u, v] by the lifting property (Bjorner-Brenti, Prop.
+    2.2.7): with s from ``_descent_step``, [x, y] is K and K s for K = [x, ys]
+    in case A, and the part of [xs, y] above x in case B. Walk down from
+    (u, v) until the ends meet, then rebuild upward; cost follows size, not n!."""
     if not bruhat_leq(u, v):
         raise ValueError(f"{format_perm(u)} is not below {format_perm(v)}")
-    seen = {u}
-    frontier = [u]
-    while frontier:
-        new_frontier = []
-        for w in frontier:
-            for z in upward_covers(w):
-                if z not in seen and bruhat_leq(z, v):
-                    seen.add(z)
-                    new_frontier.append(z)
-        frontier = new_frontier
-    return BruhatInterval(u, v, tuple(sorted(seen)))
+    steps = []
+    x, y = u, v
+    while x != y:
+        i, lifts = _descent_step(x, y)
+        steps.append((x, i, lifts))
+        x, y = (x, _swap(y, i)) if lifts else (_swap(x, i), y)
+    members = {x}
+    for x, i, lifts in reversed(steps):
+        if lifts:
+            members.update([_swap(w, i) for w in members if w[i] < w[i + 1]])
+        else:
+            members = set(_above(x, i, members))
+    return BruhatInterval(u, v, tuple(sorted(members)))
 
 
 @lru_cache(maxsize=65536)

@@ -9,7 +9,7 @@ the Poincare polynomial into terms 1 + t + ... + t^(m-1).
 
 from dataclasses import dataclass
 
-from .diagrams import first_difference, odd_diagram
+from .diagrams import first_difference, odd_diagram_key
 from .intervals import BruhatInterval, interval_elements
 from .perms import Perm, format_perm, inverse, right_transpose
 from .polynomials import IntPolynomial, expand_factors
@@ -57,7 +57,7 @@ class FactorizationResult:
 
 
 def _require_class_extremes(u: Perm, v: Perm) -> None:
-    if odd_diagram(u) != odd_diagram(v):
+    if odd_diagram_key(u) != odd_diagram_key(v):
         raise ValueError(
             f"{format_perm(u)} and {format_perm(v)} have different odd diagrams"
         )

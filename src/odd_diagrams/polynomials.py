@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from typing import Callable, Iterable
 
-from .intervals import _cached_interval, rank_vector
+from .intervals import _above, _cached_interval, _descent_step, _swap, rank_vector
 from .perms import (
     Perm,
     bruhat_leq,
@@ -12,7 +12,6 @@ from .perms import (
     inverse,
     left_transpose,
     length,
-    right_transpose,
 )
 
 __all__ = [
@@ -164,11 +163,9 @@ def _r_recursive(
     cached = memo.get(key)
     if cached is not None:
         return cached
-    i = choose_descent(y)
-    s = (i, i + 1)
-    ys = right_transpose(y, s)
-    xs = right_transpose(x, s)
-    if i in descent_set(x):
+    i = choose_descent(y) - 1
+    ys, xs = _swap(y, i), _swap(x, i)
+    if x[i] > x[i + 1]:
         result = _r_recursive(xs, ys, choose_descent, memo)
     else:
         result = (_Q * _r_recursive(xs, ys, choose_descent, memo)
@@ -217,11 +214,6 @@ _KL_ENTRIES: dict[tuple[int, tuple[int, ...]], tuple[int, tuple[int, ...]]] = {}
 _ONE = (1,)
 
 
-def _swap(w: Perm, i: int) -> Perm:
-    """w s_{i+1}: swap the entries in 0-based positions i and i + 1."""
-    return w[:i] + (w[i + 1], w[i]) + w[i + 2:]
-
-
 def _checked(coeffs: list[int], d: int) -> tuple[int, ...]:
     """Trimmed coefficients of P_{u,y} with d = length(y) - length(u);
     raises unless deg <= (d - 1)/2 (deg 0 when d = 0) and P(0) = 1."""
@@ -237,37 +229,29 @@ def _checked(coeffs: list[int], d: int) -> tuple[int, ...]:
 
 def _kl_column(x: Perm, y: Perm) -> dict[Perm, tuple[int, tuple[int, ...]]]:
     """P_{u,y} with length(u) for every u in [x, y]; requires x <= y."""
-    key = (x, y)
-    column = _KL_MEMO.get(key)
+    column = _KL_MEMO.get((x, y))
     if column is not None:
         return column
-    n = len(y)
-    i = next((i for i in range(n - 1) if y[i] > y[i + 1] and x[i] < x[i + 1]), None)
-    if i is not None:
-        column = _kl_column_step(x, y, i)
-    elif x == y:
+    if x == y:
         column = {y: (length(y), _ONE)}
     else:
-        # every right descent s of y is one of x: P_{u,y} = P_{us,y} gives
-        # P_{x,y} = P_{xs,y}, and [x, y] is the part of [xs, y] above x.
-        # x and xs differ only in their prefix of length i + 1, so for u
-        # above xs the tableau criterion for x <= u is that one prefix
-        i = next(i for i in range(n - 1) if y[i] > y[i + 1])
-        prefix = sorted(x[:i + 1])
-        column = {u: entry for u, entry in _kl_column(_swap(x, i), y).items()
-                  if all(a <= b for a, b in zip(prefix, sorted(u[:i + 1])))}
+        i, lifts = _descent_step(x, y)
+        if lifts:
+            column = _kl_column_step(x, y, i)
+        else:
+            # P_{u,y} = P_{us,y}, and [x, y] is the part of [xs, y] above x
+            known = _kl_column(_swap(x, i), y)
+            column = {u: known[u] for u in _above(x, i, known)}
     global _kl_memo_values
-    _KL_MEMO[key] = column
+    _KL_MEMO[x, y] = column
     _kl_memo_values += len(column)
     return column
 
 
 def _kl_column_step(x: Perm, y: Perm, i: int) -> dict[Perm, tuple[int, tuple[int, ...]]]:
-    """The column of (x, y) from that of (x, v), v = ys, where s = s_{i+1}
-    is a right descent of y and not of x.
-
-    By the lifting property [x, y] is K and K s for K = [x, v], and each
-    s-pair {u < us} in it has u in K. For such u (Kazhdan-Lusztig 1979;
+    """The column of (x, y) from that of (x, v), v = ys, for s = s_{i+1} in
+    case A of ``_descent_step``: [x, y] is K and K s for K = [x, v], and
+    each s-pair {u < us} in it has u in K. For such u (Kazhdan-Lusztig 1979;
     Bjorner-Brenti, Combinatorics of Coxeter Groups, Thm 5.1.7)
 
         P_{u,y} = q P_{us,v} + P_{u,v} - sum mu(z,v) q^((l(y)-l(z))/2) P_{u,z}
@@ -320,15 +304,11 @@ def _kl_column_step(x: Perm, y: Perm, i: int) -> dict[Perm, tuple[int, tuple[int
 def kl_polynomial(x: Perm, y: Perm) -> IntPolynomial:
     """Kazhdan-Lusztig polynomial P_{x,y} by the descent recursion.
 
-    The work is one memoized column per (x, y): P_{u,y} for every u in
-    [x, y], built from the column of (x, ys) for a right descent s of y
-    that is not one of x (see ``_kl_column_step``), so no interval is
-    searched and only x <= y itself goes through ``bruhat_leq``. When x
-    has every right descent of y, P_{x,y} = P_{xs,y} and the column comes
-    from that of (xs, y). Every new entry is checked against deg P_{u,y}
-    <= (length(y) - length(u) - 1)/2 and P_{u,y}(0) = 1, or the call
-    raises AssertionError; ``verify kl_inversion`` re-checks the defining
-    relation with R-polynomials.
+    One memoized column per (x, y) holds P_{u,y} for every u in [x, y]. It
+    is built by the case analysis of ``interval_elements``, so only x <= y
+    goes through ``bruhat_leq``. Each new entry must satisfy deg P_{u,y} <=
+    (length(y) - length(u) - 1)/2 and P_{u,y}(0) = 1, or the call raises
+    AssertionError; ``verify kl_inversion`` re-checks the defining relation.
     """
     global _kl_memo_values
     if _kl_memo_values > _KL_MEMO_CAP:
@@ -348,9 +328,8 @@ def carrell_condition(x: Perm, y: Perm) -> bool:
     """Reflection-count test: for every w in [x, y], the number of
     transpositions t with w < t w <= y equals length(y) - length(w).
 
-    Such a t w lies above w >= x, so t w <= y iff t w is in [x, y]."""
-    if not bruhat_leq(x, y):
-        raise ValueError("x is not below y")
+    Such a t w lies above w >= x, so t w <= y iff t w is in [x, y].
+    Raises ValueError unless x <= y."""
     n = len(x)
     members = set(_cached_interval(x, y).elements)
     for w in members:

@@ -225,7 +225,7 @@ def _pick(w, preferred):
 
 
 def check_interval_bfs_vs_filter(n: int, rng, class_table, samples: int = 500) -> CheckResult:
-    """BFS interval enumeration equals the brute-force full-group filter."""
+    """The lifting recursion of ``interval_elements`` equals the brute-force filter."""
     result = CheckResult("interval_bfs_vs_filter", "sampled")
     elems = list(perms.all_perms(n))
     tried = 0
@@ -234,11 +234,11 @@ def check_interval_bfs_vs_filter(n: int, rng, class_table, samples: int = 500) -
         if not perms.bruhat_leq(u, v):
             continue
         tried += 1
-        bfs = intervals.interval_elements(u, v).elements
+        built = intervals.interval_elements(u, v).elements
         brute = tuple(
             sorted(w for w in elems if perms.bruhat_leq(u, w) and perms.bruhat_leq(w, v))
         )
-        result.record(bfs == brute, {"u": perms.format_perm(u), "v": perms.format_perm(v)})
+        result.record(built == brute, {"u": perms.format_perm(u), "v": perms.format_perm(v)})
     return result
 
 

@@ -1,5 +1,6 @@
 import pytest
 
+from odd_diagrams import intervals, verify
 from odd_diagrams.classes import class_of, classes_of_sn
 from odd_diagrams.duality import (
     bipartite_criterion,
@@ -181,3 +182,27 @@ def test_census_guard():
         non_self_dual_census(0)
     with pytest.raises(ValueError):
         non_self_dual_census(11)
+
+
+def test_self_dual_bipartite_check_builds_each_hasse_diagram_once(monkeypatch):
+    calls = []
+
+    def counting_hasse_edges(interval):
+        calls.append(interval.bottom)
+        return hasse_edges(interval)
+
+    monkeypatch.setattr(intervals, "hasse_edges", counting_hasse_edges)
+    report = verify.run_checks(6, ["self_dual_bipartite_agreement"])
+    assert report.ok
+    multi = [c.min_elem for c in classes_of_sn(6) if len(c.members) > 1]
+    assert len(multi) == 227
+    assert sorted(calls) == multi
+
+
+def test_class_interval_is_a_fresh_object():
+    # a class table keeps no cover graph: each access builds a new interval
+    cls = class_of(parse_perm("5431627"))
+    interval = cls.interval
+    assert interval.cover_graph is interval.cover_graph
+    assert cls.interval is not interval
+    assert "cover_graph" not in vars(cls.interval)

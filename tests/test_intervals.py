@@ -3,6 +3,7 @@ from itertools import chain
 
 import pytest
 
+from odd_diagrams import intervals
 from odd_diagrams.classes import class_of, classes_of_sn
 from odd_diagrams.intervals import (
     hasse_edges,
@@ -177,3 +178,79 @@ def test_to_dot_matches_length_grouped_export():
     intervals.append(class_of(parse_perm("5431627")).interval)
     for interval in intervals:
         assert to_dot(interval) == _length_grouped_to_dot(interval)
+
+
+def _bfs_interval(u, v):
+    """Reference: the former engine, a BFS upward from u through covers,
+    keeping each cover that is still below v."""
+    seen = {u}
+    frontier = [u]
+    while frontier:
+        new_frontier = []
+        for w in frontier:
+            for z in upward_covers(w):
+                if z not in seen and bruhat_leq(z, v):
+                    seen.add(z)
+                    new_frontier.append(z)
+        frontier = new_frontier
+    return tuple(sorted(seen))
+
+
+def test_lifting_engine_matches_bfs_on_every_interval_up_to_s5():
+    count = 0
+    for n in range(1, 6):
+        elems = list(all_perms(n))
+        for u in elems:
+            for v in elems:
+                if bruhat_leq(u, v):
+                    assert interval_elements(u, v).elements == _bfs_interval(u, v)
+                    count += 1
+    assert count == 4017
+
+
+@pytest.mark.parametrize("n", [6, 7])
+def test_lifting_engine_matches_bfs_on_seeded_pairs(n):
+    rng = random.Random(600 + n)
+    elems = list(all_perms(n))
+    tried = 0
+    while tried < 300:
+        u, v = rng.sample(elems, 2)
+        if not bruhat_leq(u, v):
+            u, v = v, u
+            if not bruhat_leq(u, v):
+                continue
+        tried += 1
+        assert interval_elements(u, v).elements == _bfs_interval(u, v)
+
+
+def test_lifting_engine_matches_bfs_on_every_class_of_s7():
+    for cls in classes_of_sn(7):
+        assert interval_elements(cls.min_elem, cls.max_elem).elements == cls.members
+        assert cls.members == _bfs_interval(cls.min_elem, cls.max_elem)
+
+
+def test_lifting_engine_matches_bfs_on_golden_s9_class():
+    cls = class_of(parse_perm("654172839"))
+    members = interval_elements(cls.min_elem, cls.max_elem).elements
+    assert members == _bfs_interval(cls.min_elem, cls.max_elem) == cls.members
+    assert len(members) == 96
+
+
+def test_lifting_engine_matches_bfs_on_all_of_s7():
+    e, w0 = identity(7), tuple(range(7, 0, -1))
+    members = interval_elements(e, w0).elements
+    assert len(members) == 5040
+    assert members == _bfs_interval(e, w0) == tuple(sorted(all_perms(7)))
+
+
+def test_lifting_engine_compares_only_its_input(monkeypatch):
+    calls = []
+
+    def counting_leq(u, v):
+        calls.append((u, v))
+        return bruhat_leq(u, v)
+
+    monkeypatch.setattr(intervals, "bruhat_leq", counting_leq)
+    u, v = parse_perm("5431627"), parse_perm("7461523")
+    assert len(interval_elements(u, v)) == 18
+    assert calls == [(u, v)]
