@@ -3,7 +3,7 @@
 import json
 from dataclasses import dataclass
 
-from .diagrams import Diagram, odd_diagram, odd_diagram_key
+from .diagrams import Diagram, diagram_of_key, odd_diagram_key
 from .intervals import BruhatInterval, interval_elements, rank_vector
 from .perms import Perm, all_perms, format_perm
 
@@ -22,16 +22,29 @@ GUARDED_MAX_N = 10
 
 @dataclass(frozen=True)
 class OddDiagramClass:
-    """All permutations sharing one odd diagram, with its Bruhat extremes."""
+    """All permutations sharing one odd diagram: its ``odd_diagram_key`` and its
+    sorted members, from which the rest is derived. Bruhat order refines
+    lexicographic order, so by Theorem B (checked by verify theorem_b) the
+    first and last members are the Bruhat extremes."""
 
-    diagram: Diagram
+    key: int
     members: tuple[Perm, ...]
-    min_elem: Perm
-    max_elem: Perm
+
+    @property
+    def min_elem(self) -> Perm:
+        return self.members[0]
+
+    @property
+    def max_elem(self) -> Perm:
+        return self.members[-1]
+
+    @property
+    def diagram(self) -> Diagram:
+        return diagram_of_key(self.key, self.n)
 
     @property
     def n(self) -> int:
-        return len(self.min_elem)
+        return len(self.members[0])
 
     @property
     def interval(self) -> BruhatInterval:
@@ -42,12 +55,9 @@ class OddDiagramClass:
         return len(self.members)
 
 
-def _build_class(members: list[Perm]) -> OddDiagramClass:
-    # Bruhat order refines lexicographic order, so by Theorem B (checked by
-    # verify theorem_b) the first and last sorted members are the extremes.
+def _build_class(key: int, members: list[Perm]) -> OddDiagramClass:
     members.sort()
-    lo, hi = members[0], members[-1]
-    return OddDiagramClass(odd_diagram(lo), tuple(members), lo, hi)
+    return OddDiagramClass(key, tuple(members))
 
 
 def classes_of_sn(n: int, allow_large: bool = False) -> list[OddDiagramClass]:
@@ -59,7 +69,7 @@ def classes_of_sn(n: int, allow_large: bool = False) -> list[OddDiagramClass]:
     groups: dict[int, list[Perm]] = {}
     for w in all_perms(n):
         groups.setdefault(odd_diagram_key(w), []).append(w)
-    classes = [_build_class(members) for members in groups.values()]
+    classes = [_build_class(key, members) for key, members in groups.items()]
     classes.sort(key=lambda c: c.min_elem)
     return classes
 
@@ -82,7 +92,7 @@ def class_of(w: Perm) -> OddDiagramClass:
                 if x not in seen and odd_diagram_key(x) == target:
                     seen.add(x)
                     queue.append(x)
-    return _build_class(queue)
+    return _build_class(target, queue)
 
 
 def class_extremes(cls: OddDiagramClass) -> tuple[Perm, Perm]:

@@ -11,23 +11,41 @@ USAGE_ERROR = 2
 CHECK_FAILURE = 1
 
 
-def _perm(text: str) -> perms.Perm:
-    return perms.parse_perm(text)
-
-
 def _interval_args(args) -> tuple[perms.Perm, perms.Perm]:
-    u, v = (_perm(t) for t in args.interval)
+    u, v = (perms.parse_perm(t) for t in args.interval)
+    return u, v
+
+
+def _class_extremes_args(args) -> tuple[perms.Perm, perms.Perm]:
+    """The --interval pair, which must be the minimum and maximum of one odd
+    diagram class. By Theorem B a member w above the minimum has a lower
+    cover w t in the class, so some legal t has w t < w; dually below the
+    maximum. Members keep each value's position parity, so only same-parity
+    transpositions need testing."""
+    u, v = _interval_args(args)
+    key = diagrams.odd_diagram_key(u)
+    if len(u) != len(v) or diagrams.odd_diagram_key(v) != key:
+        raise ValueError(f"{perms.format_perm(u)} and {perms.format_perm(v)} "
+                         "have different odd diagrams")
+    for w, lower, extreme in ((u, True, "minimum"), (v, False, "maximum")):
+        for i in range(len(w) - 2):
+            for j in range(i + 2, len(w), 2):
+                if (w[i] > w[j]) == lower:
+                    x = w[:i] + (w[j],) + w[i + 1:j] + (w[i],) + w[j + 1:]
+                    if diagrams.odd_diagram_key(x) == key:
+                        raise ValueError(f"{perms.format_perm(w)} is not the "
+                                         f"{extreme} of its odd diagram class")
     return u, v
 
 
 def cmd_diagram(args) -> int:
-    w = _perm(args.perm)
+    w = perms.parse_perm(args.perm)
     print(diagrams.render_diagrams(w))
     return 0
 
 
 def cmd_class(args) -> int:
-    w = _perm(args.perm)
+    w = perms.parse_perm(args.perm)
     cls = classes_mod.class_of(w)
     print(f"min: {perms.format_perm(cls.min_elem)}")
     print(f"max: {perms.format_perm(cls.max_elem)}")
@@ -44,7 +62,7 @@ def cmd_poincare(args) -> int:
 
 
 def cmd_factorize(args) -> int:
-    u, v = _interval_args(args)
+    u, v = _class_extremes_args(args)
     result = partition.factorize(u, v)
     print(f"{list(result.factor_lengths)} = {result.product.pretty('t')}")
     return 0
@@ -61,7 +79,7 @@ def _highlight(w: perms.Perm, positions) -> str:
 
 
 def cmd_partition(args) -> int:
-    u, v = _interval_args(args)
+    u, v = _class_extremes_args(args)
     decomp = partition.decompose(u, v)
     step = decomp.step
     print(f"k={step.k} a={step.a} b={step.b} anchors={list(step.anchors)} m={step.m}")
@@ -75,13 +93,13 @@ def cmd_partition(args) -> int:
 
 
 def cmd_kl(args) -> int:
-    x, y = _perm(args.x), _perm(args.y)
+    x, y = perms.parse_perm(args.x), perms.parse_perm(args.y)
     print(polynomials.kl_polynomial(x, y).pretty("q"))
     return 0
 
 
 def cmd_rpoly(args) -> int:
-    x, y = _perm(args.x), _perm(args.y)
+    x, y = perms.parse_perm(args.x), perms.parse_perm(args.y)
     print(polynomials.r_polynomial(x, y).pretty("q"))
     return 0
 
@@ -231,7 +249,7 @@ def run(argv=None) -> int:
         return USAGE_ERROR if exc.code else 0
     try:
         return args.func(args)
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
 

@@ -1,8 +1,8 @@
 """Rothe diagrams, odd diagrams, odd length, and legal transpositions.
 
-A diagram is a sorted tuple of ``(row, col)`` boxes in matrix coordinates,
-which makes it hashable and canonically serialized.  Grouping permutations
-by odd diagram is therefore a single hash-map pass.
+A diagram is a sorted tuple of ``(row, col)`` boxes in matrix coordinates.
+Within S_n the integer ``odd_diagram_key`` is an odd diagram's canonical
+form: permutations are grouped and compared by key, and boxes decode from it.
 """
 
 from .perms import Perm, Transposition, inverse, right_transpose
@@ -16,6 +16,7 @@ __all__ = [
     "rothe_diagram",
     "odd_diagram",
     "odd_diagram_key",
+    "diagram_of_key",
     "odd_length",
     "is_legal",
     "satisfies_legality_criterion",
@@ -37,16 +38,8 @@ def rothe_diagram(w: Perm) -> Diagram:
 
 
 def odd_diagram(w: Perm) -> Diagram:
-    """Rothe boxes (i, j) with i != w^-1(j) mod 2, sorted: odd_diagram_key's bits, lowest first."""
-    n = len(w)
-    key = odd_diagram_key(w)
-    boxes = []
-    while key:
-        low = key & -key
-        i, j = divmod(low.bit_length() - 1, n)
-        boxes.append((i + 1, j + 1))
-        key ^= low
-    return tuple(boxes)
+    """Rothe boxes (i, j) with i != w^-1(j) mod 2, sorted: odd_diagram_key decoded."""
+    return diagram_of_key(odd_diagram_key(w), len(w))
 
 
 def odd_diagram_key(w: Perm) -> int:
@@ -66,6 +59,17 @@ def odd_diagram_key(w: Perm) -> int:
     return key
 
 
+def diagram_of_key(key: int, n: int) -> Diagram:
+    """The sorted boxes of an ``odd_diagram_key`` of S_n: its bits, lowest first."""
+    boxes = []
+    while key:
+        low = key & -key
+        i, j = divmod(low.bit_length() - 1, n)
+        boxes.append((i + 1, j + 1))
+        key ^= low
+    return tuple(boxes)
+
+
 def odd_length(w: Perm) -> int:
     """Number of inversions (i, j) with i != j mod 2."""
     count = 0
@@ -79,7 +83,7 @@ def odd_length(w: Perm) -> int:
 
 def is_legal(u: Perm, t: Transposition) -> bool:
     """Definitional check: does u (i j) have the same odd diagram as u?"""
-    return odd_diagram(u) == odd_diagram(right_transpose(u, t))
+    return odd_diagram_key(u) == odd_diagram_key(right_transpose(u, t))
 
 
 def satisfies_legality_criterion(u: Perm, t: Transposition) -> bool:
@@ -124,13 +128,14 @@ def legal_move_toward(u: Perm, v: Perm) -> Perm:
     u (a b); the result keeps the odd diagram and strictly increases the
     first difference with v.
     """
-    if odd_diagram(u) != odd_diagram(v):
+    key = odd_diagram_key(u)
+    if odd_diagram_key(v) != key:
         raise ValueError("odd diagrams differ")
     k = first_difference(u, v)
     a = inverse(u)[k - 1]
     b = inverse(v)[k - 1]
     moved = right_transpose(u, (min(a, b), max(a, b)))
-    if odd_diagram(moved) != odd_diagram(u):
+    if odd_diagram_key(moved) != key:
         raise AssertionError(f"move ({a} {b}) not legal for {u}")
     return moved
 

@@ -71,6 +71,11 @@ def anchors(u: Perm, v: Perm) -> PartitionStep:
     anchors share one parity; both facts are asserted.
     """
     _require_class_extremes(u, v)
+    return _anchor_step(u, v)
+
+
+def _anchor_step(u: Perm, v: Perm) -> PartitionStep:
+    """``anchors`` for a pair whose odd diagrams were already compared."""
     k = first_difference(u, v)
     a = inverse(u)[k - 1]
     b = inverse(v)[k - 1]
@@ -157,7 +162,7 @@ def factorize(u: Perm, v: Perm) -> FactorizationResult:
     current = u
     last_k = 0
     while current != v:
-        step = anchors(current, v)
+        step = _anchor_step(current, v)
         if step.k <= last_k:
             raise AssertionError("first difference failed to increase")
         last_k = step.k

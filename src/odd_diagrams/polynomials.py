@@ -155,10 +155,12 @@ def _default_descent(u: Perm) -> int:
 def _r_recursive(
     x: Perm, y: Perm, choose_descent: Callable[[Perm], int], memo: dict
 ) -> IntPolynomial:
+    """R_{x,y} for x <= y, with s = s_{i+1} the chosen descent of y. If xs < x
+    then xs <= ys (Deodhar's property Z); otherwise x <= ys by the lifting
+    property (Bjorner-Brenti, Prop. 2.2.7), and xs <= ys is decided by the
+    one prefix in which xs and x differ. So every call keeps x <= y."""
     if x == y:
         return one()
-    if not bruhat_leq(x, y):
-        return zero()
     key = (x, y)
     cached = memo.get(key)
     if cached is not None:
@@ -168,8 +170,8 @@ def _r_recursive(
     if x[i] > x[i + 1]:
         result = _r_recursive(xs, ys, choose_descent, memo)
     else:
-        result = (_Q * _r_recursive(xs, ys, choose_descent, memo)
-                  + _Q_MINUS_1 * _r_recursive(x, ys, choose_descent, memo))
+        lowered = _r_recursive(xs, ys, choose_descent, memo) if _above(xs, i, (ys,)) else zero()
+        result = _Q * lowered + _Q_MINUS_1 * _r_recursive(x, ys, choose_descent, memo)
     memo[key] = result
     return result
 
@@ -182,6 +184,8 @@ def r_polynomial_choosing(
     choose_descent picks which right descent of y drives the recursion;
     the result is independent of the choice (property-tested).
     """
+    if not bruhat_leq(x, y):
+        return zero()
     return _r_recursive(x, y, choose_descent, {})
 
 
@@ -200,8 +204,11 @@ def r_polynomial(x: Perm, y: Perm) -> IntPolynomial:
     smallest descent of y, memoized across calls."""
     if len(_R_MEMO) > _R_MEMO_CAP:
         _R_MEMO.clear()
-    if len(x) != len(y):
-        raise ValueError("degree mismatch")
+    known = _R_MEMO.get((x, y))
+    if known is not None:  # the memo holds only pairs x <= y
+        return known
+    if not bruhat_leq(x, y):  # raises ValueError on a degree mismatch
+        return zero()
     return _r_recursive(x, y, _default_descent, _R_MEMO)
 
 

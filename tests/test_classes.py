@@ -2,6 +2,7 @@ import math
 
 import pytest
 
+from odd_diagrams import classes
 from odd_diagrams.classes import (
     OddDiagramClass,
     class_extremes,
@@ -56,6 +57,26 @@ def test_members_share_the_diagram(n):
     for cls in classes_of_sn(n):
         for w in cls.members:
             assert odd_diagram(w) == cls.diagram
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_classes_are_keyed_once_per_permutation_and_never_decoded(n, monkeypatch):
+    calls = []
+
+    def counting(w):
+        calls.append(w)
+        return odd_diagram_key(w)
+
+    def no_decode(key, n):
+        raise AssertionError("a class diagram was decoded while building classes")
+
+    monkeypatch.setattr(classes, "odd_diagram_key", counting)
+    monkeypatch.setattr(classes, "diagram_of_key", no_decode)
+    table = classes_of_sn(n)
+    assert len(calls) == math.factorial(n)
+    for cls in table:
+        assert all(odd_diagram_key(w) == cls.key for w in cls.members)
+        assert class_of(cls.max_elem) == cls
 
 
 @pytest.mark.parametrize("n", range(1, 7))
@@ -124,12 +145,14 @@ def _rechecking_classes_of_sn(n):
     for w in all_perms(n):
         groups.setdefault(odd_diagram_key(w), []).append(w)
     classes = []
-    for members in groups.values():
+    for key, members in groups.items():
         members.sort()
         lo = min(members, key=length)
         hi = max(members, key=length)
         assert all(bruhat_leq(lo, w) and bruhat_leq(w, hi) for w in members)
-        classes.append(OddDiagramClass(odd_diagram(lo), tuple(members), lo, hi))
+        cls = OddDiagramClass(key, tuple(members))
+        assert (cls.min_elem, cls.max_elem, cls.diagram) == (lo, hi, odd_diagram(lo))
+        classes.append(cls)
     classes.sort(key=lambda c: c.min_elem)
     return classes
 
@@ -145,10 +168,12 @@ def test_class_of_matches_scan_of_sn(n):
     scan = {}
     for w in all_perms(n):
         scan.setdefault(odd_diagram_key(w), []).append(w)
-    for members in scan.values():
+    for key, members in scan.items():
         lo = min(members, key=length)
         hi = max(members, key=length)
-        expected = OddDiagramClass(odd_diagram(lo), tuple(sorted(members)), lo, hi)
+        expected = OddDiagramClass(key, tuple(sorted(members)))
+        assert (expected.min_elem, expected.max_elem, expected.diagram) == (
+            lo, hi, odd_diagram(lo))
         for w in members:
             assert class_of(w) == expected
 

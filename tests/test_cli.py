@@ -1,10 +1,12 @@
 import json
 import os
 
+import pytest
+
 from odd_diagrams import classes as classes_mod
-from odd_diagrams import polynomials, verify
+from odd_diagrams import partition, polynomials, verify
 from odd_diagrams.cli import run
-from odd_diagrams.perms import parse_perm
+from odd_diagrams.perms import format_perm, parse_perm
 
 
 def test_diagram(capsys):
@@ -170,3 +172,62 @@ def test_census_above_guarded_n_states_its_range(capsys):
     err = capsys.readouterr().err
     assert "census supports n <= 10" in err
     assert "allow_large" not in err
+
+
+# --- factorize and partition need the extremes of one class ---
+
+
+@pytest.mark.parametrize("command", ["factorize", "partition"])
+@pytest.mark.parametrize("pair", [("312", "213"), ("7461523", "5431627"), ("31425", "41523")])
+def test_non_extreme_pairs_exit_2_with_one_error_line(command, pair, capsys):
+    assert run([command, "--interval", *pair]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+
+
+def test_factorize_error_names_the_failing_end(capsys):
+    assert run(["factorize", "--interval", "31425", "41523"]) == 2
+    assert "41523 is not the maximum" in capsys.readouterr().err
+    assert run(["factorize", "--interval", "312", "312"]) == 2
+    assert "312 is not the minimum" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+def test_only_the_class_extremes_are_accepted(n, capsys):
+    for cls in classes_mod.classes_of_sn(n):
+        for u in cls.members:
+            for v in cls.members:
+                args = ["--interval", format_perm(u), format_perm(v)]
+                extremes = (u, v) == (cls.min_elem, cls.max_elem)
+                assert (run(["factorize", *args]) == 0) == extremes
+                if len(cls) > 1:
+                    assert (run(["partition", *args]) == 0) == extremes
+    capsys.readouterr()
+
+
+def test_extremes_check_runs_before_any_work(monkeypatch, capsys):
+    def fail(*args, **kwargs):
+        raise AssertionError("work started before the extremes were checked")
+
+    monkeypatch.setattr(partition, "factorize", fail)
+    monkeypatch.setattr(partition, "decompose", fail)
+    assert run(["factorize", "--interval", "7461523", "5431627"]) == 2
+    assert run(["partition", "--interval", "7461523", "5431627"]) == 2
+
+
+# --- unwritable output paths ---
+
+
+@pytest.mark.parametrize("argv", [
+    ["classes", "--n", "3", "--out"],
+    ["hasse", "--interval", "123", "321", "--dot"],
+    ["verify", "--n", "3", "--checks", "diagram_counts", "--out"],
+])
+def test_unwritable_output_path_exits_2(argv, tmp_path, capsys):
+    path = tmp_path / "missing" / "out"
+    assert run([*argv, str(path)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ") and str(path) in err[0]
+    assert not path.parent.exists()

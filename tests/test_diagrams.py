@@ -4,6 +4,7 @@ from itertools import combinations
 import pytest
 from hypothesis import given
 
+from odd_diagrams import diagrams
 from odd_diagrams.diagrams import (
     first_difference,
     is_legal,
@@ -15,7 +16,7 @@ from odd_diagrams.diagrams import (
     rothe_diagram,
     satisfies_legality_criterion,
 )
-from odd_diagrams.perms import all_perms, identity, length, parse_perm
+from odd_diagrams.perms import all_perms, identity, length, parse_perm, right_transpose
 
 from conftest import perm_strategy
 
@@ -91,6 +92,28 @@ def test_is_legal_golden():
     assert is_legal(u, (3, 9))
     assert is_legal(u, (3, 5))
     assert not is_legal(parse_perm("1432"), (1, 3))
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_is_legal_matches_the_decoded_diagram_definition(n):
+    for u in all_perms(n):
+        expected = _looped_odd_diagram(u)
+        for t in combinations(range(1, n + 1), 2):
+            moved = right_transpose(u, t)
+            assert is_legal(u, t) == (_looped_odd_diagram(moved) == expected)
+
+
+def test_legal_move_toward_keys_each_permutation_once(monkeypatch):
+    seen = []
+
+    def counting(w):
+        seen.append(w)
+        return odd_diagram_key(w)
+
+    monkeypatch.setattr(diagrams, "odd_diagram_key", counting)
+    u, v = parse_perm("654172839"), parse_perm("958172634")
+    moved = legal_move_toward(u, v)
+    assert seen == [u, v, moved]
 
 
 def test_legality_criterion_golden():

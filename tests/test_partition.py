@@ -1,6 +1,8 @@
 import pytest
 
+from odd_diagrams import partition
 from odd_diagrams.classes import classes_of_sn
+from odd_diagrams.diagrams import odd_diagram_key
 from odd_diagrams.intervals import interval_elements
 from odd_diagrams.partition import (
     anchors,
@@ -47,6 +49,19 @@ def test_anchors_rejects():
         anchors(parse_perm("213"), parse_perm("213"))
     with pytest.raises(ValueError):
         anchors(parse_perm("1432"), parse_perm("3412"))
+
+
+def test_factorize_compares_odd_diagrams_once(monkeypatch):
+    calls = []
+
+    def counting(w):
+        calls.append(w)
+        return odd_diagram_key(w)
+
+    monkeypatch.setattr(partition, "odd_diagram_key", counting)
+    u, v = s9_pair()
+    assert len(factorize(u, v).factor_lengths) > 1
+    assert calls == [u, v]
 
 
 def test_block_index_extremes():

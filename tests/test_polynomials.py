@@ -130,6 +130,68 @@ def test_r_polynomial_descent_independence(n):
             assert values == {r_polynomial(x, y).coeffs}
 
 
+def _r_rechecking(x, y, choose_descent, memo):
+    """Reference: the R recursion as it was, testing x <= y at every node."""
+    if x == y:
+        return one()
+    if not bruhat_leq(x, y):
+        return zero()
+    if (x, y) in memo:
+        return memo[x, y]
+    i = choose_descent(y) - 1
+    ys = y[:i] + (y[i + 1], y[i]) + y[i + 2:]
+    xs = x[:i] + (x[i + 1], x[i]) + x[i + 2:]
+    if x[i] > x[i + 1]:
+        result = _r_rechecking(xs, ys, choose_descent, memo)
+    else:
+        result = (IntPolynomial([0, 1]) * _r_rechecking(xs, ys, choose_descent, memo)
+                  + IntPolynomial([-1, 1]) * _r_rechecking(x, ys, choose_descent, memo))
+    memo[x, y] = result
+    return result
+
+
+_CHOOSERS = {
+    "smallest": lambda w: min(descent_set(w)),
+    "largest": lambda w: max(descent_set(w)),
+    "middle": lambda w: sorted(descent_set(w))[len(descent_set(w)) // 2],
+}
+
+
+@pytest.mark.parametrize("choice", sorted(_CHOOSERS))
+@pytest.mark.parametrize("n", range(1, 6))
+def test_r_recursion_matches_the_rechecking_recursion_on_every_pair(n, choice):
+    choose = _CHOOSERS[choice]
+    memo = {}
+    for x in all_perms(n):
+        for y in all_perms(n):
+            expected = _r_rechecking(x, y, choose, memo)
+            assert r_polynomial_choosing(x, y, choose) == expected
+            if choice == "smallest":
+                assert r_polynomial(x, y) == expected
+
+
+def test_r_recursion_tests_bruhat_order_only_at_the_top(monkeypatch):
+    calls = []
+
+    def counting(u, v):
+        calls.append((u, v))
+        return bruhat_leq(u, v)
+
+    monkeypatch.setattr(polynomials, "bruhat_leq", counting)
+    monkeypatch.setattr(polynomials, "_R_MEMO", {})
+    x, y = identity(5), parse_perm("54321")
+    assert r_polynomial(x, y).degree == 10
+    assert calls == [(x, y)]
+    assert len(polynomials._R_MEMO) > 10  # many nodes, one comparison
+    assert r_polynomial(x, y).degree == 10
+    assert calls == [(x, y)]  # a memo hit needs no comparison
+    calls.clear()
+    x = parse_perm("21345")
+    assert r_polynomial_choosing(x, y, _CHOOSERS["largest"]) == r_polynomial(x, y)
+    assert r_polynomial(y, x) == zero()
+    assert len(calls) == 3
+
+
 def test_kl_golden():
     w = parse_perm("24513")
     assert kl_polynomial(w, w) == 1
