@@ -2,10 +2,11 @@
 
 import json
 from dataclasses import dataclass
+from typing import Iterator
 
 from .diagrams import Diagram, diagram_of_key, odd_diagram_key
 from .intervals import BruhatInterval, interval_elements, rank_vector
-from .perms import Perm, all_perms, format_perm
+from .perms import Perm, format_perm, length
 
 __all__ = [
     "OddDiagramClass",
@@ -22,13 +23,14 @@ GUARDED_MAX_N = 10
 
 @dataclass(frozen=True)
 class OddDiagramClass:
-    """All permutations sharing one odd diagram: its ``odd_diagram_key`` and its
-    sorted members, from which the rest is derived. Bruhat order refines
-    lexicographic order, so by Theorem B (checked by verify theorem_b) the
-    first and last members are the Bruhat extremes."""
+    """All permutations sharing one odd diagram: its ``odd_diagram_key``, its
+    sorted members and their lengths, from which the rest is derived. Bruhat
+    order refines lexicographic order, so by Theorem B (checked by verify
+    theorem_b) the first and last members are the Bruhat extremes."""
 
     key: int
     members: tuple[Perm, ...]
+    lengths: tuple[int, ...]
 
     @property
     def min_elem(self) -> Perm:
@@ -49,28 +51,69 @@ class OddDiagramClass:
     @property
     def interval(self) -> BruhatInterval:
         """The class as the Bruhat interval [min_elem, max_elem] (Theorem B)."""
-        return BruhatInterval(self.min_elem, self.max_elem, self.members)
+        return BruhatInterval(self.min_elem, self.max_elem, self.members, self.lengths)
 
     def __len__(self) -> int:
         return len(self.members)
 
 
-def _build_class(key: int, members: list[Perm]) -> OddDiagramClass:
-    members.sort()
-    return OddDiagramClass(key, tuple(members))
+def _sweep(n: int) -> Iterator[tuple[Perm, int, int]]:
+    """Every w in S_n in lexicographic order, with its ``odd_diagram_key`` and
+    its length, built up position by position from the left.
+
+    Row i of ``same`` and ``other`` holds the values below w(i), for the
+    placed positions i of the parity of position p and of the other parity.
+    The boxes that placing y at p adds to the key are then column y of
+    ``other`` (the rows at an odd offset to the left holding a value above
+    y), one mask operation, and the inversions it adds are the placed values
+    above y. The last two positions are placed together, as the last value
+    has no choice.
+    """
+    if n == 1:
+        yield (1,), 0, 0
+        return
+    column = sum(1 << (i * n) for i in range(n))  # the bit of value 1 in every row
+
+    def fill(p: int, prefix: Perm, rest: Perm, key: int, inv: int,
+             placed: int, same: int, other: int):
+        for j, y in enumerate(rest):
+            bit = 1 << (y - 1)
+            col_key = key | other & column << (y - 1)
+            col_inv = inv + (placed >> y).bit_count()
+            # the rows of the parity of p, now with row p: the values below y
+            row = same | (bit - 1) << (p * n)
+            if p < n - 2:
+                yield from fill(p + 1, prefix + (y,), rest[:j] + rest[j + 1:],
+                                col_key, col_inv, placed | bit, other, row)
+            else:
+                z = rest[1 - j]
+                yield (prefix + (y, z), col_key | row & column << (z - 1),
+                       col_inv + ((placed | bit) >> z).bit_count())
+
+    yield from fill(0, (), tuple(range(1, n + 1)), 0, 0, 0, 0, 0)
 
 
 def classes_of_sn(n: int, allow_large: bool = False) -> list[OddDiagramClass]:
-    """Partition S_n into odd diagram classes, sorted by minimum element."""
+    """Partition S_n into odd diagram classes, sorted by minimum element.
+
+    One pass of ``_sweep`` gives every key and every member's length. It
+    runs in lexicographic order, so each class's members arrive sorted, and
+    classes first appear in the order of their minima."""
     if n < 1:
         raise ValueError("n must be positive")
     if n > GUARDED_MAX_N and not allow_large:
         raise ValueError(f"n = {n} > {GUARDED_MAX_N}; pass allow_large=True to override")
-    groups: dict[int, list[Perm]] = {}
-    for w in all_perms(n):
-        groups.setdefault(odd_diagram_key(w), []).append(w)
-    classes = [_build_class(key, members) for key, members in groups.items()]
-    classes.sort(key=lambda c: c.min_elem)
+    groups: dict[int, list] = {}  # key -> [member, length, member, length, ...]
+    for w, key, lw in _sweep(n):
+        groups.setdefault(key, []).extend((w, lw))
+    # classes share length vectors (376 distinct among the 103,873 of S_9): keep one copy each
+    shared: dict[tuple[int, ...], tuple[int, ...]] = {}
+    classes = []
+    while groups:  # popping frees each group's list as its class is built
+        key, flat = groups.popitem()
+        lengths = tuple(flat[1::2])
+        classes.append(OddDiagramClass(key, tuple(flat[::2]), shared.setdefault(lengths, lengths)))
+    classes.reverse()  # popitem takes the last class first
     return classes
 
 
@@ -92,7 +135,8 @@ def class_of(w: Perm) -> OddDiagramClass:
                 if x not in seen and odd_diagram_key(x) == target:
                     seen.add(x)
                     queue.append(x)
-    return _build_class(target, queue)
+    queue.sort()
+    return OddDiagramClass(target, tuple(queue), tuple(map(length, queue)))
 
 
 def class_extremes(cls: OddDiagramClass) -> tuple[Perm, Perm]:

@@ -37,15 +37,30 @@ def top_heavy_check(w: Perm) -> bool:
     return all(ranks[k] <= ranks[top - k] for k in range(top // 2 + 1))
 
 
+def _settled_by_rank(interval: BruhatInterval) -> bool:
+    """True when the rank alone makes the interval self-dual: every Bruhat
+    interval of rank 2 is a diamond and every one of rank 3 a k-crown
+    (Bjorner-Brenti, Combinatorics of Coxeter Groups, Sec. 2.7), and ranks 0
+    and 1 are chains. ``verify short_intervals_self_dual`` re-checks this."""
+    return interval.rank <= 3
+
+
 def is_self_dual(interval: BruhatInterval) -> bool:
-    """Does the interval poset admit an order-reversing self-bijection?
+    """Does the Bruhat interval admit an order-reversing self-bijection?
+
+    Intervals of rank <= 3 always do (``_settled_by_rank``); the others go
+    to ``_has_anti_automorphism``.
+    """
+    return _settled_by_rank(interval) or _has_anti_automorphism(interval)
+
+
+def _has_anti_automorphism(interval: BruhatInterval) -> bool:
+    """The full search, whatever the rank.
 
     Rank-vector palindromicity is a necessary pre-filter; the search then
     backtracks rank by rank for a bijection sending covers to reversed
     covers, pruning on (down-degree, up-degree) signatures.
     """
-    if len(interval) == 1:
-        return True
     sizes = rank_vector(interval)
     if sizes != sizes[::-1]:
         return False
@@ -173,19 +188,20 @@ def resolve_jobs(jobs: int) -> int:
 def non_self_dual_classes(
     classes: list[OddDiagramClass], jobs: int = 1
 ) -> list[OddDiagramClass]:
-    """The classes whose Bruhat interval is not self-dual, in input order;
-    ``jobs`` workers share the searches (0..os.cpu_count(), 0 = all cores)."""
+    """The classes whose Bruhat interval is not self-dual, in input order.
+    Only the classes that ``_settled_by_rank`` leaves open are searched, by
+    ``jobs`` workers (0..os.cpu_count(), 0 = all cores)."""
     jobs = resolve_jobs(jobs)
-    multi = [c for c in classes if len(c.members) > 1]
-    intervals = (c.interval for c in multi)
-    if jobs > 1:
+    undecided = [c for c in classes if not _settled_by_rank(c.interval)]
+    intervals = (c.interval for c in undecided)
+    if jobs > 1 and undecided:
         import multiprocessing
 
         with multiprocessing.Pool(jobs) as pool:
             verdicts = pool.map(is_self_dual, intervals, chunksize=64)
     else:
         verdicts = map(is_self_dual, intervals)
-    return [c for c, ok in zip(multi, verdicts) if not ok]
+    return [c for c, ok in zip(undecided, verdicts) if not ok]
 
 
 def non_self_dual_census(n: int, allow_large: bool = False, jobs: int = 1) -> int:

@@ -12,11 +12,13 @@ __all__ = ["BruhatInterval", "interval_elements", "rank_vector", "hasse_edges", 
 
 @dataclass(frozen=True)
 class BruhatInterval:
-    """An interval [bottom, top] with its sorted member list."""
+    """An interval [bottom, top] with its sorted member list and the
+    members' lengths, aligned with it."""
 
     bottom: Perm
     top: Perm
     elements: tuple[Perm, ...]
+    lengths: tuple[int, ...]
 
     @property
     def n(self) -> int:
@@ -25,10 +27,9 @@ class BruhatInterval:
     @cached_property
     def levels(self) -> tuple[tuple[Perm, ...], ...]:
         """levels[r] = the members at length(bottom) + r, in sorted order."""
-        lengths = [length(w) for w in self.elements]
-        base = min(lengths)
-        grouped: list[list[Perm]] = [[] for _ in range(max(lengths) - base + 1)]
-        for w, lw in zip(self.elements, lengths):
+        base = min(self.lengths)
+        grouped: list[list[Perm]] = [[] for _ in range(self.rank + 1)]
+        for w, lw in zip(self.elements, self.lengths):
             grouped[lw - base].append(w)
         return tuple(map(tuple, grouped))
 
@@ -46,7 +47,8 @@ class BruhatInterval:
 
     @property
     def rank(self) -> int:
-        return len(self.levels) - 1
+        """length(top) - length(bottom), read from the carried lengths."""
+        return max(self.lengths) - min(self.lengths)
 
     def __len__(self) -> int:
         return len(self.elements)
@@ -75,7 +77,9 @@ def interval_elements(u: Perm, v: Perm) -> BruhatInterval:
     """Materialize [u, v] by the lifting property (Bjorner-Brenti, Prop.
     2.2.7): with s from ``_descent_step``, [x, y] is K and K s for K = [x, ys]
     in case A, and the part of [xs, y] above x in case B. Walk down from
-    (u, v) until the ends meet, then rebuild upward; cost follows size, not n!."""
+    (u, v) until the ends meet, then rebuild upward; cost follows size, not n!.
+    Lengths come with the members: only the meeting point's is computed, and
+    case A puts w s at length(w) + 1."""
     if not bruhat_leq(u, v):
         raise ValueError(f"{format_perm(u)} is not below {format_perm(v)}")
     steps = []
@@ -84,13 +88,15 @@ def interval_elements(u: Perm, v: Perm) -> BruhatInterval:
         i, lifts = _descent_step(x, y)
         steps.append((x, i, lifts))
         x, y = (x, _swap(y, i)) if lifts else (_swap(x, i), y)
-    members = {x}
+    members = {x: length(x)}
     for x, i, lifts in reversed(steps):
         if lifts:
-            members.update([_swap(w, i) for w in members if w[i] < w[i + 1]])
+            members.update([(_swap(w, i), lw + 1)
+                            for w, lw in members.items() if w[i] < w[i + 1]])
         else:
-            members = set(_above(x, i, members))
-    return BruhatInterval(u, v, tuple(sorted(members)))
+            members = {w: members[w] for w in _above(x, i, members)}
+    elements = tuple(sorted(members))
+    return BruhatInterval(u, v, elements, tuple(map(members.__getitem__, elements)))
 
 
 @lru_cache(maxsize=65536)

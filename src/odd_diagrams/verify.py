@@ -274,6 +274,25 @@ def check_self_dual_bipartite_agreement(n: int, rng, class_table) -> CheckResult
     return result
 
 
+def check_short_intervals_self_dual(n: int, rng, class_table) -> CheckResult:
+    """Every interval [u, v] with 1 <= length(v) - length(u) <= 3 is self-dual
+    by the full search, which ``is_self_dual`` skips at these ranks. The
+    tops v are the elements up to three covers above u."""
+    result = CheckResult("short_intervals_self_dual", "exhaustive")
+    for u in perms.all_perms(n):
+        tops, frontier = [], [u]
+        for _ in range(3):
+            frontier = sorted({z for w in frontier for z in perms.upward_covers(w)})
+            tops += frontier
+        for v in tops:
+            interval = intervals.interval_elements(u, v)
+            result.record(
+                duality._has_anti_automorphism(interval),
+                {"u": perms.format_perm(u), "v": perms.format_perm(v)},
+            )
+    return result
+
+
 def check_kl_class_probe(n: int, rng, class_table) -> CheckResult:
     """KL polynomial of every odd diagram class equals 1."""
     result = CheckResult("kl_class_probe", "exhaustive")
@@ -329,6 +348,7 @@ CHECKS = {
     "interval_bfs_vs_filter": check_interval_bfs_vs_filter,
     "top_heavy": check_top_heavy,
     "self_dual_bipartite_agreement": check_self_dual_bipartite_agreement,
+    "short_intervals_self_dual": check_short_intervals_self_dual,
     "kl_class_probe": check_kl_class_probe,
     "kl_inversion": check_kl_inversion,
     "kl_carrell": check_kl_carrell,

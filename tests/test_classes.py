@@ -61,6 +61,8 @@ def test_members_share_the_diagram(n):
 
 @pytest.mark.parametrize("n", range(1, 7))
 def test_classes_are_keyed_once_per_permutation_and_never_decoded(n, monkeypatch):
+    # the sweep builds each permutation's key once, incrementally, so
+    # odd_diagram_key itself is never called
     calls = []
 
     def counting(w):
@@ -73,7 +75,8 @@ def test_classes_are_keyed_once_per_permutation_and_never_decoded(n, monkeypatch
     monkeypatch.setattr(classes, "odd_diagram_key", counting)
     monkeypatch.setattr(classes, "diagram_of_key", no_decode)
     table = classes_of_sn(n)
-    assert len(calls) == math.factorial(n)
+    assert calls == []
+    assert sum(map(len, table)) == math.factorial(n)
     for cls in table:
         assert all(odd_diagram_key(w) == cls.key for w in cls.members)
         assert class_of(cls.max_elem) == cls
@@ -140,7 +143,9 @@ def test_class_report_fields():
 
 
 def _rechecking_classes_of_sn(n):
-    """Reference builder that re-checks Theorem B on every member."""
+    """Reference builder: the all_perms + odd_diagram_key grouping that the
+    sweep replaced, with lengths from ``length``, re-checking Theorem B on
+    every member."""
     groups = {}
     for w in all_perms(n):
         groups.setdefault(odd_diagram_key(w), []).append(w)
@@ -150,14 +155,14 @@ def _rechecking_classes_of_sn(n):
         lo = min(members, key=length)
         hi = max(members, key=length)
         assert all(bruhat_leq(lo, w) and bruhat_leq(w, hi) for w in members)
-        cls = OddDiagramClass(key, tuple(members))
+        cls = OddDiagramClass(key, tuple(members), tuple(map(length, members)))
         assert (cls.min_elem, cls.max_elem, cls.diagram) == (lo, hi, odd_diagram(lo))
         classes.append(cls)
     classes.sort(key=lambda c: c.min_elem)
     return classes
 
 
-@pytest.mark.parametrize("n", range(1, 8))
+@pytest.mark.parametrize("n", range(1, 9))
 def test_classes_of_sn_matches_rechecking_builder(n):
     assert classes_of_sn(n) == _rechecking_classes_of_sn(n)
 
@@ -171,11 +176,19 @@ def test_class_of_matches_scan_of_sn(n):
     for key, members in scan.items():
         lo = min(members, key=length)
         hi = max(members, key=length)
-        expected = OddDiagramClass(key, tuple(sorted(members)))
+        members.sort()
+        expected = OddDiagramClass(key, tuple(members), tuple(map(length, members)))
         assert (expected.min_elem, expected.max_elem, expected.diagram) == (
             lo, hi, odd_diagram(lo))
         for w in members:
             assert class_of(w) == expected
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_sweep_matches_all_perms_key_and_length(n):
+    # in the same, lexicographic, order: classes_of_sn relies on it
+    swept = list(classes._sweep(n))
+    assert swept == [(w, odd_diagram_key(w), length(w)) for w in all_perms(n)]
 
 
 def test_class_of_in_s12_has_720_members():

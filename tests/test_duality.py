@@ -1,6 +1,6 @@
 import pytest
 
-from odd_diagrams import intervals, verify
+from odd_diagrams import duality, intervals, verify
 from odd_diagrams.classes import class_of, classes_of_sn
 from odd_diagrams.duality import (
     bipartite_criterion,
@@ -33,7 +33,7 @@ def test_top_heavy_exhaustive(n):
 
 def test_singleton_self_dual():
     w = parse_perm("24513")
-    assert is_self_dual(BruhatInterval(w, w, (w,)))
+    assert is_self_dual(BruhatInterval(w, w, (w,), (length(w),)))
 
 
 def test_s3_full_interval_self_dual():
@@ -43,7 +43,8 @@ def test_s3_full_interval_self_dual():
 def test_full_s7_interval_self_dual():
     # 5040 elements: deeper than Python's recursion limit
     w0 = tuple(range(7, 0, -1))
-    assert is_self_dual(BruhatInterval(identity(7), w0, tuple(all_perms(7))))
+    members = tuple(all_perms(7))
+    assert is_self_dual(BruhatInterval(identity(7), w0, members, tuple(map(length, members))))
 
 
 def _recursive_is_self_dual(interval):
@@ -97,6 +98,20 @@ def test_iterative_search_matches_recursive(golden_s9):
     verdicts = [is_self_dual(i) for i in intervals]
     assert verdicts == [_recursive_is_self_dual(i) for i in intervals]
     assert True in verdicts and False in verdicts
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_rank_shortcut_matches_recursive_search_on_every_class(n):
+    for cls in classes_of_sn(n):
+        interval = cls.interval
+        assert is_self_dual(interval) == _recursive_is_self_dual(interval)
+
+
+@pytest.mark.parametrize("n, count", [(1, 0), (2, 1), (3, 13), (4, 163), (5, 2096)])
+def test_every_interval_of_rank_at_most_3_is_self_dual(n, count):
+    report = verify.run_checks(n, ["short_intervals_self_dual"])
+    assert report.ok
+    assert report.checks[0].passed == count
 
 
 def test_known_non_self_dual_class(golden_s9):
@@ -172,7 +187,7 @@ def test_self_duality_label_independent():
     w0 = tuple(range(7, 0, -1))
     flipped = tuple(sorted(tuple(w0[x - 1] for x in w) for w in cls.members))
     dual = BruhatInterval(
-        min(flipped, key=length), max(flipped, key=length), flipped
+        min(flipped, key=length), max(flipped, key=length), flipped, tuple(map(length, flipped))
     )
     assert is_self_dual(dual) == verdict
 
@@ -194,9 +209,27 @@ def test_self_dual_bipartite_check_builds_each_hasse_diagram_once(monkeypatch):
     monkeypatch.setattr(intervals, "hasse_edges", counting_hasse_edges)
     report = verify.run_checks(6, ["self_dual_bipartite_agreement"])
     assert report.ok
-    multi = [c.min_elem for c in classes_of_sn(6) if len(c.members) > 1]
-    assert len(multi) == 227
-    assert sorted(calls) == multi
+    # is_self_dual settles rank <= 3 without a Hasse diagram, and
+    # bipartite_criterion needs one from rank 2 up
+    table = classes_of_sn(6)
+    ranked = [c.min_elem for c in table if c.interval.rank >= 2]
+    assert len([c for c in table if len(c.members) > 1]) == 227
+    assert 0 < len(ranked) < 227
+    assert sorted(calls) == ranked
+
+
+def test_census_searches_only_classes_above_rank_3(monkeypatch):
+    searched = []
+
+    def counting_is_self_dual(interval):
+        searched.append(interval.bottom)
+        return is_self_dual(interval)
+
+    monkeypatch.setattr(duality, "is_self_dual", counting_is_self_dual)
+    table = classes_of_sn(7)
+    assert non_self_dual_classes(table) == []
+    assert searched == [c.min_elem for c in table if c.interval.rank >= 4]
+    assert len(searched) == 24
 
 
 def test_class_interval_is_a_fresh_object():

@@ -254,3 +254,27 @@ def test_lifting_engine_compares_only_its_input(monkeypatch):
     u, v = parse_perm("5431627"), parse_perm("7461523")
     assert len(interval_elements(u, v)) == 18
     assert calls == [(u, v)]
+
+
+def test_lifting_engine_lengths_match_length_on_every_interval_up_to_s4():
+    for n in range(1, 5):
+        elems = list(all_perms(n))
+        for u in elems:
+            for v in elems:
+                if bruhat_leq(u, v):
+                    interval = interval_elements(u, v)
+                    assert interval.lengths == tuple(map(length, interval.elements))
+
+
+def test_lifting_engine_lengths_match_length_on_seeded_pairs_of_s6():
+    rng = random.Random(606)
+    elems = list(all_perms(6))
+    tried = 0
+    while tried < 300:
+        u, v = sorted(rng.sample(elems, 2))
+        if not bruhat_leq(u, v):
+            continue
+        tried += 1
+        interval = interval_elements(u, v)
+        assert interval.lengths == tuple(map(length, interval.elements))
+        assert interval.rank == length(v) - length(u)
