@@ -147,7 +147,7 @@ def cmd_census(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    names = args.checks.split(",") if args.checks else None
+    names = args.checks.split(",") if args.checks is not None else None
     limit = 6 if args.long else 5
     if args.n > limit and names is None:
         # the full default battery is exhaustive over S_n x S_n pairs; keep

@@ -1,13 +1,19 @@
-"""Self-duality of Bruhat intervals: top-heaviness, anti-automorphism
-search, and the boundary bipartite-graph criterion."""
+"""Self-duality of Bruhat intervals: top-heaviness, the self-duality census
+and the boundary bipartite-graph criterion.
+
+Both duality questions go to one search, ``_graded_isomorphic``: is [u, v]
+isomorphic to its dual, and is its bottom boundary graph isomorphic to its
+top one."""
 
 import os
-from collections import Counter
 from dataclasses import dataclass
 
 from .classes import OddDiagramClass, classes_of_sn
-from .intervals import BruhatInterval, _cached_interval, rank_vector
+from .intervals import BruhatInterval, interval_elements, rank_vector
 from .perms import Perm, identity
+
+# (levels, up, down) as in ``BruhatInterval.cover_graph``
+CoverGraph = tuple[list[list[int]], list[set[int]], list[set[int]]]
 
 __all__ = [
     "BipartiteGraph",
@@ -32,7 +38,7 @@ class BipartiteGraph:
 
 def top_heavy_check(w: Perm) -> bool:
     """Rank sizes of [e, w] satisfy #P_k <= #P_(l(w)-k) for k <= l(w)/2."""
-    ranks = rank_vector(_cached_interval(identity(len(w)), w))
+    ranks = rank_vector(interval_elements(identity(len(w)), w))
     top = len(ranks) - 1
     return all(ranks[k] <= ranks[top - k] for k in range(top // 2 + 1))
 
@@ -55,40 +61,51 @@ def is_self_dual(interval: BruhatInterval) -> bool:
 
 
 def _has_anti_automorphism(interval: BruhatInterval) -> bool:
-    """The full search, whatever the rank.
-
-    Rank-vector palindromicity is a necessary pre-filter; the search then
-    backtracks rank by rank for a bijection sending covers to reversed
-    covers, pruning on (down-degree, up-degree) signatures.
-    """
+    """The full search, whatever the rank: rank-vector palindromicity is a
+    necessary pre-filter that saves building the cover graph, then
+    ``_graded_isomorphic`` looks for a map of the interval onto its dual."""
     sizes = rank_vector(interval)
     if sizes != sizes[::-1]:
         return False
     levels, up, down = interval.cover_graph
-    # elements bottom-up, each with the rank level it must be mapped into
-    steps = [(x, levels[-1 - r]) for r, level in enumerate(levels) for x in level]
-    mapping = [0] * len(steps)
-    used = [False] * len(steps)
+    return _graded_isomorphic((levels, up, down), (levels[::-1], down, up))
+
+
+def _graded_isomorphic(a: CoverGraph, b: CoverGraph) -> bool:
+    """Is there a bijection from the members of ``a`` onto those of ``b``,
+    level r onto level r, that maps covers onto covers? Each side is a
+    ``(levels, up, down)`` triple shaped like ``BruhatInterval.cover_graph``.
+
+    The search places members bottom-up, pruning on (down-degree,
+    up-degree); the lower covers of a member are already placed and must
+    land among the lower covers of its image.
+    """
+    levels, up, down = a
+    b_levels, b_up, b_down = b
+    if list(map(len, levels)) != list(map(len, b_levels)):
+        return False
+    # members bottom-up, each with the level of b it must be mapped into
+    steps = [(x, targets) for level, targets in zip(levels, b_levels) for x in level]
+    mapping = [0] * len(up)
+    used = [False] * len(b_up)
 
     def placements(pos: int):
-        """Map the element of steps[pos] to each admissible target, undoing on resume."""
+        """Map the member of steps[pos] to each admissible target, undoing on resume."""
         x, targets = steps[pos]
         for target in targets:
             if used[target]:
                 continue
-            if len(up[x]) != len(down[target]) or len(down[x]) != len(up[target]):
+            if len(up[x]) != len(b_up[target]) or len(down[x]) != len(b_down[target]):
                 continue
-            # down-neighbors of x are already mapped (ranks are processed
-            # bottom-up) and must land among the up-neighbors of the target
-            if any(target not in down[mapping[y]] for y in down[x]):
+            if any(mapping[y] not in b_down[target] for y in down[x]):
                 continue
             mapping[x] = target
             used[target] = True
             yield True
             used[target] = False
 
-    # one generator per placed element on an explicit stack: intervals can
-    # have more elements than Python's recursion limit
+    # one generator per placed member on an explicit stack: intervals can
+    # have more members than Python's recursion limit
     stack = [placements(0)]
     while stack:
         if not next(stack[-1], False):
@@ -119,52 +136,15 @@ def boundary_bipartite_graphs(
     return graph(1, 2, up), graph(-2, -3, down)
 
 
-def _bipartite_isomorphic(g1: BipartiteGraph, g2: BipartiteGraph) -> bool:
-    """Part-preserving isomorphism test by backtracking over the left part.
-
-    For a fixed left bijection, a right bijection exists iff the multisets
-    of right-vertex neighborhoods (as subsets of the left part) agree.
-    """
-    if len(g1.left) != len(g2.left) or len(g1.right) != len(g2.right):
-        return False
-    if len(g1.edges) != len(g2.edges):
-        return False
-    k = len(g1.left)
-    deg1 = [0] * k
-    deg2 = [0] * k
-    nbhd1: list[set[int]] = [set() for _ in g1.right]
-    nbhd2: list[set[int]] = [set() for _ in g2.right]
-    for a, b in g1.edges:
-        deg1[a] += 1
-        nbhd1[b].add(a)
-    for a, b in g2.edges:
-        deg2[a] += 1
-        nbhd2[b].add(a)
-    if sorted(deg1) != sorted(deg2):
-        return False
-    if Counter(len(s) for s in nbhd1) != Counter(len(s) for s in nbhd2):
-        return False
-    target_nbhds = Counter(frozenset(s) for s in nbhd2)
-
-    sigma = [-1] * k
-    used = [False] * k
-
-    def extend(a: int) -> bool:
-        if a == k:
-            mapped = Counter(frozenset(sigma[x] for x in s) for s in nbhd1)
-            return mapped == target_nbhds
-        for t in range(k):
-            if used[t] or deg1[a] != deg2[t]:
-                continue
-            sigma[a] = t
-            used[t] = True
-            if extend(a + 1):
-                return True
-            used[t] = False
-        sigma[a] = -1
-        return False
-
-    return extend(0)
+def _as_cover_graph(graph: BipartiteGraph) -> CoverGraph:
+    """The graph as two levels, the left part below the right."""
+    k = len(graph.left)
+    up: list[set[int]] = [set() for _ in range(k + len(graph.right))]
+    down: list[set[int]] = [set() for _ in up]
+    for a, b in graph.edges:
+        up[a].add(k + b)
+        down[k + b].add(a)
+    return [list(range(k)), list(range(k, len(up)))], up, down
 
 
 def bipartite_criterion(interval: BruhatInterval) -> bool:
@@ -173,7 +153,7 @@ def bipartite_criterion(interval: BruhatInterval) -> bool:
     if interval.rank < 2:
         return True
     bottom_graph, top_graph = boundary_bipartite_graphs(interval)
-    return _bipartite_isomorphic(bottom_graph, top_graph)
+    return _graded_isomorphic(_as_cover_graph(bottom_graph), _as_cover_graph(top_graph))
 
 
 def resolve_jobs(jobs: int) -> int:

@@ -335,11 +335,13 @@ def carrell_condition(x: Perm, y: Perm) -> bool:
     """Reflection-count test: for every w in [x, y], the number of
     transpositions t with w < t w <= y equals length(y) - length(w).
 
-    Such a t w lies above w >= x, so t w <= y iff t w is in [x, y].
-    Raises ValueError unless x <= y."""
+    Such a t w lies above w >= x, so t w <= y iff t w is in [x, y]. The
+    lengths are the ones the interval carries. Raises ValueError unless x <= y."""
     n = len(x)
-    members = set(_cached_interval(x, y).elements)
-    for w in members:
+    interval = _cached_interval(x, y)
+    members = set(interval.elements)
+    top = max(interval.lengths)
+    for w, lw in zip(interval.elements, interval.lengths):
         win = inverse(w)
         count = 0
         for i in range(1, n):
@@ -347,6 +349,6 @@ def carrell_condition(x: Perm, y: Perm) -> bool:
                 # w < (i j) w iff value i sits before value j
                 if win[i - 1] < win[j - 1] and left_transpose(w, (i, j)) in members:
                     count += 1
-        if count != length(y) - length(w):
+        if count != top - lw:
             return False
     return True

@@ -1,4 +1,5 @@
-"""The names the benchmark's tracer reads must exist in the package.
+"""The names the benchmark's tracer reads must exist in the package, and
+the command lines its workloads send must parse.
 
 ``perfbench/tracing.py`` leaves out a metric whose function or module state
 is gone instead of failing, so a renamed public function would silently drop
@@ -10,11 +11,15 @@ package.
 import importlib
 import importlib.util
 import inspect
+import re
 from pathlib import Path
 
 import pytest
 
+from odd_diagrams import cli
+
 TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
+WORKLOADS = TRACING.with_name("workloads.py")
 # second name parts that are module state, not functions
 STATE = {"cache", "kl_memo", "r_memo"}
 
@@ -50,3 +55,35 @@ def test_traced_module_state_exists():
     assert callable(intervals._cached_interval.cache_info)
     assert isinstance(polynomials._KL_MEMO, dict)
     assert isinstance(polynomials._R_MEMO, dict)
+
+
+# every command line ``perfbench/workloads.py`` sends through ``cli.run``
+BENCHMARK_COMMANDS = [
+    ["census", "--n", "7", "--jobs", "1"],
+    ["classes", "--n", "7", "--out", "P"],
+    ["class", "--perm", "654172839"],
+    ["factorize", "--interval", "5431627", "7461523"],
+    ["poincare", "--interval", "5431627", "7461523"],
+    ["partition", "--interval", "5431627", "7461523"],
+]
+
+
+@pytest.mark.parametrize("argv", BENCHMARK_COMMANDS, ids=lambda argv: argv[0])
+def test_cli_parses_every_benchmark_command(argv):
+    args = cli.build_parser().parse_args(argv)
+    assert args.command == argv[0]
+    assert callable(args.func)
+
+
+def _command_and_options(argv):
+    return (argv[0],) + tuple(a for a in argv[1:] if a.startswith("--"))
+
+
+def test_benchmark_commands_cover_the_workloads():
+    # each ``s.cli(...)`` call in the workloads sits on one line
+    sent = {
+        _command_and_options(re.findall(r'"([^"]*)"', line.split("s.cli(", 1)[1]))
+        for line in WORKLOADS.read_text().splitlines()
+        if "s.cli(" in line
+    }
+    assert sent == {_command_and_options(argv) for argv in BENCHMARK_COMMANDS}

@@ -118,6 +118,15 @@ def test_verify_unknown_check(capsys):
     assert run(["verify", "--n", "3", "--checks", "nope"]) == 2
 
 
+def test_verify_empty_checks_is_an_unknown_check(capsys):
+    # an empty list names the check "", not the whole battery
+    assert run(["verify", "--n", "3", "--checks", ""]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    errors = captured.err.splitlines()
+    assert len(errors) == 1 and errors[0].startswith("error: unknown checks: ['']")
+
+
 def test_verify_has_no_jobs_option(capsys):
     assert run(["verify", "--n", "3", "--jobs", "2"]) == 2
 

@@ -1,8 +1,13 @@
+from collections import Counter
+
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from odd_diagrams import duality, intervals, verify
 from odd_diagrams.classes import class_of, classes_of_sn
 from odd_diagrams.duality import (
+    BipartiteGraph,
     bipartite_criterion,
     boundary_bipartite_graphs,
     is_self_dual,
@@ -11,7 +16,7 @@ from odd_diagrams.duality import (
     top_heavy_check,
 )
 from odd_diagrams.intervals import BruhatInterval, hasse_edges, interval_elements
-from odd_diagrams.perms import all_perms, identity, length, parse_perm
+from odd_diagrams.perms import all_perms, bruhat_leq, identity, length, parse_perm
 
 
 @pytest.fixture(scope="module")
@@ -146,6 +151,131 @@ def test_bipartite_criterion_low_rank_vacuous():
     interval = cls.interval
     assert interval.rank == 1
     assert bipartite_criterion(interval)
+
+
+def _reference_bipartite_isomorphic(g1, g2):
+    """Reference: the bipartite search the shared graded search replaced.
+    For a fixed left bijection, a right bijection exists iff the multisets
+    of right-vertex neighborhoods (as subsets of the left part) agree."""
+    if len(g1.left) != len(g2.left) or len(g1.right) != len(g2.right):
+        return False
+    if len(g1.edges) != len(g2.edges):
+        return False
+    k = len(g1.left)
+    deg1 = [0] * k
+    deg2 = [0] * k
+    nbhd1 = [set() for _ in g1.right]
+    nbhd2 = [set() for _ in g2.right]
+    for a, b in g1.edges:
+        deg1[a] += 1
+        nbhd1[b].add(a)
+    for a, b in g2.edges:
+        deg2[a] += 1
+        nbhd2[b].add(a)
+    if sorted(deg1) != sorted(deg2):
+        return False
+    if Counter(len(s) for s in nbhd1) != Counter(len(s) for s in nbhd2):
+        return False
+    target_nbhds = Counter(frozenset(s) for s in nbhd2)
+    sigma = [-1] * k
+    used = [False] * k
+
+    def extend(a):
+        if a == k:
+            mapped = Counter(frozenset(sigma[x] for x in s) for s in nbhd1)
+            return mapped == target_nbhds
+        for t in range(k):
+            if used[t] or deg1[a] != deg2[t]:
+                continue
+            sigma[a] = t
+            used[t] = True
+            if extend(a + 1):
+                return True
+            used[t] = False
+        sigma[a] = -1
+        return False
+
+    return extend(0)
+
+
+def _reference_criterion(interval):
+    if interval.rank < 2:
+        return True
+    return _reference_bipartite_isomorphic(*boundary_bipartite_graphs(interval))
+
+
+def _assert_criterion_matches_reference(intervals):
+    verdicts = [bipartite_criterion(i) for i in intervals]
+    assert verdicts == [_reference_criterion(i) for i in intervals]
+    return verdicts
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+def test_bipartite_criterion_matches_reference_on_every_comparable_pair(n):
+    elems = list(all_perms(n))
+    pairs = [interval_elements(u, v) for u in elems for v in elems if bruhat_leq(u, v)]
+    verdicts = _assert_criterion_matches_reference(pairs)
+    if n >= 4:
+        assert False in verdicts
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_bipartite_criterion_matches_reference_on_every_class(n):
+    _assert_criterion_matches_reference([c.interval for c in classes_of_sn(n)])
+
+
+def test_bipartite_criterion_matches_reference_on_lower_intervals_of_s6(golden_s9):
+    lower = [interval_elements(identity(6), w) for w in all_perms(6)]
+    verdicts = _assert_criterion_matches_reference(lower + [golden_s9.interval])
+    assert verdicts[-1] is False
+    assert True in verdicts and False in verdicts
+
+
+def _graph(left, right, edges):
+    return BipartiteGraph(
+        tuple((i,) for i in range(left)), tuple((j,) for j in range(right)), frozenset(edges)
+    )
+
+
+def _criterion_search(g1, g2):
+    """The search ``bipartite_criterion`` runs on its two boundary graphs."""
+    return duality._graded_isomorphic(duality._as_cover_graph(g1), duality._as_cover_graph(g2))
+
+
+@st.composite
+def bipartite_pairs(draw):
+    """A small bipartite graph and a relabeled copy, then some edges of the
+    copy toggled, or else a second graph drawn on its own. No part is empty,
+    as in the boundary graphs of an interval."""
+    k, m = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    cells = [(a, b) for a in range(k) for b in range(m)]
+    edges = draw(st.sets(st.sampled_from(cells)))
+    if draw(st.booleans()):
+        k2, m2 = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+        cells2 = [(a, b) for a in range(k2) for b in range(m2)]
+        return _graph(k, m, edges), _graph(k2, m2, draw(st.sets(st.sampled_from(cells2))))
+    lperm = draw(st.permutations(range(k)))
+    rperm = draw(st.permutations(range(m)))
+    copy = {(lperm[a], rperm[b]) for a, b in edges}
+    toggles = draw(st.sets(st.sampled_from(cells), max_size=2))
+    return _graph(k, m, edges), _graph(k, m, copy ^ toggles)
+
+
+@given(bipartite_pairs())
+def test_criterion_search_matches_reference_on_small_graphs(pair):
+    g1, g2 = pair
+    assert _criterion_search(g1, g2) == _reference_bipartite_isomorphic(g1, g2)
+
+
+def test_criterion_search_tells_apart_graphs_with_equal_degrees():
+    # an 8-cycle and two 4-cycles: every vertex has degree 2
+    cycle = _graph(4, 4, [(a, a) for a in range(4)] + [(a, (a + 1) % 4) for a in range(4)])
+    squares = _graph(4, 4, [(a, b) for a in range(4) for b in range(4) if a // 2 == b // 2])
+    assert not _criterion_search(cycle, squares)
+    relabeled = _graph(4, 4, [((a + 1) % 4, (b + 2) % 4) for a, b in cycle.edges])
+    assert _criterion_search(cycle, relabeled)
+    assert not _criterion_search(_graph(2, 3, [(0, 0)]), _graph(3, 2, [(0, 0)]))
+    assert not _criterion_search(_graph(2, 2, [(0, 0)]), _graph(2, 2, [(0, 0), (1, 1)]))
 
 
 @pytest.mark.parametrize("n", range(1, 7))

@@ -367,6 +367,22 @@ def test_carrell_matches_bruhat_count_on_sampled_pairs_of_s5():
             assert carrell_condition(x, y) == _carrell_by_bruhat(x, y)
 
 
+def test_carrell_reads_lengths_from_the_interval(monkeypatch):
+    calls = []
+
+    def counting_length(w):
+        calls.append(w)
+        return length(w)
+
+    monkeypatch.setattr(polynomials, "length", counting_length)
+    assert carrell_condition(identity(5), parse_perm("54321"))
+    assert not carrell_condition(identity(4), parse_perm("3412"))
+    assert carrell_condition(parse_perm("21435"), parse_perm("43251")) == _carrell_by_bruhat(
+        parse_perm("21435"), parse_perm("43251")
+    )
+    assert calls == []
+
+
 # --- memo bounds ---
 
 
