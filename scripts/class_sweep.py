@@ -9,7 +9,7 @@ import argparse
 import pathlib
 import time
 
-from odd_diagrams.classes import GUARDED_MAX_N, dump_report, report_for_n
+from odd_diagrams.classes import GUARDED_MAX_N, classes_of_sn, write_report
 
 
 def main():
@@ -28,11 +28,12 @@ def main():
     out_dir.mkdir(parents=True, exist_ok=True)
     for n in range(args.min_n, args.max_n + 1):
         start = time.perf_counter()
-        report = report_for_n(n, allow_large=args.long)
+        table = classes_of_sn(n, allow_large=args.long)
         path = out_dir / f"classes_s{n}.json"
-        dump_report(report, str(path))
+        with open(path, "w") as fh:
+            write_report(table, fh)
         print(
-            f"n={n}: {len(report['classes'])} classes -> {path} "
+            f"n={n}: {len(table)} classes -> {path} "
             f"({time.perf_counter() - start:.1f}s)"
         )
 

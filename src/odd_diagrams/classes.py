@@ -2,7 +2,8 @@
 
 import json
 from dataclasses import dataclass
-from typing import Iterator
+from itertools import combinations
+from typing import TextIO
 
 from .diagrams import Diagram, diagram_of_key, odd_diagram_key
 from .intervals import BruhatInterval, interval_elements, rank_vector
@@ -11,14 +12,20 @@ from .perms import Perm, format_perm, length
 __all__ = [
     "OddDiagramClass",
     "classes_of_sn",
+    "parity_block",
+    "parity_sets",
     "class_extremes",
     "class_of",
     "class_report",
+    "write_report",
 ]
 
 # n = 10 already means 3.6M permutations; anything larger needs an
 # explicit opt-in.
 GUARDED_MAX_N = 10
+
+# the fields of an OddDiagramClass: key, sorted members, their lengths
+ClassFields = tuple[int, tuple[Perm, ...], tuple[int, ...]]
 
 
 @dataclass(frozen=True)
@@ -57,63 +64,82 @@ class OddDiagramClass:
         return len(self.members)
 
 
-def _sweep(n: int) -> Iterator[tuple[Perm, int, int]]:
-    """Every w in S_n in lexicographic order, with its ``odd_diagram_key`` and
-    its length, built up position by position from the left.
+def parity_sets(n: int, allow_large: bool = False) -> list[tuple[int, ...]]:
+    """The sets of values at the 0-based even positions of S_n, one per
+    parity block, in the order of ``combinations``. A class keeps each
+    value's position parity (checked by verify parity), so every class lies
+    in one block. The degree guard of ``classes_of_sn`` is checked first."""
+    _check_degree(n, allow_large)
+    return list(combinations(range(1, n + 1), (n + 1) // 2))
 
-    Row i of ``same`` and ``other`` holds the values below w(i), for the
-    placed positions i of the parity of position p and of the other parity.
-    The boxes that placing y at p adds to the key are then column y of
+
+def parity_block(n: int, evens: tuple[int, ...]) -> list[ClassFields]:
+    """The odd diagram classes of the w in S_n with the values ``evens`` at
+    the 0-based even positions, each as its ``(key, members, lengths)``, the
+    fields of ``OddDiagramClass``. The block is swept in lexicographic
+    order, so each class's members are sorted and the classes come in the
+    order of their minima.
+
+    Keys and lengths are built up position by position from the left. Row
+    i of ``same`` and ``other`` holds the values below w(i), for the placed
+    positions i of the parity of position p and of the other parity. The
+    boxes that placing y at p adds to the key are then column y of
     ``other`` (the rows at an odd offset to the left holding a value above
     y), one mask operation, and the inversions it adds are the placed values
-    above y. The last two positions are placed together, as the last value
-    has no choice.
+    above y. Position p draws its value from ``mine``, what is left of its
+    parity's values. The last two positions have one value left each and are
+    placed with the position before them.
     """
-    if n == 1:
-        yield (1,), 0, 0
-        return
+    odds = tuple(x for x in range(1, n + 1) if x not in evens)
+    if n <= 2:  # one permutation, 1, 12 or 21; for 21 key and length are 1
+        w = evens + odds
+        return [(int(w == (2, 1)), (w,), (int(w == (2, 1)),))]
     column = sum(1 << (i * n) for i in range(n))  # the bit of value 1 in every row
+    groups: dict[int, list] = {}  # key -> [member, length, member, length, ...]
 
-    def fill(p: int, prefix: Perm, rest: Perm, key: int, inv: int,
-             placed: int, same: int, other: int):
-        for j, y in enumerate(rest):
+    def fill(p: int, prefix: Perm, mine: Perm, theirs: Perm, key: int, inv: int,
+             placed: int, same: int, other: int) -> None:
+        for j, y in enumerate(mine):
             bit = 1 << (y - 1)
-            col_key = key | other & column << (y - 1)
-            col_inv = inv + (placed >> y).bit_count()
+            key_y = key | other & column << (y - 1)
+            inv_y = inv + (placed >> y).bit_count()
             # the rows of the parity of p, now with row p: the values below y
             row = same | (bit - 1) << (p * n)
-            if p < n - 2:
-                yield from fill(p + 1, prefix + (y,), rest[:j] + rest[j + 1:],
-                                col_key, col_inv, placed | bit, other, row)
+            rest = mine[:j] + mine[j + 1:]
+            if p < n - 3:
+                fill(p + 1, prefix + (y,), theirs, rest, key_y, inv_y, placed | bit, other, row)
             else:
-                z = rest[1 - j]
-                yield (prefix + (y, z), col_key | row & column << (z - 1),
-                       col_inv + ((placed | bit) >> z).bit_count())
+                # x at n - 2 sees the rows in ``row``, z at n - 1 those in
+                # ``other`` and row n - 2; the n - z values above z precede it
+                x, z = theirs[0], rest[0]
+                key_x = key_y | row & column << (x - 1)
+                row_x = other | ((1 << (x - 1)) - 1) << ((n - 2) * n)
+                groups.setdefault(key_x | row_x & column << (z - 1), []).extend(
+                    (prefix + (y, x, z), inv_y + ((placed | bit) >> x).bit_count() + n - z))
 
-    yield from fill(0, (), tuple(range(1, n + 1)), 0, 0, 0, 0, 0)
+    fill(0, (), evens, odds, 0, 0, 0, 0, 0)
+    return [(key, tuple(flat[::2]), tuple(flat[1::2])) for key, flat in groups.items()]
+
+
+def _check_degree(n: int, allow_large: bool) -> None:
+    if n < 1:
+        raise ValueError("n must be positive")
+    if n > GUARDED_MAX_N and not allow_large:
+        raise ValueError(f"n = {n} > {GUARDED_MAX_N}; pass allow_large=True to override")
 
 
 def classes_of_sn(n: int, allow_large: bool = False) -> list[OddDiagramClass]:
     """Partition S_n into odd diagram classes, sorted by minimum element.
 
-    One pass of ``_sweep`` gives every key and every member's length. It
-    runs in lexicographic order, so each class's members arrive sorted, and
-    classes first appear in the order of their minima."""
-    if n < 1:
-        raise ValueError("n must be positive")
-    if n > GUARDED_MAX_N and not allow_large:
-        raise ValueError(f"n = {n} > {GUARDED_MAX_N}; pass allow_large=True to override")
-    groups: dict[int, list] = {}  # key -> [member, length, member, length, ...]
-    for w, key, lw in _sweep(n):
-        groups.setdefault(key, []).extend((w, lw))
+    The classes come from ``parity_block``, one parity block at a time, with
+    their keys, sorted members and lengths; one sort puts the blocks'
+    classes in the order of their minima."""
     # classes share length vectors (376 distinct among the 103,873 of S_9): keep one copy each
     shared: dict[tuple[int, ...], tuple[int, ...]] = {}
-    classes = []
-    while groups:  # popping frees each group's list as its class is built
-        key, flat = groups.popitem()
-        lengths = tuple(flat[1::2])
-        classes.append(OddDiagramClass(key, tuple(flat[::2]), shared.setdefault(lengths, lengths)))
-    classes.reverse()  # popitem takes the last class first
+    classes = [OddDiagramClass(key, members, shared.setdefault(lengths, lengths))
+               for evens in parity_sets(n, allow_large)
+               for key, members, lengths in parity_block(n, evens)]
+    classes.sort(key=lambda cls: cls.min_elem)
     return classes
 
 
@@ -172,13 +198,12 @@ def class_report(cls: OddDiagramClass) -> dict:
     }
 
 
-def report_for_n(n: int, allow_large: bool = False) -> dict:
-    """Full JSON report for S_n, schema version 1."""
-    classes = classes_of_sn(n, allow_large=allow_large)
-    return {"schema": 1, "n": n, "classes": [class_report(cls) for cls in classes]}
-
-
-def dump_report(report: dict, path: str) -> None:
-    with open(path, "w") as fh:
-        json.dump(report, fh, indent=1)
-        fh.write("\n")
+def write_report(classes: list[OddDiagramClass], out: TextIO) -> None:
+    """Write the JSON report of the class table of S_n, schema version 1, to
+    ``out``: the header, then one class record a line. Each record is
+    encoded and written on its own, so no more than one is held."""
+    out.write(f'{{"schema": 1, "n": {classes[0].n}, "classes": [')
+    for i, cls in enumerate(classes):
+        out.write(",\n" if i else "\n")
+        out.write(json.dumps(class_report(cls)))
+    out.write("\n]}\n")

@@ -120,13 +120,13 @@ def cmd_hasse(args) -> int:
 def cmd_classes(args) -> int:
     if args.n > classes_mod.GUARDED_MAX_N and not args.long:
         raise ValueError(f"classes at n > {classes_mod.GUARDED_MAX_N} requires --long")
-    report = classes_mod.report_for_n(args.n, allow_large=args.long)
+    table = classes_mod.classes_of_sn(args.n, allow_large=args.long)
     if args.out:
-        classes_mod.dump_report(report, args.out)
-        print(f"wrote {args.out} ({len(report['classes'])} classes)")
+        with open(args.out, "w") as fh:
+            classes_mod.write_report(table, fh)
+        print(f"wrote {args.out} ({len(table)} classes)")
     else:
-        json.dump(report, sys.stdout, indent=1)
-        print()
+        classes_mod.write_report(table, sys.stdout)
     return 0
 
 
@@ -135,10 +135,8 @@ def cmd_census(args) -> int:
         raise ValueError(f"census supports n <= {classes_mod.GUARDED_MAX_N}")
     if args.n >= 10 and not args.long:
         raise ValueError("census at n >= 10 requires --long")
-    jobs = duality.resolve_jobs(args.jobs)
-    all_classes = classes_mod.classes_of_sn(args.n)
-    bad = duality.non_self_dual_classes(all_classes, jobs=jobs)
-    print(f"classes: {len(all_classes)}, non-self-dual: {len(bad)}")
+    count, bad = duality.census(args.n, jobs=args.jobs)
+    print(f"classes: {count}, non-self-dual: {len(bad)}")
     if args.list:
         for cls in bad:
             print(f"  [{perms.format_perm(cls.min_elem)}, "

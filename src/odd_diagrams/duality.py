@@ -5,10 +5,11 @@ Both duality questions go to one search, ``_graded_isomorphic``: is [u, v]
 isomorphic to its dual, and is its bottom boundary graph isomorphic to its
 top one."""
 
+import functools
 import os
 from dataclasses import dataclass
 
-from .classes import OddDiagramClass, classes_of_sn
+from .classes import OddDiagramClass, parity_block, parity_sets
 from .intervals import BruhatInterval, interval_elements, rank_vector
 from .perms import Perm, identity
 
@@ -23,6 +24,7 @@ __all__ = [
     "bipartite_criterion",
     "resolve_jobs",
     "non_self_dual_classes",
+    "census",
     "non_self_dual_census",
 ]
 
@@ -43,12 +45,12 @@ def top_heavy_check(w: Perm) -> bool:
     return all(ranks[k] <= ranks[top - k] for k in range(top // 2 + 1))
 
 
-def _settled_by_rank(interval: BruhatInterval) -> bool:
-    """True when the rank alone makes the interval self-dual: every Bruhat
+def _settled_by_rank(rank: int) -> bool:
+    """True when the rank alone makes an interval self-dual: every Bruhat
     interval of rank 2 is a diamond and every one of rank 3 a k-crown
     (Bjorner-Brenti, Combinatorics of Coxeter Groups, Sec. 2.7), and ranks 0
     and 1 are chains. ``verify short_intervals_self_dual`` re-checks this."""
-    return interval.rank <= 3
+    return rank <= 3
 
 
 def is_self_dual(interval: BruhatInterval) -> bool:
@@ -57,7 +59,7 @@ def is_self_dual(interval: BruhatInterval) -> bool:
     Intervals of rank <= 3 always do (``_settled_by_rank``); the others go
     to ``_has_anti_automorphism``.
     """
-    return _settled_by_rank(interval) or _has_anti_automorphism(interval)
+    return _settled_by_rank(interval.rank) or _has_anti_automorphism(interval)
 
 
 def _has_anti_automorphism(interval: BruhatInterval) -> bool:
@@ -165,25 +167,47 @@ def resolve_jobs(jobs: int) -> int:
     return jobs or cores
 
 
-def non_self_dual_classes(
-    classes: list[OddDiagramClass], jobs: int = 1
-) -> list[OddDiagramClass]:
+def non_self_dual_classes(classes: list[OddDiagramClass]) -> list[OddDiagramClass]:
     """The classes whose Bruhat interval is not self-dual, in input order.
-    Only the classes that ``_settled_by_rank`` leaves open are searched, by
-    ``jobs`` workers (0..os.cpu_count(), 0 = all cores)."""
+    Only the classes that ``_settled_by_rank`` leaves open are searched; the
+    rank is read from the lengths of the first and last members, the class
+    extremes."""
+    return [c for c in classes if not _settled_by_rank(c.lengths[-1] - c.lengths[0])
+            and not is_self_dual(c.interval)]
+
+
+def _block_census(n: int, evens: tuple[int, ...]) -> tuple[int, list[OddDiagramClass]]:
+    """The number of classes in one parity block of S_n, and those that are
+    not self-dual. A class is built only when ``_settled_by_rank`` leaves it
+    open."""
+    block = parity_block(n, evens)
+    undecided = [OddDiagramClass(*fields) for fields in block
+                 if not _settled_by_rank(fields[2][-1] - fields[2][0])]
+    return len(block), non_self_dual_classes(undecided)
+
+
+def census(n: int, allow_large: bool = False, jobs: int = 1) -> tuple[int, list[OddDiagramClass]]:
+    """The number of odd diagram classes of S_n, and those that are not
+    self-dual, sorted by minimum.
+
+    S_n is swept one parity block at a time and no table of S_n is held:
+    each block is swept and decided whole, by ``jobs`` workers
+    (0..os.cpu_count(), 0 = all cores) taking one block at a time."""
     jobs = resolve_jobs(jobs)
-    undecided = [c for c in classes if not _settled_by_rank(c.interval)]
-    intervals = (c.interval for c in undecided)
-    if jobs > 1 and undecided:
+    blocks = parity_sets(n, allow_large)
+    task = functools.partial(_block_census, n)
+    if jobs > 1:
         import multiprocessing
 
         with multiprocessing.Pool(jobs) as pool:
-            verdicts = pool.map(is_self_dual, intervals, chunksize=64)
+            results = pool.map(task, blocks, chunksize=1)
     else:
-        verdicts = map(is_self_dual, intervals)
-    return [c for c, ok in zip(undecided, verdicts) if not ok]
+        results = list(map(task, blocks))
+    bad = sorted((cls for _, block_bad in results for cls in block_bad),
+                 key=lambda cls: cls.min_elem)
+    return sum(count for count, _ in results), bad
 
 
 def non_self_dual_census(n: int, allow_large: bool = False, jobs: int = 1) -> int:
     """Number of odd diagram classes of S_n that are not self-dual."""
-    return len(non_self_dual_classes(classes_of_sn(n, allow_large=allow_large), jobs))
+    return len(census(n, allow_large, jobs)[1])

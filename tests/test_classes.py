@@ -1,3 +1,4 @@
+import json
 import math
 
 import pytest
@@ -128,6 +129,25 @@ def test_guard_rejects_large_n():
         classes_of_sn(0)
 
 
+def _report_as_one_dict(n):
+    """Reference: the whole report built in memory before it is encoded."""
+    return {"schema": 1, "n": n, "classes": [class_report(c) for c in classes_of_sn(n)]}
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_report_is_the_same_json_on_stdout_and_in_a_file(n, tmp_path, capsys):
+    path = tmp_path / "report.json"
+    assert run(["classes", "--n", str(n), "--out", str(path)]) == 0
+    count = len(classes_of_sn(n))
+    assert capsys.readouterr().out == f"wrote {path} ({count} classes)\n"
+    assert run(["classes", "--n", str(n)]) == 0
+    text = capsys.readouterr().out
+    assert path.read_text() == text
+    assert json.loads(text) == _report_as_one_dict(n)
+    # the header, then one record a line
+    assert len(text.splitlines()) == count + 2
+
+
 def test_class_report_fields():
     cls = class_of(parse_perm("5431627"))
     record = class_report(cls)
@@ -186,9 +206,18 @@ def test_class_of_matches_scan_of_sn(n):
 
 @pytest.mark.parametrize("n", range(1, 9))
 def test_sweep_matches_all_perms_key_and_length(n):
-    # in the same, lexicographic, order: classes_of_sn relies on it
-    swept = list(classes._sweep(n))
-    assert swept == [(w, odd_diagram_key(w), length(w)) for w in all_perms(n)]
+    # the parity blocks hold every w of S_n once, with its key and length;
+    # a group's members come sorted and share the values at even positions,
+    # those of its block, and no key is found in two groups
+    swept, keys = [], []
+    for evens in classes.parity_sets(n):
+        for key, members, lengths in classes.parity_block(n, evens):
+            assert list(members) == sorted(members)
+            assert {tuple(sorted(w[::2])) for w in members} == {evens}
+            swept += zip(members, [key] * len(members), lengths)
+            keys.append(key)
+    assert len(set(keys)) == len(keys)
+    assert sorted(swept) == [(w, odd_diagram_key(w), length(w)) for w in all_perms(n)]
 
 
 def test_class_of_in_s12_has_720_members():

@@ -1,10 +1,11 @@
 import json
 import os
+import tracemalloc
 
 import pytest
 
 from odd_diagrams import classes as classes_mod
-from odd_diagrams import partition, polynomials, verify
+from odd_diagrams import diagrams, duality, partition, polynomials, verify
 from odd_diagrams.cli import run
 from odd_diagrams.perms import format_perm, parse_perm
 
@@ -78,10 +79,48 @@ def test_census_list_without_findings_prints_summary_only(capsys):
 
 def test_census_list_prints_non_self_dual_intervals(monkeypatch, capsys):
     table = [classes_mod.class_of(parse_perm(w)) for w in ("5431627", "654172839")]
-    monkeypatch.setattr(classes_mod, "classes_of_sn", lambda n: table)
+    # one parity block holding the two classes
+    monkeypatch.setattr(duality, "parity_sets", lambda n, allow_large=False: [None])
+    monkeypatch.setattr(duality, "parity_block",
+                        lambda n, evens: [(c.key, c.members, c.lengths) for c in table])
     assert run(["census", "--n", "9", "--list", "--jobs", "1"]) == 0
     out = capsys.readouterr().out
     assert out == "classes: 2, non-self-dual: 1\n  [654172839, 958172634]\n"
+
+
+def test_census_n8_traces_under_3_mb(capsys):
+    # the census holds one parity block at a time, never the table of S_8
+    tracemalloc.start()
+    try:
+        assert run(["census", "--n", "8", "--jobs", "1"]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert capsys.readouterr().out == "classes: 13732, non-self-dual: 0\n"
+    assert peak < 3 * 2**20
+
+
+@pytest.mark.skipif((os.cpu_count() or 1) < 2, reason="--jobs 2 needs two cores")
+def test_census_jobs_2_prints_what_jobs_1_prints(capsys):
+    assert run(["census", "--n", "8", "--list", "--jobs", "1"]) == 0
+    serial = capsys.readouterr().out
+    assert run(["census", "--n", "8", "--list", "--jobs", "2"]) == 0
+    assert capsys.readouterr().out == serial == "classes: 13732, non-self-dual: 0\n"
+
+
+def test_census_n9_lists_the_eight_intervals_in_order(capsys):
+    assert run(["census", "--n", "9", "--list", "--jobs", "1"]) == 0
+    assert capsys.readouterr().out == (
+        "classes: 103873, non-self-dual: 8\n"
+        "  [654172839, 958172634]\n"
+        "  [654173829, 958173624]\n"
+        "  [654271839, 958271634]\n"
+        "  [654273819, 958273614]\n"
+        "  [654371829, 958371624]\n"
+        "  [654372819, 958372614]\n"
+        "  [765431829, 968471523]\n"
+        "  [765432819, 968472513]\n"
+    )
 
 
 def test_census_rejects_jobs_out_of_range(capsys):
@@ -141,6 +180,18 @@ def test_verify_builds_the_class_table_at_most_once(monkeypatch):
     assert builds == [4]
 
 
+def test_parity_check_fails_on_a_class_spanning_two_parity_blocks(monkeypatch):
+    # 123 and 132 have different values at even positions; a key that puts
+    # them in one class fails the check, although the class table, built
+    # one parity block at a time, never calls odd_diagram_key
+    assert verify.run_checks(3, ["parity"]).ok
+    real = diagrams.odd_diagram_key
+    merged = {(1, 3, 2): real((1, 2, 3))}
+    monkeypatch.setattr(diagrams, "odd_diagram_key", lambda w: merged.get(w, real(w)))
+    check = verify.run_checks(3, ["parity"]).checks[0]
+    assert (check.passed, check.failed, check.findings) == (3, 1, [{"min": "123"}])
+
+
 def test_kl_checks_catch_a_wrong_kl_polynomial(monkeypatch):
     real = polynomials.kl_polynomial
 
@@ -164,7 +215,8 @@ def test_census_checks_jobs_before_building_the_table(monkeypatch, capsys):
     def fail(*args, **kwargs):
         raise AssertionError("class table built before --jobs was checked")
 
-    monkeypatch.setattr(classes_mod, "classes_of_sn", fail)
+    monkeypatch.setattr(duality, "parity_sets", fail)
+    monkeypatch.setattr(duality, "parity_block", fail)
     assert run(["census", "--n", "8", "--jobs", "-1"]) == 2
     assert "jobs must be in 0.." in capsys.readouterr().err
 

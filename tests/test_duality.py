@@ -5,11 +5,12 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from odd_diagrams import duality, intervals, verify
-from odd_diagrams.classes import class_of, classes_of_sn
+from odd_diagrams.classes import OddDiagramClass, class_of, classes_of_sn
 from odd_diagrams.duality import (
     BipartiteGraph,
     bipartite_criterion,
     boundary_bipartite_graphs,
+    census,
     is_self_dual,
     non_self_dual_census,
     non_self_dual_classes,
@@ -360,6 +361,26 @@ def test_census_searches_only_classes_above_rank_3(monkeypatch):
     assert non_self_dual_classes(table) == []
     assert searched == [c.min_elem for c in table if c.interval.rank >= 4]
     assert len(searched) == 24
+
+
+def test_census_builds_and_searches_only_classes_above_rank_3(monkeypatch):
+    built, searched = [], []
+
+    def counting_class(key, members, lengths):
+        built.append(members[0])
+        return OddDiagramClass(key, members, lengths)
+
+    def counting_is_self_dual(interval):
+        searched.append(interval.bottom)
+        return is_self_dual(interval)
+
+    monkeypatch.setattr(duality, "OddDiagramClass", counting_class)
+    monkeypatch.setattr(duality, "is_self_dual", counting_is_self_dual)
+    table = classes_of_sn(7)
+    assert census(7) == (2041, [])
+    expected = [c.min_elem for c in table if c.interval.rank >= 4]
+    assert sorted(built) == sorted(searched) == expected
+    assert len(expected) == 24
 
 
 def test_class_interval_is_a_fresh_object():

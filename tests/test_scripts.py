@@ -26,10 +26,10 @@ def _load(name):
 def test_census_sweep_rejects_bad_flags_before_any_work(monkeypatch, capsys, argv, message):
     sweep = _load("census_sweep")
 
-    def no_table(n):
-        raise AssertionError("classes_of_sn called")
+    def no_census(n, allow_large=False, jobs=1):
+        raise AssertionError("census called")
 
-    monkeypatch.setattr(sweep, "classes_of_sn", no_table)
+    monkeypatch.setattr(sweep, "census", no_census)
     monkeypatch.setattr(sys, "argv", ["census_sweep.py", *argv])
     with pytest.raises(SystemExit) as exc:
         sweep.main()
@@ -52,10 +52,10 @@ def test_census_sweep_runs_a_small_range(monkeypatch, capsys):
 def test_class_sweep_rejects_n_above_10_without_long(monkeypatch, capsys, tmp_path):
     sweep = _load("class_sweep")
 
-    def no_report(n, allow_large=False):
-        raise AssertionError("report_for_n called")
+    def no_table(n, allow_large=False):
+        raise AssertionError("classes_of_sn called")
 
-    monkeypatch.setattr(sweep, "report_for_n", no_report)
+    monkeypatch.setattr(sweep, "classes_of_sn", no_table)
     monkeypatch.setattr(
         sys, "argv", ["class_sweep.py", "--max-n", "11", "--out-dir", str(tmp_path)]
     )
