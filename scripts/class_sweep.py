@@ -17,12 +17,12 @@ def main():
     parser.add_argument("--min-n", type=int, default=1)
     parser.add_argument("--max-n", type=int, default=6)
     parser.add_argument("--out-dir", default="reports")
-    parser.add_argument("--long", action="store_true", help="allow n > 10")
+    parser.add_argument("--long", action="store_true", help="allow n >= 10")
     args = parser.parse_args()
     if not 1 <= args.min_n <= args.max_n:
         parser.error(f"need 1 <= --min-n <= --max-n, got {args.min_n} and {args.max_n}")
-    if args.max_n > GUARDED_MAX_N and not args.long:
-        parser.error(f"n > {GUARDED_MAX_N} requires --long")
+    if args.max_n >= GUARDED_MAX_N and not args.long:
+        parser.error(f"n >= {GUARDED_MAX_N} requires --long")
 
     out_dir = pathlib.Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)

@@ -5,9 +5,9 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import TextIO
 
-from .diagrams import Diagram, diagram_of_key, odd_diagram_key
+from .diagrams import Diagram, diagram_of_key, legal_swap, odd_diagram_key
 from .intervals import BruhatInterval, interval_elements, rank_vector
-from .perms import Perm, format_perm, length
+from .perms import Perm, format_perm
 
 __all__ = [
     "OddDiagramClass",
@@ -144,25 +144,19 @@ def classes_of_sn(n: int, allow_large: bool = False) -> list[OddDiagramClass]:
 
 
 def class_of(w: Perm) -> OddDiagramClass:
-    """The odd diagram class containing w, found by breadth-first search
-    over the same-parity transpositions that keep the odd diagram.
-
-    Classes are connected under such legal moves (``legal_move_toward``),
-    so this costs about (class size) * n^2/4 key evaluations, not n!.
-    """
-    target = odd_diagram_key(w)
-    n = len(w)
-    seen = {w}
-    queue = [w]
-    for u in queue:
-        for i in range(n - 2):
-            for j in range(i + 2, n, 2):
-                x = u[:i] + (u[j],) + u[i + 1:j] + (u[i],) + u[j + 1:]
-                if x not in seen and odd_diagram_key(x) == target:
-                    seen.add(x)
-                    queue.append(x)
-    queue.sort()
-    return OddDiagramClass(target, tuple(queue), tuple(map(length, queue)))
+    """The odd diagram class of w, the interval between its ends. By Theorem
+    B and the parity theorem only the minimum has no lowering ``legal_swap``
+    move and only the maximum no raising one, so each walk ends at its
+    extreme within rank steps; members and lengths come from
+    ``interval_elements``, at a cost that follows class size, not n!."""
+    key = odd_diagram_key(w)
+    lo = hi = w
+    while x := legal_swap(lo, key, True):
+        lo = x
+    while x := legal_swap(hi, key, False):
+        hi = x
+    interval = interval_elements(lo, hi)
+    return OddDiagramClass(key, interval.elements, interval.lengths)
 
 
 def class_extremes(cls: OddDiagramClass) -> tuple[Perm, Perm]:
@@ -179,12 +173,11 @@ def class_extremes(cls: OddDiagramClass) -> tuple[Perm, Perm]:
 def class_report(cls: OddDiagramClass) -> dict:
     """Per-class JSON record of the report, schema version 1."""
     from .duality import is_self_dual
-    from .partition import factorize
+    from .partition import _factor_lengths
     from .polynomials import kl_polynomial, one
 
     interval = cls.interval
     ranks = rank_vector(interval)
-    result = factorize(cls.min_elem, cls.max_elem)
     return {
         "diagram": [list(box) for box in cls.diagram],
         "size": len(cls.members),
@@ -192,7 +185,7 @@ def class_report(cls: OddDiagramClass) -> dict:
         "max": format_perm(cls.max_elem),
         "rank_vector": list(ranks),
         "poincare_coeffs": list(ranks),
-        "factor_lengths": list(result.factor_lengths),
+        "factor_lengths": list(_factor_lengths(cls.min_elem, cls.max_elem)),
         "kl_is_one": kl_polynomial(cls.min_elem, cls.max_elem) == one(),
         "self_dual": is_self_dual(interval),
     }

@@ -22,6 +22,7 @@ __all__ = [
     "satisfies_legality_criterion",
     "first_difference",
     "legal_move_toward",
+    "legal_swap",
     "render_diagrams",
 ]
 
@@ -138,6 +139,19 @@ def legal_move_toward(u: Perm, v: Perm) -> Perm:
     if odd_diagram_key(moved) != key:
         raise AssertionError(f"move ({a} {b}) not legal for {u}")
     return moved
+
+
+def legal_swap(w: Perm, key: int, down: bool) -> Perm | None:
+    """The first w (i j) in order of (i, j), i = j mod 2, with odd diagram
+    ``key`` below w if ``down`` and above it otherwise, or None. For a
+    transposition Bruhat below is lexicographically smaller: w(i) > w(j)."""
+    for i in range(len(w) - 2):
+        for j in range(i + 2, len(w), 2):
+            if (w[i] > w[j]) == down:
+                x = w[:i] + (w[j],) + w[i + 1:j] + (w[i],) + w[j + 1:]
+                if odd_diagram_key(x) == key:
+                    return x
+    return None
 
 
 def render_diagrams(w: Perm) -> str:

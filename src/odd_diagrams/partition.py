@@ -9,7 +9,7 @@ the Poincare polynomial into terms 1 + t + ... + t^(m-1).
 
 from dataclasses import dataclass
 
-from .diagrams import first_difference, odd_diagram_key
+from .diagrams import first_difference, legal_swap, odd_diagram_key
 from .intervals import BruhatInterval, interval_elements
 from .perms import Perm, format_perm, inverse, right_transpose
 from .polynomials import IntPolynomial, expand_factors
@@ -57,25 +57,30 @@ class FactorizationResult:
 
 
 def _require_class_extremes(u: Perm, v: Perm) -> None:
-    if odd_diagram_key(u) != odd_diagram_key(v):
-        raise ValueError(
-            f"{format_perm(u)} and {format_perm(v)} have different odd diagrams"
-        )
+    """ValueError unless u and v are the minimum and maximum of one odd diagram
+    class. By Theorem B and the parity theorem a member above the minimum has
+    a lower cover in the class, which ``legal_swap`` finds, and dually."""
+    key = odd_diagram_key(u)
+    if len(u) != len(v) or odd_diagram_key(v) != key:
+        raise ValueError(f"{format_perm(u)} and {format_perm(v)} have different odd diagrams")
+    for w, down, extreme in ((u, True, "minimum"), (v, False, "maximum")):
+        if legal_swap(w, key, down):
+            raise ValueError(f"{format_perm(w)} is not the {extreme} of its odd diagram class")
 
 
 def anchors(u: Perm, v: Perm) -> PartitionStep:
     """Anchor positions between u^-1(k) and v^-1(k).
 
-    Requires u != v with equal odd diagrams, u the class minimum and v the
-    maximum.  The anchor values u(a_1) < ... < u(a_m) are increasing and all
-    anchors share one parity; both facts are asserted.
+    Requires u != v, the minimum and maximum of one odd diagram class
+    (ValueError otherwise).  The anchor values u(a_1) < ... < u(a_m) are
+    increasing and all anchors share one parity; both facts are asserted.
     """
     _require_class_extremes(u, v)
     return _anchor_step(u, v)
 
 
 def _anchor_step(u: Perm, v: Perm) -> PartitionStep:
-    """``anchors`` for a pair whose odd diagrams were already compared."""
+    """``anchors`` for a pair already known to be the extremes of a class."""
     k = first_difference(u, v)
     a = inverse(u)[k - 1]
     b = inverse(v)[k - 1]
@@ -155,9 +160,16 @@ def decompose(u: Perm, v: Perm) -> BlockDecomposition:
 
 
 def factorize(u: Perm, v: Perm) -> FactorizationResult:
-    """Repeatedly split [current, v] at its anchors, recording the block
-    count m of each step, until the pair collapses to a point."""
+    """Factor the Poincare polynomial of the class [u, v]. Raises ValueError
+    unless u and v are the minimum and maximum of one odd diagram class."""
     _require_class_extremes(u, v)
+    factors = _factor_lengths(u, v)
+    return FactorizationResult(factors, expand_factors(factors))
+
+
+def _factor_lengths(u: Perm, v: Perm) -> tuple[int, ...]:
+    """Unchecked ``factorize``: split [current, v] at its anchors, recording
+    each step's block count m, until the pair collapses to a point."""
     factors = []
     current = u
     last_k = 0
@@ -169,4 +181,4 @@ def factorize(u: Perm, v: Perm) -> FactorizationResult:
         factors.append(step.m)
         for i in range(step.m - 1):
             current = right_transpose(current, (step.anchors[i], step.anchors[i + 1]))
-    return FactorizationResult(tuple(factors), expand_factors(factors))
+    return tuple(factors)

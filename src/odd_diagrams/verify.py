@@ -356,6 +356,8 @@ CHECKS = {
 
 
 def run_checks(n: int, names=None, seed: int = 0) -> VerificationReport:
+    if n < 1:
+        raise ValueError("n must be positive")
     names = list(CHECKS) if names is None else names
     unknown = [name for name in names if name not in CHECKS]
     if unknown:

@@ -1,9 +1,10 @@
 import json
 import math
+import random
 
 import pytest
 
-from odd_diagrams import classes
+from odd_diagrams import classes, diagrams
 from odd_diagrams.classes import (
     OddDiagramClass,
     class_extremes,
@@ -224,6 +225,53 @@ def test_class_of_in_s12_has_720_members():
     cls = class_of(parse_perm("1,7,2,8,3,9,4,10,5,11,6,12"))
     assert len(cls) == 720
     assert len({odd_diagram(w) for w in cls.members}) == 1
+
+
+def _bfs_class_of(w):
+    """Reference: the breadth-first search over every member, along the
+    same-parity transpositions that keep the odd diagram, that class_of
+    replaced by its walk to the two ends."""
+    target = odd_diagram_key(w)
+    n = len(w)
+    seen = {w}
+    queue = [w]
+    for u in queue:
+        for i in range(n - 2):
+            for j in range(i + 2, n, 2):
+                x = u[:i] + (u[j],) + u[i + 1:j] + (u[i],) + u[j + 1:]
+                if x not in seen and odd_diagram_key(x) == target:
+                    seen.add(x)
+                    queue.append(x)
+    queue.sort()
+    return OddDiagramClass(target, tuple(queue), tuple(map(length, queue)))
+
+
+@pytest.mark.parametrize("n", range(8, 13))
+def test_class_of_matches_bfs_on_seeded_permutations(n):
+    rng = random.Random(n)
+    for _ in range(40):
+        w = tuple(rng.sample(range(1, n + 1), n))
+        assert class_of(w) == _bfs_class_of(w)
+
+
+def test_class_of_matches_bfs_on_the_720_member_class():
+    w = parse_perm("1,7,2,8,3,9,4,10,5,11,6,12")
+    assert class_of(w) == _bfs_class_of(w)
+
+
+def test_class_of_keys_few_permutations(monkeypatch):
+    # the walks to the two ends key about rank * n^2/4 permutations, not
+    # every member's neighbours as the search over the class did (768 here)
+    calls = []
+
+    def counting(w):
+        calls.append(w)
+        return odd_diagram_key(w)
+
+    monkeypatch.setattr(classes, "odd_diagram_key", counting)
+    monkeypatch.setattr(diagrams, "odd_diagram_key", counting)
+    assert len(class_of(parse_perm("654172839"))) == 96
+    assert 0 < len(calls) <= 40
 
 
 def test_class_command_answers_above_guarded_n(capsys):

@@ -133,6 +133,25 @@ def test_census_requires_long_at_10(capsys):
     assert run(["census", "--n", "10"]) == 2
 
 
+@pytest.mark.parametrize("n", ["0", "-1"])
+def test_verify_rejects_n_below_1_with_checks(n, capsys):
+    assert run(["verify", "--n", n, "--checks", "parity"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: n must be positive\n"
+
+
+def test_classes_requires_long_at_10(monkeypatch, capsys):
+    def fail(*args, **kwargs):
+        raise AssertionError("classes_of_sn called")
+
+    monkeypatch.setattr(classes_mod, "classes_of_sn", fail)
+    assert run(["classes", "--n", "10"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: classes at n >= 10 requires --long\n"
+
+
 def test_verify_ok(capsys):
     assert run(["verify", "--n", "3"]) == 0
     out = capsys.readouterr().out
@@ -272,8 +291,8 @@ def test_extremes_check_runs_before_any_work(monkeypatch, capsys):
     def fail(*args, **kwargs):
         raise AssertionError("work started before the extremes were checked")
 
-    monkeypatch.setattr(partition, "factorize", fail)
-    monkeypatch.setattr(partition, "decompose", fail)
+    monkeypatch.setattr(partition, "_factor_lengths", fail)
+    monkeypatch.setattr(partition, "_anchor_step", fail)
     assert run(["factorize", "--interval", "7461523", "5431627"]) == 2
     assert run(["partition", "--interval", "7461523", "5431627"]) == 2
 

@@ -9,6 +9,7 @@ from odd_diagrams.diagrams import (
     first_difference,
     is_legal,
     legal_move_toward,
+    legal_swap,
     odd_diagram,
     odd_diagram_key,
     odd_length,
@@ -101,6 +102,18 @@ def test_is_legal_matches_the_decoded_diagram_definition(n):
         for t in combinations(range(1, n + 1), 2):
             moved = right_transpose(u, t)
             assert is_legal(u, t) == (_looped_odd_diagram(moved) == expected)
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_legal_swap_is_the_first_legal_same_parity_swap(n):
+    for u in all_perms(n):
+        key = odd_diagram_key(u)
+        for down in (True, False):
+            expected = next((right_transpose(u, (i, j))
+                             for i, j in combinations(range(1, n + 1), 2)
+                             if (j - i) % 2 == 0 and (u[i - 1] > u[j - 1]) == down
+                             and is_legal(u, (i, j))), None)
+            assert legal_swap(u, key, down) == expected
 
 
 def test_legal_move_toward_keys_each_permutation_once(monkeypatch):

@@ -116,9 +116,11 @@ def test_phi_rejects_wrong_block():
 
 
 def test_factorize_golden():
-    w = parse_perm("24513")
+    w = parse_perm("12345")  # a one-member class
     assert factorize(w, w).factor_lengths == ()
     assert factorize(w, w).product == 1
+    with pytest.raises(ValueError, match="24513 is not the minimum"):  # {24315, 24513}
+        factorize(parse_perm("24513"), parse_perm("24513"))
 
     result = factorize(*fig2_pair())
     assert result.factor_lengths == (3, 3, 2)
@@ -164,3 +166,25 @@ def test_uniformity_and_coverage(n):
             pair = (step.anchors[i], step.anchors[i + 1])
             assert decomp.u_chain[i + 1] == right_transpose(decomp.u_chain[i], pair)
             assert decomp.v_chain[i] == right_transpose(decomp.v_chain[i + 1], pair)
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+def test_library_accepts_only_the_class_extremes(n):
+    for cls in classes_of_sn(n):
+        for u in cls.members:
+            for v in cls.members:
+                if (u, v) == (cls.min_elem, cls.max_elem):
+                    continue
+                for call in (factorize, anchors, decompose):
+                    with pytest.raises(ValueError):
+                        call(u, v)
+
+
+def test_factorize_rejects_a_pair_inside_a_class():
+    # 31425 and 41523 share a class whose maximum lies above 41523; the
+    # interval [31425, 41523] has Poincare polynomial 1+2t+t^2, not (3,)
+    u, v = parse_perm("31425"), parse_perm("41523")
+    assert odd_diagram_key(u) == odd_diagram_key(v)
+    assert poincare(u, v).coeffs == (1, 2, 1)
+    with pytest.raises(ValueError, match="41523 is not the maximum"):
+        factorize(u, v)

@@ -49,7 +49,7 @@ def test_census_sweep_runs_a_small_range(monkeypatch, capsys):
     ]
 
 
-def test_class_sweep_rejects_n_above_10_without_long(monkeypatch, capsys, tmp_path):
+def _class_sweep_exits_2_before_any_work(monkeypatch, capsys, tmp_path, max_n):
     sweep = _load("class_sweep")
 
     def no_table(n, allow_large=False):
@@ -57,9 +57,19 @@ def test_class_sweep_rejects_n_above_10_without_long(monkeypatch, capsys, tmp_pa
 
     monkeypatch.setattr(sweep, "classes_of_sn", no_table)
     monkeypatch.setattr(
-        sys, "argv", ["class_sweep.py", "--max-n", "11", "--out-dir", str(tmp_path)]
+        sys, "argv", ["class_sweep.py", "--max-n", str(max_n), "--out-dir", str(tmp_path)]
     )
     with pytest.raises(SystemExit) as exc:
         sweep.main()
     assert exc.value.code == 2
-    assert "n > 10 requires --long" in capsys.readouterr().err
+    return capsys.readouterr().err
+
+
+def test_class_sweep_rejects_n_above_10_without_long(monkeypatch, capsys, tmp_path):
+    err = _class_sweep_exits_2_before_any_work(monkeypatch, capsys, tmp_path, 11)
+    assert "n >= 10 requires --long" in err
+
+
+def test_class_sweep_requires_long_at_10(monkeypatch, capsys, tmp_path):
+    err = _class_sweep_exits_2_before_any_work(monkeypatch, capsys, tmp_path, 10)
+    assert "n >= 10 requires --long" in err
