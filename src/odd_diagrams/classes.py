@@ -171,10 +171,15 @@ def class_extremes(cls: OddDiagramClass) -> tuple[Perm, Perm]:
 
 
 def class_report(cls: OddDiagramClass) -> dict:
-    """Per-class JSON record of the report, schema version 1."""
+    """Per-class JSON record of the report, schema version 1.
+
+    ``kl_is_one`` is P_{min,max} = 1, decided without the KL engine: at rank
+    <= 2 by the degree bound deg P <= (rank - 1)/2 < 1 and P(0) = 1,
+    otherwise by ``carrell_holds`` on the class's own interval. ``verify
+    kl_carrell`` and ``kl_class_probe`` re-check it against KL."""
     from .duality import is_self_dual
     from .partition import _factor_lengths
-    from .polynomials import kl_polynomial, one
+    from .polynomials import carrell_holds
 
     interval = cls.interval
     ranks = rank_vector(interval)
@@ -186,7 +191,7 @@ def class_report(cls: OddDiagramClass) -> dict:
         "rank_vector": list(ranks),
         "poincare_coeffs": list(ranks),
         "factor_lengths": list(_factor_lengths(cls.min_elem, cls.max_elem)),
-        "kl_is_one": kl_polynomial(cls.min_elem, cls.max_elem) == one(),
+        "kl_is_one": interval.rank <= 2 or carrell_holds(interval),
         "self_dual": is_self_dual(interval),
     }
 

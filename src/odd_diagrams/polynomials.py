@@ -2,17 +2,18 @@
 
 from __future__ import annotations
 
+from itertools import combinations
 from typing import Callable, Iterable
 
-from .intervals import _above, _cached_interval, _descent_step, _swap, rank_vector
-from .perms import (
-    Perm,
-    bruhat_leq,
-    descent_set,
-    inverse,
-    left_transpose,
-    length,
+from .intervals import (
+    BruhatInterval,
+    _above,
+    _cached_interval,
+    _descent_step,
+    _swap,
+    rank_vector,
 )
+from .perms import Perm, bruhat_leq, descent_set, length
 
 __all__ = [
     "IntPolynomial",
@@ -24,6 +25,7 @@ __all__ = [
     "r_polynomial",
     "r_polynomial_choosing",
     "kl_polynomial",
+    "carrell_holds",
     "carrell_condition",
 ]
 
@@ -331,24 +333,33 @@ def kl_polynomial(x: Perm, y: Perm) -> IntPolynomial:
     return IntPolynomial(_kl_column(x, y)[x][1])
 
 
-def carrell_condition(x: Perm, y: Perm) -> bool:
-    """Reflection-count test: for every w in [x, y], the number of
-    transpositions t with w < t w <= y equals length(y) - length(w).
+def carrell_holds(interval: BruhatInterval) -> bool:
+    """Carrell-Peterson reflection count on [x, y]: for every w in it, the
+    number of transpositions t with w < w t in [x, y] equals length(y) -
+    length(w). By Carrell-Peterson and monotonicity of KL polynomials
+    (Braden-MacPherson) this holds iff P_{x,y} = 1; ``verify kl_carrell``
+    re-checks that on every pair of S_n.
 
-    Such a t w lies above w >= x, so t w <= y iff t w is in [x, y]. The
-    lengths are the ones the interval carries. Raises ValueError unless x <= y."""
-    n = len(x)
-    interval = _cached_interval(x, y)
+    The sets {t w} and {w t} agree, and w < w t for t swapping positions
+    i < j iff w[i] < w[j]. Such a w t lies above w >= x, so w t <= y iff it
+    is a member. Lengths are the ones the interval carries."""
     members = set(interval.elements)
     top = max(interval.lengths)
+    pairs = list(combinations(range(interval.n), 2))
     for w, lw in zip(interval.elements, interval.lengths):
-        win = inverse(w)
+        row = list(w)
         count = 0
-        for i in range(1, n):
-            for j in range(i + 1, n + 1):
-                # w < (i j) w iff value i sits before value j
-                if win[i - 1] < win[j - 1] and left_transpose(w, (i, j)) in members:
-                    count += 1
+        for i, j in pairs:
+            wi, wj = w[i], w[j]
+            if wi < wj:
+                row[i], row[j] = wj, wi
+                count += tuple(row) in members
+                row[i], row[j] = wi, wj
         if count != top - lw:
             return False
     return True
+
+
+def carrell_condition(x: Perm, y: Perm) -> bool:
+    """``carrell_holds`` on [x, y]; raises ValueError unless x <= y."""
+    return carrell_holds(_cached_interval(x, y))

@@ -1,10 +1,11 @@
+import io
 import json
 import math
 import random
 
 import pytest
 
-from odd_diagrams import classes, diagrams
+from odd_diagrams import classes, diagrams, polynomials
 from odd_diagrams.classes import (
     OddDiagramClass,
     class_extremes,
@@ -16,6 +17,7 @@ from odd_diagrams.cli import run
 from odd_diagrams.diagrams import is_legal, odd_diagram, odd_diagram_key
 from odd_diagrams.intervals import interval_elements
 from odd_diagrams.perms import all_perms, bruhat_leq, inverse, length, parse_perm
+from odd_diagrams.polynomials import kl_polynomial, one
 
 
 def test_s2_classes():
@@ -161,6 +163,31 @@ def test_class_report_fields():
     assert record["kl_is_one"] is True
     assert record["self_dual"] is True
     assert all(len(box) == 2 for box in record["diagram"])
+
+
+@pytest.mark.parametrize("n, counted", [(1, 0), (2, 0), (3, 0), (4, 0), (5, 2), (6, 20), (7, 171)])
+def test_report_matches_the_kl_engine(n, counted):
+    # the reference is P_{min,max} = 1 by the KL engine; the ``counted``
+    # classes, of rank >= 3, go through the reflection count, the rest
+    # through the degree bound
+    records = []
+    for cls in classes_of_sn(n):
+        record = class_report(cls)
+        old = dict(record, kl_is_one=kl_polynomial(cls.min_elem, cls.max_elem) == one())
+        assert record == old
+        records.append(record)
+    assert sum(len(r["rank_vector"]) > 3 for r in records) == counted
+
+
+def test_report_never_calls_the_kl_engine(monkeypatch):
+    def fail(*args):
+        raise AssertionError("kl_polynomial called")
+
+    monkeypatch.setattr(polynomials, "kl_polynomial", fail)
+    out = io.StringIO()
+    classes.write_report(classes_of_sn(6), out)
+    records = json.loads(out.getvalue())["classes"]
+    assert len(records) == 351 and all(r["kl_is_one"] for r in records)
 
 
 def _rechecking_classes_of_sn(n):

@@ -172,6 +172,43 @@ def test_verify_subset(tmp_path, capsys):
     assert all(c["failed"] == 0 for c in report["checks"])
 
 
+@pytest.mark.parametrize("argv, names", [
+    (["--n", "7", "--checks", "kl_inversion"], "kl_inversion (n <= 5)"),
+    (["--n", "6"], "rpoly_descent_independence (n <= 5), kl_inversion (n <= 5), "
+                   "kl_carrell (n <= 5)"),
+    (["--n", "10", "--checks", "parity,bruhat_vs_covers"],
+     "parity (n <= 9), bruhat_vs_covers (n <= 6)"),
+])
+def test_verify_rejects_a_check_above_its_n_limit(argv, names, monkeypatch, capsys):
+    def fail(*args):
+        raise AssertionError("check ran")
+
+    monkeypatch.setattr(verify, "CHECKS", dict.fromkeys(verify.CHECKS, fail))
+    monkeypatch.setattr(classes_mod, "classes_of_sn", fail)
+    assert run(["verify", *argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (f"error: n = {argv[1]} is above the n-limit of {names}; "
+                            "pass --long to run anyway\n")
+
+
+def test_verify_long_lifts_the_n_limit(monkeypatch, capsys):
+    ran = []
+
+    def fake(n, rng, class_table):
+        ran.append(n)
+        return verify.CheckResult("kl_inversion", "exhaustive", passed=1)
+
+    monkeypatch.setitem(verify.CHECKS, "kl_inversion", fake)
+    assert run(["verify", "--n", "7", "--checks", "kl_inversion", "--long"]) == 0
+    assert ran == [7]
+
+
+def test_every_check_has_an_n_limit():
+    assert verify.MAX_N.keys() == verify.CHECKS.keys()
+    assert min(verify.MAX_N.values()) == 5  # the full battery runs at n <= 5
+
+
 def test_verify_unknown_check(capsys):
     assert run(["verify", "--n", "3", "--checks", "nope"]) == 2
 

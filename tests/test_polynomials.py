@@ -19,6 +19,7 @@ from odd_diagrams.perms import (
 from odd_diagrams.polynomials import (
     IntPolynomial,
     carrell_condition,
+    carrell_holds,
     expand_factors,
     is_palindromic,
     kl_polynomial,
@@ -365,6 +366,20 @@ def test_carrell_matches_bruhat_count_on_sampled_pairs_of_s5():
         if bruhat_leq(x, y):
             tried += 1
             assert carrell_condition(x, y) == _carrell_by_bruhat(x, y)
+
+
+def test_carrell_holds_iff_kl_is_one_on_every_pair_of_s5():
+    # Carrell-Peterson plus monotonicity: the count on [x, y] holds iff
+    # P_{x,y} = 1. 394 of the 3,781 pairs have P_{x,y} != 1
+    e = identity(5)
+    pairs = not_one = 0
+    for y in all_perms(5):
+        for x in interval_elements(e, y).elements:
+            kl_one = kl_polynomial(x, y) == 1
+            assert carrell_holds(interval_elements(x, y)) == kl_one
+            pairs += 1
+            not_one += not kl_one
+    assert (pairs, not_one) == (3781, 394)
 
 
 def test_carrell_reads_lengths_from_the_interval(monkeypatch):
