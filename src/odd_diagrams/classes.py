@@ -14,6 +14,7 @@ __all__ = [
     "classes_of_sn",
     "parity_block",
     "parity_sets",
+    "check_degree",
     "class_extremes",
     "class_of",
     "class_report",
@@ -23,6 +24,10 @@ __all__ = [
 # n = 10 already means 3.6M permutations; anything larger needs an
 # explicit opt-in.
 GUARDED_MAX_N = 10
+
+# the positions at the end of a permutation that ``parity_block`` takes from
+# precomputed tables: C(n, 2) C(n - 2, 2) tables of 4 rows at most
+SUFFIX = 4
 
 # the fields of an OddDiagramClass: key, sorted members, their lengths
 ClassFields = tuple[int, tuple[Perm, ...], tuple[int, ...]]
@@ -69,59 +74,86 @@ def parity_sets(n: int, allow_large: bool = False) -> list[tuple[int, ...]]:
     parity block, in the order of ``combinations``. A class keeps each
     value's position parity (checked by verify parity), so every class lies
     in one block. The degree guard of ``classes_of_sn`` is checked first."""
-    _check_degree(n, allow_large)
+    check_degree(n, allow_large)
     return list(combinations(range(1, n + 1), (n + 1) // 2))
 
 
-def parity_block(n: int, evens: tuple[int, ...]) -> list[ClassFields]:
+def parity_block(n: int, evens: tuple[int, ...], tables: dict | None = None) -> list[ClassFields]:
     """The odd diagram classes of the w in S_n with the values ``evens`` at
     the 0-based even positions, each as its ``(key, members, lengths)``, the
     fields of ``OddDiagramClass``. The block is swept in lexicographic
     order, so each class's members are sorted and the classes come in the
     order of their minima.
 
-    Keys and lengths are built up position by position from the left. Row
-    i of ``same`` and ``other`` holds the values below w(i), for the placed
-    positions i of the parity of position p and of the other parity. The
-    boxes that placing y at p adds to the key are then column y of
-    ``other`` (the rows at an odd offset to the left holding a value above
-    y), one mask operation, and the inversions it adds are the placed values
-    above y. Position p draws its value from ``mine``, what is left of its
-    parity's values. The last two positions have one value left each and are
-    placed with the position before them.
+    In a block the positions of each parity hold exactly that parity's
+    values, so row i of the key is the set of values of the other parity
+    left to place after position i that lie below w(i), and its inversions
+    after i are the values left that lie below w(i). Both are known when
+    w(i) is placed. The first n - SUFFIX positions are placed one by one,
+    position p drawing from ``mine``, what is left of its parity's values;
+    the rows and inversions of the last SUFFIX positions depend only on how
+    the values left are arranged, and come from ``_suffix_table``.
+    ``tables`` holds those tables for every block of one sweep; without it
+    the block builds its own.
     """
+    tables = {} if tables is None else tables
     odds = tuple(x for x in range(1, n + 1) if x not in evens)
-    if n <= 2:  # one permutation, 1, 12 or 21; for 21 key and length are 1
-        w = evens + odds
-        return [(int(w == (2, 1)), (w,), (int(w == (2, 1)),))]
-    column = sum(1 << (i * n) for i in range(n))  # the bit of value 1 in every row
+    depth = max(n - SUFFIX, 0)
     groups: dict[int, list] = {}  # key -> [member, length, member, length, ...]
 
-    def fill(p: int, prefix: Perm, mine: Perm, theirs: Perm, key: int, inv: int,
-             placed: int, same: int, other: int) -> None:
+    def fill(p: int, prefix: Perm, mine: Perm, theirs: Perm, mine_bits: int,
+             their_bits: int, key: int, inv: int) -> None:
+        if p == depth:
+            # a table is never empty, so ``or`` builds only a missing one
+            table = (tables.get(mine_bits << n | their_bits)
+                     or _suffix_table(n, mine, theirs, tables))
+            for tail, bits, tail_inv in table:
+                groups.setdefault(key | bits, []).extend((prefix + tail, inv + tail_inv))
+            return
+        left = mine_bits | their_bits
         for j, y in enumerate(mine):
             bit = 1 << (y - 1)
-            key_y = key | other & column << (y - 1)
-            inv_y = inv + (placed >> y).bit_count()
-            # the rows of the parity of p, now with row p: the values below y
-            row = same | (bit - 1) << (p * n)
-            rest = mine[:j] + mine[j + 1:]
-            if p < n - 3:
-                fill(p + 1, prefix + (y,), theirs, rest, key_y, inv_y, placed | bit, other, row)
-            else:
-                # x at n - 2 sees the rows in ``row``, z at n - 1 those in
-                # ``other`` and row n - 2; the n - z values above z precede it
-                x, z = theirs[0], rest[0]
-                key_x = key_y | row & column << (x - 1)
-                row_x = other | ((1 << (x - 1)) - 1) << ((n - 2) * n)
-                groups.setdefault(key_x | row_x & column << (z - 1), []).extend(
-                    (prefix + (y, x, z), inv_y + ((placed | bit) >> x).bit_count() + n - z))
+            fill(p + 1, prefix + (y,), theirs, mine[:j] + mine[j + 1:], their_bits,
+                 mine_bits ^ bit, key | (their_bits & (bit - 1)) << (p * n),
+                 inv + (left & (bit - 1)).bit_count())
 
-    fill(0, (), evens, odds, 0, 0, 0, 0, 0)
+    fill(0, (), evens, odds, _bits(evens), _bits(odds), 0, 0)
+    # ``fill`` refers to itself; dropping the name frees the block's groups
+    # on return instead of at the next full garbage collection
+    del fill
     return [(key, tuple(flat[::2]), tuple(flat[1::2])) for key, flat in groups.items()]
 
 
-def _check_degree(n: int, allow_large: bool) -> None:
+def _bits(values: tuple[int, ...]) -> int:
+    """The set ``values`` as a bitmask, value y at bit y - 1."""
+    return sum(1 << (y - 1) for y in values)
+
+
+def _suffix_table(n: int, mine: tuple[int, ...], theirs: tuple[int, ...],
+                  tables: dict) -> list[tuple[Perm, int, int]]:
+    """Every arrangement of the last k = len(mine) + len(theirs) positions of
+    S_n with ``mine`` at the positions of the parity of n - k and ``theirs``
+    at the others, in lexicographic order, each with the key bits of its k
+    rows and its inversions among themselves. Built from the tables one
+    position shorter and kept in ``tables`` under the two value sets as
+    bitmasks, ``mine`` shifted above ``theirs``."""
+    name = _bits(mine) << n | _bits(theirs)
+    table = tables.get(name)
+    if table is None:
+        p = n - len(mine) - len(theirs)
+        table = [] if mine else [((), 0, 0)]
+        for j, y in enumerate(mine):
+            rest = mine[:j] + mine[j + 1:]
+            row = sum(1 << (p * n + x - 1) for x in theirs if x < y)
+            below = sum(x < y for x in rest + theirs)
+            table += [((y,) + tail, row | bits, below + inv)
+                      for tail, bits, inv in _suffix_table(n, theirs, rest, tables)]
+        tables[name] = table
+    return table
+
+
+def check_degree(n: int, allow_large: bool = False) -> None:
+    """ValueError unless 1 <= n <= GUARDED_MAX_N, or n >= 1 with ``allow_large``."""
     if n < 1:
         raise ValueError("n must be positive")
     if n > GUARDED_MAX_N and not allow_large:
@@ -132,13 +164,15 @@ def classes_of_sn(n: int, allow_large: bool = False) -> list[OddDiagramClass]:
     """Partition S_n into odd diagram classes, sorted by minimum element.
 
     The classes come from ``parity_block``, one parity block at a time, with
-    their keys, sorted members and lengths; one sort puts the blocks'
-    classes in the order of their minima."""
+    their keys, sorted members and lengths, the blocks sharing one store of
+    suffix tables; one sort puts the blocks' classes in the order of their
+    minima."""
     # classes share length vectors (376 distinct among the 103,873 of S_9): keep one copy each
     shared: dict[tuple[int, ...], tuple[int, ...]] = {}
+    tables: dict = {}
     classes = [OddDiagramClass(key, members, shared.setdefault(lengths, lengths))
                for evens in parity_sets(n, allow_large)
-               for key, members, lengths in parity_block(n, evens)]
+               for key, members, lengths in parity_block(n, evens, tables)]
     classes.sort(key=lambda cls: cls.min_elem)
     return classes
 

@@ -1,6 +1,7 @@
 """Command-line harness: diagrams, classes, polynomials, censuses, checks."""
 
 import argparse
+import contextlib
 import json
 import sys
 
@@ -97,13 +98,13 @@ def cmd_hasse(args) -> int:
 def cmd_classes(args) -> int:
     if args.n >= classes_mod.GUARDED_MAX_N and not args.long:
         raise ValueError(f"classes at n >= {classes_mod.GUARDED_MAX_N} requires --long")
-    table = classes_mod.classes_of_sn(args.n, allow_large=args.long)
+    classes_mod.check_degree(args.n, allow_large=args.long)
+    # the path is opened before the sweep, so one that cannot be written fails at once
+    with (open(args.out, "w") if args.out else contextlib.nullcontext(sys.stdout)) as out:
+        table = classes_mod.classes_of_sn(args.n, allow_large=args.long)
+        classes_mod.write_report(table, out)
     if args.out:
-        with open(args.out, "w") as fh:
-            classes_mod.write_report(table, fh)
         print(f"wrote {args.out} ({len(table)} classes)")
-    else:
-        classes_mod.write_report(table, sys.stdout)
     return 0
 
 
@@ -123,7 +124,13 @@ def cmd_census(args) -> int:
 
 def cmd_verify(args) -> int:
     names = args.checks.split(",") if args.checks is not None else None
-    report = verify.run_checks(args.n, names, seed=args.seed, allow_large=args.long)
+    names = verify.select_checks(args.n, names, allow_large=args.long)
+    # the path is opened before the checks run, so one that cannot be written fails at once
+    with (open(args.out, "w") if args.out else contextlib.nullcontext()) as out:
+        report = verify.run_checks(args.n, names, seed=args.seed, allow_large=args.long)
+        if out:
+            json.dump(report.to_json(), out, indent=1)
+            out.write("\n")
     for check in report.checks:
         status = "ok" if check.failed == 0 else "FAIL"
         line = (f"{check.name:34s} {status:4s} passed={check.passed} "
@@ -132,10 +139,6 @@ def cmd_verify(args) -> int:
             line += f" findings={len(check.findings)}"
         print(line)
     print(f"wall_time: {report.wall_time:.2f}s")
-    if args.out:
-        with open(args.out, "w") as fh:
-            json.dump(report.to_json(), fh, indent=1)
-            fh.write("\n")
     return 0 if report.ok else CHECK_FAILURE
 
 

@@ -115,11 +115,8 @@ def first_difference(u: Perm, v: Perm) -> int:
         raise ValueError("degree mismatch")
     if u == v:
         raise ValueError("permutations are equal; no differing value")
-    ui, vi = inverse(u), inverse(v)
-    for k in range(1, len(u) + 1):
-        if ui[k - 1] != vi[k - 1]:
-            return k
-    raise AssertionError("unreachable")
+    # value x moves exactly when it stands where u and v differ
+    return min(x for x, y in zip(u, v) if x != y)
 
 
 def legal_move_toward(u: Perm, v: Perm) -> Perm:
@@ -133,8 +130,8 @@ def legal_move_toward(u: Perm, v: Perm) -> Perm:
     if odd_diagram_key(v) != key:
         raise ValueError("odd diagrams differ")
     k = first_difference(u, v)
-    a = inverse(u)[k - 1]
-    b = inverse(v)[k - 1]
+    a = u.index(k) + 1
+    b = v.index(k) + 1
     moved = right_transpose(u, (min(a, b), max(a, b)))
     if odd_diagram_key(moved) != key:
         raise AssertionError(f"move ({a} {b}) not legal for {u}")

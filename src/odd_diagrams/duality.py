@@ -176,14 +176,22 @@ def non_self_dual_classes(classes: list[OddDiagramClass]) -> list[OddDiagramClas
             and not is_self_dual(c.interval)]
 
 
-def _block_census(n: int, evens: tuple[int, ...]) -> tuple[int, list[OddDiagramClass]]:
+def _block_census(n: int, evens: tuple[int, ...],
+                  tables: dict) -> tuple[int, list[OddDiagramClass]]:
     """The number of classes in one parity block of S_n, and those that are
     not self-dual. A class is built only when ``_settled_by_rank`` leaves it
-    open."""
-    block = parity_block(n, evens)
+    open. ``tables`` is the store of suffix tables of ``parity_block``."""
+    block = parity_block(n, evens, tables)
     undecided = [OddDiagramClass(*fields) for fields in block
                  if not _settled_by_rank(fields[2][-1] - fields[2][0])]
     return len(block), non_self_dual_classes(undecided)
+
+
+def _run_census(n: int, run: list[tuple[int, ...]]) -> list[tuple[int, list[OddDiagramClass]]]:
+    """``_block_census`` of each parity block in ``run``, the blocks sharing
+    one store of suffix tables, which ends with the run."""
+    tables: dict = {}
+    return [_block_census(n, evens, tables) for evens in run]
 
 
 def census(n: int, allow_large: bool = False, jobs: int = 1) -> tuple[int, list[OddDiagramClass]]:
@@ -191,18 +199,20 @@ def census(n: int, allow_large: bool = False, jobs: int = 1) -> tuple[int, list[
     self-dual, sorted by minimum.
 
     S_n is swept one parity block at a time and no table of S_n is held:
-    each block is swept and decided whole, by ``jobs`` workers
-    (0..os.cpu_count(), 0 = all cores) taking one block at a time."""
+    each block is swept and decided whole. The blocks are dealt out in turn
+    to ``jobs`` workers (0..os.cpu_count(), 0 = all cores), and each worker
+    sweeps its run of blocks with one store of suffix tables."""
     jobs = resolve_jobs(jobs)
     blocks = parity_sets(n, allow_large)
-    task = functools.partial(_block_census, n)
+    task = functools.partial(_run_census, n)
     if jobs > 1:
         import multiprocessing
 
         with multiprocessing.Pool(jobs) as pool:
-            results = pool.map(task, blocks, chunksize=1)
+            runs = pool.map(task, [blocks[i::jobs] for i in range(jobs)], chunksize=1)
+        results = [result for run in runs for result in run]
     else:
-        results = list(map(task, blocks))
+        results = task(blocks)
     bad = sorted((cls for _, block_bad in results for cls in block_bad),
                  key=lambda cls: cls.min_elem)
     return sum(count for count, _ in results), bad

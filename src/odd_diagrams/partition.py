@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 from .diagrams import first_difference, legal_swap, odd_diagram_key
 from .intervals import BruhatInterval, interval_elements
-from .perms import Perm, format_perm, inverse, right_transpose
+from .perms import Perm, format_perm, right_transpose
 from .polynomials import IntPolynomial, expand_factors
 
 __all__ = [
@@ -82,8 +82,8 @@ def anchors(u: Perm, v: Perm) -> PartitionStep:
 def _anchor_step(u: Perm, v: Perm) -> PartitionStep:
     """``anchors`` for a pair already known to be the extremes of a class."""
     k = first_difference(u, v)
-    a = inverse(u)[k - 1]
-    b = inverse(v)[k - 1]
+    a = u.index(k) + 1
+    b = v.index(k) + 1
     if not (a < b and u[a - 1] < u[b - 1]):
         raise AssertionError(
             f"extremes out of order for [{format_perm(u)}, {format_perm(v)}]: "
@@ -101,7 +101,7 @@ def _anchor_step(u: Perm, v: Perm) -> PartitionStep:
 
 def block_index(w: Perm, step: PartitionStep) -> int:
     """1-based block number of an interval member: which anchor holds k."""
-    c = inverse(w)[step.k - 1]
+    c = w.index(step.k) + 1
     try:
         return step.anchors.index(c) + 1
     except ValueError:

@@ -14,7 +14,7 @@ from itertools import combinations
 from . import classes as classes_mod
 from . import diagrams, duality, intervals, partition, perms, polynomials
 
-__all__ = ["CheckResult", "VerificationReport", "CHECKS", "MAX_N", "run_checks"]
+__all__ = ["CheckResult", "VerificationReport", "CHECKS", "MAX_N", "select_checks", "run_checks"]
 
 
 @dataclass
@@ -383,10 +383,10 @@ MAX_N = {
 }
 
 
-def run_checks(n: int, names=None, seed: int = 0, allow_large: bool = False) -> VerificationReport:
-    """Run the named checks (default: all) over S_n. Raises ValueError for
-    n < 1, an unknown name, or, unless ``allow_large``, a check asked for
-    above its ``MAX_N``."""
+def select_checks(n: int, names=None, allow_large: bool = False) -> list[str]:
+    """The names of the checks to run over S_n (default: all). Raises
+    ValueError for n < 1, an unknown name, or, unless ``allow_large``, a
+    check asked for above its ``MAX_N``."""
     if n < 1:
         raise ValueError("n must be positive")
     names = list(CHECKS) if names is None else names
@@ -397,6 +397,13 @@ def run_checks(n: int, names=None, seed: int = 0, allow_large: bool = False) -> 
     if over and not allow_large:
         raise ValueError(f"n = {n} is above the n-limit of {', '.join(over)}; "
                          "pass --long to run anyway")
+    return names
+
+
+def run_checks(n: int, names=None, seed: int = 0, allow_large: bool = False) -> VerificationReport:
+    """Run the named checks (default: all) over S_n, after ``select_checks``
+    has accepted them."""
+    names = select_checks(n, names, allow_large)
     rng = random.Random(seed)
     start = time.perf_counter()
     # the class table of S_n, built on first use and shared by the checks

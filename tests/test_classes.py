@@ -248,6 +248,62 @@ def test_sweep_matches_all_perms_key_and_length(n):
     assert sorted(swept) == [(w, odd_diagram_key(w), length(w)) for w in all_perms(n)]
 
 
+def _reference_parity_block(n, evens):
+    """Reference: the sweep that ``parity_block`` replaced. It fills every
+    position from the left; row i of ``same`` and ``other`` holds the values
+    below w(i) for the placed positions of each parity, and placing y adds
+    column y of the other parity's rows to the key."""
+    odds = tuple(x for x in range(1, n + 1) if x not in evens)
+    if n <= 2:  # one permutation, 1, 12 or 21; for 21 key and length are 1
+        w = evens + odds
+        return [(int(w == (2, 1)), (w,), (int(w == (2, 1)),))]
+    column = sum(1 << (i * n) for i in range(n))  # the bit of value 1 in every row
+    groups = {}  # key -> [member, length, member, length, ...]
+
+    def fill(p, prefix, mine, theirs, key, inv, placed, same, other):
+        for j, y in enumerate(mine):
+            bit = 1 << (y - 1)
+            key_y = key | other & column << (y - 1)
+            inv_y = inv + (placed >> y).bit_count()
+            # the rows of the parity of p, now with row p: the values below y
+            row = same | (bit - 1) << (p * n)
+            rest = mine[:j] + mine[j + 1:]
+            if p < n - 3:
+                fill(p + 1, prefix + (y,), theirs, rest, key_y, inv_y, placed | bit, other, row)
+            else:
+                # x at n - 2 sees the rows in ``row``, z at n - 1 those in
+                # ``other`` and row n - 2; the n - z values above z precede it
+                x, z = theirs[0], rest[0]
+                key_x = key_y | row & column << (x - 1)
+                row_x = other | ((1 << (x - 1)) - 1) << ((n - 2) * n)
+                groups.setdefault(key_x | row_x & column << (z - 1), []).extend(
+                    (prefix + (y, x, z), inv_y + ((placed | bit) >> x).bit_count() + n - z))
+
+    fill(0, (), evens, odds, 0, 0, 0, 0, 0)
+    return [(key, tuple(flat[::2]), tuple(flat[1::2])) for key, flat in groups.items()]
+
+
+@pytest.mark.parametrize("n", [*range(1, 9), pytest.param(9, marks=pytest.mark.long)])
+def test_parity_block_returns_what_the_position_sweep_returned(n):
+    # keys, member order, lengths and class order, with the suffix tables
+    # shared across the blocks of S_n and with a store of the block's own
+    tables = {}
+    for evens in classes.parity_sets(n):
+        expected = _reference_parity_block(n, evens)
+        assert classes.parity_block(n, evens, tables) == expected
+        assert classes.parity_block(n, evens) == expected
+
+
+def test_suffix_tables_stay_within_their_bound():
+    # at most C(n, 2) C(n - 2, 2) tables of four rows, plus the shorter ones
+    tables = {}
+    for evens in classes.parity_sets(8):
+        classes.parity_block(8, evens, tables)
+    full = [rows for rows in tables.values() if len(rows[0][0]) == 4]
+    assert len(full) == math.comb(8, 2) * math.comb(6, 2)
+    assert {len(rows) for rows in full} == {4}
+
+
 def test_class_of_in_s12_has_720_members():
     cls = class_of(parse_perm("1,7,2,8,3,9,4,10,5,11,6,12"))
     assert len(cls) == 720

@@ -82,7 +82,7 @@ def test_census_list_prints_non_self_dual_intervals(monkeypatch, capsys):
     # one parity block holding the two classes
     monkeypatch.setattr(duality, "parity_sets", lambda n, allow_large=False: [None])
     monkeypatch.setattr(duality, "parity_block",
-                        lambda n, evens: [(c.key, c.members, c.lengths) for c in table])
+                        lambda n, evens, tables: [(c.key, c.members, c.lengths) for c in table])
     assert run(["census", "--n", "9", "--list", "--jobs", "1"]) == 0
     out = capsys.readouterr().out
     assert out == "classes: 2, non-self-dual: 1\n  [654172839, 958172634]\n"
@@ -106,6 +106,16 @@ def test_census_jobs_2_prints_what_jobs_1_prints(capsys):
     serial = capsys.readouterr().out
     assert run(["census", "--n", "8", "--list", "--jobs", "2"]) == 0
     assert capsys.readouterr().out == serial == "classes: 13732, non-self-dual: 0\n"
+
+
+@pytest.mark.long
+@pytest.mark.skipif((os.cpu_count() or 1) < 2, reason="--jobs 2 needs two cores")
+def test_census_n9_jobs_2_prints_what_jobs_1_prints(capsys):
+    assert run(["census", "--n", "9", "--list", "--jobs", "1"]) == 0
+    serial = capsys.readouterr().out
+    assert run(["census", "--n", "9", "--list", "--jobs", "2"]) == 0
+    assert capsys.readouterr().out == serial
+    assert serial.startswith("classes: 103873, non-self-dual: 8\n")
 
 
 def test_census_n9_lists_the_eight_intervals_in_order(capsys):
@@ -348,3 +358,34 @@ def test_unwritable_output_path_exits_2(argv, tmp_path, capsys):
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error: ") and str(path) in err[0]
     assert not path.parent.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["classes", "--n", "9", "--out"],
+    ["verify", "--n", "5", "--out"],
+])
+def test_unwritable_output_path_fails_before_any_work(argv, tmp_path, monkeypatch, capsys):
+    def fail(*args, **kwargs):
+        raise AssertionError("work began before the output path was opened")
+
+    monkeypatch.setattr(classes_mod, "classes_of_sn", fail)
+    monkeypatch.setattr(verify, "run_checks", fail)
+    path = tmp_path / "missing" / "out"
+    assert run([*argv, str(path)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ") and str(path) in err[0]
+
+
+@pytest.mark.parametrize("argv", [
+    ["classes", "--n", "0"],
+    ["classes", "--n", "10"],
+    ["verify", "--n", "0"],
+    ["verify", "--n", "3", "--checks", "nonsense"],
+    ["verify", "--n", "6", "--checks", "kl_inversion"],
+])
+def test_rejected_arguments_leave_an_existing_output_file_untouched(argv, tmp_path, capsys):
+    path = tmp_path / "out.json"
+    path.write_text("kept\n")
+    assert run([*argv, "--out", str(path)]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert path.read_text() == "kept\n"

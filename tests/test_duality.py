@@ -1,3 +1,4 @@
+import gc
 from collections import Counter
 
 import pytest
@@ -381,6 +382,30 @@ def test_census_builds_and_searches_only_classes_above_rank_3(monkeypatch):
     expected = [c.min_elem for c in table if c.interval.rank >= 4]
     assert sorted(built) == sorted(searched) == expected
     assert len(expected) == 24
+
+
+def test_each_census_builds_its_own_suffix_tables(monkeypatch):
+    stores, sizes = [], []
+    sweep = duality.parity_block
+
+    def watching_parity_block(n, evens, tables):
+        if not stores or stores[-1] is not tables:
+            stores.append(tables)
+            sizes.append(len(tables))
+        return sweep(n, evens, tables)
+
+    monkeypatch.setattr(duality, "parity_block", watching_parity_block)
+    assert census(7) == census(7) == (2041, [])
+    # one store a call, empty when the call starts, with the same tables at the end
+    assert len(stores) == 2 and stores[0] is not stores[1]
+    assert sizes == [0, 0] and stores[0] == stores[1] != {}
+    # once the calls have returned, only this test holds the stores, and
+    # only its store holds a table
+    gc.collect()
+    assert [gc.get_referrers(stores[i]) for i in range(2)] == [[stores], [stores]]
+    tables = [table for store in stores for table in store.values()]
+    holders = gc.get_referrers(*tables)
+    assert {id(holder) for holder in holders} <= {id(tables), id(stores[0]), id(stores[1])}
 
 
 def test_class_interval_is_a_fresh_object():
