@@ -62,8 +62,10 @@ class OddDiagramClass:
 
     @property
     def interval(self) -> BruhatInterval:
-        """The class as the Bruhat interval [min_elem, max_elem] (Theorem B)."""
-        return BruhatInterval(self.min_elem, self.max_elem, self.members, self.lengths)
+        """The class as the Bruhat interval [min_elem, max_elem] (Theorem B),
+        whose reflections swap positions of one parity (the parity theorem)."""
+        return BruhatInterval(self.min_elem, self.max_elem, self.members, self.lengths,
+                              same_parity=True)
 
     def __len__(self) -> int:
         return len(self.members)
@@ -106,7 +108,7 @@ def parity_block(n: int, evens: tuple[int, ...], tables: dict | None = None) -> 
         if p == depth:
             # a table is never empty, so ``or`` builds only a missing one
             table = (tables.get(mine_bits << n | their_bits)
-                     or _suffix_table(n, mine, theirs, tables))
+                     or _suffix_table(n, mine_bits, their_bits, tables))
             for tail, bits, tail_inv in table:
                 groups.setdefault(key | bits, []).extend((prefix + tail, inv + tail_inv))
             return
@@ -129,25 +131,29 @@ def _bits(values: tuple[int, ...]) -> int:
     return sum(1 << (y - 1) for y in values)
 
 
-def _suffix_table(n: int, mine: tuple[int, ...], theirs: tuple[int, ...],
+def _suffix_table(n: int, mine_bits: int, their_bits: int,
                   tables: dict) -> list[tuple[Perm, int, int]]:
-    """Every arrangement of the last k = len(mine) + len(theirs) positions of
-    S_n with ``mine`` at the positions of the parity of n - k and ``theirs``
-    at the others, in lexicographic order, each with the key bits of its k
-    rows and its inversions among themselves. Built from the tables one
-    position shorter and kept in ``tables`` under the two value sets as
-    bitmasks, ``mine`` shifted above ``theirs``."""
-    name = _bits(mine) << n | _bits(theirs)
+    """Every arrangement of the last k positions of S_n, k the number of
+    values in the bitmasks ``mine_bits`` and ``their_bits``, with the values
+    of ``mine_bits`` at the positions of the parity of n - k and the others
+    at the rest, in lexicographic order, each with the key bits of its k rows
+    and its inversions among themselves. Row and inversions of the first of
+    the k positions come from one AND each, as in ``parity_block``. Built
+    from the tables one position shorter and kept in ``tables`` under
+    ``mine_bits << n | their_bits``."""
+    name = mine_bits << n | their_bits
     table = tables.get(name)
     if table is None:
-        p = n - len(mine) - len(theirs)
-        table = [] if mine else [((), 0, 0)]
-        for j, y in enumerate(mine):
-            rest = mine[:j] + mine[j + 1:]
-            row = sum(1 << (p * n + x - 1) for x in theirs if x < y)
-            below = sum(x < y for x in rest + theirs)
-            table += [((y,) + tail, row | bits, below + inv)
-                      for tail, bits, inv in _suffix_table(n, theirs, rest, tables)]
+        left = mine_bits | their_bits
+        shift = (n - left.bit_count()) * n
+        table = [] if mine_bits else [((), 0, 0)]
+        for y in range(1, n + 1):
+            bit = 1 << (y - 1)
+            if mine_bits & bit:
+                row = (their_bits & (bit - 1)) << shift
+                below = (left & (bit - 1)).bit_count()
+                shorter = _suffix_table(n, their_bits, mine_bits ^ bit, tables)
+                table += [((y,) + tail, row | bits, below + inv) for tail, bits, inv in shorter]
         tables[name] = table
     return table
 

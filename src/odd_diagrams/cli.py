@@ -2,6 +2,7 @@
 
 import argparse
 import contextlib
+import functools
 import json
 import sys
 
@@ -208,10 +209,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser of ``build_parser``, built on first use and kept for the
+    process: a parse leaves no state in it."""
+    return build_parser()
+
+
 def run(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return USAGE_ERROR if exc.code else 0
     try:

@@ -1,6 +1,6 @@
 """Bruhat intervals [u, v]: elements, rank levels, Hasse diagrams, DOT export."""
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from itertools import combinations
 from typing import Iterable
@@ -13,12 +13,16 @@ __all__ = ["BruhatInterval", "interval_elements", "rank_vector", "hasse_edges", 
 @dataclass(frozen=True)
 class BruhatInterval:
     """An interval [bottom, top] with its sorted member list and the
-    members' lengths, aligned with it."""
+    members' lengths, aligned with it. ``same_parity`` says that every
+    reflection inside the interval swaps two positions of one parity; only
+    ``OddDiagramClass.interval`` sets it, by the parity theorem (checked by
+    verify parity and verify class_covers)."""
 
     bottom: Perm
     top: Perm
     elements: tuple[Perm, ...]
     lengths: tuple[int, ...]
+    same_parity: bool = field(default=False, compare=False)
 
     @property
     def n(self) -> int:
@@ -33,17 +37,39 @@ class BruhatInterval:
             grouped[lw - base].append(w)
         return tuple(map(tuple, grouped))
 
+    @property
+    def swaps(self) -> list[tuple[int, int]]:
+        """The 0-based position pairs i < j a reflection inside the interval
+        can swap: those of one parity when ``same_parity``, else all."""
+        pairs = combinations(range(self.n), 2)
+        return [(i, j) for i, j in pairs if (j - i) % 2 == 0] if self.same_parity else list(pairs)
+
     @cached_property
     def cover_graph(self) -> tuple[list[list[int]], list[set[int]], list[set[int]]]:
         """Member indices grouped as in ``levels``, and for each member index
-        the indices covering it (up) and covered by it (down)."""
-        index = {w: i for i, w in enumerate(self.elements)}
+        the indices covering it (up) and covered by it (down). Each ascending
+        swap of a member is tried once; the result is a cover when it is a
+        member one length above, read from the carried lengths."""
+        index = {w: k for k, w in enumerate(self.elements)}
+        lengths = self.lengths
+        base = min(lengths)
+        swaps = self.swaps
+        levels: list[list[int]] = [[] for _ in range(self.rank + 1)]
         up: list[set[int]] = [set() for _ in self.elements]
         down: list[set[int]] = [set() for _ in self.elements]
-        for x, y in hasse_edges(self):
-            up[index[x]].add(index[y])
-            down[index[y]].add(index[x])
-        return [[index[w] for w in level] for level in self.levels], up, down
+        for k, (x, lx) in enumerate(zip(self.elements, lengths)):
+            levels[lx - base].append(k)
+            row = list(x)
+            for i, j in swaps:
+                xi, xj = x[i], x[j]
+                if xi < xj:
+                    row[i], row[j] = xj, xi
+                    m = index.get(tuple(row))
+                    row[i], row[j] = xi, xj
+                    if m is not None and lengths[m] == lx + 1:
+                        up[k].add(m)
+                        down[m].add(k)
+        return levels, up, down
 
     @property
     def rank(self) -> int:
@@ -110,23 +136,11 @@ def rank_vector(interval: BruhatInterval) -> tuple[int, ...]:
 
 
 def hasse_edges(interval: BruhatInterval) -> list[tuple[Perm, Perm]]:
-    """All covering pairs (x, y) inside the interval, sorted: y is x with an
-    ascending pair of entries swapped, one level above x."""
-    edges = []
-    for lower, upper in zip(interval.levels, interval.levels[1:]):
-        above = set(upper)
-        for x in lower:
-            row = list(x)
-            for i, j in combinations(range(interval.n), 2):
-                xi, xj = x[i], x[j]
-                if xi < xj:
-                    row[i], row[j] = xj, xi
-                    y = tuple(row)
-                    row[i], row[j] = xi, xj
-                    if y in above:
-                        edges.append((x, y))
-    edges.sort()
-    return edges
+    """All covering pairs (x, y) inside the interval, sorted: the edges of
+    ``cover_graph``, read in member order."""
+    _, up, _ = interval.cover_graph
+    elements = interval.elements
+    return [(elements[k], elements[m]) for k, above in enumerate(up) for m in sorted(above)]
 
 
 def to_dot(interval: BruhatInterval) -> str:

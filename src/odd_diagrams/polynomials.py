@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-from itertools import combinations
 from typing import Callable, Iterable
 
 from .intervals import (
@@ -342,14 +341,15 @@ def carrell_holds(interval: BruhatInterval) -> bool:
 
     The sets {t w} and {w t} agree, and w < w t for t swapping positions
     i < j iff w[i] < w[j]. Such a w t lies above w >= x, so w t <= y iff it
-    is a member. Lengths are the ones the interval carries."""
+    is a member. Only the position pairs of ``interval.swaps`` are tried,
+    and lengths are the ones the interval carries."""
     members = set(interval.elements)
     top = max(interval.lengths)
-    pairs = list(combinations(range(interval.n), 2))
+    swaps = interval.swaps
     for w, lw in zip(interval.elements, interval.lengths):
         row = list(w)
         count = 0
-        for i, j in pairs:
+        for i, j in swaps:
             wi, wj = w[i], w[j]
             if wi < wj:
                 row[i], row[j] = wj, wi

@@ -340,6 +340,20 @@ def check_kl_carrell(n: int, rng, class_table) -> CheckResult:
     return result
 
 
+def check_class_covers(n: int, rng, class_table) -> CheckResult:
+    """The cover graph of every class, built from the same-parity swaps that
+    ``OddDiagramClass.interval`` declares, equals the Hasse diagram built
+    from every pair of positions of the same members."""
+    result = CheckResult("class_covers", "exhaustive")
+    for cls in class_table():
+        every_pair = intervals.BruhatInterval(cls.min_elem, cls.max_elem, cls.members, cls.lengths)
+        result.record(
+            intervals.hasse_edges(cls.interval) == intervals.hasse_edges(every_pair),
+            {"min": perms.format_perm(cls.min_elem), "max": perms.format_perm(cls.max_elem)},
+        )
+    return result
+
+
 CHECKS = {
     "bruhat_vs_covers": check_bruhat_vs_covers,
     "cover_gradedness": check_cover_gradedness,
@@ -357,6 +371,7 @@ CHECKS = {
     "kl_class_probe": check_kl_class_probe,
     "kl_inversion": check_kl_inversion,
     "kl_carrell": check_kl_carrell,
+    "class_covers": check_class_covers,
 }
 
 
@@ -380,6 +395,7 @@ MAX_N = {
     "kl_class_probe": 8,
     "kl_inversion": 5,
     "kl_carrell": 5,
+    "class_covers": 7,
 }
 
 

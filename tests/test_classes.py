@@ -294,6 +294,46 @@ def test_parity_block_returns_what_the_position_sweep_returned(n):
         assert classes.parity_block(n, evens) == expected
 
 
+def _reference_suffix_table(n, mine, theirs, tables):
+    """Reference: the suffix table builder that took the two value sets as
+    tuples and summed each row's key bits and inversions value by value."""
+    name = classes._bits(mine) << n | classes._bits(theirs)
+    table = tables.get(name)
+    if table is None:
+        p = n - len(mine) - len(theirs)
+        table = [] if mine else [((), 0, 0)]
+        for j, y in enumerate(mine):
+            rest = mine[:j] + mine[j + 1:]
+            row = sum(1 << (p * n + x - 1) for x in theirs if x < y)
+            below = sum(x < y for x in rest + theirs)
+            table += [((y,) + tail, row | bits, below + inv)
+                      for tail, bits, inv in _reference_suffix_table(n, theirs, rest, tables)]
+        tables[name] = table
+    return table
+
+
+def _values(bits, n):
+    return tuple(y for y in range(1, n + 1) if bits >> (y - 1) & 1)
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_suffix_tables_match_the_tuple_builder(n, monkeypatch):
+    # the same store, table for table, and the same blocks when
+    # ``parity_block`` takes its tables from the reference builder
+    tables = {}
+    blocks = [classes.parity_block(n, evens, tables) for evens in classes.parity_sets(n)]
+    mask = (1 << n) - 1
+    reference = {}
+    for name in tables:
+        _reference_suffix_table(n, _values(name >> n, n), _values(name & mask, n), reference)
+    assert reference == tables
+
+    monkeypatch.setattr(classes, "_suffix_table", lambda n, mine_bits, their_bits, tables:
+                        _reference_suffix_table(n, _values(mine_bits, n),
+                                                _values(their_bits, n), tables))
+    assert [classes.parity_block(n, evens) for evens in classes.parity_sets(n)] == blocks
+
+
 def test_suffix_tables_stay_within_their_bound():
     # at most C(n, 2) C(n - 2, 2) tables of four rows, plus the shorter ones
     tables = {}

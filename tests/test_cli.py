@@ -5,7 +5,7 @@ import tracemalloc
 import pytest
 
 from odd_diagrams import classes as classes_mod
-from odd_diagrams import diagrams, duality, partition, polynomials, verify
+from odd_diagrams import cli, diagrams, duality, partition, polynomials, verify
 from odd_diagrams.cli import run
 from odd_diagrams.perms import format_perm, parse_perm
 
@@ -70,6 +70,29 @@ def test_census(capsys):
     assert run(["census", "--n", "5"]) == 0
     out = capsys.readouterr().out
     assert "non-self-dual: 0" in out
+
+
+def test_a_parse_error_leaves_the_parser_usable(capsys):
+    assert run(["census", "--n", "five"]) == 2
+    assert "invalid int value: 'five'" in capsys.readouterr().err
+    assert run(["census", "--n", "5", "--jobs", "1"]) == 0
+    assert capsys.readouterr().out == "classes: 70, non-self-dual: 0\n"
+
+
+def test_the_parser_is_built_once_across_runs(monkeypatch, capsys):
+    calls = []
+    build = cli.build_parser
+
+    def counting_build_parser():
+        calls.append(1)
+        return build()
+
+    monkeypatch.setattr(cli, "build_parser", counting_build_parser)
+    cli._parser.cache_clear()
+    assert run(["census", "--n", "4", "--jobs", "1"]) == 0
+    assert run(["diagram", "--perm", "312"]) == 0
+    assert len(calls) == 1
+    assert capsys.readouterr().out.startswith("classes: 17, non-self-dual: 0\n")
 
 
 def test_census_list_without_findings_prints_summary_only(capsys):

@@ -1,3 +1,4 @@
+import functools
 import gc
 from collections import Counter
 
@@ -5,7 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from odd_diagrams import duality, intervals, verify
+from odd_diagrams import duality, verify
 from odd_diagrams.classes import OddDiagramClass, class_of, classes_of_sn
 from odd_diagrams.duality import (
     BipartiteGraph,
@@ -332,13 +333,18 @@ def test_census_guard():
 
 
 def test_self_dual_bipartite_check_builds_each_hasse_diagram_once(monkeypatch):
+    # the Hasse diagram of an interval is its cover graph, built once per
+    # interval object and cached there
     calls = []
+    build = BruhatInterval.cover_graph.func
 
-    def counting_hasse_edges(interval):
+    def counting_cover_graph(interval):
         calls.append(interval.bottom)
-        return hasse_edges(interval)
+        return build(interval)
 
-    monkeypatch.setattr(intervals, "hasse_edges", counting_hasse_edges)
+    counted = functools.cached_property(counting_cover_graph)
+    counted.__set_name__(BruhatInterval, "cover_graph")
+    monkeypatch.setattr(BruhatInterval, "cover_graph", counted)
     report = verify.run_checks(6, ["self_dual_bipartite_agreement"])
     assert report.ok
     # is_self_dual settles rank <= 3 without a Hasse diagram, and

@@ -3,8 +3,8 @@ from itertools import chain
 
 import pytest
 
-from odd_diagrams import intervals
-from odd_diagrams.classes import class_of, classes_of_sn
+from odd_diagrams import intervals, verify
+from odd_diagrams.classes import OddDiagramClass, class_of, classes_of_sn
 from odd_diagrams.intervals import (
     hasse_edges,
     interval_elements,
@@ -152,6 +152,33 @@ def test_hasse_edges_match_cover_filter_on_golden_s9_class():
     edges = hasse_edges(interval)
     assert edges == _cover_filter_hasse_edges(interval)
     assert edges
+
+
+@pytest.mark.parametrize("n, count", [
+    (1, 1), (2, 2), (3, 5), (4, 17), (5, 70), (6, 351), (7, 2041),
+    pytest.param(8, 13732, marks=pytest.mark.long),
+])
+def test_class_covers_check_passes_on_every_class(n, count):
+    report = verify.run_checks(n, ["class_covers"], allow_large=True)
+    assert report.ok
+    assert report.checks[0].passed == count
+
+
+def test_class_covers_check_fails_on_a_set_that_is_not_parity_closed():
+    # [123, 321] as a class would need the swap of positions 1 and 2
+    interval = interval_elements(identity(3), parse_perm("321"))
+    fake = OddDiagramClass(0, interval.elements, interval.lengths)
+    check = verify.check_class_covers(3, None, lambda: [fake])
+    assert (check.passed, check.failed) == (0, 1)
+    assert check.findings == [{"min": "123", "max": "321"}]
+
+
+@pytest.mark.parametrize("n, same_parity, every", [(9, 16, 36), (10, 20, 45)])
+def test_class_intervals_try_only_same_parity_swaps(n, same_parity, every):
+    w = identity(n)
+    assert len(OddDiagramClass(0, (w,), (0,)).interval.swaps) == same_parity
+    assert len(interval_elements(w, w).swaps) == every
+    assert not interval_elements(w, w).same_parity
 
 
 def _assert_levels_group_by_length(interval):

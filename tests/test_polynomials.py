@@ -5,7 +5,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from odd_diagrams import polynomials
-from odd_diagrams.intervals import interval_elements
+from odd_diagrams.classes import classes_of_sn
+from odd_diagrams.intervals import BruhatInterval, interval_elements
 from odd_diagrams.perms import (
     all_perms,
     bruhat_leq,
@@ -380,6 +381,18 @@ def test_carrell_holds_iff_kl_is_one_on_every_pair_of_s5():
             pairs += 1
             not_one += not kl_one
     assert (pairs, not_one) == (3781, 394)
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_class_reflection_counts_from_same_parity_swaps_match_all_pairs(n):
+    # P = 1 on every class, so each count holds exactly when it reads
+    # length(max) - length(w) for every member w: two passing counts agree
+    # member by member
+    for cls in classes_of_sn(n):
+        interval = cls.interval
+        every_pair = BruhatInterval(cls.min_elem, cls.max_elem, cls.members, cls.lengths)
+        assert interval.same_parity and not every_pair.same_parity
+        assert carrell_holds(interval) and carrell_holds(every_pair)
 
 
 def test_carrell_reads_lengths_from_the_interval(monkeypatch):
