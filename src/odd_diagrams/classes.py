@@ -6,8 +6,10 @@ from itertools import combinations
 from typing import TextIO
 
 from .diagrams import Diagram, diagram_of_key, legal_swap, odd_diagram_key
-from .intervals import BruhatInterval, interval_elements, rank_vector
+from .intervals import BruhatInterval, interval_elements, self_dual_by_rank
+from .partition import _factor_lengths, check_class_size
 from .perms import Perm, format_perm
+from .polynomials import carrell_holds
 
 __all__ = [
     "OddDiagramClass",
@@ -59,6 +61,11 @@ class OddDiagramClass:
     @property
     def n(self) -> int:
         return len(self.members[0])
+
+    @property
+    def rank(self) -> int:
+        """length(max_elem) - length(min_elem), from the carried lengths."""
+        return self.lengths[-1] - self.lengths[0]
 
     @property
     def interval(self) -> BruhatInterval:
@@ -183,18 +190,21 @@ def classes_of_sn(n: int, allow_large: bool = False) -> list[OddDiagramClass]:
     return classes
 
 
-def class_of(w: Perm) -> OddDiagramClass:
+def class_of(w: Perm, max_members: int | None = None) -> OddDiagramClass:
     """The odd diagram class of w, the interval between its ends. By Theorem
     B and the parity theorem only the minimum has no lowering ``legal_swap``
     move and only the maximum no raising one, so each walk ends at its
     extreme within rank steps; members and lengths come from
-    ``interval_elements``, at a cost that follows class size, not n!."""
+    ``interval_elements``, at a cost that follows class size, not n!. With
+    ``max_members``, ``check_class_size`` runs on the ends first."""
     key = odd_diagram_key(w)
     lo = hi = w
     while x := legal_swap(lo, key, True):
         lo = x
     while x := legal_swap(hi, key, False):
         hi = x
+    if max_members is not None:
+        check_class_size(lo, hi, max_members)
     interval = interval_elements(lo, hi)
     return OddDiagramClass(key, interval.elements, interval.lengths)
 
@@ -211,28 +221,39 @@ def class_extremes(cls: OddDiagramClass) -> tuple[Perm, Perm]:
 
 
 def class_report(cls: OddDiagramClass) -> dict:
-    """Per-class JSON record of the report, schema version 1.
+    """Per-class JSON record of the report, schema version 1, read from the
+    class's fields: the rank vector counts the carried lengths, and the boxes
+    are its key decoded.
 
     ``kl_is_one`` is P_{min,max} = 1, decided without the KL engine: at rank
-    <= 2 by the degree bound deg P <= (rank - 1)/2 < 1 and P(0) = 1,
-    otherwise by ``carrell_holds`` on the class's own interval. ``verify
-    kl_carrell`` and ``kl_class_probe`` re-check it against KL."""
-    from .duality import is_self_dual
-    from .partition import _factor_lengths
-    from .polynomials import carrell_holds
+    <= 2 by the degree bound deg P <= (rank - 1)/2 < 1 and P(0) = 1, where
+    ``self_dual_by_rank`` settles ``self_dual``; only a class of higher rank
+    builds its interval, for ``carrell_holds`` and ``is_self_dual``. ``verify
+    kl_carrell`` and ``kl_class_probe`` re-check ``kl_is_one`` against KL."""
+    members, lengths = cls.members, cls.lengths
+    lo, hi = members[0], members[-1]
+    base = lengths[0]
+    rank = lengths[-1] - base
+    ranks = [0] * (rank + 1)
+    for lw in lengths:
+        ranks[lw - base] += 1
+    if rank <= 2:
+        kl_is_one, self_dual = True, self_dual_by_rank(rank)
+    else:
+        from .duality import is_self_dual  # duality imports this module
 
-    interval = cls.interval
-    ranks = rank_vector(interval)
+        interval = cls.interval
+        kl_is_one, self_dual = carrell_holds(interval), is_self_dual(interval)
     return {
-        "diagram": [list(box) for box in cls.diagram],
-        "size": len(cls.members),
-        "min": format_perm(cls.min_elem),
-        "max": format_perm(cls.max_elem),
-        "rank_vector": list(ranks),
-        "poincare_coeffs": list(ranks),
-        "factor_lengths": list(_factor_lengths(cls.min_elem, cls.max_elem)),
-        "kl_is_one": interval.rank <= 2 or carrell_holds(interval),
-        "self_dual": is_self_dual(interval),
+        "diagram": [list(box) for box in diagram_of_key(cls.key, len(lo))],
+        "size": len(members),
+        "min": format_perm(lo),
+        "max": format_perm(hi),
+        "rank_vector": ranks,
+        "poincare_coeffs": ranks[:],
+        "factor_lengths": list(_factor_lengths(lo, hi)),
+        "kl_is_one": kl_is_one,
+        "self_dual": self_dual,
     }
 
 

@@ -23,9 +23,14 @@ def cmd_diagram(args) -> int:
     return 0
 
 
+def _member_budget(args) -> int | None:
+    """The most class members a command may build: none with --long."""
+    return None if args.long else partition.MEMBER_BUDGET
+
+
 def cmd_class(args) -> int:
     w = perms.parse_perm(args.perm)
-    cls = classes_mod.class_of(w)
+    cls = classes_mod.class_of(w, max_members=_member_budget(args))
     print(f"min: {perms.format_perm(cls.min_elem)}")
     print(f"max: {perms.format_perm(cls.max_elem)}")
     print(f"size: {len(cls.members)}")
@@ -59,7 +64,7 @@ def _highlight(w: perms.Perm, positions) -> str:
 
 def cmd_partition(args) -> int:
     u, v = _interval_args(args)
-    decomp = partition.decompose(u, v)
+    decomp = partition.decompose(u, v, max_members=_member_budget(args))
     step = decomp.step
     print(f"k={step.k} a={step.a} b={step.b} anchors={list(step.anchors)} m={step.m}")
     print("u_chain: " + " ".join(_highlight(w, step.anchors) for w in decomp.u_chain))
@@ -156,6 +161,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("class", help="odd diagram class of a permutation")
     p.add_argument("--perm", required=True)
+    p.add_argument("--long", action="store_true", help="allow classes above the member budget")
     p.set_defaults(func=cmd_class)
 
     p = sub.add_parser("poincare", help="Poincare polynomial of [u, v]")
@@ -168,6 +174,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("partition", help="uniform partition of a class")
     p.add_argument("--interval", nargs=2, required=True, metavar=("U", "V"))
+    p.add_argument("--long", action="store_true", help="allow classes above the member budget")
     p.set_defaults(func=cmd_partition)
 
     p = sub.add_parser("kl", help="Kazhdan-Lusztig polynomial P_{x,y}")

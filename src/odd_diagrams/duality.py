@@ -10,7 +10,7 @@ import os
 from dataclasses import dataclass
 
 from .classes import OddDiagramClass, parity_block, parity_sets
-from .intervals import BruhatInterval, interval_elements, rank_vector
+from .intervals import BruhatInterval, interval_elements, rank_vector, self_dual_by_rank
 from .perms import Perm, identity
 
 # (levels, up, down) as in ``BruhatInterval.cover_graph``
@@ -45,21 +45,13 @@ def top_heavy_check(w: Perm) -> bool:
     return all(ranks[k] <= ranks[top - k] for k in range(top // 2 + 1))
 
 
-def _settled_by_rank(rank: int) -> bool:
-    """True when the rank alone makes an interval self-dual: every Bruhat
-    interval of rank 2 is a diamond and every one of rank 3 a k-crown
-    (Bjorner-Brenti, Combinatorics of Coxeter Groups, Sec. 2.7), and ranks 0
-    and 1 are chains. ``verify short_intervals_self_dual`` re-checks this."""
-    return rank <= 3
-
-
 def is_self_dual(interval: BruhatInterval) -> bool:
     """Does the Bruhat interval admit an order-reversing self-bijection?
 
-    Intervals of rank <= 3 always do (``_settled_by_rank``); the others go
+    Intervals of rank <= 3 always do (``self_dual_by_rank``); the others go
     to ``_has_anti_automorphism``.
     """
-    return _settled_by_rank(interval.rank) or _has_anti_automorphism(interval)
+    return self_dual_by_rank(interval.rank) or _has_anti_automorphism(interval)
 
 
 def _has_anti_automorphism(interval: BruhatInterval) -> bool:
@@ -169,21 +161,21 @@ def resolve_jobs(jobs: int) -> int:
 
 def non_self_dual_classes(classes: list[OddDiagramClass]) -> list[OddDiagramClass]:
     """The classes whose Bruhat interval is not self-dual, in input order.
-    Only the classes that ``_settled_by_rank`` leaves open are searched; the
+    Only the classes that ``self_dual_by_rank`` leaves open are searched; the
     rank is read from the lengths of the first and last members, the class
     extremes."""
-    return [c for c in classes if not _settled_by_rank(c.lengths[-1] - c.lengths[0])
+    return [c for c in classes if not self_dual_by_rank(c.rank)
             and not is_self_dual(c.interval)]
 
 
 def _block_census(n: int, evens: tuple[int, ...],
                   tables: dict) -> tuple[int, list[OddDiagramClass]]:
     """The number of classes in one parity block of S_n, and those that are
-    not self-dual. A class is built only when ``_settled_by_rank`` leaves it
+    not self-dual. A class is built only when ``self_dual_by_rank`` leaves it
     open. ``tables`` is the store of suffix tables of ``parity_block``."""
     block = parity_block(n, evens, tables)
     undecided = [OddDiagramClass(*fields) for fields in block
-                 if not _settled_by_rank(fields[2][-1] - fields[2][0])]
+                 if not self_dual_by_rank(fields[2][-1] - fields[2][0])]
     return len(block), non_self_dual_classes(undecided)
 
 

@@ -7,7 +7,14 @@ from typing import Iterable
 
 from .perms import Perm, bruhat_leq, format_perm, length
 
-__all__ = ["BruhatInterval", "interval_elements", "rank_vector", "hasse_edges", "to_dot"]
+__all__ = [
+    "BruhatInterval",
+    "interval_elements",
+    "rank_vector",
+    "self_dual_by_rank",
+    "hasse_edges",
+    "to_dot",
+]
 
 
 @dataclass(frozen=True)
@@ -133,6 +140,14 @@ def _cached_interval(u: Perm, v: Perm) -> BruhatInterval:
 def rank_vector(interval: BruhatInterval) -> tuple[int, ...]:
     """counts[r] = number of members at length(bottom) + r."""
     return tuple(map(len, interval.levels))
+
+
+def self_dual_by_rank(rank: int) -> bool:
+    """True when the rank alone makes a Bruhat interval self-dual: every
+    interval of rank 2 is a diamond and every one of rank 3 a k-crown
+    (Bjorner-Brenti, Combinatorics of Coxeter Groups, Sec. 2.7), and ranks 0
+    and 1 are chains. ``verify short_intervals_self_dual`` re-checks this."""
+    return rank <= 3
 
 
 def hasse_edges(interval: BruhatInterval) -> list[tuple[Perm, Perm]]:

@@ -7,6 +7,7 @@ position of k.  Iterating the split on the last block's minimum factors
 the Poincare polynomial into terms 1 + t + ... + t^(m-1).
 """
 
+import math
 from dataclasses import dataclass
 
 from .diagrams import first_difference, legal_swap, odd_diagram_key
@@ -23,7 +24,13 @@ __all__ = [
     "decompose",
     "phi",
     "factorize",
+    "MEMBER_BUDGET",
+    "check_class_size",
 ]
+
+# The most members ``class --perm`` and ``partition --interval`` build without
+# --long: the 40,320-member class of 1,9,2,10,...,8,16 in S_16 is within it.
+MEMBER_BUDGET = 50_000
 
 
 @dataclass(frozen=True)
@@ -132,10 +139,13 @@ def _chains(u: Perm, v: Perm, step: PartitionStep) -> tuple[tuple[Perm, ...], tu
     return tuple(u_chain), tuple(v_chain)
 
 
-def decompose(u: Perm, v: Perm) -> BlockDecomposition:
+def decompose(u: Perm, v: Perm, max_members: int | None = None) -> BlockDecomposition:
     """Split [u, v] into its anchor-indexed blocks and verify each block is
-    the Bruhat interval between its chain elements."""
+    the Bruhat interval between its chain elements. With ``max_members``,
+    ``check_class_size`` runs before any member is built."""
     step = anchors(u, v)
+    if max_members is not None:
+        check_class_size(u, v, max_members)
     parent = interval_elements(u, v)
     groups: list[list[Perm]] = [[] for _ in range(step.m)]
     for w in parent.elements:
@@ -165,6 +175,17 @@ def factorize(u: Perm, v: Perm) -> FactorizationResult:
     _require_class_extremes(u, v)
     factors = _factor_lengths(u, v)
     return FactorizationResult(factors, expand_factors(factors))
+
+
+def check_class_size(u: Perm, v: Perm, max_members: int) -> None:
+    """ValueError if the class with extremes u and v has more than
+    ``max_members`` members. By the factorization theorem its size is the
+    product of its factor lengths, the Poincare polynomial at t = 1, so no
+    member is built; u and v are not checked to be the extremes."""
+    size = math.prod(_factor_lengths(u, v))
+    if size > max_members:
+        raise ValueError(f"the class [{format_perm(u)}, {format_perm(v)}] has {size} members, "
+                         f"more than {max_members}; pass --long to run anyway")
 
 
 def _factor_lengths(u: Perm, v: Perm) -> tuple[int, ...]:

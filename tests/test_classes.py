@@ -1,3 +1,4 @@
+import hashlib
 import io
 import json
 import math
@@ -5,7 +6,7 @@ import random
 
 import pytest
 
-from odd_diagrams import classes, diagrams, polynomials
+from odd_diagrams import classes, diagrams, duality, intervals, polynomials
 from odd_diagrams.classes import (
     OddDiagramClass,
     class_extremes,
@@ -15,9 +16,11 @@ from odd_diagrams.classes import (
 )
 from odd_diagrams.cli import run
 from odd_diagrams.diagrams import is_legal, odd_diagram, odd_diagram_key
-from odd_diagrams.intervals import interval_elements
-from odd_diagrams.perms import all_perms, bruhat_leq, inverse, length, parse_perm
-from odd_diagrams.polynomials import kl_polynomial, one
+from odd_diagrams.duality import is_self_dual
+from odd_diagrams.intervals import BruhatInterval, interval_elements, rank_vector
+from odd_diagrams.partition import _factor_lengths, check_class_size
+from odd_diagrams.perms import all_perms, bruhat_leq, format_perm, inverse, length, parse_perm
+from odd_diagrams.polynomials import carrell_holds, kl_polynomial, one
 
 
 def test_s2_classes():
@@ -132,9 +135,96 @@ def test_guard_rejects_large_n():
         classes_of_sn(0)
 
 
+def _reference_class_report(cls):
+    """Reference: the class report that built every class's interval and
+    read the rank vector from its levels and the boxes from ``cls.diagram``."""
+    interval = cls.interval
+    ranks = rank_vector(interval)
+    return {
+        "diagram": [list(box) for box in cls.diagram],
+        "size": len(cls.members),
+        "min": format_perm(cls.min_elem),
+        "max": format_perm(cls.max_elem),
+        "rank_vector": list(ranks),
+        "poincare_coeffs": list(ranks),
+        "factor_lengths": list(_factor_lengths(cls.min_elem, cls.max_elem)),
+        "kl_is_one": interval.rank <= 2 or carrell_holds(interval),
+        "self_dual": is_self_dual(interval),
+    }
+
+
 def _report_as_one_dict(n):
     """Reference: the whole report built in memory before it is encoded."""
-    return {"schema": 1, "n": n, "classes": [class_report(c) for c in classes_of_sn(n)]}
+    return {"schema": 1, "n": n,
+            "classes": [_reference_class_report(c) for c in classes_of_sn(n)]}
+
+
+def _report_text(table):
+    out = io.StringIO()
+    classes.write_report(table, out)
+    return out.getvalue()
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_class_report_matches_the_interval_report(n):
+    for cls in classes_of_sn(n):
+        assert class_report(cls) == _reference_class_report(cls)
+
+
+@pytest.mark.parametrize("n", [*range(1, 8), pytest.param(8, marks=pytest.mark.long)])
+def test_write_report_text_matches_the_interval_report(n, monkeypatch):
+    table = classes_of_sn(n)
+    text = _report_text(table)
+    monkeypatch.setattr(classes, "class_report", _reference_class_report)
+    assert text == _report_text(table)
+
+
+@pytest.mark.parametrize("n, built, count", [(6, 20, 351), (7, 171, 2041)])
+def test_report_builds_an_interval_only_from_rank_3(n, built, count, monkeypatch):
+    # each class of rank >= 3 builds its interval once, and no class of rank
+    # <= 2 reaches ``OddDiagramClass.interval``, ``levels`` or ``rank_vector``
+    accesses = []
+    interval = OddDiagramClass.interval.fget
+    levels = BruhatInterval.levels.func
+
+    def counting(cls):
+        assert cls.rank >= 3
+        accesses.append(cls)
+        return interval(cls)
+
+    def checked_levels(iv):
+        assert iv.rank >= 3
+        return levels(iv)
+
+    def checked_rank_vector(iv):
+        assert iv.rank >= 3
+        return rank_vector(iv)
+
+    monkeypatch.setattr(OddDiagramClass, "interval", property(counting))
+    monkeypatch.setattr(BruhatInterval, "levels", property(checked_levels))
+    monkeypatch.setattr(intervals, "rank_vector", checked_rank_vector)
+    monkeypatch.setattr(duality, "rank_vector", checked_rank_vector)
+    table = classes_of_sn(n)
+    records = json.loads(_report_text(table))["classes"]
+    assert len(records) == len(table) == count
+    assert len(accesses) == built == sum(cls.rank >= 3 for cls in table)
+    assert len({cls.key for cls in accesses}) == built
+
+
+# sha256 of ``classes --n k --out``, fixed points of the report
+REPORT_SHA256 = {
+    7: "0f5e6eee6204aeee0d47dbacfcc7ced9728b13dffca1074f25d2ce7a0b91365b",
+    8: "97e5d62bc3c0aa01d18948e06d25b35f87886255456cb893aff36db7c422173f",
+    9: "5aa699eeba0f59c1210ebcb3fb719a579c0f5210825048b71ac38a941b89cebb",
+}
+
+
+@pytest.mark.parametrize("n", [7, *(pytest.param(n, marks=pytest.mark.long) for n in (8, 9))])
+def test_report_digest(n, tmp_path, capsys):
+    path = tmp_path / "report.json"
+    assert run(["classes", "--n", str(n), "--out", str(path)]) == 0
+    capsys.readouterr()
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == REPORT_SHA256[n]
 
 
 @pytest.mark.parametrize("n", range(1, 7))
@@ -395,6 +485,26 @@ def test_class_of_keys_few_permutations(monkeypatch):
     monkeypatch.setattr(diagrams, "odd_diagram_key", counting)
     assert len(class_of(parse_perm("654172839"))) == 96
     assert 0 < len(calls) <= 40
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_class_size_is_the_product_of_the_factor_lengths(n):
+    for cls in classes_of_sn(n):
+        found = class_of(cls.max_elem)
+        lo, hi, size = found.min_elem, found.max_elem, len(found.members)
+        assert math.prod(_factor_lengths(lo, hi)) == size == len(cls)
+        check_class_size(lo, hi, size)
+        with pytest.raises(ValueError, match=f"has {size} members, more than {size - 1};"):
+            check_class_size(lo, hi, size - 1)
+
+
+def test_class_of_checks_the_budget_before_building_members(monkeypatch):
+    def fail(*args):
+        raise AssertionError("an interval was built")
+
+    monkeypatch.setattr(classes, "interval_elements", fail)
+    with pytest.raises(ValueError, match="has 18 members, more than 17;"):
+        class_of(parse_perm("6451723"), max_members=17)
 
 
 def test_class_command_answers_above_guarded_n(capsys):

@@ -1,5 +1,6 @@
 import json
 import os
+import time
 import tracemalloc
 
 import pytest
@@ -365,6 +366,59 @@ def test_extremes_check_runs_before_any_work(monkeypatch, capsys):
     monkeypatch.setattr(partition, "_anchor_step", fail)
     assert run(["factorize", "--interval", "7461523", "5431627"]) == 2
     assert run(["partition", "--interval", "7461523", "5431627"]) == 2
+
+
+# --- the member budget of class and partition ---
+
+
+def _interleaved(n):
+    """1, n/2 + 1, 2, n/2 + 2, ...: a class of (n/2)! members."""
+    half = n // 2
+    return ",".join(f"{i},{i + half}" for i in range(1, half + 1))
+
+
+def _reversed_halves(n):
+    """1, n, 2, n - 1, ...: the maximum of the class of ``_interleaved(n)``."""
+    return ",".join(f"{i},{n + 1 - i}" for i in range(1, n // 2 + 1))
+
+
+@pytest.mark.parametrize("argv", [
+    ["class", "--perm", _interleaved(20)],
+    ["partition", "--interval", _interleaved(20), _reversed_halves(20)],
+])
+def test_a_class_above_the_member_budget_exits_2_at_once(argv, monkeypatch, capsys):
+    # 10! = 3,628,800 members; the size comes from the factor lengths, and
+    # no interval is built
+    def fail(*args):
+        raise AssertionError("an interval was built")
+
+    monkeypatch.setattr(classes_mod, "interval_elements", fail)
+    monkeypatch.setattr(partition, "interval_elements", fail)
+    start = time.perf_counter()
+    assert run(argv) == 2
+    assert time.perf_counter() - start < 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (f"error: the class [{_interleaved(20)}, {_reversed_halves(20)}] "
+                            f"has 3628800 members, more than {partition.MEMBER_BUDGET}; "
+                            "pass --long to run anyway\n")
+
+
+def test_a_class_within_the_member_budget_answers(capsys):
+    assert run(["class", "--perm", _interleaved(14)]) == 0
+    assert "size: 5040\n" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("command, args", [
+    ("class", ["--perm", "5431627"]),
+    ("partition", ["--interval", "5431627", "7461523"]),
+])
+def test_long_lifts_the_member_budget(command, args, monkeypatch, capsys):
+    monkeypatch.setattr(partition, "MEMBER_BUDGET", 17)
+    assert run([command, *args]) == 2
+    assert "has 18 members, more than 17;" in capsys.readouterr().err
+    assert run([command, *args, "--long"]) == 0
+    assert capsys.readouterr().err == ""
 
 
 # --- unwritable output paths ---
