@@ -233,6 +233,10 @@ def run(argv=None) -> int:
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
+    except RecursionError:
+        print(f"error: this input needs more than the {sys.getrecursionlimit()} nested calls "
+              "Python allows", file=sys.stderr)
+        return USAGE_ERROR
 
 
 def main() -> None:

@@ -3,6 +3,7 @@
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from itertools import combinations
+from operator import le
 from typing import Iterable
 
 from .perms import Perm, bruhat_leq, format_perm, length
@@ -92,6 +93,12 @@ def _swap(w: Perm, i: int) -> Perm:
     return w[:i] + (w[i + 1], w[i]) + w[i + 2:]
 
 
+def _swap_values(w: Perm, k: int) -> Perm:
+    """s_k w: swap the values k and k + 1."""
+    a, b = sorted((w.index(k), w.index(k + 1)))
+    return w[:a] + (w[b],) + w[a + 1:b] + (w[a],) + w[b + 1:]
+
+
 def _descent_step(x: Perm, y: Perm) -> tuple[int, bool]:
     """For x < y: the first descent i of y (y[i] > y[i+1]) that x lacks and
     True (case A), else the first descent of y and False (case B)."""
@@ -99,33 +106,76 @@ def _descent_step(x: Perm, y: Perm) -> tuple[int, bool]:
     return next(((i, True) for i in descents if x[i] < x[i + 1]), (descents[0], False))
 
 
+def _positions(w: Perm) -> list[int]:
+    """where[k] = the 0-based position of the value k in w (where[0] unused)."""
+    where = [0] * (len(w) + 1)
+    for p, c in enumerate(w):
+        where[c] = p
+    return where
+
+
+def _lifting_step(x: Perm, y: Perm) -> tuple[str, int]:
+    """For x < y, the step ``interval_elements`` takes: ("right", i) for case
+    A of ``_descent_step``; else ("left", k) for the first left descent s_k
+    of y that x lacks, k + 1 standing before k in y but not in x; else
+    ("filter", i) for case B of ``_descent_step``.
+
+    The left step is the lifting property on the left. w -> w^-1 is an
+    automorphism of Bruhat order and (w s)^-1 = s w^-1, so it turns right
+    descents into left ones. With s = s_k, s y < y and s x > x, lifting
+    [x^-1, y^-1] on the right and inverting back gives [x, y] = K and s K
+    for K = [x, s y]; s w for w in K with k before k + 1 is one longer."""
+    i, lifts = _descent_step(x, y)
+    if lifts:
+        return "right", i
+    where_x, where_y = _positions(x), _positions(y)
+    for k in range(1, len(y)):
+        if where_y[k + 1] < where_y[k] and where_x[k] < where_x[k + 1]:
+            return "left", k
+    return "filter", i
+
+
 def _above(x: Perm, i: int, members: Iterable[Perm]) -> list[Perm]:
     """The members above x, given that all are above x s_{i+1} < x. The two
     differ in one prefix, so the tableau criterion reduces to that prefix."""
     prefix = sorted(x[:i + 1])
-    return [u for u in members if all(a <= b for a, b in zip(prefix, sorted(u[:i + 1])))]
+    return [u for u in members if all(map(le, prefix, sorted(u[:i + 1])))]
 
 
 def interval_elements(u: Perm, v: Perm) -> BruhatInterval:
     """Materialize [u, v] by the lifting property (Bjorner-Brenti, Prop.
-    2.2.7): with s from ``_descent_step``, [x, y] is K and K s for K = [x, ys]
-    in case A, and the part of [xs, y] above x in case B. Walk down from
-    (u, v) until the ends meet, then rebuild upward; cost follows size, not n!.
-    Lengths come with the members: only the meeting point's is computed, and
-    case A puts w s at length(w) + 1."""
+    2.2.7), on either side: with the step of ``_lifting_step``, [x, y] is K
+    and K s for K = [x, ys] (right), K and s K for K = [x, s y] (left), or
+    the part of [xs, y] above x (filter, only when x has every left and
+    every right descent of y). Walk down from (u, v) until the ends meet,
+    then rebuild upward; cost follows size, not n!. Lengths come with the
+    members: only the meeting point's is computed, and a lifted member is
+    one longer than the member it comes from."""
     if not bruhat_leq(u, v):
         raise ValueError(f"{format_perm(u)} is not below {format_perm(v)}")
     steps = []
     x, y = u, v
     while x != y:
-        i, lifts = _descent_step(x, y)
-        steps.append((x, i, lifts))
-        x, y = (x, _swap(y, i)) if lifts else (_swap(x, i), y)
+        side, i = _lifting_step(x, y)
+        steps.append((x, side, i))
+        if side == "right":
+            y = _swap(y, i)
+        elif side == "left":
+            y = _swap_values(y, i)
+        else:
+            x = _swap(x, i)
     members = {x: length(x)}
-    for x, i, lifts in reversed(steps):
-        if lifts:
+    for x, side, i in reversed(steps):
+        if side == "right":
             members.update([(_swap(w, i), lw + 1)
                             for w, lw in members.items() if w[i] < w[i + 1]])
+        elif side == "left":
+            lifted = []
+            for w, lw in members.items():
+                a, b = w.index(i), w.index(i + 1)
+                if a < b:
+                    lifted.append((w[:a] + (i + 1,) + w[a + 1:b] + (i,) + w[b + 1:], lw + 1))
+            members.update(lifted)
         else:
             members = {w: members[w] for w in _above(x, i, members)}
     elements = tuple(sorted(members))

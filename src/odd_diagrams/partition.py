@@ -190,7 +190,9 @@ def check_class_size(u: Perm, v: Perm, max_members: int) -> None:
 
 def _factor_lengths(u: Perm, v: Perm) -> tuple[int, ...]:
     """Unchecked ``factorize``: split [current, v] at its anchors, recording
-    each step's block count m, until the pair collapses to a point."""
+    each step's block count m, until the pair collapses to a point. The
+    last block's minimum is current (a_1 a_2)(a_2 a_3)...(a_{m-1} a_m): the
+    anchor values rotated one place toward a_1."""
     factors = []
     current = u
     last_k = 0
@@ -200,6 +202,9 @@ def _factor_lengths(u: Perm, v: Perm) -> tuple[int, ...]:
             raise AssertionError("first difference failed to increase")
         last_k = step.k
         factors.append(step.m)
-        for i in range(step.m - 1):
-            current = right_transpose(current, (step.anchors[i], step.anchors[i + 1]))
+        values = [current[p - 1] for p in step.anchors]
+        row = list(current)
+        for p, value in zip(step.anchors, values[1:] + values[:1]):
+            row[p - 1] = value
+        current = tuple(row)
     return tuple(factors)

@@ -225,7 +225,8 @@ def _pick(w, preferred):
 
 
 def check_interval_bfs_vs_filter(n: int, rng, class_table, samples: int = 500) -> CheckResult:
-    """The lifting recursion of ``interval_elements`` equals the brute-force filter."""
+    """The lifting recursion of ``interval_elements`` equals the brute-force
+    filter, and the lengths it carries equal ``perms.length``."""
     result = CheckResult("interval_bfs_vs_filter", "sampled")
     elems = list(perms.all_perms(n))
     tried = 0
@@ -234,11 +235,13 @@ def check_interval_bfs_vs_filter(n: int, rng, class_table, samples: int = 500) -
         if not perms.bruhat_leq(u, v):
             continue
         tried += 1
-        built = intervals.interval_elements(u, v).elements
+        built = intervals.interval_elements(u, v)
         brute = tuple(
             sorted(w for w in elems if perms.bruhat_leq(u, w) and perms.bruhat_leq(w, v))
         )
-        result.record(built == brute, {"u": perms.format_perm(u), "v": perms.format_perm(v)})
+        lengths = tuple(map(perms.length, built.elements))
+        result.record(built.elements == brute and built.lengths == lengths,
+                      {"u": perms.format_perm(u), "v": perms.format_perm(v)})
     return result
 
 

@@ -466,3 +466,24 @@ def test_rejected_arguments_leave_an_existing_output_file_untouched(argv, tmp_pa
     assert run([*argv, "--out", str(path)]) == 2
     assert capsys.readouterr().err.startswith("error: ")
     assert path.read_text() == "kept\n"
+
+
+def _w0(n):
+    return list(range(n, 0, -1))
+
+
+def _joined(w):
+    return ",".join(map(str, w))
+
+
+@pytest.mark.parametrize("command, x, y", [
+    # x = w0 (1 40) in S_40
+    ("kl", _joined([1, *_w0(40)[1:-1], 40]), _joined(_w0(40))),
+    # a cover pair of S_50 (R = q - 1): w0 with its last two entries swapped
+    ("rpoly", _joined([*_w0(50)[:-2], 1, 2]), _joined(_w0(50))),
+], ids=["kl", "rpoly"])
+def test_a_recursion_too_deep_exits_2_with_one_error_line(command, x, y, capsys):
+    assert run([command, "--x", x, "--y", y]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1

@@ -305,3 +305,113 @@ def test_lifting_engine_lengths_match_length_on_seeded_pairs_of_s6():
         interval = interval_elements(u, v)
         assert interval.lengths == tuple(map(length, interval.elements))
         assert interval.rank == length(v) - length(u)
+
+
+def _reference_descent_step(x, y):
+    """The former engine's only step kind: the first right descent of y that
+    x lacks (case A), else the first right descent of y (case B)."""
+    descents = [i for i in range(len(y) - 1) if y[i] > y[i + 1]]
+    return next(((i, True) for i in descents if x[i] < x[i + 1]), (descents[0], False))
+
+
+def _reference_above(x, i, members):
+    prefix = sorted(x[:i + 1])
+    return [u for u in members if all(a <= b for a, b in zip(prefix, sorted(u[:i + 1])))]
+
+
+def _reference_interval_elements(u, v):
+    """Reference: the former right-only lifting engine, verbatim."""
+    _swap = intervals._swap
+    if not bruhat_leq(u, v):
+        raise ValueError(f"{format_perm(u)} is not below {format_perm(v)}")
+    steps = []
+    x, y = u, v
+    while x != y:
+        i, lifts = _reference_descent_step(x, y)
+        steps.append((x, i, lifts))
+        x, y = (x, _swap(y, i)) if lifts else (_swap(x, i), y)
+    members = {x: length(x)}
+    for x, i, lifts in reversed(steps):
+        if lifts:
+            members.update([(_swap(w, i), lw + 1)
+                            for w, lw in members.items() if w[i] < w[i + 1]])
+        else:
+            members = {w: members[w] for w in _reference_above(x, i, members)}
+    elements = tuple(sorted(members))
+    return intervals.BruhatInterval(u, v, elements, tuple(map(members.__getitem__, elements)))
+
+
+def test_two_sided_engine_matches_right_only_engine_on_every_pair_of_s5():
+    elems = list(all_perms(5))
+    pairs = [(u, v) for u in elems for v in elems if bruhat_leq(u, v)]
+    for u, v in pairs:
+        assert interval_elements(u, v) == _reference_interval_elements(u, v)
+    assert len(pairs) == 3781
+
+
+def test_two_sided_engine_matches_right_only_engine_on_seeded_pairs_of_s7():
+    rng = random.Random(707)
+    elems = list(all_perms(7))
+    tried = 0
+    while tried < 2000:
+        u, v = rng.sample(elems, 2)
+        if not bruhat_leq(u, v):
+            u, v = v, u
+            if not bruhat_leq(u, v):
+                continue
+        tried += 1
+        assert interval_elements(u, v) == _reference_interval_elements(u, v)
+
+
+def test_two_sided_engine_matches_right_only_engine_on_every_class_of_s8():
+    table = classes_of_sn(8)
+    for cls in table:
+        built = interval_elements(cls.min_elem, cls.max_elem)
+        assert built == _reference_interval_elements(cls.min_elem, cls.max_elem)
+        assert built.elements == cls.members
+    assert len(table) == 13732
+
+
+def test_two_sided_engine_matches_right_only_engine_on_the_5040_member_class():
+    cls = class_of(tuple(c for i in range(1, 8) for c in (i, i + 7)))
+    built = interval_elements(cls.min_elem, cls.max_elem)
+    assert built == _reference_interval_elements(cls.min_elem, cls.max_elem)
+    assert len(built) == 5040
+
+
+def test_lifting_step_takes_a_right_then_a_left_lift_then_the_filter():
+    assert intervals._lifting_step(parse_perm("123"), parse_perm("231")) == ("right", 1)
+    # 132 has the only right descent of 231, but not its left descent s_1
+    # (2 before 1): [132, 231] is K and s_1 K for K = [132, 132]
+    assert intervals._lifting_step(parse_perm("132"), parse_perm("231")) == ("left", 1)
+    assert intervals._swap_values(parse_perm("231"), 1) == parse_perm("132")
+    # 1324 has both right descents and the one left descent (3 before 2) of 3412
+    assert intervals._lifting_step(parse_perm("1324"), parse_perm("3412")) == ("filter", 1)
+
+
+def test_the_5040_member_class_is_built_by_left_lifts_alone(monkeypatch):
+    # the right-only engine took 42 right lifts and 21 filters here
+    cls = class_of(tuple(c for i in range(1, 8) for c in (i, i + 7)))
+    step, sides = intervals._lifting_step, []
+
+    def recording_step(x, y):
+        sides.append(step(x, y)[0])
+        return step(x, y)
+
+    monkeypatch.setattr(intervals, "_lifting_step", recording_step)
+    assert len(interval_elements(cls.min_elem, cls.max_elem)) == 5040
+    assert sides == ["left"] * 21
+
+
+def test_interval_bfs_vs_filter_checks_the_carried_lengths(monkeypatch):
+    report = verify.run_checks(5, ["interval_bfs_vs_filter"], allow_large=True)
+    assert report.ok and report.checks[0].passed == 500
+
+    def off_by_one(u, v):
+        interval = interval_elements(u, v)
+        return intervals.BruhatInterval(u, v, interval.elements,
+                                        tuple(lw + 1 for lw in interval.lengths))
+
+    monkeypatch.setattr(verify.intervals, "interval_elements", off_by_one)
+    check = verify.check_interval_bfs_vs_filter(4, random.Random(0), None, samples=20)
+    assert (check.passed, check.failed) == (0, 20)

@@ -188,3 +188,27 @@ def test_factorize_rejects_a_pair_inside_a_class():
     assert poincare(u, v).coeffs == (1, 2, 1)
     with pytest.raises(ValueError, match="41523 is not the maximum"):
         factorize(u, v)
+
+
+def _reference_factor_lengths(u, v):
+    """Reference: the former ``_factor_lengths``, one transposition copy per
+    anchor pair."""
+    factors = []
+    current = u
+    last_k = 0
+    while current != v:
+        step = partition._anchor_step(current, v)
+        if step.k <= last_k:
+            raise AssertionError("first difference failed to increase")
+        last_k = step.k
+        factors.append(step.m)
+        for i in range(step.m - 1):
+            current = right_transpose(current, (step.anchors[i], step.anchors[i + 1]))
+    return tuple(factors)
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_factor_lengths_match_the_transposition_walk_on_every_class(n):
+    for cls in classes_of_sn(n):
+        u, v = cls.min_elem, cls.max_elem
+        assert partition._factor_lengths(u, v) == _reference_factor_lengths(u, v)
