@@ -14,8 +14,7 @@ import argparse
 import resource
 import time
 
-from odd_diagrams.classes import GUARDED_MAX_N
-from odd_diagrams.duality import census, resolve_jobs
+from odd_diagrams.classes import GUARDED_MAX_N, census, resolve_jobs
 
 
 def main():

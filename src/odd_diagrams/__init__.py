@@ -1,7 +1,14 @@
 """Odd diagrams of permutations: Bruhat-order structure of odd diagram
 classes, their uniform partition, and Poincare polynomial factorization."""
 
-from .classes import OddDiagramClass, class_extremes, class_of, classes_of_sn
+from .classes import (
+    OddDiagramClass,
+    class_extremes,
+    class_of,
+    classes_of_sn,
+    non_self_dual_census,
+    non_self_dual_classes,
+)
 from .diagrams import (
     first_difference,
     is_legal,
@@ -15,8 +22,6 @@ from .duality import (
     bipartite_criterion,
     boundary_bipartite_graphs,
     is_self_dual,
-    non_self_dual_census,
-    non_self_dual_classes,
     top_heavy_check,
 )
 from .intervals import BruhatInterval, hasse_edges, interval_elements, rank_vector

@@ -1,12 +1,16 @@
-"""Odd diagram classes of S_n: enumeration, extremes, JSON reports."""
+"""Odd diagram classes of S_n: the parity-block sweep, the self-duality
+census over it, extremes and JSON reports."""
 
+import functools
 import json
+import os
 from dataclasses import dataclass
 from itertools import combinations
 from typing import TextIO
 
 from .diagrams import Diagram, diagram_of_key, legal_swap, odd_diagram_key
-from .intervals import BruhatInterval, interval_elements, self_dual_by_rank
+from .duality import is_self_dual, self_dual_by_rank
+from .intervals import BruhatInterval, interval_elements
 from .partition import _factor_lengths, check_class_size
 from .perms import Perm, format_perm
 from .polynomials import carrell_holds
@@ -21,6 +25,10 @@ __all__ = [
     "class_of",
     "class_report",
     "write_report",
+    "resolve_jobs",
+    "non_self_dual_classes",
+    "census",
+    "non_self_dual_census",
 ]
 
 # n = 10 already means 3.6M permutations; anything larger needs an
@@ -69,10 +77,8 @@ class OddDiagramClass:
 
     @property
     def interval(self) -> BruhatInterval:
-        """The class as the Bruhat interval [min_elem, max_elem] (Theorem B),
-        whose reflections swap positions of one parity (the parity theorem)."""
-        return BruhatInterval(self.min_elem, self.max_elem, self.members, self.lengths,
-                              same_parity=True)
+        """The class as the Bruhat interval [min_elem, max_elem] (Theorem B)."""
+        return BruhatInterval(self.min_elem, self.max_elem, self.members, self.lengths)
 
     def __len__(self) -> int:
         return len(self.members)
@@ -190,6 +196,68 @@ def classes_of_sn(n: int, allow_large: bool = False) -> list[OddDiagramClass]:
     return classes
 
 
+def resolve_jobs(jobs: int) -> int:
+    """Worker count for ``jobs`` in 0..os.cpu_count() (0 = all cores);
+    anything else raises ``ValueError``."""
+    cores = os.cpu_count() or 1
+    if not 0 <= jobs <= cores:
+        raise ValueError(f"jobs must be in 0..{cores}, got {jobs}")
+    return jobs or cores
+
+
+def non_self_dual_classes(classes: list[OddDiagramClass]) -> list[OddDiagramClass]:
+    """The classes whose Bruhat interval is not self-dual, in input order.
+    Only the classes that ``self_dual_by_rank`` leaves open, by the lengths
+    of their extremes, are searched."""
+    return [c for c in classes if not self_dual_by_rank(c.rank)
+            and not is_self_dual(c.interval)]
+
+
+def _block_census(n: int, evens: tuple[int, ...],
+                  tables: dict) -> tuple[int, list[OddDiagramClass]]:
+    """The number of classes in one parity block of S_n, and those that are
+    not self-dual. A class is built only when ``self_dual_by_rank`` leaves it
+    open. ``tables`` is the store of suffix tables of ``parity_block``."""
+    block = parity_block(n, evens, tables)
+    undecided = [OddDiagramClass(*fields) for fields in block
+                 if not self_dual_by_rank(fields[2][-1] - fields[2][0])]
+    return len(block), non_self_dual_classes(undecided)
+
+
+def _run_census(n: int, run: list[tuple[int, ...]]) -> list[tuple[int, list[OddDiagramClass]]]:
+    """``_block_census`` of each parity block in ``run``, the blocks sharing
+    one store of suffix tables, which ends with the run."""
+    tables: dict = {}
+    return [_block_census(n, evens, tables) for evens in run]
+
+
+def census(n: int, allow_large: bool = False, jobs: int = 1) -> tuple[int, list[OddDiagramClass]]:
+    """The number of odd diagram classes of S_n, and those that are not
+    self-dual, sorted by minimum. No table of S_n is held: each parity block
+    is swept and decided whole. The blocks are dealt out in turn to ``jobs``
+    workers (as in ``resolve_jobs``), and each worker sweeps its run of
+    blocks with one store of suffix tables."""
+    jobs = resolve_jobs(jobs)
+    blocks = parity_sets(n, allow_large)
+    task = functools.partial(_run_census, n)
+    if jobs > 1:
+        import multiprocessing
+
+        with multiprocessing.Pool(jobs) as pool:
+            runs = pool.map(task, [blocks[i::jobs] for i in range(jobs)], chunksize=1)
+        results = [result for run in runs for result in run]
+    else:
+        results = task(blocks)
+    bad = sorted((cls for _, block_bad in results for cls in block_bad),
+                 key=lambda cls: cls.min_elem)
+    return sum(count for count, _ in results), bad
+
+
+def non_self_dual_census(n: int, allow_large: bool = False, jobs: int = 1) -> int:
+    """Number of odd diagram classes of S_n that are not self-dual."""
+    return len(census(n, allow_large, jobs)[1])
+
+
 def class_of(w: Perm, max_members: int | None = None) -> OddDiagramClass:
     """The odd diagram class of w, the interval between its ends. By Theorem
     B and the parity theorem only the minimum has no lowering ``legal_swap``
@@ -240,8 +308,6 @@ def class_report(cls: OddDiagramClass) -> dict:
     if rank <= 2:
         kl_is_one, self_dual = True, self_dual_by_rank(rank)
     else:
-        from .duality import is_self_dual  # duality imports this module
-
         interval = cls.interval
         kl_is_one, self_dual = carrell_holds(interval), is_self_dual(interval)
     return {

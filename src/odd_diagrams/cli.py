@@ -7,7 +7,7 @@ import json
 import sys
 
 from . import classes as classes_mod
-from . import diagrams, duality, intervals, partition, perms, polynomials, verify
+from . import diagrams, intervals, partition, perms, polynomials, verify
 
 USAGE_ERROR = 2
 CHECK_FAILURE = 1
@@ -119,7 +119,7 @@ def cmd_census(args) -> int:
         raise ValueError(f"census supports n <= {classes_mod.GUARDED_MAX_N}")
     if args.n >= 10 and not args.long:
         raise ValueError("census at n >= 10 requires --long")
-    count, bad = duality.census(args.n, jobs=args.jobs)
+    count, bad = classes_mod.census(args.n, jobs=args.jobs)
     print(f"classes: {count}, non-self-dual: {len(bad)}")
     if args.list:
         for cls in bad:

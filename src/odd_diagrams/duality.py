@@ -1,16 +1,13 @@
-"""Self-duality of Bruhat intervals: top-heaviness, the self-duality census
-and the boundary bipartite-graph criterion.
+"""Self-duality of any Bruhat interval: the rank rule, top-heaviness and
+the boundary bipartite-graph criterion. The census of classes is in ``classes``.
 
 Both duality questions go to one search, ``_graded_isomorphic``: is [u, v]
 isomorphic to its dual, and is its bottom boundary graph isomorphic to its
 top one."""
 
-import functools
-import os
 from dataclasses import dataclass
 
-from .classes import OddDiagramClass, parity_block, parity_sets
-from .intervals import BruhatInterval, interval_elements, rank_vector, self_dual_by_rank
+from .intervals import BruhatInterval, interval_elements, rank_vector
 from .perms import Perm, identity
 
 # (levels, up, down) as in ``BruhatInterval.cover_graph``
@@ -18,14 +15,11 @@ CoverGraph = tuple[list[list[int]], list[set[int]], list[set[int]]]
 
 __all__ = [
     "BipartiteGraph",
+    "self_dual_by_rank",
     "top_heavy_check",
     "is_self_dual",
     "boundary_bipartite_graphs",
     "bipartite_criterion",
-    "resolve_jobs",
-    "non_self_dual_classes",
-    "census",
-    "non_self_dual_census",
 ]
 
 
@@ -38,6 +32,14 @@ class BipartiteGraph:
     edges: frozenset[tuple[int, int]]
 
 
+def self_dual_by_rank(rank: int) -> bool:
+    """True when the rank alone makes a Bruhat interval self-dual: every
+    interval of rank 2 is a diamond and every one of rank 3 a k-crown
+    (Bjorner-Brenti, Combinatorics of Coxeter Groups, Sec. 2.7), and ranks 0
+    and 1 are chains. ``verify short_intervals_self_dual`` re-checks this."""
+    return rank <= 3
+
+
 def top_heavy_check(w: Perm) -> bool:
     """Rank sizes of [e, w] satisfy #P_k <= #P_(l(w)-k) for k <= l(w)/2."""
     ranks = rank_vector(interval_elements(identity(len(w)), w))
@@ -46,11 +48,8 @@ def top_heavy_check(w: Perm) -> bool:
 
 
 def is_self_dual(interval: BruhatInterval) -> bool:
-    """Does the Bruhat interval admit an order-reversing self-bijection?
-
-    Intervals of rank <= 3 always do (``self_dual_by_rank``); the others go
-    to ``_has_anti_automorphism``.
-    """
+    """Does the Bruhat interval admit an order-reversing self-bijection? Up
+    to rank 3 ``self_dual_by_rank`` says yes; above, ``_has_anti_automorphism``."""
     return self_dual_by_rank(interval.rank) or _has_anti_automorphism(interval)
 
 
@@ -148,68 +147,3 @@ def bipartite_criterion(interval: BruhatInterval) -> bool:
         return True
     bottom_graph, top_graph = boundary_bipartite_graphs(interval)
     return _graded_isomorphic(_as_cover_graph(bottom_graph), _as_cover_graph(top_graph))
-
-
-def resolve_jobs(jobs: int) -> int:
-    """Worker count for ``jobs`` in 0..os.cpu_count() (0 = all cores);
-    anything else raises ``ValueError``."""
-    cores = os.cpu_count() or 1
-    if not 0 <= jobs <= cores:
-        raise ValueError(f"jobs must be in 0..{cores}, got {jobs}")
-    return jobs or cores
-
-
-def non_self_dual_classes(classes: list[OddDiagramClass]) -> list[OddDiagramClass]:
-    """The classes whose Bruhat interval is not self-dual, in input order.
-    Only the classes that ``self_dual_by_rank`` leaves open are searched; the
-    rank is read from the lengths of the first and last members, the class
-    extremes."""
-    return [c for c in classes if not self_dual_by_rank(c.rank)
-            and not is_self_dual(c.interval)]
-
-
-def _block_census(n: int, evens: tuple[int, ...],
-                  tables: dict) -> tuple[int, list[OddDiagramClass]]:
-    """The number of classes in one parity block of S_n, and those that are
-    not self-dual. A class is built only when ``self_dual_by_rank`` leaves it
-    open. ``tables`` is the store of suffix tables of ``parity_block``."""
-    block = parity_block(n, evens, tables)
-    undecided = [OddDiagramClass(*fields) for fields in block
-                 if not self_dual_by_rank(fields[2][-1] - fields[2][0])]
-    return len(block), non_self_dual_classes(undecided)
-
-
-def _run_census(n: int, run: list[tuple[int, ...]]) -> list[tuple[int, list[OddDiagramClass]]]:
-    """``_block_census`` of each parity block in ``run``, the blocks sharing
-    one store of suffix tables, which ends with the run."""
-    tables: dict = {}
-    return [_block_census(n, evens, tables) for evens in run]
-
-
-def census(n: int, allow_large: bool = False, jobs: int = 1) -> tuple[int, list[OddDiagramClass]]:
-    """The number of odd diagram classes of S_n, and those that are not
-    self-dual, sorted by minimum.
-
-    S_n is swept one parity block at a time and no table of S_n is held:
-    each block is swept and decided whole. The blocks are dealt out in turn
-    to ``jobs`` workers (0..os.cpu_count(), 0 = all cores), and each worker
-    sweeps its run of blocks with one store of suffix tables."""
-    jobs = resolve_jobs(jobs)
-    blocks = parity_sets(n, allow_large)
-    task = functools.partial(_run_census, n)
-    if jobs > 1:
-        import multiprocessing
-
-        with multiprocessing.Pool(jobs) as pool:
-            runs = pool.map(task, [blocks[i::jobs] for i in range(jobs)], chunksize=1)
-        results = [result for run in runs for result in run]
-    else:
-        results = task(blocks)
-    bad = sorted((cls for _, block_bad in results for cls in block_bad),
-                 key=lambda cls: cls.min_elem)
-    return sum(count for count, _ in results), bad
-
-
-def non_self_dual_census(n: int, allow_large: bool = False, jobs: int = 1) -> int:
-    """Number of odd diagram classes of S_n that are not self-dual."""
-    return len(census(n, allow_large, jobs)[1])

@@ -1,6 +1,6 @@
 """Bruhat intervals [u, v]: elements, rank levels, Hasse diagrams, DOT export."""
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import combinations
 from operator import le
@@ -12,7 +12,6 @@ __all__ = [
     "BruhatInterval",
     "interval_elements",
     "rank_vector",
-    "self_dual_by_rank",
     "hasse_edges",
     "to_dot",
 ]
@@ -21,16 +20,12 @@ __all__ = [
 @dataclass(frozen=True)
 class BruhatInterval:
     """An interval [bottom, top] with its sorted member list and the
-    members' lengths, aligned with it. ``same_parity`` says that every
-    reflection inside the interval swaps two positions of one parity; only
-    ``OddDiagramClass.interval`` sets it, by the parity theorem (checked by
-    verify parity and verify class_covers)."""
+    members' lengths, aligned with it."""
 
     bottom: Perm
     top: Perm
     elements: tuple[Perm, ...]
     lengths: tuple[int, ...]
-    same_parity: bool = field(default=False, compare=False)
 
     @property
     def n(self) -> int:
@@ -45,12 +40,14 @@ class BruhatInterval:
             grouped[lw - base].append(w)
         return tuple(map(tuple, grouped))
 
-    @property
+    @cached_property
     def swaps(self) -> list[tuple[int, int]]:
-        """The 0-based position pairs i < j a reflection inside the interval
-        can swap: those of one parity when ``same_parity``, else all."""
-        pairs = combinations(range(self.n), 2)
-        return [(i, j) for i, j in pairs if (j - i) % 2 == 0] if self.same_parity else list(pairs)
+        """The 0-based position pairs i < j a reflection between two members
+        can swap: w and w (i j) differ only at i and j, and w(j) stands at j
+        in one and at i in the other, so some value is seen at both i and j."""
+        seen = list(map(set, zip(*self.elements)))
+        moving = [i for i, values in enumerate(seen) if len(values) > 1]
+        return [(i, j) for i, j in combinations(moving, 2) if not seen[i].isdisjoint(seen[j])]
 
     @cached_property
     def cover_graph(self) -> tuple[list[list[int]], list[set[int]], list[set[int]]]:
@@ -190,14 +187,6 @@ def _cached_interval(u: Perm, v: Perm) -> BruhatInterval:
 def rank_vector(interval: BruhatInterval) -> tuple[int, ...]:
     """counts[r] = number of members at length(bottom) + r."""
     return tuple(map(len, interval.levels))
-
-
-def self_dual_by_rank(rank: int) -> bool:
-    """True when the rank alone makes a Bruhat interval self-dual: every
-    interval of rank 2 is a diamond and every one of rank 3 a k-crown
-    (Bjorner-Brenti, Combinatorics of Coxeter Groups, Sec. 2.7), and ranks 0
-    and 1 are chains. ``verify short_intervals_self_dual`` re-checks this."""
-    return rank <= 3
 
 
 def hasse_edges(interval: BruhatInterval) -> list[tuple[Perm, Perm]]:

@@ -344,14 +344,16 @@ def check_kl_carrell(n: int, rng, class_table) -> CheckResult:
 
 
 def check_class_covers(n: int, rng, class_table) -> CheckResult:
-    """The cover graph of every class, built from the same-parity swaps that
-    ``OddDiagramClass.interval`` declares, equals the Hasse diagram built
-    from every pair of positions of the same members."""
+    """The Hasse diagram of every class, built from the position pairs that
+    ``BruhatInterval.swaps`` derives from its members, equals the covers
+    ``perms.upward_covers`` finds among the same members."""
     result = CheckResult("class_covers", "exhaustive")
     for cls in class_table():
-        every_pair = intervals.BruhatInterval(cls.min_elem, cls.max_elem, cls.members, cls.lengths)
+        members = set(cls.members)
+        covers = [(x, y) for x in cls.members
+                  for y in sorted(members.intersection(perms.upward_covers(x)))]
         result.record(
-            intervals.hasse_edges(cls.interval) == intervals.hasse_edges(every_pair),
+            intervals.hasse_edges(cls.interval) == covers,
             {"min": perms.format_perm(cls.min_elem), "max": perms.format_perm(cls.max_elem)},
         )
     return result
@@ -404,14 +406,17 @@ MAX_N = {
 
 def select_checks(n: int, names=None, allow_large: bool = False) -> list[str]:
     """The names of the checks to run over S_n (default: all). Raises
-    ValueError for n < 1, an unknown name, or, unless ``allow_large``, a
-    check asked for above its ``MAX_N``."""
+    ValueError for n < 1, an unknown or repeated name, or, unless
+    ``allow_large``, a check asked for above its ``MAX_N``."""
     if n < 1:
         raise ValueError("n must be positive")
     names = list(CHECKS) if names is None else names
     unknown = [name for name in names if name not in CHECKS]
     if unknown:
         raise ValueError(f"unknown checks: {unknown}; available: {sorted(CHECKS)}")
+    repeated = sorted({name for name in names if names.count(name) > 1})
+    if repeated:
+        raise ValueError(f"checks named more than once: {repeated}")
     over = [f"{name} (n <= {MAX_N[name]})" for name in names if n > MAX_N[name]]
     if over and not allow_large:
         raise ValueError(f"n = {n} is above the n-limit of {', '.join(over)}; "

@@ -11,9 +11,8 @@ from itertools import combinations
 
 import pytest
 
-from odd_diagrams.classes import class_extremes, class_of, classes_of_sn
+from odd_diagrams.classes import class_extremes, class_of, classes_of_sn, non_self_dual_census
 from odd_diagrams.diagrams import is_legal, satisfies_legality_criterion
-from odd_diagrams.duality import non_self_dual_census
 from odd_diagrams.intervals import interval_elements, rank_vector
 from odd_diagrams.partition import anchors, decompose, factorize, phi
 from odd_diagrams.perms import (

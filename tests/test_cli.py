@@ -6,7 +6,7 @@ import tracemalloc
 import pytest
 
 from odd_diagrams import classes as classes_mod
-from odd_diagrams import cli, diagrams, duality, partition, polynomials, verify
+from odd_diagrams import cli, diagrams, partition, polynomials, verify
 from odd_diagrams.cli import run
 from odd_diagrams.perms import format_perm, parse_perm
 
@@ -104,8 +104,8 @@ def test_census_list_without_findings_prints_summary_only(capsys):
 def test_census_list_prints_non_self_dual_intervals(monkeypatch, capsys):
     table = [classes_mod.class_of(parse_perm(w)) for w in ("5431627", "654172839")]
     # one parity block holding the two classes
-    monkeypatch.setattr(duality, "parity_sets", lambda n, allow_large=False: [None])
-    monkeypatch.setattr(duality, "parity_block",
+    monkeypatch.setattr(classes_mod, "parity_sets", lambda n, allow_large=False: [None])
+    monkeypatch.setattr(classes_mod, "parity_block",
                         lambda n, evens, tables: [(c.key, c.members, c.lengths) for c in table])
     assert run(["census", "--n", "9", "--list", "--jobs", "1"]) == 0
     out = capsys.readouterr().out
@@ -256,6 +256,15 @@ def test_verify_empty_checks_is_an_unknown_check(capsys):
     assert len(errors) == 1 and errors[0].startswith("error: unknown checks: ['']")
 
 
+def test_verify_rejects_a_repeated_check(monkeypatch, capsys):
+    monkeypatch.setattr(verify, "run_checks", lambda *a, **k: pytest.fail("checks ran"))
+    assert run(["verify", "--n", "3", "--checks", "parity,parity"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    errors = captured.err.splitlines()
+    assert errors == ["error: checks named more than once: ['parity']"]
+
+
 def test_verify_has_no_jobs_option(capsys):
     assert run(["verify", "--n", "3", "--jobs", "2"]) == 2
 
@@ -305,8 +314,8 @@ def test_census_checks_jobs_before_building_the_table(monkeypatch, capsys):
     def fail(*args, **kwargs):
         raise AssertionError("class table built before --jobs was checked")
 
-    monkeypatch.setattr(duality, "parity_sets", fail)
-    monkeypatch.setattr(duality, "parity_block", fail)
+    monkeypatch.setattr(classes_mod, "parity_sets", fail)
+    monkeypatch.setattr(classes_mod, "parity_block", fail)
     assert run(["census", "--n", "8", "--jobs", "-1"]) == 2
     assert "jobs must be in 0.." in capsys.readouterr().err
 

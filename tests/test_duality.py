@@ -6,16 +6,20 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from odd_diagrams import duality, verify
-from odd_diagrams.classes import OddDiagramClass, class_of, classes_of_sn
+from odd_diagrams import classes, duality, verify
+from odd_diagrams.classes import (
+    OddDiagramClass,
+    census,
+    class_of,
+    classes_of_sn,
+    non_self_dual_census,
+    non_self_dual_classes,
+)
 from odd_diagrams.duality import (
     BipartiteGraph,
     bipartite_criterion,
     boundary_bipartite_graphs,
-    census,
     is_self_dual,
-    non_self_dual_census,
-    non_self_dual_classes,
     top_heavy_check,
 )
 from odd_diagrams.intervals import BruhatInterval, hasse_edges, interval_elements
@@ -363,7 +367,7 @@ def test_census_searches_only_classes_above_rank_3(monkeypatch):
         searched.append(interval.bottom)
         return is_self_dual(interval)
 
-    monkeypatch.setattr(duality, "is_self_dual", counting_is_self_dual)
+    monkeypatch.setattr(classes, "is_self_dual", counting_is_self_dual)
     table = classes_of_sn(7)
     assert non_self_dual_classes(table) == []
     assert searched == [c.min_elem for c in table if c.interval.rank >= 4]
@@ -381,9 +385,9 @@ def test_census_builds_and_searches_only_classes_above_rank_3(monkeypatch):
         searched.append(interval.bottom)
         return is_self_dual(interval)
 
-    monkeypatch.setattr(duality, "OddDiagramClass", counting_class)
-    monkeypatch.setattr(duality, "is_self_dual", counting_is_self_dual)
     table = classes_of_sn(7)
+    monkeypatch.setattr(classes, "OddDiagramClass", counting_class)
+    monkeypatch.setattr(classes, "is_self_dual", counting_is_self_dual)
     assert census(7) == (2041, [])
     expected = [c.min_elem for c in table if c.interval.rank >= 4]
     assert sorted(built) == sorted(searched) == expected
@@ -392,7 +396,7 @@ def test_census_builds_and_searches_only_classes_above_rank_3(monkeypatch):
 
 def test_each_census_builds_its_own_suffix_tables(monkeypatch):
     stores, sizes = [], []
-    sweep = duality.parity_block
+    sweep = classes.parity_block
 
     def watching_parity_block(n, evens, tables):
         if not stores or stores[-1] is not tables:
@@ -400,7 +404,7 @@ def test_each_census_builds_its_own_suffix_tables(monkeypatch):
             sizes.append(len(tables))
         return sweep(n, evens, tables)
 
-    monkeypatch.setattr(duality, "parity_block", watching_parity_block)
+    monkeypatch.setattr(classes, "parity_block", watching_parity_block)
     assert census(7) == census(7) == (2041, [])
     # one store a call, empty when the call starts, with the same tables at the end
     assert len(stores) == 2 and stores[0] is not stores[1]

@@ -1,11 +1,12 @@
 import random
-from itertools import chain
+from itertools import chain, combinations
 
 import pytest
 
 from odd_diagrams import intervals, verify
 from odd_diagrams.classes import OddDiagramClass, class_of, classes_of_sn
 from odd_diagrams.intervals import (
+    BruhatInterval,
     hasse_edges,
     interval_elements,
     rank_vector,
@@ -164,21 +165,45 @@ def test_class_covers_check_passes_on_every_class(n, count):
     assert report.checks[0].passed == count
 
 
-def test_class_covers_check_fails_on_a_set_that_is_not_parity_closed():
-    # [123, 321] as a class would need the swap of positions 1 and 2
-    interval = interval_elements(identity(3), parse_perm("321"))
-    fake = OddDiagramClass(0, interval.elements, interval.lengths)
-    check = verify.check_class_covers(3, None, lambda: [fake])
+def test_class_covers_check_fails_when_swaps_drop_a_needed_pair(monkeypatch):
+    cls = class_of(parse_perm("5431627"))
+    x, y = hasse_edges(cls.interval)[0]
+    needed = tuple(i for i in range(7) if x[i] != y[i])
+    derive = BruhatInterval.swaps.func
+    monkeypatch.setattr(BruhatInterval, "swaps",
+                        property(lambda self: [p for p in derive(self) if p != needed]))
+    check = verify.check_class_covers(7, None, lambda: [cls])
     assert (check.passed, check.failed) == (0, 1)
-    assert check.findings == [{"min": "123", "max": "321"}]
+    assert check.findings == [{"min": "5431627", "max": "7461523"}]
 
 
-@pytest.mark.parametrize("n, same_parity, every", [(9, 16, 36), (10, 20, 45)])
-def test_class_intervals_try_only_same_parity_swaps(n, same_parity, every):
-    w = identity(n)
-    assert len(OddDiagramClass(0, (w,), (0,)).interval.swaps) == same_parity
-    assert len(interval_elements(w, w).swaps) == every
-    assert not interval_elements(w, w).same_parity
+@pytest.mark.parametrize("n", [5, 6])
+def test_swaps_hold_every_reflection_between_members_of_any_set(n):
+    # the member sets are not intervals, and BruhatInterval does not ask
+    rng = random.Random(n)
+    every = list(all_perms(n))
+    reflections = 0
+    for size in (2, 3, 8, 30, 60):
+        members = tuple(sorted(rng.sample(every, size)))
+        interval = BruhatInterval(members[0], members[-1], members, tuple(map(length, members)))
+        swaps = set(interval.swaps)
+        present = set(members)
+        for w in members:
+            for i, j in combinations(range(n), 2):
+                t = list(w)
+                t[i], t[j] = t[j], t[i]
+                if tuple(t) in present:
+                    reflections += 1
+                    assert (i, j) in swaps
+    assert reflections > 20
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_class_swaps_are_same_parity_pairs_of_moving_positions(n):
+    for cls in classes_of_sn(n):
+        moving = {i for i, column in enumerate(zip(*cls.members)) if len(set(column)) > 1}
+        for i, j in cls.interval.swaps:
+            assert (j - i) % 2 == 0 and i in moving and j in moving
 
 
 def _assert_levels_group_by_length(interval):
