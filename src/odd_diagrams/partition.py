@@ -88,6 +88,14 @@ def anchors(u: Perm, v: Perm) -> PartitionStep:
 
 def _anchor_step(u: Perm, v: Perm) -> PartitionStep:
     """``anchors`` for a pair already known to be the extremes of a class."""
+    k, positions = _anchor_positions(u, v)
+    return PartitionStep(k, positions[0], positions[-1], positions)
+
+
+def _anchor_positions(u: Perm, v: Perm) -> tuple[int, tuple[int, ...]]:
+    """The first difference k of u and v, and the anchor positions a = u^-1(k)
+    through b = v^-1(k) that hold values in [u(a), u(b)]; a and b are the
+    first and last anchors. Asserts what ``anchors`` says of them."""
     k = first_difference(u, v)
     a = u.index(k) + 1
     b = v.index(k) + 1
@@ -103,7 +111,7 @@ def _anchor_step(u: Perm, v: Perm) -> PartitionStep:
         raise AssertionError(f"anchored subsequence not increasing at {format_perm(u)}")
     if any((i - a) % 2 != 0 for i in positions):
         raise AssertionError(f"anchors of mixed parity at {format_perm(u)}")
-    return PartitionStep(k, a, b, positions)
+    return k, positions
 
 
 def block_index(w: Perm, step: PartitionStep) -> int:
@@ -197,14 +205,13 @@ def _factor_lengths(u: Perm, v: Perm) -> tuple[int, ...]:
     current = u
     last_k = 0
     while current != v:
-        step = _anchor_step(current, v)
-        if step.k <= last_k:
+        k, positions = _anchor_positions(current, v)
+        if k <= last_k:
             raise AssertionError("first difference failed to increase")
-        last_k = step.k
-        factors.append(step.m)
-        values = [current[p - 1] for p in step.anchors]
+        last_k = k
+        factors.append(len(positions))
         row = list(current)
-        for p, value in zip(step.anchors, values[1:] + values[:1]):
-            row[p - 1] = value
+        for p, q in zip(positions, positions[1:] + positions[:1]):
+            row[p - 1] = current[q - 1]
         current = tuple(row)
     return tuple(factors)

@@ -57,10 +57,19 @@ def parse_perm(text: str) -> Perm:
     return make_permutation(values)
 
 
+def _perm_template(n: int) -> str:
+    """The ``%`` template of ``format_perm`` for degree n."""
+    return "%d" * n if n <= 9 else ",".join(["%d"] * n)
+
+
+# the templates of the degrees up to 16; a larger degree builds its own per call
+_PERM_TEMPLATES = tuple(map(_perm_template, range(17)))
+
+
 def format_perm(w: Perm) -> str:
-    if len(w) <= 9:
-        return "".join(str(x) for x in w)
-    return ",".join(str(x) for x in w)
+    """One-line text: digits run together for n <= 9, comma-separated otherwise."""
+    n = len(w)
+    return (_PERM_TEMPLATES[n] if n < len(_PERM_TEMPLATES) else _perm_template(n)) % w
 
 
 def identity(n: int) -> Perm:

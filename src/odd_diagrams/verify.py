@@ -359,6 +359,26 @@ def check_class_covers(n: int, rng, class_table) -> CheckResult:
     return result
 
 
+def check_class_shapes(n: int, rng, class_table) -> CheckResult:
+    """``classes.class_shape`` keeps the Bruhat order among a class's
+    members, and all classes of one shape get the same self-duality search
+    and Carrell-Peterson verdicts: the facts that let the census and the
+    report decide both once per shape."""
+    result = CheckResult("class_shapes", "exhaustive")
+    verdicts: dict = {}
+    for cls in class_table():
+        shape = classes_mod.class_shape(cls.members)
+        interval = cls.interval
+        verdict = (duality._has_anti_automorphism(interval), polynomials.carrell_holds(interval))
+        pairs = list(zip(cls.members, shape))
+        ok = verdicts.setdefault(shape, verdict) == verdict and len(shape) == len(cls) and all(
+            perms.bruhat_leq(u, w) == perms.bruhat_leq(flat_u, flat_w)
+            for u, flat_u in pairs for w, flat_w in pairs)
+        result.record(ok, {"min": perms.format_perm(cls.min_elem),
+                           "max": perms.format_perm(cls.max_elem)})
+    return result
+
+
 CHECKS = {
     "bruhat_vs_covers": check_bruhat_vs_covers,
     "cover_gradedness": check_cover_gradedness,
@@ -377,6 +397,7 @@ CHECKS = {
     "kl_inversion": check_kl_inversion,
     "kl_carrell": check_kl_carrell,
     "class_covers": check_class_covers,
+    "class_shapes": check_class_shapes,
 }
 
 
@@ -401,6 +422,7 @@ MAX_N = {
     "kl_inversion": 5,
     "kl_carrell": 5,
     "class_covers": 7,
+    "class_shapes": 8,
 }
 
 

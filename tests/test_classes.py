@@ -6,12 +6,13 @@ import random
 
 import pytest
 
-from odd_diagrams import classes, diagrams, duality, intervals, polynomials
+from odd_diagrams import classes, diagrams, duality, intervals, polynomials, verify
 from odd_diagrams.classes import (
     OddDiagramClass,
     class_extremes,
     class_of,
     class_report,
+    class_shape,
     classes_of_sn,
 )
 from odd_diagrams.cli import run
@@ -81,6 +82,7 @@ def test_classes_are_keyed_once_per_permutation_and_never_decoded(n, monkeypatch
 
     monkeypatch.setattr(classes, "odd_diagram_key", counting)
     monkeypatch.setattr(classes, "diagram_of_key", no_decode)
+    monkeypatch.setattr(classes, "boxes_of_key", no_decode)
     table = classes_of_sn(n)
     assert calls == []
     assert sum(map(len, table)) == math.factorial(n)
@@ -171,18 +173,63 @@ def test_class_report_matches_the_interval_report(n):
         assert class_report(cls) == _reference_class_report(cls)
 
 
+def _reference_report_text(table):
+    """Reference: the report text, its records from ``_reference_class_report``."""
+    records = ",\n".join(json.dumps(_reference_class_report(c)) for c in table)
+    return f'{{"schema": 1, "n": {table[0].n}, "classes": [\n{records}\n]}}\n'
+
+
 @pytest.mark.parametrize("n", [*range(1, 8), pytest.param(8, marks=pytest.mark.long)])
-def test_write_report_text_matches_the_interval_report(n, monkeypatch):
+def test_write_report_text_matches_the_interval_report(n):
     table = classes_of_sn(n)
-    text = _report_text(table)
-    monkeypatch.setattr(classes, "class_report", _reference_class_report)
-    assert text == _report_text(table)
+    assert _report_text(table) == _reference_report_text(table)
 
 
-@pytest.mark.parametrize("n, built, count", [(6, 20, 351), (7, 171, 2041)])
-def test_report_builds_an_interval_only_from_rank_3(n, built, count, monkeypatch):
-    # each class of rank >= 3 builds its interval once, and no class of rank
-    # <= 2 reaches ``OddDiagramClass.interval``, ``levels`` or ``rank_vector``
+def _reference_format_perm(w):
+    """Reference: the ``format_perm`` that joined ``str`` of each entry."""
+    if len(w) <= 9:
+        return "".join(str(x) for x in w)
+    return ",".join(str(x) for x in w)
+
+
+def _reference_boxes(key, n):
+    """Reference: the report's boxes as ``list`` copies of the box tuples of
+    the former ``diagram_of_key``."""
+    boxes = []
+    while key:
+        low = key & -key
+        i, j = divmod(low.bit_length() - 1, n)
+        boxes.append((i + 1, j + 1))
+        key ^= low
+    return [list(box) for box in tuple(boxes)]
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_report_fields_match_their_reference_on_every_class(n):
+    # ``_factor_lengths`` has its reference in test_partition
+    for cls in classes_of_sn(n):
+        for w in (cls.min_elem, cls.max_elem):
+            assert format_perm(w) == _reference_format_perm(w)
+        assert diagrams.boxes_of_key(cls.key, n) == _reference_boxes(cls.key, n)
+        assert cls.diagram == tuple(map(tuple, _reference_boxes(cls.key, n)))
+
+
+def test_format_perm_matches_its_reference_at_every_degree_to_20():
+    rng = random.Random(20)
+    for n in range(21):
+        w = tuple(rng.sample(range(1, n + 1), n))
+        assert format_perm(w) == _reference_format_perm(w)
+
+
+# classes of rank >= 3 in S_n and their shapes
+RANK_3_SHAPES = {6: 1, 7: 13}
+
+
+@pytest.mark.parametrize("n, ranked, count", [(6, 20, 351), (7, 171, 2041)])
+def test_report_builds_an_interval_only_from_rank_3(n, ranked, count, monkeypatch):
+    # the report builds one interval per shape of the classes of rank >= 3,
+    # and no class of rank <= 2 reaches ``OddDiagramClass.interval``,
+    # ``levels`` or ``rank_vector``
     accesses = []
     interval = OddDiagramClass.interval.fget
     levels = BruhatInterval.levels.func
@@ -207,8 +254,10 @@ def test_report_builds_an_interval_only_from_rank_3(n, built, count, monkeypatch
     table = classes_of_sn(n)
     records = json.loads(_report_text(table))["classes"]
     assert len(records) == len(table) == count
-    assert len(accesses) == built == sum(cls.rank >= 3 for cls in table)
-    assert len({cls.key for cls in accesses}) == built
+    assert sum(cls.rank >= 3 for cls in table) == ranked
+    shapes = [class_shape(cls.members) for cls in accesses]
+    assert len(accesses) == len(set(shapes)) == RANK_3_SHAPES[n]
+    assert set(shapes) == {class_shape(cls.members) for cls in table if cls.rank >= 3}
 
 
 # sha256 of ``classes --n k --out``, fixed points of the report
@@ -510,3 +559,57 @@ def test_class_of_checks_the_budget_before_building_members(monkeypatch):
 def test_class_command_answers_above_guarded_n(capsys):
     assert run(["class", "--perm", "1,7,2,8,3,9,4,10,5,11,6"]) == 0
     assert "size: 120\n" in capsys.readouterr().out
+
+
+def test_class_shape_deletes_the_positions_all_members_share():
+    # 213 and 312 share the 1 at position 2; 2, 3 standardize to 1, 2
+    assert class_shape((parse_perm("213"), parse_perm("312"))) == ((1, 2), (2, 1))
+    assert class_shape((parse_perm("3412"),)) == ((),)
+    cls = class_of(parse_perm("5431627"))
+    shape = class_shape(cls.members)
+    assert len(shape) == len(cls) == 18
+    assert sorted(shape) == list(shape) and len(shape[0]) == 4
+
+
+def _reference_class_shape(members):
+    """Reference: the shape member by member, each member's entries at the
+    positions where some two members differ, standardized."""
+    moving = [p for p in range(len(members[0])) if len({w[p] for w in members}) > 1]
+    values = sorted(members[0][p] for p in moving)
+    return tuple(tuple(values.index(w[p]) + 1 for p in moving) for w in members)
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_class_shape_matches_the_member_by_member_reference(n):
+    for cls in classes_of_sn(n):
+        assert class_shape(cls.members) == _reference_class_shape(cls.members)
+
+
+@pytest.mark.parametrize("n, count, shapes", [
+    (1, 1, 1), (2, 2, 1), (3, 5, 2), (4, 17, 2), (5, 70, 5), (6, 351, 8), (7, 2041, 24),
+    pytest.param(8, 13732, 58, marks=pytest.mark.long),
+])
+def test_class_shapes_check_passes_on_every_class(n, count, shapes):
+    report = verify.run_checks(n, ["class_shapes"], allow_large=True)
+    assert report.ok
+    assert report.checks[0].passed == count
+    assert len({class_shape(c.members) for c in classes_of_sn(n)}) == shapes
+
+
+def _shape_keeping_a_constant_column(members):
+    """A wrong shape key: the positions of ``class_shape`` less its first,
+    plus the first position where every member agrees."""
+    columns = list(zip(*members))
+    moving = [p for p, column in enumerate(columns) if len(set(column)) > 1]
+    constant = [p for p, column in enumerate(columns) if len(set(column)) == 1]
+    kept = sorted(moving[1:] + constant[:1])
+    values = sorted({w[p] for w in members for p in kept})
+    return tuple(tuple(values.index(w[p]) + 1 for p in kept) for w in members)
+
+
+def test_class_shapes_check_fails_on_a_wrong_shape_key(monkeypatch):
+    monkeypatch.setattr(classes, "class_shape", _shape_keeping_a_constant_column)
+    report = verify.run_checks(5, ["class_shapes"])
+    assert not report.ok
+    # the class of 213 and 312 inside S_5 is one the wrong key breaks
+    assert {"min": "21345", "max": "31245"} in report.checks[0].findings

@@ -11,6 +11,7 @@ from odd_diagrams.classes import (
     OddDiagramClass,
     census,
     class_of,
+    class_shape,
     classes_of_sn,
     non_self_dual_census,
     non_self_dual_classes,
@@ -20,6 +21,7 @@ from odd_diagrams.duality import (
     bipartite_criterion,
     boundary_bipartite_graphs,
     is_self_dual,
+    self_dual_by_rank,
     top_heavy_check,
 )
 from odd_diagrams.intervals import BruhatInterval, hasse_edges, interval_elements
@@ -361,13 +363,16 @@ def test_self_dual_bipartite_check_builds_each_hasse_diagram_once(monkeypatch):
 
 
 def test_census_searches_only_classes_above_rank_3(monkeypatch):
+    # ``is_self_dual`` settles rank <= 3 by ``self_dual_by_rank``; only the
+    # classes above reach the search
     searched = []
+    search = duality._has_anti_automorphism
 
-    def counting_is_self_dual(interval):
+    def counting_search(interval):
         searched.append(interval.bottom)
-        return is_self_dual(interval)
+        return search(interval)
 
-    monkeypatch.setattr(classes, "is_self_dual", counting_is_self_dual)
+    monkeypatch.setattr(duality, "_has_anti_automorphism", counting_search)
     table = classes_of_sn(7)
     assert non_self_dual_classes(table) == []
     assert searched == [c.min_elem for c in table if c.interval.rank >= 4]
@@ -375,23 +380,51 @@ def test_census_searches_only_classes_above_rank_3(monkeypatch):
 
 
 def test_census_builds_and_searches_only_classes_above_rank_3(monkeypatch):
+    # the rank rule drops a class before it is built, and of the 24 classes
+    # of rank >= 4 one class per shape is searched: 7 searches
     built, searched = [], []
 
     def counting_class(key, members, lengths):
         built.append(members[0])
         return OddDiagramClass(key, members, lengths)
 
-    def counting_is_self_dual(interval):
+    def counting_search(interval):
         searched.append(interval.bottom)
-        return is_self_dual(interval)
+        return duality._has_anti_automorphism(interval)
 
     table = classes_of_sn(7)
     monkeypatch.setattr(classes, "OddDiagramClass", counting_class)
-    monkeypatch.setattr(classes, "is_self_dual", counting_is_self_dual)
+    monkeypatch.setattr(classes, "_has_anti_automorphism", counting_search)
+    monkeypatch.setattr(classes, "is_self_dual", None)
     assert census(7) == (2041, [])
-    expected = [c.min_elem for c in table if c.interval.rank >= 4]
-    assert sorted(built) == sorted(searched) == expected
-    assert len(expected) == 24
+    open_classes = {c.min_elem: c for c in table if c.interval.rank >= 4}
+    assert len(open_classes) == 24
+    assert sorted(built) == sorted(searched) and set(searched) <= set(open_classes)
+    shapes = [class_shape(open_classes[w].members) for w in searched]
+    assert len(searched) == len(set(shapes)) == 7
+    assert set(shapes) == {class_shape(c.members) for c in open_classes.values()}
+
+
+@pytest.mark.parametrize("n", [*range(1, 9), pytest.param(9, marks=pytest.mark.long)])
+def test_census_matches_the_search_on_every_open_class(n):
+    # the census's memo by shape against ``non_self_dual_classes``, which
+    # searches every class the rank rule leaves open
+    table = classes_of_sn(n)
+    open_classes = [c for c in table if not self_dual_by_rank(c.rank)]
+    assert census(n) == (len(table), non_self_dual_classes(open_classes))
+
+
+def test_each_census_keeps_its_own_verdicts(monkeypatch):
+    # the memo by shape ends with its run: a second census searches again
+    searched = []
+
+    def counting_search(interval):
+        searched.append(interval.bottom)
+        return duality._has_anti_automorphism(interval)
+
+    monkeypatch.setattr(classes, "_has_anti_automorphism", counting_search)
+    assert census(7) == census(7) == (2041, [])
+    assert len(searched) == 14 and searched[:7] == searched[7:]
 
 
 def test_each_census_builds_its_own_suffix_tables(monkeypatch):
