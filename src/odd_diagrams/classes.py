@@ -4,15 +4,14 @@ census over it, extremes and JSON reports."""
 import functools
 import json
 import os
-from dataclasses import dataclass
+from io import TextIOBase
 from itertools import combinations
-from typing import TextIO
 
 from .diagrams import Diagram, boxes_of_key, diagram_of_key, legal_swap, odd_diagram_key
 from .duality import _has_anti_automorphism, is_self_dual, self_dual_by_rank
 from .intervals import BruhatInterval, interval_elements
 from .partition import _factor_lengths, check_class_size
-from .perms import Perm, format_perm
+from .perms import FrozenRecord, Perm, format_perm, slot_setters
 from .polynomials import carrell_holds
 
 __all__ = [
@@ -44,16 +43,21 @@ SUFFIX = 4
 ClassFields = tuple[int, tuple[Perm, ...], tuple[int, ...]]
 
 
-@dataclass(frozen=True)
-class OddDiagramClass:
+class OddDiagramClass(FrozenRecord):
     """All permutations sharing one odd diagram: its ``odd_diagram_key``, its
     sorted members and their lengths, from which the rest is derived. Bruhat
     order refines lexicographic order, so by Theorem B (checked by verify
     theorem_b) the first and last members are the Bruhat extremes."""
 
+    __slots__ = _fields = ("key", "members", "lengths")
     key: int
     members: tuple[Perm, ...]
     lengths: tuple[int, ...]
+
+    def __init__(self, key: int, members: tuple[Perm, ...], lengths: tuple[int, ...]):
+        _set_key(self, key)
+        _set_members(self, members)
+        _set_lengths(self, lengths)
 
     @property
     def min_elem(self) -> Perm:
@@ -83,6 +87,10 @@ class OddDiagramClass:
 
     def __len__(self) -> int:
         return len(self.members)
+
+
+# construction is hot: the class table of S_9 builds 103,873 classes
+_set_key, _set_members, _set_lengths = slot_setters(OddDiagramClass)
 
 
 # the flattened members of a class, as ``class_shape`` gives them
@@ -371,7 +379,7 @@ def _class_record(cls: OddDiagramClass, verdicts: dict) -> dict:
     }
 
 
-def write_report(classes: list[OddDiagramClass], out: TextIO) -> None:
+def write_report(classes: list[OddDiagramClass], out: TextIOBase) -> None:
     """Write the JSON report of the class table of S_n, schema version 1, to
     ``out``: the header, then one class record a line. Each record is
     encoded and written on its own, so no more than one is held; the

@@ -24,7 +24,8 @@ def cmd_diagram(args) -> int:
 
 
 def _member_budget(args) -> int | None:
-    """The most class members a command may build: none with --long."""
+    """The most class or interval members a command may build: no limit
+    with --long."""
     return None if args.long else partition.MEMBER_BUDGET
 
 
@@ -41,7 +42,7 @@ def cmd_class(args) -> int:
 
 def cmd_poincare(args) -> int:
     u, v = _interval_args(args)
-    print(polynomials.poincare(u, v).pretty("t"))
+    print(polynomials.poincare(u, v, max_members=_member_budget(args)).pretty("t"))
     return 0
 
 
@@ -90,7 +91,7 @@ def cmd_rpoly(args) -> int:
 
 def cmd_hasse(args) -> int:
     u, v = _interval_args(args)
-    interval = intervals.interval_elements(u, v)
+    interval = intervals.interval_elements(u, v, max_members=_member_budget(args))
     dot = intervals.to_dot(interval)
     if args.dot:
         with open(args.dot, "w") as fh:
@@ -140,7 +141,7 @@ def cmd_verify(args) -> int:
     for check in report.checks:
         status = "ok" if check.failed == 0 else "FAIL"
         line = (f"{check.name:34s} {status:4s} passed={check.passed} "
-                f"failed={check.failed} scope={check.scope}")
+                f"failed={check.failed} scope={check.scope} wall_time={check.wall_time:.2f}s")
         if check.findings:
             line += f" findings={len(check.findings)}"
         print(line)
@@ -166,6 +167,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("poincare", help="Poincare polynomial of [u, v]")
     p.add_argument("--interval", nargs=2, required=True, metavar=("U", "V"))
+    p.add_argument("--long", action="store_true", help="allow intervals above the member budget")
     p.set_defaults(func=cmd_poincare)
 
     p = sub.add_parser("factorize", help="factor the Poincare polynomial of a class")
@@ -190,6 +192,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("hasse", help="DOT Hasse diagram of [u, v]")
     p.add_argument("--interval", nargs=2, required=True, metavar=("U", "V"))
     p.add_argument("--dot", help="output path (default: stdout)")
+    p.add_argument("--long", action="store_true", help="allow intervals above the member budget")
     p.set_defaults(func=cmd_hasse)
 
     p = sub.add_parser("classes", help="JSON report of all classes of S_n")

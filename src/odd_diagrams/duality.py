@@ -5,10 +5,8 @@ Both duality questions go to one search, ``_graded_isomorphic``: is [u, v]
 isomorphic to its dual, and is its bottom boundary graph isomorphic to its
 top one."""
 
-from dataclasses import dataclass
-
 from .intervals import BruhatInterval, interval_elements, rank_vector
-from .perms import Perm, identity
+from .perms import FrozenRecord, Perm, identity
 
 # (levels, up, down) as in ``BruhatInterval.cover_graph``
 CoverGraph = tuple[list[list[int]], list[set[int]], list[set[int]]]
@@ -23,13 +21,19 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class BipartiteGraph:
+class BipartiteGraph(FrozenRecord):
     """Covers between two consecutive rank levels; edges are index pairs."""
 
+    __slots__ = _fields = ("left", "right", "edges")
     left: tuple[Perm, ...]
     right: tuple[Perm, ...]
     edges: frozenset[tuple[int, int]]
+
+    def __init__(self, left: tuple[Perm, ...], right: tuple[Perm, ...],
+                 edges: frozenset[tuple[int, int]]):
+        object.__setattr__(self, "left", left)
+        object.__setattr__(self, "right", right)
+        object.__setattr__(self, "edges", edges)
 
 
 def self_dual_by_rank(rank: int) -> bool:

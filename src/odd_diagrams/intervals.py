@@ -1,12 +1,11 @@
 """Bruhat intervals [u, v]: elements, rank levels, Hasse diagrams, DOT export."""
 
-from dataclasses import dataclass
+from collections.abc import Iterable
 from functools import cached_property, lru_cache
 from itertools import combinations
 from operator import le
-from typing import Iterable
 
-from .perms import Perm, bruhat_leq, format_perm, length
+from .perms import FrozenRecord, Perm, bruhat_leq, format_perm, length, slot_setters
 
 __all__ = [
     "BruhatInterval",
@@ -17,15 +16,24 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class BruhatInterval:
+class BruhatInterval(FrozenRecord):
     """An interval [bottom, top] with its sorted member list and the
     members' lengths, aligned with it."""
 
+    _fields = ("bottom", "top", "elements", "lengths")
+    # the cached properties below are kept in __dict__
+    __slots__ = _fields + ("__dict__",)
     bottom: Perm
     top: Perm
     elements: tuple[Perm, ...]
     lengths: tuple[int, ...]
+
+    def __init__(self, bottom: Perm, top: Perm, elements: tuple[Perm, ...],
+                 lengths: tuple[int, ...]):
+        _set_bottom(self, bottom)
+        _set_top(self, top)
+        _set_elements(self, elements)
+        _set_lengths(self, lengths)
 
     @property
     def n(self) -> int:
@@ -85,6 +93,9 @@ class BruhatInterval:
         return len(self.elements)
 
 
+_set_bottom, _set_top, _set_elements, _set_lengths = slot_setters(BruhatInterval)
+
+
 def _swap(w: Perm, i: int) -> Perm:
     """w s_{i+1}: swap the entries in 0-based positions i and i + 1."""
     return w[:i] + (w[i + 1], w[i]) + w[i + 2:]
@@ -139,7 +150,7 @@ def _above(x: Perm, i: int, members: Iterable[Perm]) -> list[Perm]:
     return [u for u in members if all(map(le, prefix, sorted(u[:i + 1])))]
 
 
-def interval_elements(u: Perm, v: Perm) -> BruhatInterval:
+def interval_elements(u: Perm, v: Perm, max_members: int | None = None) -> BruhatInterval:
     """Materialize [u, v] by the lifting property (Bjorner-Brenti, Prop.
     2.2.7), on either side: with the step of ``_lifting_step``, [x, y] is K
     and K s for K = [x, ys] (right), K and s K for K = [x, s y] (left), or
@@ -147,7 +158,9 @@ def interval_elements(u: Perm, v: Perm) -> BruhatInterval:
     every right descent of y). Walk down from (u, v) until the ends meet,
     then rebuild upward; cost follows size, not n!. Lengths come with the
     members: only the meeting point's is computed, and a lifted member is
-    one longer than the member it comes from."""
+    one longer than the member it comes from. With ``max_members``, the
+    rebuild raises ValueError once it holds more members than that; a
+    filter step can hold more than [u, v] has."""
     if not bruhat_leq(u, v):
         raise ValueError(f"{format_perm(u)} is not below {format_perm(v)}")
     steps = []
@@ -175,6 +188,9 @@ def interval_elements(u: Perm, v: Perm) -> BruhatInterval:
             members.update(lifted)
         else:
             members = {w: members[w] for w in _above(x, i, members)}
+        if max_members is not None and len(members) > max_members:
+            raise ValueError(f"building [{format_perm(u)}, {format_perm(v)}] takes more than "
+                             f"{max_members} members; pass --long to run anyway")
     elements = tuple(sorted(members))
     return BruhatInterval(u, v, elements, tuple(map(members.__getitem__, elements)))
 

@@ -8,11 +8,10 @@ the Poincare polynomial into terms 1 + t + ... + t^(m-1).
 """
 
 import math
-from dataclasses import dataclass
 
 from .diagrams import first_difference, legal_swap, odd_diagram_key
 from .intervals import BruhatInterval, interval_elements
-from .perms import Perm, format_perm, right_transpose
+from .perms import FrozenRecord, Perm, format_perm, right_transpose
 from .polynomials import IntPolynomial, expand_factors
 
 __all__ = [
@@ -33,34 +32,51 @@ __all__ = [
 MEMBER_BUDGET = 50_000
 
 
-@dataclass(frozen=True)
-class PartitionStep:
+class PartitionStep(FrozenRecord):
     """The split data for one extreme pair (u, v)."""
 
+    __slots__ = _fields = ("k", "a", "b", "anchors")
     k: int
     a: int
     b: int
     anchors: tuple[int, ...]
+
+    def __init__(self, k: int, a: int, b: int, anchors: tuple[int, ...]):
+        object.__setattr__(self, "k", k)
+        object.__setattr__(self, "a", a)
+        object.__setattr__(self, "b", b)
+        object.__setattr__(self, "anchors", anchors)
 
     @property
     def m(self) -> int:
         return len(self.anchors)
 
 
-@dataclass(frozen=True)
-class BlockDecomposition:
+class BlockDecomposition(FrozenRecord):
+    __slots__ = _fields = ("step", "blocks", "u_chain", "v_chain")
     step: PartitionStep
     blocks: tuple[BruhatInterval, ...]
     u_chain: tuple[Perm, ...]
     v_chain: tuple[Perm, ...]
 
+    def __init__(self, step: PartitionStep, blocks: tuple[BruhatInterval, ...],
+                 u_chain: tuple[Perm, ...], v_chain: tuple[Perm, ...]):
+        object.__setattr__(self, "step", step)
+        object.__setattr__(self, "blocks", blocks)
+        object.__setattr__(self, "u_chain", u_chain)
+        object.__setattr__(self, "v_chain", v_chain)
 
-@dataclass(frozen=True)
-class FactorizationResult:
+
+class FactorizationResult(FrozenRecord):
     """Factor term counts in recursion order and their expanded product."""
 
+    __slots__ = _fields = ("factor_lengths", "product")
     factor_lengths: tuple[int, ...]
     product: IntPolynomial
+
+    def __init__(self, factor_lengths: tuple[int, ...], product: IntPolynomial):
+        object.__setattr__(self, "factor_lengths", factor_lengths)
+        object.__setattr__(self, "product", product)
 
 
 def _require_class_extremes(u: Perm, v: Perm) -> None:

@@ -4,10 +4,13 @@ A permutation is a plain tuple ``w`` with ``w[i-1] = w(i)``; positions and
 values are 1-indexed everywhere on the public surface.  Tuples compare
 lexicographically, which gives a canonical total order for member lists
 and reports.
+
+The module also holds ``Record`` and ``FrozenRecord``, the bases of the
+package's value classes, since it is the bottom of the import stack.
 """
 
+from collections.abc import Iterable, Iterator
 from itertools import combinations, permutations
-from typing import Iterable, Iterator
 
 Perm = tuple[int, ...]
 Transposition = tuple[int, int]
@@ -15,6 +18,9 @@ Transposition = tuple[int, int]
 __all__ = [
     "Perm",
     "Transposition",
+    "Record",
+    "FrozenRecord",
+    "slot_setters",
     "make_permutation",
     "parse_perm",
     "format_perm",
@@ -30,6 +36,61 @@ __all__ = [
     "descent_set",
     "avoids",
 ]
+
+
+class Record:
+    """A value class that compares, prints and pickles by the attributes
+    named in ``_fields``, in that order, as a dataclass does: equal only to
+    an instance of the same class, and unhashable, since it is mutable.
+    Written out rather than made by ``dataclasses``, whose import and code
+    generation cost a command line more than the rest of its start-up."""
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def _astuple(self) -> tuple:
+        return tuple([getattr(self, name) for name in self._fields])
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._astuple() == other._astuple()
+        return NotImplemented
+
+    __hash__ = None
+
+    def __repr__(self) -> str:
+        fields = ", ".join([f"{name}={getattr(self, name)!r}" for name in self._fields])
+        return f"{self.__class__.__qualname__}({fields})"
+
+    def __reduce__(self):
+        # rebuilt by the constructor: unpickling a slot would go through __setattr__
+        return self.__class__, self._astuple()
+
+
+class FrozenRecord(Record):
+    """An immutable ``Record``: assigning or deleting an attribute raises
+    AttributeError, and it hashes by its fields. A subclass keeps its fields
+    in ``__slots__``, and its ``__init__`` sets them with
+    ``object.__setattr__``, or with ``slot_setters`` where construction is
+    hot."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __hash__(self) -> int:
+        return hash(self._astuple())
+
+
+def slot_setters(cls: type) -> tuple:
+    """The setter of each slot of ``cls`` named in its ``_fields``, in order:
+    they fill a ``FrozenRecord`` without its refusing ``__setattr__``, in
+    about half the time of ``object.__setattr__``."""
+    return tuple(vars(cls)[name].__set__ for name in cls._fields)
 
 
 def make_permutation(values: Iterable[int]) -> Perm:

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Callable, Iterable
+from collections.abc import Callable, Iterable
 
 from .intervals import (
     BruhatInterval,
@@ -10,6 +10,7 @@ from .intervals import (
     _cached_interval,
     _descent_step,
     _swap,
+    interval_elements,
     rank_vector,
 )
 from .perms import Perm, bruhat_leq, descent_set, length
@@ -128,9 +129,13 @@ _Q = IntPolynomial([0, 1])
 _Q_MINUS_1 = IntPolynomial([-1, 1])
 
 
-def poincare(u: Perm, v: Perm) -> IntPolynomial:
-    """Rank generating function of [u, v], normalized to constant term 1."""
-    return IntPolynomial(rank_vector(_cached_interval(u, v)))
+def poincare(u: Perm, v: Perm, max_members: int | None = None) -> IntPolynomial:
+    """Rank generating function of [u, v], normalized to constant term 1.
+    With ``max_members`` the interval is built by ``interval_elements``
+    within that budget, not taken from the cache."""
+    interval = (_cached_interval(u, v) if max_members is None
+                else interval_elements(u, v, max_members))
+    return IntPolynomial(rank_vector(interval))
 
 
 def is_palindromic(f: IntPolynomial) -> bool:

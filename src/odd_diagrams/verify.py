@@ -8,22 +8,29 @@ open-question probes report their observations as findings instead.
 import functools
 import random
 import time
-from dataclasses import dataclass, field
 from itertools import combinations
 
 from . import classes as classes_mod
 from . import diagrams, duality, intervals, partition, perms, polynomials
+from .perms import Record
 
 __all__ = ["CheckResult", "VerificationReport", "CHECKS", "MAX_N", "select_checks", "run_checks"]
 
 
-@dataclass
-class CheckResult:
-    name: str
-    scope: str  # "exhaustive" | "sampled"
-    passed: int = 0
-    failed: int = 0
-    findings: list = field(default_factory=list)
+class CheckResult(Record):
+    """One check's counts and findings, and the seconds it took, which
+    ``run_checks`` sets once the check returns."""
+
+    _fields = ("name", "scope", "passed", "failed", "findings", "wall_time")
+
+    def __init__(self, name: str, scope: str, passed: int = 0, failed: int = 0,
+                 findings: list | None = None, wall_time: float = 0.0):
+        self.name = name
+        self.scope = scope  # "exhaustive" | "sampled"
+        self.passed = passed
+        self.failed = failed
+        self.findings = [] if findings is None else findings
+        self.wall_time = wall_time
 
     def record(self, ok: bool, finding=None):
         if ok:
@@ -34,11 +41,13 @@ class CheckResult:
                 self.findings.append(finding)
 
 
-@dataclass
-class VerificationReport:
-    n: int
-    checks: list[CheckResult]
-    wall_time: float
+class VerificationReport(Record):
+    _fields = ("n", "checks", "wall_time")
+
+    def __init__(self, n: int, checks: list[CheckResult], wall_time: float):
+        self.n = n
+        self.checks = checks
+        self.wall_time = wall_time
 
     @property
     def ok(self) -> bool:
@@ -56,6 +65,7 @@ class VerificationReport:
                     "passed": c.passed,
                     "failed": c.failed,
                     "findings": c.findings,
+                    "wall_time": c.wall_time,
                 }
                 for c in self.checks
             ],
@@ -454,5 +464,11 @@ def run_checks(n: int, names=None, seed: int = 0, allow_large: bool = False) -> 
     start = time.perf_counter()
     # the class table of S_n, built on first use and shared by the checks
     class_table = functools.cache(lambda: classes_mod.classes_of_sn(n))
-    results = [CHECKS[name](n, rng, class_table) for name in names]
+    results = []
+    for name in names:
+        check_start = time.perf_counter()
+        result = CHECKS[name](n, rng, class_table)
+        # the first check to use the class table pays for building it
+        result.wall_time = time.perf_counter() - check_start
+        results.append(result)
     return VerificationReport(n, results, time.perf_counter() - start)

@@ -243,6 +243,22 @@ def test_every_check_has_an_n_limit():
     assert min(verify.MAX_N.values()) == 5  # the full battery runs at n <= 5
 
 
+def test_verify_times_each_check(tmp_path, monkeypatch, capsys):
+    def slow(n, rng, class_table):
+        time.sleep(0.05)
+        return verify.CheckResult("parity", "exhaustive", passed=1)
+
+    monkeypatch.setitem(verify.CHECKS, "parity", slow)
+    path = tmp_path / "report.json"
+    assert run(["verify", "--n", "4", "--checks", "parity,theorem_b", "--out", str(path)]) == 0
+    report = json.loads(path.read_text())
+    times = [check["wall_time"] for check in report["checks"]]
+    assert times[0] >= 0.05 and times[1] >= 0
+    assert sum(times) <= report["wall_time"]
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split()[-1] for line in lines[:2]] == [f"wall_time={t:.2f}s" for t in times]
+
+
 def test_verify_unknown_check(capsys):
     assert run(["verify", "--n", "3", "--checks", "nope"]) == 2
 
@@ -427,6 +443,44 @@ def test_long_lifts_the_member_budget(command, args, monkeypatch, capsys):
     assert run([command, *args]) == 2
     assert "has 18 members, more than 17;" in capsys.readouterr().err
     assert run([command, *args, "--long"]) == 0
+    assert capsys.readouterr().err == ""
+
+
+# --- the member budget of poincare and hasse ---
+
+
+@pytest.mark.parametrize("command", ["poincare", "hasse"])
+def test_an_interval_above_the_member_budget_exits_2_within_seconds(command, capsys):
+    # [e, w0] in S_9 has 9! = 362,880 members; the lifting stops once it
+    # holds more than the budget
+    start = time.perf_counter()
+    assert run([command, "--interval", "123456789", "987654321"]) == 2
+    assert time.perf_counter() - start < 5
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("error: building [123456789, 987654321] takes more than "
+                            f"{partition.MEMBER_BUDGET} members; pass --long to run anyway\n")
+
+
+@pytest.mark.parametrize("argv", [
+    ["poincare", "--interval", "5431627", "7461523"],
+    ["hasse", "--interval", "1234", "4321"],
+])
+def test_an_interval_within_the_member_budget_prints_the_same_with_long(argv, capsys):
+    assert run(argv) == 0
+    plain = capsys.readouterr()
+    assert plain.err == "" and plain.out
+    assert run([*argv, "--long"]) == 0
+    assert capsys.readouterr() == plain
+
+
+@pytest.mark.parametrize("command", ["poincare", "hasse"])
+def test_long_lifts_the_interval_member_budget(command, monkeypatch, capsys):
+    # [1234, 4321] has 24 members
+    monkeypatch.setattr(partition, "MEMBER_BUDGET", 23)
+    assert run([command, "--interval", "1234", "4321"]) == 2
+    assert "takes more than 23 members;" in capsys.readouterr().err
+    assert run([command, "--interval", "1234", "4321", "--long"]) == 0
     assert capsys.readouterr().err == ""
 
 

@@ -440,3 +440,21 @@ def test_interval_bfs_vs_filter_checks_the_carried_lengths(monkeypatch):
     monkeypatch.setattr(verify.intervals, "interval_elements", off_by_one)
     check = verify.check_interval_bfs_vs_filter(4, random.Random(0), None, samples=20)
     assert (check.passed, check.failed) == (0, 20)
+
+
+def test_member_budget_stops_the_lifting():
+    e, w0 = identity(4), parse_perm("4321")
+    assert len(interval_elements(e, w0, max_members=24)) == 24
+    with pytest.raises(ValueError, match="building \\[1234, 4321\\] takes more than 23 members"):
+        interval_elements(e, w0, max_members=23)
+
+
+@pytest.mark.parametrize("n", range(1, 5))
+def test_member_budget_leaves_every_interval_within_it_unchanged(n):
+    # no set the lifting holds in S_n has more than n! members
+    elems = list(all_perms(n))
+    for u in elems:
+        for v in elems:
+            if bruhat_leq(u, v):
+                built = interval_elements(u, v)
+                assert interval_elements(u, v, max_members=len(elems)) == built
