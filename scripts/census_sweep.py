@@ -14,7 +14,8 @@ import argparse
 import resource
 import time
 
-from odd_diagrams.classes import GUARDED_MAX_N, census, resolve_jobs
+from odd_diagrams.classes import census, resolve_jobs
+from odd_diagrams.cli import check_sweep_degree
 
 
 def main():
@@ -26,11 +27,8 @@ def main():
     args = parser.parse_args()
     if not 1 <= args.min_n <= args.max_n:
         parser.error(f"need 1 <= --min-n <= --max-n, got {args.min_n} and {args.max_n}")
-    if args.max_n > GUARDED_MAX_N:
-        parser.error(f"the census supports n <= {GUARDED_MAX_N}")
-    if args.max_n == GUARDED_MAX_N and not args.long:
-        parser.error(f"n = {GUARDED_MAX_N} requires --long")
     try:
+        check_sweep_degree("census", args.max_n, args.long)
         jobs = resolve_jobs(args.jobs)
     except ValueError as exc:
         parser.error(str(exc))

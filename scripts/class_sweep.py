@@ -9,7 +9,8 @@ import argparse
 import pathlib
 import time
 
-from odd_diagrams.classes import GUARDED_MAX_N, classes_of_sn, write_report
+from odd_diagrams.classes import classes_of_sn, write_report
+from odd_diagrams.cli import check_sweep_degree
 
 
 def main():
@@ -21,14 +22,16 @@ def main():
     args = parser.parse_args()
     if not 1 <= args.min_n <= args.max_n:
         parser.error(f"need 1 <= --min-n <= --max-n, got {args.min_n} and {args.max_n}")
-    if args.max_n >= GUARDED_MAX_N and not args.long:
-        parser.error(f"n >= {GUARDED_MAX_N} requires --long")
+    try:
+        check_sweep_degree("classes", args.max_n, args.long)
+    except ValueError as exc:
+        parser.error(str(exc))
 
     out_dir = pathlib.Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     for n in range(args.min_n, args.max_n + 1):
         start = time.perf_counter()
-        table = classes_of_sn(n, allow_large=args.long)
+        table = classes_of_sn(n)
         path = out_dir / f"classes_s{n}.json"
         with open(path, "w") as fh:
             write_report(table, fh)

@@ -1,5 +1,5 @@
-"""Odd diagram classes of S_n: the parity-block sweep, the self-duality
-census over it, extremes and JSON reports."""
+"""Odd diagram classes of S_n, any n >= 1 (``cli.check_sweep_degree`` limits the
+commands): the parity-block sweep, the self-duality census, extremes, JSON reports."""
 
 import functools
 import json
@@ -8,7 +8,7 @@ from io import TextIOBase
 from itertools import combinations
 
 from .diagrams import Diagram, boxes_of_key, diagram_of_key, legal_swap, odd_diagram_key
-from .duality import _has_anti_automorphism, is_self_dual, self_dual_by_rank
+from .duality import has_anti_automorphism, is_self_dual, self_dual_by_rank
 from .intervals import BruhatInterval, interval_elements
 from .partition import _factor_lengths, check_class_size
 from .perms import FrozenRecord, Perm, format_perm, slot_setters
@@ -20,7 +20,6 @@ __all__ = [
     "classes_of_sn",
     "parity_block",
     "parity_sets",
-    "check_degree",
     "class_extremes",
     "class_of",
     "class_report",
@@ -30,10 +29,6 @@ __all__ = [
     "census",
     "non_self_dual_census",
 ]
-
-# n = 10 already means 3.6M permutations; anything larger needs an
-# explicit opt-in.
-GUARDED_MAX_N = 10
 
 # the positions at the end of a permutation that ``parity_block`` takes from
 # precomputed tables: C(n, 2) C(n - 2, 2) tables of 4 rows at most
@@ -118,12 +113,13 @@ def class_shape(members: tuple[Perm, ...]) -> Shape:
     return tuple(zip(*[tuple(map(rank.__getitem__, column)) for column in moving])) or ((),)
 
 
-def parity_sets(n: int, allow_large: bool = False) -> list[tuple[int, ...]]:
+def parity_sets(n: int) -> list[tuple[int, ...]]:
     """The sets of values at the 0-based even positions of S_n, one per
     parity block, in the order of ``combinations``. A class keeps each
     value's position parity (checked by verify parity), so every class lies
-    in one block. The degree guard of ``classes_of_sn`` is checked first."""
-    check_degree(n, allow_large)
+    in one block. ValueError for n < 1."""
+    if n < 1:
+        raise ValueError("n must be positive")
     return list(combinations(range(1, n + 1), (n + 1) // 2))
 
 
@@ -205,15 +201,7 @@ def _suffix_table(n: int, mine_bits: int, their_bits: int,
     return table
 
 
-def check_degree(n: int, allow_large: bool = False) -> None:
-    """ValueError unless 1 <= n <= GUARDED_MAX_N, or n >= 1 with ``allow_large``."""
-    if n < 1:
-        raise ValueError("n must be positive")
-    if n > GUARDED_MAX_N and not allow_large:
-        raise ValueError(f"n = {n} > {GUARDED_MAX_N}; pass allow_large=True to override")
-
-
-def classes_of_sn(n: int, allow_large: bool = False) -> list[OddDiagramClass]:
+def classes_of_sn(n: int) -> list[OddDiagramClass]:
     """Partition S_n into odd diagram classes, sorted by minimum element.
 
     The classes come from ``parity_block``, one parity block at a time, with
@@ -224,7 +212,7 @@ def classes_of_sn(n: int, allow_large: bool = False) -> list[OddDiagramClass]:
     shared: dict[tuple[int, ...], tuple[int, ...]] = {}
     tables: dict = {}
     classes = [OddDiagramClass(key, members, shared.setdefault(lengths, lengths))
-               for evens in parity_sets(n, allow_large)
+               for evens in parity_sets(n)
                for key, members, lengths in parity_block(n, evens, tables)]
     classes.sort(key=lambda cls: cls.min_elem)
     return classes
@@ -254,15 +242,15 @@ def _block_census(n: int, evens: tuple[int, ...], tables: dict,
     store of suffix tables of ``parity_block``."""
     block = parity_block(n, evens, tables)
     bad = []
-    for fields in block:
-        lengths = fields[2]
+    for key, members, lengths in block:
         if self_dual_by_rank(lengths[-1] - lengths[0]):
             continue
-        shape = class_shape(fields[1])
+        shape = class_shape(members)
+        cls = None if verdicts.get(shape) else OddDiagramClass(key, members, lengths)
         if shape not in verdicts:
-            verdicts[shape] = _has_anti_automorphism(OddDiagramClass(*fields).interval)
+            verdicts[shape] = has_anti_automorphism(cls.interval)
         if not verdicts[shape]:
-            bad.append(OddDiagramClass(*fields))
+            bad.append(cls)
     return len(block), bad
 
 
@@ -275,7 +263,7 @@ def _run_census(n: int, run: list[tuple[int, ...]]) -> list[tuple[int, list[OddD
     return [_block_census(n, evens, tables, verdicts) for evens in run]
 
 
-def census(n: int, allow_large: bool = False, jobs: int = 1) -> tuple[int, list[OddDiagramClass]]:
+def census(n: int, jobs: int = 1) -> tuple[int, list[OddDiagramClass]]:
     """The number of odd diagram classes of S_n, and those that are not
     self-dual, sorted by minimum. No table of S_n is held: each parity block
     is swept and decided whole. The blocks are dealt out in turn to ``jobs``
@@ -284,7 +272,7 @@ def census(n: int, allow_large: bool = False, jobs: int = 1) -> tuple[int, list[
     ``class_shape``: the 66,795 classes of S_10 that the rank leaves open
     have 389 shapes."""
     jobs = resolve_jobs(jobs)
-    blocks = parity_sets(n, allow_large)
+    blocks = parity_sets(n)
     task = functools.partial(_run_census, n)
     if jobs > 1:
         import multiprocessing
@@ -299,9 +287,9 @@ def census(n: int, allow_large: bool = False, jobs: int = 1) -> tuple[int, list[
     return sum(count for count, _ in results), bad
 
 
-def non_self_dual_census(n: int, allow_large: bool = False, jobs: int = 1) -> int:
+def non_self_dual_census(n: int, jobs: int = 1) -> int:
     """Number of odd diagram classes of S_n that are not self-dual."""
-    return len(census(n, allow_large, jobs)[1])
+    return len(census(n, jobs)[1])
 
 
 def class_of(w: Perm, max_members: int | None = None) -> OddDiagramClass:

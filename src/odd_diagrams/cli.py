@@ -1,4 +1,5 @@
-"""Command-line harness: diagrams, classes, polynomials, censuses, checks."""
+"""Command-line harness: diagrams, classes, polynomials, censuses, checks, and
+the one degree rule of the commands that sweep S_n, ``check_sweep_degree``."""
 
 import argparse
 import contextlib
@@ -102,13 +103,21 @@ def cmd_hasse(args) -> int:
     return 0
 
 
+def check_sweep_degree(command: str, n: int, long: bool) -> None:
+    """ValueError unless ``command`` may sweep S_n (S_10 has 3.6M permutations)."""
+    if n < 1:
+        raise ValueError("n must be positive")
+    if command == "census" and n > 10:
+        raise ValueError("census supports n <= 10")
+    if n >= 10 and not long:
+        raise ValueError(f"{command} at n >= 10 requires --long")
+
+
 def cmd_classes(args) -> int:
-    if args.n >= classes_mod.GUARDED_MAX_N and not args.long:
-        raise ValueError(f"classes at n >= {classes_mod.GUARDED_MAX_N} requires --long")
-    classes_mod.check_degree(args.n, allow_large=args.long)
+    check_sweep_degree("classes", args.n, args.long)
     # the path is opened before the sweep, so one that cannot be written fails at once
     with (open(args.out, "w") if args.out else contextlib.nullcontext(sys.stdout)) as out:
-        table = classes_mod.classes_of_sn(args.n, allow_large=args.long)
+        table = classes_mod.classes_of_sn(args.n)
         classes_mod.write_report(table, out)
     if args.out:
         print(f"wrote {args.out} ({len(table)} classes)")
@@ -116,10 +125,7 @@ def cmd_classes(args) -> int:
 
 
 def cmd_census(args) -> int:
-    if args.n > classes_mod.GUARDED_MAX_N:
-        raise ValueError(f"census supports n <= {classes_mod.GUARDED_MAX_N}")
-    if args.n >= 10 and not args.long:
-        raise ValueError("census at n >= 10 requires --long")
+    check_sweep_degree("census", args.n, args.long)
     count, bad = classes_mod.census(args.n, jobs=args.jobs)
     print(f"classes: {count}, non-self-dual: {len(bad)}")
     if args.list:

@@ -16,6 +16,7 @@ __all__ = [
     "self_dual_by_rank",
     "top_heavy_check",
     "is_self_dual",
+    "has_anti_automorphism",
     "boundary_bipartite_graphs",
     "bipartite_criterion",
 ]
@@ -53,11 +54,11 @@ def top_heavy_check(w: Perm) -> bool:
 
 def is_self_dual(interval: BruhatInterval) -> bool:
     """Does the Bruhat interval admit an order-reversing self-bijection? Up
-    to rank 3 ``self_dual_by_rank`` says yes; above, ``_has_anti_automorphism``."""
-    return self_dual_by_rank(interval.rank) or _has_anti_automorphism(interval)
+    to rank 3 ``self_dual_by_rank`` says yes; above, ``has_anti_automorphism``."""
+    return self_dual_by_rank(interval.rank) or has_anti_automorphism(interval)
 
 
-def _has_anti_automorphism(interval: BruhatInterval) -> bool:
+def has_anti_automorphism(interval: BruhatInterval) -> bool:
     """The full search, whatever the rank: rank-vector palindromicity is a
     necessary pre-filter that saves building the cover graph, then
     ``_graded_isomorphic`` looks for a map of the interval onto its dual."""

@@ -116,6 +116,9 @@ class IntPolynomial:
     def __repr__(self) -> str:
         return f"IntPolynomial({list(self.coeffs)})"
 
+    def __reduce__(self):  # protocols 0 and 1 cannot pickle a slot
+        return IntPolynomial, (self.coeffs,)
+
 
 def zero() -> IntPolynomial:
     return IntPolynomial()

@@ -300,7 +300,7 @@ def check_short_intervals_self_dual(n: int, rng, class_table) -> CheckResult:
         for v in tops:
             interval = intervals.interval_elements(u, v)
             result.record(
-                duality._has_anti_automorphism(interval),
+                duality.has_anti_automorphism(interval),
                 {"u": perms.format_perm(u), "v": perms.format_perm(v)},
             )
     return result
@@ -379,7 +379,7 @@ def check_class_shapes(n: int, rng, class_table) -> CheckResult:
     for cls in class_table():
         shape = classes_mod.class_shape(cls.members)
         interval = cls.interval
-        verdict = (duality._has_anti_automorphism(interval), polynomials.carrell_holds(interval))
+        verdict = (duality.has_anti_automorphism(interval), polynomials.carrell_holds(interval))
         pairs = list(zip(cls.members, shape))
         ok = verdicts.setdefault(shape, verdict) == verdict and len(shape) == len(cls) and all(
             perms.bruhat_leq(u, w) == perms.bruhat_leq(flat_u, flat_w)

@@ -15,7 +15,7 @@ from odd_diagrams.classes import (
     class_shape,
     classes_of_sn,
 )
-from odd_diagrams.cli import run
+from odd_diagrams.cli import check_sweep_degree, run
 from odd_diagrams.diagrams import is_legal, odd_diagram, odd_diagram_key
 from odd_diagrams.duality import is_self_dual
 from odd_diagrams.intervals import BruhatInterval, interval_elements, rank_vector
@@ -131,10 +131,12 @@ def test_classes_sorted_and_deterministic():
 
 
 def test_guard_rejects_large_n():
-    with pytest.raises(ValueError):
-        classes_of_sn(11)
-    with pytest.raises(ValueError):
+    # the sweep rejects only n < 1; that n >= 10 needs --long is the CLI's rule
+    with pytest.raises(ValueError, match="n must be positive"):
         classes_of_sn(0)
+    assert len(classes.parity_sets(11)) == 462
+    with pytest.raises(ValueError, match="classes at n >= 10 requires --long"):
+        check_sweep_degree("classes", 11, long=False)
 
 
 def _reference_class_report(cls):

@@ -104,7 +104,7 @@ def test_census_list_without_findings_prints_summary_only(capsys):
 def test_census_list_prints_non_self_dual_intervals(monkeypatch, capsys):
     table = [classes_mod.class_of(parse_perm(w)) for w in ("5431627", "654172839")]
     # one parity block holding the two classes
-    monkeypatch.setattr(classes_mod, "parity_sets", lambda n, allow_large=False: [None])
+    monkeypatch.setattr(classes_mod, "parity_sets", lambda n: [None])
     monkeypatch.setattr(classes_mod, "parity_block",
                         lambda n, evens, tables: [(c.key, c.members, c.lengths) for c in table])
     assert run(["census", "--n", "9", "--list", "--jobs", "1"]) == 0
@@ -348,6 +348,49 @@ def test_census_above_guarded_n_states_its_range(capsys):
     err = capsys.readouterr().err
     assert "census supports n <= 10" in err
     assert "allow_large" not in err
+
+
+SWEEP_DEGREE_ERRORS = {
+    ("classes", 0, False): "n must be positive",
+    ("classes", 0, True): "n must be positive",
+    ("classes", 10, False): "classes at n >= 10 requires --long",
+    ("classes", 11, False): "classes at n >= 10 requires --long",
+    ("census", 0, False): "n must be positive",
+    ("census", 0, True): "n must be positive",
+    ("census", 10, False): "census at n >= 10 requires --long",
+    ("census", 11, False): "census supports n <= 10",
+    ("census", 11, True): "census supports n <= 10",
+}
+
+
+@pytest.mark.parametrize("command, n, long", list(SWEEP_DEGREE_ERRORS))
+def test_a_sweep_outside_its_degree_range_exits_2_before_sweeping(monkeypatch, capsys,
+                                                                  command, n, long):
+    def fail(*args, **kwargs):
+        raise AssertionError("a sweep started")
+
+    monkeypatch.setattr(classes_mod, "parity_sets", fail)
+    monkeypatch.setattr(classes_mod, "parity_block", fail)
+    assert run([command, "--n", str(n)] + ["--long"] * long) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {SWEEP_DEGREE_ERRORS[command, n, long]}\n"
+    assert captured.out == ""
+
+
+def test_verify_long_builds_the_class_table_above_n_10(monkeypatch, capsys):
+    swept = []
+
+    def empty_block(n, evens, tables=None):
+        swept.append(n)
+        return []
+
+    monkeypatch.setattr(classes_mod, "parity_block", empty_block)
+    assert run(["verify", "--n", "11", "--checks", "theorem_b", "--long"]) == 0
+    captured = capsys.readouterr()
+    # one parity block for each 6 of the 11 values at the even positions
+    assert swept == [11] * 462
+    assert "allow_large" not in captured.out + captured.err
+    assert captured.out.startswith("theorem_b ")
 
 
 # --- factorize and partition need the extremes of one class ---

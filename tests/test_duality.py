@@ -16,6 +16,7 @@ from odd_diagrams.classes import (
     non_self_dual_census,
     non_self_dual_classes,
 )
+from odd_diagrams.cli import check_sweep_degree
 from odd_diagrams.duality import (
     BipartiteGraph,
     bipartite_criterion,
@@ -332,10 +333,11 @@ def test_self_duality_label_independent():
 
 
 def test_census_guard():
-    with pytest.raises(ValueError):
+    # the census rejects only n < 1; its cap at n = 10 is the CLI's rule
+    with pytest.raises(ValueError, match="n must be positive"):
         non_self_dual_census(0)
-    with pytest.raises(ValueError):
-        non_self_dual_census(11)
+    with pytest.raises(ValueError, match="census supports n <= 10"):
+        check_sweep_degree("census", 11, long=True)
 
 
 def test_self_dual_bipartite_check_builds_each_hasse_diagram_once(monkeypatch):
@@ -366,13 +368,13 @@ def test_census_searches_only_classes_above_rank_3(monkeypatch):
     # ``is_self_dual`` settles rank <= 3 by ``self_dual_by_rank``; only the
     # classes above reach the search
     searched = []
-    search = duality._has_anti_automorphism
+    search = duality.has_anti_automorphism
 
     def counting_search(interval):
         searched.append(interval.bottom)
         return search(interval)
 
-    monkeypatch.setattr(duality, "_has_anti_automorphism", counting_search)
+    monkeypatch.setattr(duality, "has_anti_automorphism", counting_search)
     table = classes_of_sn(7)
     assert non_self_dual_classes(table) == []
     assert searched == [c.min_elem for c in table if c.interval.rank >= 4]
@@ -390,11 +392,11 @@ def test_census_builds_and_searches_only_classes_above_rank_3(monkeypatch):
 
     def counting_search(interval):
         searched.append(interval.bottom)
-        return duality._has_anti_automorphism(interval)
+        return duality.has_anti_automorphism(interval)
 
     table = classes_of_sn(7)
     monkeypatch.setattr(classes, "OddDiagramClass", counting_class)
-    monkeypatch.setattr(classes, "_has_anti_automorphism", counting_search)
+    monkeypatch.setattr(classes, "has_anti_automorphism", counting_search)
     monkeypatch.setattr(classes, "is_self_dual", None)
     assert census(7) == (2041, [])
     open_classes = {c.min_elem: c for c in table if c.interval.rank >= 4}
@@ -403,6 +405,27 @@ def test_census_builds_and_searches_only_classes_above_rank_3(monkeypatch):
     shapes = [class_shape(open_classes[w].members) for w in searched]
     assert len(searched) == len(set(shapes)) == 7
     assert set(shapes) == {class_shape(c.members) for c in open_classes.values()}
+
+
+def test_census_builds_a_class_it_searches_and_keeps_once(monkeypatch):
+    # the parity block of S_9 with 4, 6, 7, 8, 9 at the even positions holds 6
+    # of the 8 non-self-dual classes, some of them the first of their shape
+    built, searched = [], []
+
+    def counting_class(key, members, lengths):
+        built.append(members[0])
+        return OddDiagramClass(key, members, lengths)
+
+    def counting_search(interval):
+        searched.append(interval.bottom)
+        return duality.has_anti_automorphism(interval)
+
+    monkeypatch.setattr(classes, "OddDiagramClass", counting_class)
+    monkeypatch.setattr(classes, "has_anti_automorphism", counting_search)
+    (count, bad), = classes._run_census(9, [(4, 6, 7, 8, 9)])
+    kept = {cls.min_elem for cls in bad}
+    assert count == 84 and len(kept) == 6 and kept & set(searched)
+    assert sorted(built) == sorted(set(searched) | kept)
 
 
 @pytest.mark.parametrize("n", [*range(1, 9), pytest.param(9, marks=pytest.mark.long)])
@@ -420,9 +443,9 @@ def test_each_census_keeps_its_own_verdicts(monkeypatch):
 
     def counting_search(interval):
         searched.append(interval.bottom)
-        return duality._has_anti_automorphism(interval)
+        return duality.has_anti_automorphism(interval)
 
-    monkeypatch.setattr(classes, "_has_anti_automorphism", counting_search)
+    monkeypatch.setattr(classes, "has_anti_automorphism", counting_search)
     assert census(7) == census(7) == (2041, [])
     assert len(searched) == 14 and searched[:7] == searched[7:]
 

@@ -207,11 +207,18 @@ def test_interval_properties_are_computed_once_and_cached(monkeypatch):
 @pytest.mark.parametrize("cls, ref, names, values, other", CASES, ids=ids)
 def test_every_value_class_survives_a_pickle_round_trip(cls, ref, names, values, other):
     obj = cls(*values)
-    # from protocol 2 up: below it IntPolynomial, slotted, cannot be pickled
-    for protocol in range(2, pickle.HIGHEST_PROTOCOL + 1):
+    for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
         back = pickle.loads(pickle.dumps(obj, protocol))
         assert type(back) is cls and back == obj
         assert _fields(back, names) == values
+
+
+@pytest.mark.parametrize("coeffs", [(), (1,), (1, 2, 1), (-1, 0, 3)])
+def test_a_polynomial_survives_a_pickle_round_trip_at_every_protocol(coeffs):
+    poly = IntPolynomial(coeffs)
+    for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+        back = pickle.loads(pickle.dumps(poly, protocol))
+        assert type(back) is IntPolynomial and back.coeffs == coeffs
 
 
 def test_a_pickled_interval_recomputes_its_cached_properties():
