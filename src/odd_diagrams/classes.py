@@ -17,8 +17,11 @@ from .polynomials import carrell_holds
 __all__ = [
     "OddDiagramClass",
     "class_shape",
+    "ends_shape",
+    "pinned_values",
     "classes_of_sn",
     "parity_block",
+    "parity_block_ends",
     "parity_sets",
     "class_extremes",
     "class_of",
@@ -36,6 +39,8 @@ SUFFIX = 4
 
 # the fields of an OddDiagramClass: key, sorted members, their lengths
 ClassFields = tuple[int, tuple[Perm, ...], tuple[int, ...]]
+# a class as ``parity_block_ends`` gives it: key, (minimum, its length), (maximum, its length)
+ClassEnds = tuple[int, tuple[Perm, int], tuple[Perm, int]]
 
 
 class OddDiagramClass(FrozenRecord):
@@ -88,25 +93,68 @@ class OddDiagramClass(FrozenRecord):
 _set_key, _set_members, _set_lengths = slot_setters(OddDiagramClass)
 
 
-# the flattened members of a class, as ``class_shape`` gives them
+# a class with every position its members share deleted, standardized:
+# its two ends from ``ends_shape``, all its members from ``class_shape``
 Shape = tuple[Perm, ...]
 
 
-def class_shape(members: tuple[Perm, ...]) -> Shape:
-    """The shape of the class with these sorted members: each member with
-    every position where all members agree deleted, the values left replaced
-    by their ranks among them.
+def pinned_values(u: Perm, v: Perm) -> int:
+    """The values at the positions p pinned by the ends u <= v of a class,
+    as a bitmask with value c at bit c. Position p is pinned when u(p) =
+    v(p) = c and u and v have equally many entries above c before p.
 
-    Classes of one shape have isomorphic Bruhat orders and the same
-    reflections between members, so the same self-duality and
-    Carrell-Peterson verdicts. If every member has the value c at position
-    p, that entry adds the same 0 or 1 to both sides of each comparison of
-    the rank-matrix criterion for Bruhat order (Bjorner-Brenti,
-    Combinatorics of Coxeter Groups, Thm 2.1.5), so deleting it keeps the
-    order among the members. A transposition that joins two members never
-    moves the shared entry, so deleting it keeps the reflections too.
-    ``verify class_shapes`` re-checks the order and the verdicts on every
-    class."""
+    Every w in [u, v] has w(p) = c there. Write r_w(i, j) for #{a <= i :
+    w(a) >= j}; u <= w <= v holds exactly when r_u <= r_w <= r_v at every
+    (i, j) (Bjorner-Brenti, Combinatorics of Coxeter Groups, Thm 2.1.5).
+    With A the number of entries above c before p, u and v share the four
+    counts r(p - 1, c) = A, r(p, c) = A + 1, r(p - 1, c + 1) = A and
+    r(p, c + 1) = A, so every w between them has them too: w(p) >= c by the
+    first two, and w(p) < c + 1 by the last two. ``verify class_shapes``
+    re-checks that the pinned positions are exactly those where all members
+    agree."""
+    seen_u = seen_v = pinned = 0  # the values before p, value x at bit x
+    for x, y in zip(u, v):
+        if x == y and (seen_u >> x).bit_count() == (seen_v >> x).bit_count():
+            pinned |= 1 << x
+        seen_u |= 1 << x
+        seen_v |= 1 << y
+    return pinned
+
+
+def ends_shape(u: Perm, v: Perm) -> Shape:
+    """The shape of the class with minimum u and maximum v: the pair (u, v)
+    with the positions of the ``pinned_values`` deleted and each value x left
+    lowered by the number of pinned values below it, its rank among the
+    values left. The census and the report decide self-duality, the
+    Carrell-Peterson count and the factor lengths once per shape.
+
+    Deleting positions where every member has one value is a bijection from
+    the class onto [u', v'] in S_m, u' and v' the reduced ends, m the
+    positions left: such an entry adds the same 0 or 1 to both sides of each
+    comparison of the rank-matrix criterion, so the criterion for u <= w <= v
+    is the one for u' <= w' <= v', and any w' there extends back by the
+    deleted entries. A transposition that joins two members never moves a
+    shared entry, so the reflections between members map over too. So
+    classes of one shape have isomorphic Bruhat orders with the same
+    reflections, and the same verdicts. Nor is a pinned position ever an
+    anchor of ``_factor_lengths``: each step works inside the class, and
+    each of its anchors holds k in the members of its own block and in no
+    other, so the members do not agree there. The pinned entries are then
+    the same in both ends at every step, and deleting them keeps each
+    step's k, anchors and block count. ``verify class_shapes`` re-checks
+    that this key and ``class_shape`` group the classes alike."""
+    pinned = pinned_values(u, v)
+    return (tuple([x - (pinned & ((1 << x) - 1)).bit_count() for x in u if not pinned >> x & 1]),
+            tuple([y - (pinned & ((1 << y) - 1)).bit_count() for y in v if not pinned >> y & 1]))
+
+
+def class_shape(members: tuple[Perm, ...]) -> Shape:
+    """The shape of the class with these sorted members, read from all of
+    them: each member with every position where all members agree deleted,
+    the values left replaced by their ranks among them. It is the reference
+    for ``ends_shape``, which the census and the report use: ``verify
+    class_shapes`` checks that the two keys group the classes alike, and
+    that this one keeps the Bruhat order among the members."""
     moving = [column for column in zip(*members) if len(set(column)) > 1]
     rank = {x: r for r, x in enumerate(sorted(column[0] for column in moving), 1)}
     # a class with no moving position has one member, which flattens to ()
@@ -128,45 +176,82 @@ def parity_block(n: int, evens: tuple[int, ...], tables: dict | None = None) -> 
     the 0-based even positions, each as its ``(key, members, lengths)``, the
     fields of ``OddDiagramClass``. The block is swept in lexicographic
     order, so each class's members are sorted and the classes come in the
-    order of their minima.
+    order of their minima. ``tables`` holds the suffix tables of
+    ``_block_leaves`` for every block of one sweep; without it the block
+    builds its own."""
+    groups: dict[int, list] = {}  # key -> [member, length, member, length, ...]
+    for prefix, key, inv, table in _block_leaves(n, evens, {} if tables is None else tables):
+        for tail, bits, tail_inv in table:
+            groups.setdefault(key | bits, []).extend((prefix + tail, inv + tail_inv))
+    return [(key, tuple(flat[::2]), tuple(flat[1::2])) for key, flat in groups.items()]
+
+
+def parity_block_ends(n: int, evens: tuple[int, ...], tables: dict) -> list[ClassEnds]:
+    """The classes of ``parity_block`` with only their ends: each as its key,
+    then its first and last member, each with its length. Bruhat order
+    refines lexicographic order, so these are the class minimum and maximum
+    (Theorem B), and the rank is the difference of the two lengths; no
+    member tuple of a class is built. ``tables`` is the store of suffix
+    tables of ``_block_leaves``."""
+    first: dict[int, tuple[Perm, int]] = {}
+    last: dict[int, tuple[Perm, int]] = {}
+    for prefix, key, inv, table in _block_leaves(n, evens, tables):
+        for tail, bits, tail_inv in table:
+            key_w = key | bits
+            end = (prefix + tail, inv + tail_inv)
+            if key_w not in last:
+                first[key_w] = end
+            last[key_w] = end
+    # both dicts gained their keys in the same order
+    return [(key, lo, hi) for (key, lo), hi in zip(first.items(), last.values())]
+
+
+def _block_leaves(n: int, evens: tuple[int, ...],
+                  tables: dict) -> list[tuple[Perm, int, int, list[tuple[Perm, int, int]]]]:
+    """The lexicographic sweep of the parity block of S_n with the values
+    ``evens`` at the 0-based even positions, down to its suffix tables: one
+    ``(prefix, key, inv, table)`` for each arrangement of the first
+    n - SUFFIX positions, in lexicographic order, with the key bits and
+    inversions of those positions and the ``_suffix_table`` of the values
+    left. A permutation of the block is a prefix with one tail of its
+    table, its key ``key | bits`` and its length ``inv + tail_inv``.
 
     In a block the positions of each parity hold exactly that parity's
     values, so row i of the key is the set of values of the other parity
     left to place after position i that lie below w(i), and its inversions
     after i are the values left that lie below w(i). Both are known when
-    w(i) is placed. The first n - SUFFIX positions are placed one by one,
-    position p drawing from ``mine``, what is left of its parity's values;
-    the rows and inversions of the last SUFFIX positions depend only on how
-    the values left are arranged, and come from ``_suffix_table``.
-    ``tables`` holds those tables for every block of one sweep; without it
-    the block builds its own.
-    """
-    tables = {} if tables is None else tables
+    w(i) is placed. Position p draws from ``mine``, what is left of its
+    parity's values; the rows and inversions of the last SUFFIX positions
+    depend only on how the values left are arranged. ``tables`` holds the
+    tables for every block of one sweep."""
     odds = tuple(x for x in range(1, n + 1) if x not in evens)
-    depth = max(n - SUFFIX, 0)
-    groups: dict[int, list] = {}  # key -> [member, length, member, length, ...]
+    if n <= SUFFIX:
+        return [((), 0, 0, _suffix_table(n, _bits(evens), _bits(odds), tables))]
+    last = n - SUFFIX - 1  # the last position placed one by one
+    leaves = []
 
     def fill(p: int, prefix: Perm, mine: Perm, theirs: Perm, mine_bits: int,
              their_bits: int, key: int, inv: int) -> None:
-        if p == depth:
-            # a table is never empty, so ``or`` builds only a missing one
-            table = (tables.get(mine_bits << n | their_bits)
-                     or _suffix_table(n, mine_bits, their_bits, tables))
-            for tail, bits, tail_inv in table:
-                groups.setdefault(key | bits, []).extend((prefix + tail, inv + tail_inv))
-            return
         left = mine_bits | their_bits
         for j, y in enumerate(mine):
             bit = 1 << (y - 1)
-            fill(p + 1, prefix + (y,), theirs, mine[:j] + mine[j + 1:], their_bits,
-                 mine_bits ^ bit, key | (their_bits & (bit - 1)) << (p * n),
-                 inv + (left & (bit - 1)).bit_count())
+            key_y = key | (their_bits & (bit - 1)) << (p * n)
+            inv_y = inv + (left & (bit - 1)).bit_count()
+            if p < last:
+                fill(p + 1, prefix + (y,), theirs, mine[:j] + mine[j + 1:], their_bits,
+                     mine_bits ^ bit, key_y, inv_y)
+            else:
+                # the next position draws from ``theirs``; a table is never
+                # empty, so ``or`` builds only a missing one
+                leaves.append((prefix + (y,), key_y, inv_y,
+                               tables.get(their_bits << n | mine_bits ^ bit)
+                               or _suffix_table(n, their_bits, mine_bits ^ bit, tables)))
 
     fill(0, (), evens, odds, _bits(evens), _bits(odds), 0, 0)
-    # ``fill`` refers to itself; dropping the name frees the block's groups
-    # on return instead of at the next full garbage collection
+    # ``fill`` refers to itself; dropping the name frees it on return
+    # instead of at the next full garbage collection
     del fill
-    return [(key, tuple(flat[::2]), tuple(flat[1::2])) for key, flat in groups.items()]
+    return leaves
 
 
 def _bits(values: tuple[int, ...]) -> int:
@@ -181,7 +266,7 @@ def _suffix_table(n: int, mine_bits: int, their_bits: int,
     of ``mine_bits`` at the positions of the parity of n - k and the others
     at the rest, in lexicographic order, each with the key bits of its k rows
     and its inversions among themselves. Row and inversions of the first of
-    the k positions come from one AND each, as in ``parity_block``. Built
+    the k positions come from one AND each, as in ``_block_leaves``. Built
     from the tables one position shorter and kept in ``tables`` under
     ``mine_bits << n | their_bits``."""
     name = mine_bits << n | their_bits
@@ -236,28 +321,32 @@ def non_self_dual_classes(classes: list[OddDiagramClass]) -> list[OddDiagramClas
 def _block_census(n: int, evens: tuple[int, ...], tables: dict,
                   verdicts: dict) -> tuple[int, list[OddDiagramClass]]:
     """The number of classes in one parity block of S_n, and those that are
-    not self-dual. The classes that ``self_dual_by_rank`` settles are
-    dropped by their lengths; of the rest one class per shape is searched,
-    and ``verdicts`` keeps the answer by ``class_shape``. ``tables`` is the
-    store of suffix tables of ``parity_block``."""
-    block = parity_block(n, evens, tables)
+    not self-dual, from the ends of ``parity_block_ends``. The classes that
+    ``self_dual_by_rank`` settles are dropped by their lengths; of the rest
+    one class per ``ends_shape`` is searched, and ``verdicts`` keeps the
+    answer by shape. An interval is built for a search and for a class that
+    is kept, once if it is both. ``tables`` is the store of suffix tables."""
+    block = parity_block_ends(n, evens, tables)
     bad = []
-    for key, members, lengths in block:
-        if self_dual_by_rank(lengths[-1] - lengths[0]):
+    for key, (lo, lo_length), (hi, hi_length) in block:
+        if self_dual_by_rank(hi_length - lo_length):
             continue
-        shape = class_shape(members)
-        cls = None if verdicts.get(shape) else OddDiagramClass(key, members, lengths)
+        shape = ends_shape(lo, hi)
+        interval = None
         if shape not in verdicts:
-            verdicts[shape] = has_anti_automorphism(cls.interval)
+            interval = interval_elements(lo, hi)
+            verdicts[shape] = has_anti_automorphism(interval)
         if not verdicts[shape]:
-            bad.append(cls)
+            if interval is None:
+                interval = interval_elements(lo, hi)
+            bad.append(OddDiagramClass(key, interval.elements, interval.lengths))
     return len(block), bad
 
 
 def _run_census(n: int, run: list[tuple[int, ...]]) -> list[tuple[int, list[OddDiagramClass]]]:
     """``_block_census`` of each parity block in ``run``, the blocks sharing
-    one store of suffix tables and one memo of verdicts by shape, both of
-    which end with the run."""
+    one store of suffix tables and one memo of verdicts by ``ends_shape``,
+    both of which end with the run."""
     tables: dict = {}
     verdicts: dict[Shape, bool] = {}
     return [_block_census(n, evens, tables, verdicts) for evens in run]
@@ -265,12 +354,14 @@ def _run_census(n: int, run: list[tuple[int, ...]]) -> list[tuple[int, list[OddD
 
 def census(n: int, jobs: int = 1) -> tuple[int, list[OddDiagramClass]]:
     """The number of odd diagram classes of S_n, and those that are not
-    self-dual, sorted by minimum. No table of S_n is held: each parity block
-    is swept and decided whole. The blocks are dealt out in turn to ``jobs``
-    workers (as in ``resolve_jobs``), and each worker sweeps its run of
-    blocks with one store of suffix tables and one memo of verdicts by
-    ``class_shape``: the 66,795 classes of S_10 that the rank leaves open
-    have 389 shapes."""
+    self-dual, with their members, sorted by minimum. No table of S_n is
+    held: each parity block is swept for the ends of its classes only, and
+    decided whole. The blocks are dealt out in turn to ``jobs`` workers (as
+    in ``resolve_jobs``), and each worker sweeps its run of blocks with one
+    store of suffix tables and one memo of verdicts by ``ends_shape``: the
+    66,795 classes of S_10 that the rank leaves open have 389 shapes, and
+    only those 389 searches and the 118 classes kept build their
+    members."""
     jobs = resolve_jobs(jobs)
     blocks = parity_sets(n)
     task = functools.partial(_run_census, n)
@@ -331,37 +422,44 @@ def class_report(cls: OddDiagramClass) -> dict:
     <= 2 by the degree bound deg P <= (rank - 1)/2 < 1 and P(0) = 1, where
     ``self_dual_by_rank`` settles ``self_dual``; only a class of higher rank
     builds its interval, for ``carrell_holds`` and ``is_self_dual``. ``verify
-    kl_carrell`` and ``kl_class_probe`` re-check ``kl_is_one`` against KL."""
+    kl_carrell`` and ``kl_class_probe`` re-check ``kl_is_one`` against KL.
+
+    ``factor_lengths`` is the unchecked core of ``factorize``, since a
+    class's ends are its extremes by construction. A class of rank r <= 2
+    has r factors of 2: the factors m_i give sum(m_i - 1) = r, and an
+    interval of length 2 has 4 members (Bjorner-Brenti, Lemma 2.7.3), not
+    the 3 of a factor of 3."""
     return _class_record(cls, {})
 
 
-def _class_record(cls: OddDiagramClass, verdicts: dict) -> dict:
-    """``class_report``, with ``verdicts`` keeping ``kl_is_one`` and
-    ``self_dual`` of the classes of rank >= 3 by ``class_shape``: both
-    depend on the shape alone."""
-    members, lengths = cls.members, cls.lengths
-    lo, hi = members[0], members[-1]
+def _class_record(cls: OddDiagramClass, by_shape: dict) -> dict:
+    """``class_report``, with ``by_shape`` keeping ``kl_is_one``,
+    ``self_dual`` and the factor lengths of the classes of rank >= 3 by
+    ``ends_shape``: all three depend on the shape alone."""
+    lengths = cls.lengths
+    lo, hi = cls.min_elem, cls.max_elem
     base = lengths[0]
     rank = lengths[-1] - base
     ranks = [0] * (rank + 1)
     for lw in lengths:
         ranks[lw - base] += 1
     if rank <= 2:
-        kl_is_one, self_dual = True, self_dual_by_rank(rank)
+        kl_is_one, self_dual, factors = True, self_dual_by_rank(rank), (2,) * rank
     else:
-        shape = class_shape(members)
-        if shape not in verdicts:
+        shape = ends_shape(lo, hi)
+        if shape not in by_shape:
             interval = cls.interval
-            verdicts[shape] = carrell_holds(interval), is_self_dual(interval)
-        kl_is_one, self_dual = verdicts[shape]
+            by_shape[shape] = (carrell_holds(interval), is_self_dual(interval),
+                               _factor_lengths(lo, hi))
+        kl_is_one, self_dual, factors = by_shape[shape]
     return {
         "diagram": boxes_of_key(cls.key, len(lo)),
-        "size": len(members),
+        "size": len(lengths),
         "min": format_perm(lo),
         "max": format_perm(hi),
         "rank_vector": ranks,
         "poincare_coeffs": ranks[:],
-        "factor_lengths": list(_factor_lengths(lo, hi)),
+        "factor_lengths": list(factors),
         "kl_is_one": kl_is_one,
         "self_dual": self_dual,
     }
@@ -371,11 +469,12 @@ def write_report(classes: list[OddDiagramClass], out: TextIOBase) -> None:
     """Write the JSON report of the class table of S_n, schema version 1, to
     ``out``: the header, then one class record a line. Each record is
     encoded and written on its own, so no more than one is held; the
-    verdicts of the classes of rank >= 3 are kept by shape (13 shapes for
-    the 171 such classes of S_7) until the report is written."""
-    verdicts: dict[Shape, tuple[bool, bool]] = {}
+    verdicts and factor lengths of the classes of rank >= 3 are kept by
+    ``ends_shape`` (13 shapes for the 171 such classes of S_7) until the
+    report is written."""
+    by_shape: dict[Shape, tuple[bool, bool, tuple[int, ...]]] = {}
     out.write(f'{{"schema": 1, "n": {classes[0].n}, "classes": [')
     for i, cls in enumerate(classes):
         out.write(",\n" if i else "\n")
-        out.write(json.dumps(_class_record(cls, verdicts)))
+        out.write(json.dumps(_class_record(cls, by_shape)))
     out.write("\n]}\n")

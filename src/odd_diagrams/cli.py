@@ -104,13 +104,17 @@ def cmd_hasse(args) -> int:
 
 
 def check_sweep_degree(command: str, n: int, long: bool) -> None:
-    """ValueError unless ``command`` may sweep S_n (S_10 has 3.6M permutations)."""
+    """ValueError unless ``command``, ``census`` or ``classes``, may sweep S_n:
+    n >= 10 needs --long (S_10 has 3.6M permutations), and neither goes past
+    n = 10. The report holds its whole class table, 644 MB at n = 10."""
     if n < 1:
         raise ValueError("n must be positive")
     if command == "census" and n > 10:
         raise ValueError("census supports n <= 10")
     if n >= 10 and not long:
         raise ValueError(f"{command} at n >= 10 requires --long")
+    if n > 10:
+        raise ValueError(f"{command} supports n <= 10")
 
 
 def cmd_classes(args) -> int:

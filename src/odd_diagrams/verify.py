@@ -373,17 +373,27 @@ def check_class_shapes(n: int, rng, class_table) -> CheckResult:
     """``classes.class_shape`` keeps the Bruhat order among a class's
     members, and all classes of one shape get the same self-duality search
     and Carrell-Peterson verdicts: the facts that let the census and the
-    report decide both once per shape."""
+    report decide both once per shape. The key they use, ``ends_shape``,
+    groups the classes as ``class_shape`` does, and the positions that
+    ``pinned_values`` pins are exactly those where all members agree."""
     result = CheckResult("class_shapes", "exhaustive")
     verdicts: dict = {}
+    ends_of: dict = {}  # class_shape -> ends_shape
+    shape_of: dict = {}  # ends_shape -> class_shape
     for cls in class_table():
         shape = classes_mod.class_shape(cls.members)
+        ends = classes_mod.ends_shape(cls.min_elem, cls.max_elem)
         interval = cls.interval
         verdict = (duality.has_anti_automorphism(interval), polynomials.carrell_holds(interval))
+        pinned = classes_mod.pinned_values(cls.min_elem, cls.max_elem)
+        agree = [len(set(column)) == 1 for column in zip(*cls.members)]
         pairs = list(zip(cls.members, shape))
-        ok = verdicts.setdefault(shape, verdict) == verdict and len(shape) == len(cls) and all(
-            perms.bruhat_leq(u, w) == perms.bruhat_leq(flat_u, flat_w)
-            for u, flat_u in pairs for w, flat_w in pairs)
+        ok = (verdicts.setdefault(shape, verdict) == verdict and len(shape) == len(cls)
+              and ends_of.setdefault(shape, ends) == ends
+              and shape_of.setdefault(ends, shape) == shape
+              and agree == [bool(pinned >> x & 1) for x in cls.min_elem]
+              and all(perms.bruhat_leq(u, w) == perms.bruhat_leq(flat_u, flat_w)
+                      for u, flat_u in pairs for w, flat_w in pairs))
         result.record(ok, {"min": perms.format_perm(cls.min_elem),
                            "max": perms.format_perm(cls.max_elem)})
     return result

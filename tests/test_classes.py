@@ -278,6 +278,28 @@ def test_report_digest(n, tmp_path, capsys):
     assert hashlib.sha256(path.read_bytes()).hexdigest() == REPORT_SHA256[n]
 
 
+@pytest.mark.parametrize("n", range(2, 9))
+def test_factor_lengths_of_a_class_of_rank_at_most_2_are_all_2(n):
+    # what the report writes for such a class without the recursion
+    ranked = [cls for cls in classes_of_sn(n) if cls.rank <= 2]
+    # the first class of rank 1 is in S_3, the first of rank 2 in S_5
+    assert {cls.rank for cls in ranked} == {2: {0}, 3: {0, 1}, 4: {0, 1}}.get(n, {0, 1, 2})
+    for cls in ranked:
+        assert _factor_lengths(cls.min_elem, cls.max_elem) == (2,) * cls.rank
+
+
+@pytest.mark.parametrize("n", [*range(5, 9), pytest.param(9, marks=pytest.mark.long)])
+def test_classes_of_one_ends_shape_share_their_factor_lengths(n):
+    # the report keeps the factor lengths of a class of rank >= 3 by its ends shape
+    by_shape = {}
+    for cls in classes_of_sn(n):
+        if cls.rank >= 3:
+            factors = _factor_lengths(cls.min_elem, cls.max_elem)
+            shape = classes.ends_shape(cls.min_elem, cls.max_elem)
+            assert by_shape.setdefault(shape, factors) == factors
+    assert len(by_shape) == RANK_3_SHAPES.get(n, len(by_shape)) > 0
+
+
 @pytest.mark.parametrize("n", range(1, 7))
 def test_report_is_the_same_json_on_stdout_and_in_a_file(n, tmp_path, capsys):
     path = tmp_path / "report.json"
@@ -433,6 +455,50 @@ def test_parity_block_returns_what_the_position_sweep_returned(n):
         expected = _reference_parity_block(n, evens)
         assert classes.parity_block(n, evens, tables) == expected
         assert classes.parity_block(n, evens) == expected
+
+
+@pytest.mark.parametrize("n", [*range(1, 9), pytest.param(9, marks=pytest.mark.long)])
+def test_parity_block_ends_are_the_first_and_last_members(n):
+    # the ends sweep against the member sweep, block by block: keys, class
+    # order, first and last member and their lengths, with the suffix tables
+    # shared across the blocks of S_n
+    tables = {}
+    for evens in classes.parity_sets(n):
+        expected = [(key, (members[0], lengths[0]), (members[-1], lengths[-1]))
+                    for key, members, lengths in classes.parity_block(n, evens)]
+        assert classes.parity_block_ends(n, evens, tables) == expected
+
+
+def _reference_block_leaves(n, evens, tables):
+    """Reference: the leaves of a block by ``parity_block``'s former
+    recursion, which made one more call per leaf to reach its table."""
+    odds = tuple(x for x in range(1, n + 1) if x not in evens)
+    depth = max(n - classes.SUFFIX, 0)
+    leaves = []
+
+    def fill(p, prefix, mine, theirs, mine_bits, their_bits, key, inv):
+        if p == depth:
+            leaves.append((prefix, key, inv,
+                           classes._suffix_table(n, mine_bits, their_bits, tables)))
+            return
+        left = mine_bits | their_bits
+        for j, y in enumerate(mine):
+            bit = 1 << (y - 1)
+            fill(p + 1, prefix + (y,), theirs, mine[:j] + mine[j + 1:], their_bits,
+                 mine_bits ^ bit, key | (their_bits & (bit - 1)) << (p * n),
+                 inv + (left & (bit - 1)).bit_count())
+
+    fill(0, (), evens, odds, classes._bits(evens), classes._bits(odds), 0, 0)
+    return leaves
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_block_leaves_match_the_one_call_per_leaf_recursion(n):
+    tables, reference = {}, {}
+    for evens in classes.parity_sets(n):
+        assert (classes._block_leaves(n, evens, tables)
+                == _reference_block_leaves(n, evens, reference))
+    assert tables == reference
 
 
 def _reference_suffix_table(n, mine, theirs, tables):
@@ -615,3 +681,32 @@ def test_class_shapes_check_fails_on_a_wrong_shape_key(monkeypatch):
     assert not report.ok
     # the class of 213 and 312 inside S_5 is one the wrong key breaks
     assert {"min": "21345", "max": "31245"} in report.checks[0].findings
+
+
+def _ends_shape_keeping_a_pinned_position(u, v):
+    """A wrong ends key: ``ends_shape`` with the first pinned position kept."""
+    pinned = classes.pinned_values(u, v)
+    pinned &= pinned - 1 if pinned else 0  # unpin the lowest pinned value
+    kept = [p for p, x in enumerate(u) if not pinned >> x & 1]
+    values = sorted(u[p] for p in kept)
+    return (tuple(values.index(u[p]) + 1 for p in kept),
+            tuple(values.index(v[p]) + 1 for p in kept))
+
+
+def test_class_shapes_check_fails_on_a_wrong_ends_key(monkeypatch):
+    monkeypatch.setattr(classes, "ends_shape", _ends_shape_keeping_a_pinned_position)
+    report = verify.run_checks(5, ["class_shapes"])
+    assert not report.ok
+    # the class of 213 and 312 inside S_5 has the member shape of the class
+    # of 12435 and 12534, which comes first; the wrong key keeps the pinned
+    # 1 of both, before the moving entries in one and between them in the
+    # other, so the two keys differ
+    assert {"min": "21345", "max": "31245"} in report.checks[0].findings
+
+
+def test_class_shapes_check_fails_on_a_wrong_pinned_rule(monkeypatch):
+    # a rule that pins every position where the two ends agree
+    monkeypatch.setattr(classes, "pinned_values", lambda u, v: sum(
+        1 << x for x, y in zip(u, v) if x == y))
+    report = verify.run_checks(5, ["class_shapes"])
+    assert not report.ok

@@ -103,10 +103,10 @@ def test_census_list_without_findings_prints_summary_only(capsys):
 
 def test_census_list_prints_non_self_dual_intervals(monkeypatch, capsys):
     table = [classes_mod.class_of(parse_perm(w)) for w in ("5431627", "654172839")]
-    # one parity block holding the two classes
+    # one parity block holding the two classes, as the census sweeps it: by their ends
     monkeypatch.setattr(classes_mod, "parity_sets", lambda n: [None])
-    monkeypatch.setattr(classes_mod, "parity_block",
-                        lambda n, evens, tables: [(c.key, c.members, c.lengths) for c in table])
+    monkeypatch.setattr(classes_mod, "parity_block_ends", lambda n, evens, tables: [
+        (c.key, (c.min_elem, c.lengths[0]), (c.max_elem, c.lengths[-1])) for c in table])
     assert run(["census", "--n", "9", "--list", "--jobs", "1"]) == 0
     out = capsys.readouterr().out
     assert out == "classes: 2, non-self-dual: 1\n  [654172839, 958172634]\n"
@@ -332,6 +332,7 @@ def test_census_checks_jobs_before_building_the_table(monkeypatch, capsys):
 
     monkeypatch.setattr(classes_mod, "parity_sets", fail)
     monkeypatch.setattr(classes_mod, "parity_block", fail)
+    monkeypatch.setattr(classes_mod, "parity_block_ends", fail)
     assert run(["census", "--n", "8", "--jobs", "-1"]) == 2
     assert "jobs must be in 0.." in capsys.readouterr().err
 
@@ -355,6 +356,7 @@ SWEEP_DEGREE_ERRORS = {
     ("classes", 0, True): "n must be positive",
     ("classes", 10, False): "classes at n >= 10 requires --long",
     ("classes", 11, False): "classes at n >= 10 requires --long",
+    ("classes", 11, True): "classes supports n <= 10",
     ("census", 0, False): "n must be positive",
     ("census", 0, True): "n must be positive",
     ("census", 10, False): "census at n >= 10 requires --long",
@@ -371,6 +373,7 @@ def test_a_sweep_outside_its_degree_range_exits_2_before_sweeping(monkeypatch, c
 
     monkeypatch.setattr(classes_mod, "parity_sets", fail)
     monkeypatch.setattr(classes_mod, "parity_block", fail)
+    monkeypatch.setattr(classes_mod, "parity_block_ends", fail)
     assert run([command, "--n", str(n)] + ["--long"] * long) == 2
     captured = capsys.readouterr()
     assert captured.err == f"error: {SWEEP_DEGREE_ERRORS[command, n, long]}\n"

@@ -16,7 +16,7 @@ from odd_diagrams.classes import (
     non_self_dual_census,
     non_self_dual_classes,
 )
-from odd_diagrams.cli import check_sweep_degree
+from odd_diagrams.cli import check_sweep_degree, run
 from odd_diagrams.duality import (
     BipartiteGraph,
     bipartite_criterion,
@@ -26,7 +26,7 @@ from odd_diagrams.duality import (
     top_heavy_check,
 )
 from odd_diagrams.intervals import BruhatInterval, hasse_edges, interval_elements
-from odd_diagrams.perms import all_perms, bruhat_leq, identity, length, parse_perm
+from odd_diagrams.perms import all_perms, bruhat_leq, format_perm, identity, length, parse_perm
 
 
 @pytest.fixture(scope="module")
@@ -381,27 +381,40 @@ def test_census_searches_only_classes_above_rank_3(monkeypatch):
     assert len(searched) == 24
 
 
-def test_census_builds_and_searches_only_classes_above_rank_3(monkeypatch):
-    # the rank rule drops a class before it is built, and of the 24 classes
-    # of rank >= 4 one class per shape is searched: 7 searches
-    built, searched = [], []
+def _watch_census_builds(monkeypatch):
+    """Record, in the census, the minimum of each interval built, of each
+    class built and of each interval searched."""
+    built, kept, searched = [], [], []
+
+    def counting_interval(u, v):
+        built.append(u)
+        return interval_elements(u, v)
 
     def counting_class(key, members, lengths):
-        built.append(members[0])
+        kept.append(members[0])
         return OddDiagramClass(key, members, lengths)
 
     def counting_search(interval):
         searched.append(interval.bottom)
         return duality.has_anti_automorphism(interval)
 
-    table = classes_of_sn(7)
+    monkeypatch.setattr(classes, "interval_elements", counting_interval)
     monkeypatch.setattr(classes, "OddDiagramClass", counting_class)
     monkeypatch.setattr(classes, "has_anti_automorphism", counting_search)
     monkeypatch.setattr(classes, "is_self_dual", None)
+    return built, kept, searched
+
+
+def test_census_builds_and_searches_only_classes_above_rank_3(monkeypatch):
+    # the rank rule drops a class by the lengths of its ends, before any
+    # interval is built, and of the 24 classes of rank >= 4 one class per
+    # shape is built and searched: 7 searches, and no class is kept
+    table = classes_of_sn(7)
+    built, kept, searched = _watch_census_builds(monkeypatch)
     assert census(7) == (2041, [])
     open_classes = {c.min_elem: c for c in table if c.interval.rank >= 4}
-    assert len(open_classes) == 24
-    assert sorted(built) == sorted(searched) and set(searched) <= set(open_classes)
+    assert len(open_classes) == 24 and kept == []
+    assert built == searched and set(searched) <= set(open_classes)
     shapes = [class_shape(open_classes[w].members) for w in searched]
     assert len(searched) == len(set(shapes)) == 7
     assert set(shapes) == {class_shape(c.members) for c in open_classes.values()}
@@ -409,23 +422,15 @@ def test_census_builds_and_searches_only_classes_above_rank_3(monkeypatch):
 
 def test_census_builds_a_class_it_searches_and_keeps_once(monkeypatch):
     # the parity block of S_9 with 4, 6, 7, 8, 9 at the even positions holds 6
-    # of the 8 non-self-dual classes, some of them the first of their shape
-    built, searched = [], []
-
-    def counting_class(key, members, lengths):
-        built.append(members[0])
-        return OddDiagramClass(key, members, lengths)
-
-    def counting_search(interval):
-        searched.append(interval.bottom)
-        return duality.has_anti_automorphism(interval)
-
-    monkeypatch.setattr(classes, "OddDiagramClass", counting_class)
-    monkeypatch.setattr(classes, "has_anti_automorphism", counting_search)
+    # of the 8 non-self-dual classes, some of them the first of their shape:
+    # one interval is built for each search and each kept class, once for a
+    # class that is both, and a class only for each kept one
+    built, kept, searched = _watch_census_builds(monkeypatch)
     (count, bad), = classes._run_census(9, [(4, 6, 7, 8, 9)])
-    kept = {cls.min_elem for cls in bad}
-    assert count == 84 and len(kept) == 6 and kept & set(searched)
-    assert sorted(built) == sorted(set(searched) | kept)
+    bad_minima = {cls.min_elem for cls in bad}
+    assert count == 84 and len(bad_minima) == 6 and bad_minima & set(searched)
+    assert sorted(built) == sorted(set(searched) | bad_minima)
+    assert sorted(kept) == sorted(bad_minima)
 
 
 @pytest.mark.parametrize("n", [*range(1, 9), pytest.param(9, marks=pytest.mark.long)])
@@ -435,6 +440,62 @@ def test_census_matches_the_search_on_every_open_class(n):
     table = classes_of_sn(n)
     open_classes = [c for c in table if not self_dual_by_rank(c.rank)]
     assert census(n) == (len(table), non_self_dual_classes(open_classes))
+
+
+def _reference_block_census(n, evens, tables, verdicts):
+    """Reference: the census of one parity block that the ends sweep
+    replaced. It swept the block with its members, read each class's rank
+    from the lengths of its first and last members, and kept the verdicts
+    by ``class_shape``."""
+    block = classes.parity_block(n, evens, tables)
+    bad = []
+    for key, members, lengths in block:
+        if self_dual_by_rank(lengths[-1] - lengths[0]):
+            continue
+        shape = class_shape(members)
+        cls = OddDiagramClass(key, members, lengths)
+        if shape not in verdicts:
+            verdicts[shape] = duality.has_anti_automorphism(cls.interval)
+        if not verdicts[shape]:
+            bad.append(cls)
+    return len(block), bad
+
+
+def _reference_census_output(n):
+    """What ``census --n n --list`` printed with ``_reference_block_census``."""
+    tables, verdicts = {}, {}
+    results = [_reference_block_census(n, evens, tables, verdicts)
+               for evens in classes.parity_sets(n)]
+    bad = sorted((cls for _, block_bad in results for cls in block_bad),
+                 key=lambda cls: cls.min_elem)
+    lines = [f"classes: {sum(count for count, _ in results)}, non-self-dual: {len(bad)}"]
+    lines += [f"  [{format_perm(cls.min_elem)}, {format_perm(cls.max_elem)}]" for cls in bad]
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("n", [*range(1, 9), pytest.param(9, marks=pytest.mark.long)])
+def test_census_list_prints_what_the_member_census_printed(n, capsys):
+    assert run(["census", "--n", str(n), "--list", "--jobs", "1"]) == 0
+    assert capsys.readouterr().out == _reference_census_output(n)
+
+
+def test_s9_block_census_keeps_the_classes_of_the_member_census():
+    # the block of S_9 that holds 6 of the 8 non-self-dual classes, whole
+    evens = (4, 6, 7, 8, 9)
+    expected = _reference_block_census(9, evens, {}, {})
+    assert classes._block_census(9, evens, {}, {}) == expected
+    assert len(expected[1]) == 6
+
+
+@pytest.mark.parametrize("n, shapes",
+                         [(7, 7), (8, 14), pytest.param(9, 95, marks=pytest.mark.long)])
+def test_classes_of_rank_4_and_up_have_the_known_number_of_ends_shapes(n, shapes):
+    tables = {}
+    found = {classes.ends_shape(lo, hi)
+             for evens in classes.parity_sets(n)
+             for _, (lo, lo_length), (hi, hi_length) in classes.parity_block_ends(n, evens, tables)
+             if hi_length - lo_length >= 4}
+    assert len(found) == shapes
 
 
 def test_each_census_keeps_its_own_verdicts(monkeypatch):
@@ -452,15 +513,15 @@ def test_each_census_keeps_its_own_verdicts(monkeypatch):
 
 def test_each_census_builds_its_own_suffix_tables(monkeypatch):
     stores, sizes = [], []
-    sweep = classes.parity_block
+    sweep = classes.parity_block_ends
 
-    def watching_parity_block(n, evens, tables):
+    def watching_parity_block_ends(n, evens, tables):
         if not stores or stores[-1] is not tables:
             stores.append(tables)
             sizes.append(len(tables))
         return sweep(n, evens, tables)
 
-    monkeypatch.setattr(classes, "parity_block", watching_parity_block)
+    monkeypatch.setattr(classes, "parity_block_ends", watching_parity_block_ends)
     assert census(7) == census(7) == (2041, [])
     # one store a call, empty when the call starts, with the same tables at the end
     assert len(stores) == 2 and stores[0] is not stores[1]

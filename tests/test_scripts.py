@@ -49,7 +49,7 @@ def test_census_sweep_runs_a_small_range(monkeypatch, capsys):
     ]
 
 
-def _class_sweep_exits_2_before_any_work(monkeypatch, capsys, tmp_path, max_n):
+def _class_sweep_exits_2_before_any_work(monkeypatch, capsys, tmp_path, max_n, *flags):
     sweep = _load("class_sweep")
 
     def no_table(n, allow_large=False):
@@ -57,7 +57,7 @@ def _class_sweep_exits_2_before_any_work(monkeypatch, capsys, tmp_path, max_n):
 
     monkeypatch.setattr(sweep, "classes_of_sn", no_table)
     monkeypatch.setattr(
-        sys, "argv", ["class_sweep.py", "--max-n", str(max_n), "--out-dir", str(tmp_path)]
+        sys, "argv", ["class_sweep.py", "--max-n", str(max_n), "--out-dir", str(tmp_path), *flags]
     )
     with pytest.raises(SystemExit) as exc:
         sweep.main()
@@ -73,3 +73,9 @@ def test_class_sweep_rejects_n_above_10_without_long(monkeypatch, capsys, tmp_pa
 def test_class_sweep_requires_long_at_10(monkeypatch, capsys, tmp_path):
     err = _class_sweep_exits_2_before_any_work(monkeypatch, capsys, tmp_path, 10)
     assert "n >= 10 requires --long" in err
+
+
+def test_class_sweep_rejects_n_above_10_with_long(monkeypatch, capsys, tmp_path):
+    # --long lifts the guard at n = 10 only: the report holds its whole class table
+    err = _class_sweep_exits_2_before_any_work(monkeypatch, capsys, tmp_path, 11, "--long")
+    assert err.endswith("error: classes supports n <= 10\n")
