@@ -1,7 +1,9 @@
 """Odd diagram classes of S_n, any n >= 1 (``cli.check_sweep_degree`` limits the
 commands): the parity-block sweep, the self-duality census, extremes, JSON reports."""
 
+import contextlib
 import functools
+import gc
 import json
 import os
 from io import TextIOBase
@@ -286,6 +288,23 @@ def _suffix_table(n: int, mine_bits: int, their_bits: int,
     return table
 
 
+@contextlib.contextmanager
+def _collector_paused():
+    """Run the block with the cyclic garbage collector off. A sweep makes
+    millions of tuples that live until their block ends and form no cycles,
+    so each collection scans them for nothing: with the collector on, the
+    census of S_10 ran 4,599 young and 38 full collections, about a sixth of
+    its time. The collector comes back on afterwards, also on an exception,
+    only if it was on before."""
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if enabled:
+            gc.enable()
+
+
 def classes_of_sn(n: int) -> list[OddDiagramClass]:
     """Partition S_n into odd diagram classes, sorted by minimum element.
 
@@ -296,9 +315,10 @@ def classes_of_sn(n: int) -> list[OddDiagramClass]:
     # classes share length vectors (376 distinct among the 103,873 of S_9): keep one copy each
     shared: dict[tuple[int, ...], tuple[int, ...]] = {}
     tables: dict = {}
-    classes = [OddDiagramClass(key, members, shared.setdefault(lengths, lengths))
-               for evens in parity_sets(n)
-               for key, members, lengths in parity_block(n, evens, tables)]
+    with _collector_paused():
+        classes = [OddDiagramClass(key, members, shared.setdefault(lengths, lengths))
+                   for evens in parity_sets(n)
+                   for key, members, lengths in parity_block(n, evens, tables)]
     classes.sort(key=lambda cls: cls.min_elem)
     return classes
 
@@ -349,7 +369,8 @@ def _run_census(n: int, run: list[tuple[int, ...]]) -> list[tuple[int, list[OddD
     both of which end with the run."""
     tables: dict = {}
     verdicts: dict[Shape, bool] = {}
-    return [_block_census(n, evens, tables, verdicts) for evens in run]
+    with _collector_paused():
+        return [_block_census(n, evens, tables, verdicts) for evens in run]
 
 
 def census(n: int, jobs: int = 1) -> tuple[int, list[OddDiagramClass]]:

@@ -105,16 +105,15 @@ def cmd_hasse(args) -> int:
 
 def check_sweep_degree(command: str, n: int, long: bool) -> None:
     """ValueError unless ``command``, ``census`` or ``classes``, may sweep S_n:
-    n >= 10 needs --long (S_10 has 3.6M permutations), and neither goes past
-    n = 10. The report holds its whole class table, 644 MB at n = 10."""
+    neither goes past n = 10, which --long cannot lift, and n = 10 needs
+    --long (S_10 has 3.6M permutations). The report holds its whole class
+    table, 644 MB at n = 10."""
     if n < 1:
         raise ValueError("n must be positive")
-    if command == "census" and n > 10:
-        raise ValueError("census supports n <= 10")
-    if n >= 10 and not long:
-        raise ValueError(f"{command} at n >= 10 requires --long")
     if n > 10:
         raise ValueError(f"{command} supports n <= 10")
+    if n == 10 and not long:
+        raise ValueError(f"{command} at n >= 10 requires --long")
 
 
 def cmd_classes(args) -> int:

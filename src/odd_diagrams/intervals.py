@@ -1,9 +1,9 @@
 """Bruhat intervals [u, v]: elements, rank levels, Hasse diagrams, DOT export."""
 
-from collections.abc import Iterable
+from collections.abc import Callable, Iterable
 from functools import cached_property, lru_cache
 from itertools import combinations
-from operator import le
+from operator import itemgetter, le
 
 from .perms import FrozenRecord, Perm, bruhat_leq, format_perm, length, slot_setters
 
@@ -96,15 +96,24 @@ class BruhatInterval(FrozenRecord):
 _set_bottom, _set_top, _set_elements, _set_lengths = slot_setters(BruhatInterval)
 
 
-def _swap(w: Perm, i: int) -> Perm:
-    """w s_{i+1}: swap the entries in 0-based positions i and i + 1."""
-    return w[:i] + (w[i + 1], w[i]) + w[i + 2:]
+@lru_cache(maxsize=1024)
+def _position_swap(n: int, i: int) -> Callable[[Perm], Perm]:
+    """w -> w s_{i+1} on S_n, n >= 2: swaps the entries in 0-based positions
+    i and i + 1. Cached, since a step that lifts one or two members, as most
+    steps of a small class do, would spend more on building a getter than
+    the getter saves."""
+    order = list(range(n))
+    order[i], order[i + 1] = i + 1, i
+    return itemgetter(*order)
 
 
-def _swap_values(w: Perm, k: int) -> Perm:
-    """s_k w: swap the values k and k + 1."""
-    a, b = sorted((w.index(k), w.index(k + 1)))
-    return w[:a] + (w[b],) + w[a + 1:b] + (w[a],) + w[b + 1:]
+@lru_cache(maxsize=1024)
+def _value_swap(n: int, k: int) -> Callable[[int], int]:
+    """The relabelling of s_k on the values 1..n: k <-> k + 1, any other
+    value kept. s_k w = tuple(map(_value_swap(n, k), w))."""
+    table = list(range(n + 1))
+    table[k], table[k + 1] = k + 1, k
+    return tuple(table).__getitem__
 
 
 def _descent_step(x: Perm, y: Perm) -> tuple[int, bool]:
@@ -163,29 +172,28 @@ def interval_elements(u: Perm, v: Perm, max_members: int | None = None) -> Bruha
     filter step can hold more than [u, v] has."""
     if not bruhat_leq(u, v):
         raise ValueError(f"{format_perm(u)} is not below {format_perm(v)}")
+    n = len(u)
     steps = []
     x, y = u, v
     while x != y:
         side, i = _lifting_step(x, y)
         steps.append((x, side, i))
         if side == "right":
-            y = _swap(y, i)
+            y = _position_swap(n, i)(y)
         elif side == "left":
-            y = _swap_values(y, i)
+            y = tuple(map(_value_swap(n, i), y))
         else:
-            x = _swap(x, i)
+            x = _position_swap(n, i)(x)
     members = {x: length(x)}
     for x, side, i in reversed(steps):
         if side == "right":
-            members.update([(_swap(w, i), lw + 1)
+            swap = _position_swap(n, i)
+            members.update([(swap(w), lw + 1)
                             for w, lw in members.items() if w[i] < w[i + 1]])
         elif side == "left":
-            lifted = []
-            for w, lw in members.items():
-                a, b = w.index(i), w.index(i + 1)
-                if a < b:
-                    lifted.append((w[:a] + (i + 1,) + w[a + 1:b] + (i,) + w[b + 1:], lw + 1))
-            members.update(lifted)
+            relabel = _value_swap(n, i)
+            members.update([(tuple(map(relabel, w)), lw + 1)
+                            for w, lw in members.items() if w.index(i) < w.index(i + 1)])
         else:
             members = {w: members[w] for w in _above(x, i, members)}
         if max_members is not None and len(members) > max_members:

@@ -11,6 +11,7 @@ package's value classes, since it is the bottom of the import stack.
 
 from collections.abc import Iterable, Iterator
 from itertools import combinations, permutations
+from operator import itemgetter
 
 Perm = tuple[int, ...]
 Transposition = tuple[int, int]
@@ -172,20 +173,39 @@ def left_transpose(w: Perm, t: Transposition) -> Perm:
 
 
 def length(w: Perm) -> int:
-    """Coxeter length = number of inversions."""
-    return sum(1 for i, j in combinations(range(len(w)), 2) if w[i] > w[j])
+    """Coxeter length = number of inversions: for each entry, a popcount of
+    the earlier entries above it, kept as a bitmask with value c at bit c."""
+    seen = inversions = 0
+    for x in w:
+        inversions += (seen >> x).bit_count()
+        seen |= 1 << x
+    return inversions
 
 
 def bruhat_leq(u: Perm, v: Perm) -> bool:
-    """Bruhat comparison by entrywise dominance of sorted prefix sets."""
+    """Bruhat comparison by the rank-matrix criterion (Bjorner-Brenti,
+    Combinatorics of Coxeter Groups, Thm 2.1.5): u <= v iff every prefix of
+    u has at most as many entries >= c as the same prefix of v, for every c.
+
+    The prefixes are grown as bitmasks, value c at bit c. Write D(c) for u's
+    count of entries >= c less v's. A step that adds x to u and y to v
+    raises D by one on (y, x] if x > y, lowers it on (x, y] if x < y, and
+    leaves it elsewhere. So only a step with x > y can break D <= 0, only on
+    (y, x], and there only at a value u holds and v lacks: D, read from c =
+    x downward, rises only at such values."""
     if len(u) != len(v):
         raise ValueError("degree mismatch")
-    n = len(u)
-    for i in range(1, n):
-        su = sorted(u[:i])
-        sv = sorted(v[:i])
-        if any(a > b for a, b in zip(su, sv)):
-            return False
+    seen_u = seen_v = 0
+    for x, y in zip(u, v):
+        seen_u |= 1 << x
+        seen_v |= 1 << y
+        if x > y:
+            ahead = seen_u & ~seen_v & ((2 << x) - (2 << y))
+            while ahead:
+                c = ahead.bit_length() - 1
+                if (seen_u >> c).bit_count() > (seen_v >> c).bit_count():
+                    return False
+                ahead ^= 1 << c
     return True
 
 
@@ -220,15 +240,18 @@ def descent_set(w: Perm) -> set[int]:
 
 
 def avoids(w: Perm, pattern: Perm) -> bool:
-    """True iff no subsequence of w is order-isomorphic to pattern."""
+    """True iff no subsequence of w is order-isomorphic to pattern. A
+    subsequence matches exactly when its entries, read in the order of the
+    pattern's values, increase; the subsequences are taken as value tuples
+    by ``combinations``. Every w contains the empty pattern and each of its
+    entries the one-entry pattern."""
     k = len(pattern)
     if k > len(w):
         return True
-    rank = {x: r for r, x in enumerate(sorted(pattern))}
-    target = tuple(rank[x] for x in pattern)
-    for idx in combinations(range(len(w)), k):
-        sub = [w[p] for p in idx]
-        srank = {x: r for r, x in enumerate(sorted(sub))}
-        if tuple(srank[x] for x in sub) == target:
+    if k < 2:  # itemgetter of one index returns the entry, not a tuple
+        return False
+    by_pattern = itemgetter(*sorted(range(k), key=pattern.__getitem__))
+    for sub in combinations(w, k):
+        if list(by_pattern(sub)) == sorted(sub):
             return False
     return True

@@ -9,7 +9,7 @@ from .intervals import (
     _above,
     _cached_interval,
     _descent_step,
-    _swap,
+    _position_swap,
     interval_elements,
     rank_vector,
 )
@@ -175,7 +175,8 @@ def _r_recursive(
     if cached is not None:
         return cached
     i = choose_descent(y) - 1
-    ys, xs = _swap(y, i), _swap(x, i)
+    swap = _position_swap(len(y), i)
+    ys, xs = swap(y), swap(x)
     if x[i] > x[i + 1]:
         result = _r_recursive(xs, ys, choose_descent, memo)
     else:
@@ -256,7 +257,7 @@ def _kl_column(x: Perm, y: Perm) -> dict[Perm, tuple[int, tuple[int, ...]]]:
             column = _kl_column_step(x, y, i)
         else:
             # P_{u,y} = P_{us,y}, and [x, y] is the part of [xs, y] above x
-            known = _kl_column(_swap(x, i), y)
+            known = _kl_column(_position_swap(len(x), i)(x), y)
             column = {u: known[u] for u in _above(x, i, known)}
     global _kl_memo_values
     _KL_MEMO[x, y] = column
@@ -275,7 +276,8 @@ def _kl_column_step(x: Perm, y: Perm, i: int) -> dict[Perm, tuple[int, tuple[int
     over z in [u, v] with zs < z, where mu(z, v) is the coefficient of
     q^((l(v)-l(z)-1)/2) in P_{z,v}; and P_{us,y} = P_{u,y}.
     """
-    v = _swap(y, i)
+    swap = _position_swap(len(y), i)
+    v = swap(y)
     known = _kl_column(x, v)
     lv = known[v][0]
     ly = lv + 1
@@ -301,7 +303,7 @@ def _kl_column_step(x: Perm, y: Perm, i: int) -> dict[Perm, tuple[int, tuple[int
     for u, (lu, puv) in known.items():
         if u[i] > u[i + 1]:
             continue
-        us = _swap(u, i)
+        us = swap(u)
         d = ly - lu
         coeffs = sums.get(u) or [0] * (d + 1)
         for k, c in enumerate(puv):

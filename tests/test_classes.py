@@ -1,3 +1,4 @@
+import gc
 import hashlib
 import io
 import json
@@ -135,8 +136,61 @@ def test_guard_rejects_large_n():
     with pytest.raises(ValueError, match="n must be positive"):
         classes_of_sn(0)
     assert len(classes.parity_sets(11)) == 462
-    with pytest.raises(ValueError, match="classes at n >= 10 requires --long"):
+    with pytest.raises(ValueError, match="classes supports n <= 10"):
         check_sweep_degree("classes", 11, long=False)
+
+
+@pytest.fixture
+def collector_state():
+    """Puts the cyclic garbage collector back as it was after the test."""
+    enabled = gc.isenabled()
+    yield
+    if enabled:
+        gc.enable()
+    else:
+        gc.disable()
+
+
+def _record_collector_during(monkeypatch, name):
+    """Wrap classes.<name> so each call records whether the collector is on."""
+    inner, seen = getattr(classes, name), []
+
+    def recording(*args):
+        seen.append(gc.isenabled())
+        return inner(*args)
+
+    monkeypatch.setattr(classes, name, recording)
+    return seen
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_the_sweeps_pause_the_collector_and_restore_its_state(monkeypatch, collector_state,
+                                                               enabled):
+    (gc.enable if enabled else gc.disable)()
+    in_table = _record_collector_during(monkeypatch, "parity_block")
+    in_census = _record_collector_during(monkeypatch, "parity_block_ends")
+    assert len(classes_of_sn(5)) == 70
+    assert gc.isenabled() is enabled
+    assert classes.census(5) == (70, [])
+    assert gc.isenabled() is enabled
+    assert in_table and in_census and not any(in_table + in_census)
+
+
+def test_a_sweep_left_by_an_exception_restores_the_collector(monkeypatch, collector_state):
+    gc.enable()
+
+    def broken(*args):
+        assert not gc.isenabled()
+        raise RuntimeError("block failed")
+
+    monkeypatch.setattr(classes, "parity_block", broken)
+    monkeypatch.setattr(classes, "parity_block_ends", broken)
+    with pytest.raises(RuntimeError, match="block failed"):
+        classes_of_sn(4)
+    assert gc.isenabled()
+    with pytest.raises(RuntimeError, match="block failed"):
+        classes.census(4)
+    assert gc.isenabled()
 
 
 def _reference_class_report(cls):

@@ -337,10 +337,11 @@ def test_census_checks_jobs_before_building_the_table(monkeypatch, capsys):
     assert "jobs must be in 0.." in capsys.readouterr().err
 
 
-def test_classes_above_guarded_n_names_the_long_flag(capsys):
+def test_classes_above_guarded_n_states_its_range(capsys):
+    # --long cannot lift the cap, so the message does not offer it
     assert run(["classes", "--n", "11"]) == 2
     err = capsys.readouterr().err
-    assert "--long" in err
+    assert err == "error: classes supports n <= 10\n"
     assert "allow_large" not in err
 
 
@@ -355,7 +356,7 @@ SWEEP_DEGREE_ERRORS = {
     ("classes", 0, False): "n must be positive",
     ("classes", 0, True): "n must be positive",
     ("classes", 10, False): "classes at n >= 10 requires --long",
-    ("classes", 11, False): "classes at n >= 10 requires --long",
+    ("classes", 11, False): "classes supports n <= 10",
     ("classes", 11, True): "classes supports n <= 10",
     ("census", 0, False): "n must be positive",
     ("census", 0, True): "n must be positive",

@@ -344,9 +344,14 @@ def _reference_above(x, i, members):
     return [u for u in members if all(a <= b for a, b in zip(prefix, sorted(u[:i + 1])))]
 
 
+def _reference_swap(w, i):
+    """w s_{i+1}, by slicing: the former per-member swap of both engines."""
+    return w[:i] + (w[i + 1], w[i]) + w[i + 2:]
+
+
 def _reference_interval_elements(u, v):
     """Reference: the former right-only lifting engine, verbatim."""
-    _swap = intervals._swap
+    _swap = _reference_swap
     if not bruhat_leq(u, v):
         raise ValueError(f"{format_perm(u)} is not below {format_perm(v)}")
     steps = []
@@ -404,12 +409,90 @@ def test_two_sided_engine_matches_right_only_engine_on_the_5040_member_class():
     assert len(built) == 5040
 
 
+def _reference_swap_values(w, k):
+    """s_k w by slicing: the former swap of the values k and k + 1."""
+    a, b = sorted((w.index(k), w.index(k + 1)))
+    return w[:a] + (w[b],) + w[a + 1:b] + (w[a],) + w[b + 1:]
+
+
+def _reference_two_sided_interval_elements(u, v, sides):
+    """Reference: the former two-sided engine, which rebuilt each member by
+    slicing; it appends the kind of each lifting step it takes to ``sides``."""
+    _swap = _reference_swap
+    if not bruhat_leq(u, v):
+        raise ValueError(f"{format_perm(u)} is not below {format_perm(v)}")
+    steps = []
+    x, y = u, v
+    while x != y:
+        side, i = intervals._lifting_step(x, y)
+        sides.append(side)
+        steps.append((x, side, i))
+        if side == "right":
+            y = _swap(y, i)
+        elif side == "left":
+            y = _reference_swap_values(y, i)
+        else:
+            x = _swap(x, i)
+    members = {x: length(x)}
+    for x, side, i in reversed(steps):
+        if side == "right":
+            members.update([(_swap(w, i), lw + 1)
+                            for w, lw in members.items() if w[i] < w[i + 1]])
+        elif side == "left":
+            lifted = []
+            for w, lw in members.items():
+                a, b = w.index(i), w.index(i + 1)
+                if a < b:
+                    lifted.append((w[:a] + (i + 1,) + w[a + 1:b] + (i,) + w[b + 1:], lw + 1))
+            members.update(lifted)
+        else:
+            members = {w: members[w] for w in _reference_above(x, i, members)}
+    elements = tuple(sorted(members))
+    return intervals.BruhatInterval(u, v, elements, tuple(map(members.__getitem__, elements)))
+
+
+def _former_rebuild_steps(pairs):
+    """Asserts that interval_elements on each pair equals the former
+    two-sided engine's result, members and lengths; returns the kinds of
+    lifting step taken."""
+    sides = []
+    for u, v in pairs:
+        built = interval_elements(u, v)
+        former = _reference_two_sided_interval_elements(u, v, sides)
+        assert (built.elements, built.lengths) == (former.elements, former.lengths), (u, v)
+    return set(sides)
+
+
+STEP_KINDS = ("right", "left", "filter")
+
+
+# S_2 has right lifts only; a left lift that is not a right one needs n >= 3,
+# and a filter step x below y with every descent of y on both sides, as in
+# 1324 < 3412, needs n >= 4
+@pytest.mark.parametrize("n, kinds", [(1, 0), (2, 1), (3, 2), (4, 3), (5, 3)])
+def test_rebuild_matches_the_former_rebuild_on_every_pair(n, kinds):
+    elems = list(all_perms(n))
+    pairs = [(u, v) for u in elems for v in elems if bruhat_leq(u, v)]
+    assert _former_rebuild_steps(pairs) == set(STEP_KINDS[:kinds])
+
+
+@pytest.mark.parametrize("n, count", [(8, 60), (9, 25)])
+def test_rebuild_matches_the_former_rebuild_on_seeded_class_intervals(n, count):
+    rng = random.Random(n)
+    values = list(range(1, n + 1))
+    ends = []
+    for _ in range(count):
+        cls = class_of(tuple(rng.sample(values, n)))
+        ends.append((cls.min_elem, cls.max_elem))
+    assert _former_rebuild_steps(ends) == set(STEP_KINDS)
+
+
 def test_lifting_step_takes_a_right_then_a_left_lift_then_the_filter():
     assert intervals._lifting_step(parse_perm("123"), parse_perm("231")) == ("right", 1)
     # 132 has the only right descent of 231, but not its left descent s_1
     # (2 before 1): [132, 231] is K and s_1 K for K = [132, 132]
     assert intervals._lifting_step(parse_perm("132"), parse_perm("231")) == ("left", 1)
-    assert intervals._swap_values(parse_perm("231"), 1) == parse_perm("132")
+    assert tuple(map(intervals._value_swap(3, 1), parse_perm("231"))) == parse_perm("132")
     # 1324 has both right descents and the one left descent (3 before 2) of 3412
     assert intervals._lifting_step(parse_perm("1324"), parse_perm("3412")) == ("filter", 1)
 

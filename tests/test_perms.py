@@ -1,3 +1,4 @@
+import random
 from itertools import combinations
 
 import pytest
@@ -172,3 +173,92 @@ def test_bruhat_transitive(u, v, w):
         return
     if bruhat_leq(u, v) and bruhat_leq(v, w):
         assert bruhat_leq(u, w)
+
+
+# --- the rewritten kernels against the code they replace -----------------
+
+
+def _reference_length(w):
+    """The former inversion count, over every pair of positions."""
+    return sum(1 for i, j in combinations(range(len(w)), 2) if w[i] > w[j])
+
+
+def _reference_bruhat_leq(u, v):
+    """The former comparison by entrywise dominance of sorted prefix sets."""
+    if len(u) != len(v):
+        raise ValueError("degree mismatch")
+    n = len(u)
+    for i in range(1, n):
+        su = sorted(u[:i])
+        sv = sorted(v[:i])
+        if any(a > b for a, b in zip(su, sv)):
+            return False
+    return True
+
+
+def _reference_avoids(w, pattern):
+    """The former scan: the relative order of each index subset's entries."""
+    k = len(pattern)
+    if k > len(w):
+        return True
+    rank = {x: r for r, x in enumerate(sorted(pattern))}
+    target = tuple(rank[x] for x in pattern)
+    for idx in combinations(range(len(w)), k):
+        sub = [w[p] for p in idx]
+        srank = {x: r for r, x in enumerate(sorted(sub))}
+        if tuple(srank[x] for x in sub) == target:
+            return False
+    return True
+
+
+PATTERNS = [p for k in range(5) for p in all_perms(k)]
+
+
+@pytest.mark.parametrize("n", [*range(8), pytest.param(8, marks=pytest.mark.long)])
+def test_avoids_matches_the_former_scan_on_every_pattern_up_to_s4(n):
+    # the empty pattern (every w contains it), one entry, and k > n included
+    assert len(PATTERNS) == 34
+    for w in all_perms(n):
+        assert [avoids(w, p) for p in PATTERNS] == [_reference_avoids(w, p) for p in PATTERNS], w
+
+
+def test_avoids_edge_cases():
+    assert not avoids((), ())
+    assert not avoids((2, 1), ())
+    assert not avoids((2, 1), (1,))
+    assert avoids((), (1,))
+    assert avoids((1, 2), (2, 1, 3))
+    assert not avoids(parse_perm("35142"), parse_perm("3412"))
+    assert avoids(parse_perm("35142"), parse_perm("4231"))
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+def test_bruhat_leq_matches_the_former_comparison_on_every_pair(n):
+    elems = list(all_perms(n))
+    for u in elems:
+        assert [bruhat_leq(u, v) for v in elems] == [_reference_bruhat_leq(u, v) for v in elems]
+
+
+def test_bruhat_leq_matches_the_former_comparison_on_seeded_pairs_of_s9():
+    rng = random.Random(9)
+    values = list(range(1, 10))
+    pairs = [(tuple(rng.sample(values, 9)), tuple(rng.sample(values, 9))) for _ in range(2000)]
+    # each pair again with the shorter first, so that comparable pairs occur too
+    pairs += [(min(u, v, key=length), max(u, v, key=length)) for u, v in pairs]
+    found = [bruhat_leq(u, v) for u, v in pairs]
+    assert found == [_reference_bruhat_leq(u, v) for u, v in pairs]
+    assert 0 < sum(found) < len(found)
+
+
+def test_bruhat_leq_rejects_a_degree_mismatch():
+    for u, v in [((1,), (1, 2)), ((2, 1, 3), (1, 2)), ((), (1,))]:
+        with pytest.raises(ValueError, match="degree mismatch"):
+            bruhat_leq(u, v)
+        with pytest.raises(ValueError, match="degree mismatch"):
+            _reference_bruhat_leq(u, v)
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_length_matches_the_former_count_on_every_permutation(n):
+    elems = list(all_perms(n))
+    assert list(map(length, elems)) == list(map(_reference_length, elems))
