@@ -1,16 +1,16 @@
 #!/usr/bin/env python3
-"""Write JSON class reports for a range of symmetric group degrees.
+"""Write JSON class reports for a range of symmetric group degrees, one
+``classes --n k --out DIR/classes_sk.json`` run of the CLI each.
 
 Example:
     python3 scripts/class_sweep.py --max-n 6 --out-dir reports/
 """
 
 import argparse
-import pathlib
-import time
+import os
+import sys
 
-from odd_diagrams.classes import classes_of_sn, write_report
-from odd_diagrams.cli import check_sweep_degree
+from odd_diagrams import cli
 
 
 def main():
@@ -23,22 +23,16 @@ def main():
     if not 1 <= args.min_n <= args.max_n:
         parser.error(f"need 1 <= --min-n <= --max-n, got {args.min_n} and {args.max_n}")
     try:
-        check_sweep_degree("classes", args.max_n, args.long)
+        cli.check_sweep_degree("classes", args.max_n, args.long)
     except ValueError as exc:
         parser.error(str(exc))
 
-    out_dir = pathlib.Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    os.makedirs(args.out_dir, exist_ok=True)
     for n in range(args.min_n, args.max_n + 1):
-        start = time.perf_counter()
-        table = classes_of_sn(n)
-        path = out_dir / f"classes_s{n}.json"
-        with open(path, "w") as fh:
-            write_report(table, fh)
-        print(
-            f"n={n}: {len(table)} classes -> {path} "
-            f"({time.perf_counter() - start:.1f}s)"
-        )
+        path = os.path.join(args.out_dir, f"classes_s{n}.json")
+        code = cli.run(["classes", "--n", str(n), "--out", path] + ["--long"] * args.long)
+        if code:
+            sys.exit(code)
 
 
 if __name__ == "__main__":

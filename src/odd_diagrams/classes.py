@@ -6,6 +6,7 @@ import functools
 import gc
 import json
 import os
+from collections.abc import Iterator
 from io import TextIOBase
 from itertools import combinations
 
@@ -21,6 +22,7 @@ __all__ = [
     "class_shape",
     "ends_shape",
     "pinned_values",
+    "class_stream",
     "classes_of_sn",
     "parity_block",
     "parity_block_ends",
@@ -305,22 +307,25 @@ def _collector_paused():
             gc.enable()
 
 
-def classes_of_sn(n: int) -> list[OddDiagramClass]:
-    """Partition S_n into odd diagram classes, sorted by minimum element.
-
-    The classes come from ``parity_block``, one parity block at a time, with
-    their keys, sorted members and lengths, the blocks sharing one store of
-    suffix tables; one sort puts the blocks' classes in the order of their
-    minima."""
-    # classes share length vectors (376 distinct among the 103,873 of S_9): keep one copy each
+def class_stream(n: int) -> Iterator[OddDiagramClass]:
+    """The odd diagram classes of S_n, one parity block at a time in the order
+    of ``parity_sets``, each block's classes by minimum, with one store of
+    suffix tables and one copy of each length vector (376 for S_9's 103,873
+    classes). The collector is paused only while a block is built."""
     shared: dict[tuple[int, ...], tuple[int, ...]] = {}
     tables: dict = {}
+    for evens in parity_sets(n):
+        with _collector_paused():
+            block = [OddDiagramClass(key, members, shared.setdefault(lengths, lengths))
+                     for key, members, lengths in parity_block(n, evens, tables)]
+        yield from block
+
+
+def classes_of_sn(n: int) -> list[OddDiagramClass]:
+    """The classes of ``class_stream``, held in one list sorted by minimum.
+    Nothing runs between its blocks, so the collector stays paused throughout."""
     with _collector_paused():
-        classes = [OddDiagramClass(key, members, shared.setdefault(lengths, lengths))
-                   for evens in parity_sets(n)
-                   for key, members, lengths in parity_block(n, evens, tables)]
-    classes.sort(key=lambda cls: cls.min_elem)
-    return classes
+        return sorted(class_stream(n), key=lambda cls: cls.min_elem)
 
 
 def resolve_jobs(jobs: int) -> int:

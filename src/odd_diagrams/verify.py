@@ -5,7 +5,6 @@ enumeration.  Checks backed by proved theorems must report failed = 0;
 open-question probes report their observations as findings instead.
 """
 
-import functools
 import random
 import time
 from itertools import combinations
@@ -72,7 +71,7 @@ class VerificationReport(Record):
         }
 
 
-def check_bruhat_vs_covers(n: int, rng, class_table) -> CheckResult:
+def check_bruhat_vs_covers(n: int, rng) -> CheckResult:
     """bruhat_leq agrees with the transitive closure of the cover relation."""
     result = CheckResult("bruhat_vs_covers", "exhaustive")
     elems = list(perms.all_perms(n))
@@ -90,7 +89,7 @@ def check_bruhat_vs_covers(n: int, rng, class_table) -> CheckResult:
     return result
 
 
-def check_cover_gradedness(n: int, rng, class_table) -> CheckResult:
+def check_cover_gradedness(n: int, rng) -> CheckResult:
     """Covers raise length by exactly 1 via exactly one transposition."""
     result = CheckResult("cover_gradedness", "exhaustive")
     for u in perms.all_perms(n):
@@ -106,7 +105,7 @@ def check_cover_gradedness(n: int, rng, class_table) -> CheckResult:
     return result
 
 
-def check_diagram_counts(n: int, rng, class_table) -> CheckResult:
+def check_diagram_counts(n: int, rng) -> CheckResult:
     """|Rothe| = length, |odd| = odd length, odd diagram inside Rothe."""
     result = CheckResult("diagram_counts", "exhaustive")
     for w in perms.all_perms(n):
@@ -121,10 +120,10 @@ def check_diagram_counts(n: int, rng, class_table) -> CheckResult:
     return result
 
 
-def check_theorem_b(n: int, rng, class_table) -> CheckResult:
+def check_theorem_b(n: int, rng) -> CheckResult:
     """Every odd diagram class is the Bruhat interval between its extremes."""
     result = CheckResult("theorem_b", "exhaustive")
-    for cls in class_table():
+    for cls in classes_mod.class_stream(n):
         try:
             classes_mod.class_extremes(cls)
             result.record(True)
@@ -133,23 +132,26 @@ def check_theorem_b(n: int, rng, class_table) -> CheckResult:
     return result
 
 
-def check_parity(n: int, rng, class_table) -> CheckResult:
+def check_parity(n: int, rng) -> CheckResult:
     """Within a class, each value occupies positions of one parity: all
     members have the same set of values at even positions. The classes are
-    grouped here by ``odd_diagram_key`` over S_n, not taken from the class
-    table, which is built one such set at a time and so would split a class
-    that broke the theorem instead of failing it."""
+    grouped by ``odd_diagram_key`` over S_n, not read from ``class_stream``,
+    which sweeps one such set at a time and would split a class that broke the
+    theorem. A key keeps its first member, as bytes, and its even-position bitmask."""
     result = CheckResult("parity", "exhaustive")
-    groups: dict[int, list] = {}
+    seen: dict[int, tuple[bytes, int]] = {}
+    broken = set()
     for w in perms.all_perms(n):
-        groups.setdefault(diagrams.odd_diagram_key(w), []).append(w)
-    for members in groups.values():
-        ok = len({frozenset(w[::2]) for w in members}) == 1
-        result.record(ok, {"min": perms.format_perm(members[0])})
+        key = diagrams.odd_diagram_key(w)
+        evens = sum(map((1).__lshift__, w[::2]))
+        if seen.setdefault(key, (bytes(w), evens))[1] != evens:
+            broken.add(key)
+    for key, (first, _) in seen.items():
+        result.record(key not in broken, {"min": perms.format_perm(tuple(first))})
     return result
 
 
-def check_legality_sufficiency(n: int, rng, class_table) -> CheckResult:
+def check_legality_sufficiency(n: int, rng) -> CheckResult:
     """The three-part criterion implies definitional legality.
 
     Legal transpositions failing the criterion are recorded as findings:
@@ -174,10 +176,10 @@ def check_legality_sufficiency(n: int, rng, class_table) -> CheckResult:
     return result
 
 
-def check_uniform_partition(n: int, rng, class_table) -> CheckResult:
+def check_uniform_partition(n: int, rng) -> CheckResult:
     """Blocks are equal-sized intervals; phi maps each member to a cover."""
     result = CheckResult("uniform_partition", "exhaustive")
-    for cls in class_table():
+    for cls in classes_mod.class_stream(n):
         if len(cls.members) == 1:
             continue
         try:
@@ -198,11 +200,11 @@ def check_uniform_partition(n: int, rng, class_table) -> CheckResult:
     return result
 
 
-def check_factorization(n: int, rng, class_table) -> CheckResult:
+def check_factorization(n: int, rng) -> CheckResult:
     """factorize's product equals the enumerated Poincare polynomial and
     that polynomial is palindromic."""
     result = CheckResult("factorization", "exhaustive")
-    for cls in class_table():
+    for cls in classes_mod.class_stream(n):
         outcome = partition.factorize(cls.min_elem, cls.max_elem)
         direct = polynomials.poincare(cls.min_elem, cls.max_elem)
         ok = outcome.product == direct and polynomials.is_palindromic(direct)
@@ -210,7 +212,7 @@ def check_factorization(n: int, rng, class_table) -> CheckResult:
     return result
 
 
-def check_rpoly_descent_independence(n: int, rng, class_table) -> CheckResult:
+def check_rpoly_descent_independence(n: int, rng) -> CheckResult:
     """R-polynomials do not depend on the chosen descent of y."""
     result = CheckResult("rpoly_descent_independence", "exhaustive")
     elems = list(perms.all_perms(n))
@@ -234,7 +236,7 @@ def _pick(w, preferred):
     return preferred if preferred in ds else min(ds)
 
 
-def check_interval_bfs_vs_filter(n: int, rng, class_table, samples: int = 500) -> CheckResult:
+def check_interval_bfs_vs_filter(n: int, rng, samples: int = 500) -> CheckResult:
     """The lifting recursion of ``interval_elements`` equals the brute-force
     filter, and the lengths it carries equal ``perms.length``."""
     result = CheckResult("interval_bfs_vs_filter", "sampled")
@@ -255,7 +257,7 @@ def check_interval_bfs_vs_filter(n: int, rng, class_table, samples: int = 500) -
     return result
 
 
-def check_top_heavy(n: int, rng, class_table) -> CheckResult:
+def check_top_heavy(n: int, rng) -> CheckResult:
     """Lower intervals are top-heavy."""
     result = CheckResult("top_heavy", "exhaustive")
     for w in perms.all_perms(n):
@@ -263,14 +265,14 @@ def check_top_heavy(n: int, rng, class_table) -> CheckResult:
     return result
 
 
-def check_self_dual_bipartite_agreement(n: int, rng, class_table) -> CheckResult:
+def check_self_dual_bipartite_agreement(n: int, rng) -> CheckResult:
     """Probe: self-duality vs the boundary bipartite-graph criterion.
 
     Disagreements are findings, not failures; the criterion is proved for
     lower intervals only.
     """
     result = CheckResult("self_dual_bipartite_agreement", "exhaustive")
-    for cls in class_table():
+    for cls in classes_mod.class_stream(n):
         interval = cls.interval
         sd = duality.is_self_dual(interval)
         bc = duality.bipartite_criterion(interval)
@@ -287,7 +289,7 @@ def check_self_dual_bipartite_agreement(n: int, rng, class_table) -> CheckResult
     return result
 
 
-def check_short_intervals_self_dual(n: int, rng, class_table) -> CheckResult:
+def check_short_intervals_self_dual(n: int, rng) -> CheckResult:
     """Every interval [u, v] with 1 <= length(v) - length(u) <= 3 is self-dual
     by the full search, which ``is_self_dual`` skips at these ranks. The
     tops v are the elements up to three covers above u."""
@@ -306,16 +308,16 @@ def check_short_intervals_self_dual(n: int, rng, class_table) -> CheckResult:
     return result
 
 
-def check_kl_class_probe(n: int, rng, class_table) -> CheckResult:
+def check_kl_class_probe(n: int, rng) -> CheckResult:
     """KL polynomial of every odd diagram class equals 1."""
     result = CheckResult("kl_class_probe", "exhaustive")
-    for cls in class_table():
+    for cls in classes_mod.class_stream(n):
         p = polynomials.kl_polynomial(cls.min_elem, cls.max_elem)
         result.record(p == 1, {"min": perms.format_perm(cls.min_elem)})
     return result
 
 
-def check_kl_inversion(n: int, rng, class_table) -> CheckResult:
+def check_kl_inversion(n: int, rng) -> CheckResult:
     """KL polynomials satisfy their defining conditions: for x <= y,
     sum_{z in [x, y]} R_{x,z} P_{z,y} = q^d P_{x,y}(1/q) with
     d = length(y) - length(x), and deg P_{x,y} <= (d - 1)/2 for x < y."""
@@ -338,7 +340,7 @@ def check_kl_inversion(n: int, rng, class_table) -> CheckResult:
     return result
 
 
-def check_kl_carrell(n: int, rng, class_table) -> CheckResult:
+def check_kl_carrell(n: int, rng) -> CheckResult:
     """P_{x,y} = 1 iff [x, y] passes the Carrell-Peterson reflection count,
     for every pair x <= y of S_n (3,781 at n = 5, 394 of them with P_{x,y}
     != 1). The count says P_{u,y} = 1 for every u in [x, y]; by monotonicity
@@ -353,12 +355,12 @@ def check_kl_carrell(n: int, rng, class_table) -> CheckResult:
     return result
 
 
-def check_class_covers(n: int, rng, class_table) -> CheckResult:
+def check_class_covers(n: int, rng) -> CheckResult:
     """The Hasse diagram of every class, built from the position pairs that
     ``BruhatInterval.swaps`` derives from its members, equals the covers
     ``perms.upward_covers`` finds among the same members."""
     result = CheckResult("class_covers", "exhaustive")
-    for cls in class_table():
+    for cls in classes_mod.class_stream(n):
         members = set(cls.members)
         covers = [(x, y) for x in cls.members
                   for y in sorted(members.intersection(perms.upward_covers(x)))]
@@ -369,7 +371,7 @@ def check_class_covers(n: int, rng, class_table) -> CheckResult:
     return result
 
 
-def check_class_shapes(n: int, rng, class_table) -> CheckResult:
+def check_class_shapes(n: int, rng) -> CheckResult:
     """``classes.class_shape`` keeps the Bruhat order among a class's
     members, and all classes of one shape get the same self-duality search
     and Carrell-Peterson verdicts: the facts that let the census and the
@@ -380,7 +382,7 @@ def check_class_shapes(n: int, rng, class_table) -> CheckResult:
     verdicts: dict = {}
     ends_of: dict = {}  # class_shape -> ends_shape
     shape_of: dict = {}  # ends_shape -> class_shape
-    for cls in class_table():
+    for cls in classes_mod.class_stream(n):
         shape = classes_mod.class_shape(cls.members)
         ends = classes_mod.ends_shape(cls.min_elem, cls.max_elem)
         interval = cls.interval
@@ -468,17 +470,16 @@ def select_checks(n: int, names=None, allow_large: bool = False) -> list[str]:
 
 def run_checks(n: int, names=None, seed: int = 0, allow_large: bool = False) -> VerificationReport:
     """Run the named checks (default: all) over S_n, after ``select_checks``
-    has accepted them."""
+    has accepted them. Each class check reads ``classes.class_stream(n)``
+    itself, so no table of S_n is held, and its findings come in
+    parity-block order, then by minimum."""
     names = select_checks(n, names, allow_large)
     rng = random.Random(seed)
     start = time.perf_counter()
-    # the class table of S_n, built on first use and shared by the checks
-    class_table = functools.cache(lambda: classes_mod.classes_of_sn(n))
     results = []
     for name in names:
         check_start = time.perf_counter()
-        result = CHECKS[name](n, rng, class_table)
-        # the first check to use the class table pays for building it
+        result = CHECKS[name](n, rng)
         result.wall_time = time.perf_counter() - check_start
         results.append(result)
     return VerificationReport(n, results, time.perf_counter() - start)

@@ -433,6 +433,23 @@ def test_classes_of_sn_matches_rechecking_builder(n):
 
 
 @pytest.mark.parametrize("n", range(1, 8))
+def test_class_stream_gives_each_class_once_block_by_block(n):
+    stream = list(classes.class_stream(n))
+    assert sorted(stream, key=lambda cls: cls.min_elem) == classes_of_sn(n)
+    assert len({cls.key for cls in stream}) == len(stream)
+    # the blocks in the order of parity_sets, each block's classes by minimum
+    block_of = {evens: i for i, evens in enumerate(classes.parity_sets(n))}
+    order = [(block_of[tuple(sorted(cls.min_elem[::2]))], cls.min_elem) for cls in stream]
+    assert order == sorted(order)
+
+
+def test_class_stream_hands_out_its_classes_with_the_collector_on(collector_state):
+    # the consumer's checks run between the yields; only the block sweep is paused
+    gc.enable()
+    assert all(gc.isenabled() for _ in classes.class_stream(5))
+
+
+@pytest.mark.parametrize("n", range(1, 8))
 def test_class_of_matches_scan_of_sn(n):
     # the full scan of S_n that class_of used to run is the oracle
     scan = {}
@@ -731,10 +748,12 @@ def _shape_keeping_a_constant_column(members):
 
 def test_class_shapes_check_fails_on_a_wrong_shape_key(monkeypatch):
     monkeypatch.setattr(classes, "class_shape", _shape_keeping_a_constant_column)
-    report = verify.run_checks(5, ["class_shapes"])
-    assert not report.ok
-    # the class of 213 and 312 inside S_5 is one the wrong key breaks
-    assert {"min": "21345", "max": "31245"} in report.checks[0].findings
+    check = verify.run_checks(5, ["class_shapes"]).checks[0]
+    assert (check.passed, check.failed) == (32, 38)
+    # the class of 213 and 312 inside S_5 is one the wrong key breaks; its
+    # block is not among those whose findings fill the first 20
+    monkeypatch.setattr(classes, "class_stream", lambda n: iter([class_of(parse_perm("21345"))]))
+    assert verify.check_class_shapes(5, None).findings == [{"min": "21345", "max": "31245"}]
 
 
 def _ends_shape_keeping_a_pinned_position(u, v):

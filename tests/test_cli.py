@@ -229,7 +229,7 @@ def test_verify_rejects_a_check_above_its_n_limit(argv, names, monkeypatch, caps
 def test_verify_long_lifts_the_n_limit(monkeypatch, capsys):
     ran = []
 
-    def fake(n, rng, class_table):
+    def fake(n, rng):
         ran.append(n)
         return verify.CheckResult("kl_inversion", "exhaustive", passed=1)
 
@@ -244,7 +244,7 @@ def test_every_check_has_an_n_limit():
 
 
 def test_verify_times_each_check(tmp_path, monkeypatch, capsys):
-    def slow(n, rng, class_table):
+    def slow(n, rng):
         time.sleep(0.05)
         return verify.CheckResult("parity", "exhaustive", passed=1)
 
@@ -285,14 +285,35 @@ def test_verify_has_no_jobs_option(capsys):
     assert run(["verify", "--n", "3", "--jobs", "2"]) == 2
 
 
-def test_verify_builds_the_class_table_at_most_once(monkeypatch):
-    builds = []
-    build = classes_mod.classes_of_sn
-    monkeypatch.setattr(classes_mod, "classes_of_sn", lambda n: builds.append(n) or build(n))
+def test_verify_never_calls_classes_of_sn(monkeypatch):
+    def fail(*args, **kwargs):
+        raise AssertionError("classes_of_sn called")
+
+    monkeypatch.setattr(classes_mod, "classes_of_sn", fail)
     assert verify.run_checks(4).ok
-    assert builds == [4]
-    assert verify.run_checks(4, ["diagram_counts", "top_heavy"]).ok
-    assert builds == [4]
+
+
+def test_verify_checks_each_block_before_sweeping_the_next(monkeypatch, capsys):
+    events = []
+    real_block, real_extremes = classes_mod.parity_block, classes_mod.class_extremes
+
+    def block(n, evens, tables=None):
+        events.append(("swept", evens))
+        return real_block(n, evens, tables)
+
+    def extremes(cls):
+        events.append(("checked", cls.min_elem))
+        return real_extremes(cls)
+
+    monkeypatch.setattr(classes_mod, "parity_block", block)
+    monkeypatch.setattr(classes_mod, "class_extremes", extremes)
+    assert run(["verify", "--n", "4", "--checks", "theorem_b"]) == 0
+    capsys.readouterr()
+    expected = []
+    for evens in classes_mod.parity_sets(4):
+        expected.append(("swept", evens))
+        expected += [("checked", members[0]) for _, members, _ in real_block(4, evens)]
+    assert events == expected
 
 
 def test_parity_check_fails_on_a_class_spanning_two_parity_blocks(monkeypatch):
@@ -381,7 +402,7 @@ def test_a_sweep_outside_its_degree_range_exits_2_before_sweeping(monkeypatch, c
     assert captured.out == ""
 
 
-def test_verify_long_builds_the_class_table_above_n_10(monkeypatch, capsys):
+def test_verify_long_streams_the_parity_blocks_above_n_10(monkeypatch, capsys):
     swept = []
 
     def empty_block(n, evens, tables=None):

@@ -3,7 +3,7 @@ from itertools import chain, combinations
 
 import pytest
 
-from odd_diagrams import intervals, verify
+from odd_diagrams import classes, intervals, verify
 from odd_diagrams.classes import OddDiagramClass, class_of, classes_of_sn
 from odd_diagrams.intervals import (
     BruhatInterval,
@@ -172,7 +172,8 @@ def test_class_covers_check_fails_when_swaps_drop_a_needed_pair(monkeypatch):
     derive = BruhatInterval.swaps.func
     monkeypatch.setattr(BruhatInterval, "swaps",
                         property(lambda self: [p for p in derive(self) if p != needed]))
-    check = verify.check_class_covers(7, None, lambda: [cls])
+    monkeypatch.setattr(classes, "class_stream", lambda n: iter([cls]))
+    check = verify.check_class_covers(7, None)
     assert (check.passed, check.failed) == (0, 1)
     assert check.findings == [{"min": "5431627", "max": "7461523"}]
 
@@ -521,7 +522,7 @@ def test_interval_bfs_vs_filter_checks_the_carried_lengths(monkeypatch):
                                         tuple(lw + 1 for lw in interval.lengths))
 
     monkeypatch.setattr(verify.intervals, "interval_elements", off_by_one)
-    check = verify.check_interval_bfs_vs_filter(4, random.Random(0), None, samples=20)
+    check = verify.check_interval_bfs_vs_filter(4, random.Random(0), samples=20)
     assert (check.passed, check.failed) == (0, 20)
 
 
