@@ -175,16 +175,15 @@ def parity_sets(n: int) -> list[tuple[int, ...]]:
     return list(combinations(range(1, n + 1), (n + 1) // 2))
 
 
-def parity_block(n: int, evens: tuple[int, ...], tables: dict | None = None) -> list[ClassFields]:
+def parity_block(n: int, evens: tuple[int, ...], tables: dict) -> list[ClassFields]:
     """The odd diagram classes of the w in S_n with the values ``evens`` at
     the 0-based even positions, each as its ``(key, members, lengths)``, the
     fields of ``OddDiagramClass``. The block is swept in lexicographic
     order, so each class's members are sorted and the classes come in the
-    order of their minima. ``tables`` holds the suffix tables of
-    ``_block_leaves`` for every block of one sweep; without it the block
-    builds its own."""
+    order of their minima. ``tables`` is the store of suffix tables of
+    ``_block_leaves``, shared by every block of one sweep."""
     groups: dict[int, list] = {}  # key -> [member, length, member, length, ...]
-    for prefix, key, inv, table in _block_leaves(n, evens, {} if tables is None else tables):
+    for prefix, key, inv, table in _block_leaves(n, evens, tables):
         for tail, bits, tail_inv in table:
             groups.setdefault(key | bits, []).extend((prefix + tail, inv + tail_inv))
     return [(key, tuple(flat[::2]), tuple(flat[1::2])) for key, flat in groups.items()]

@@ -203,7 +203,12 @@ def interval_elements(u: Perm, v: Perm, max_members: int | None = None) -> Bruha
     return BruhatInterval(u, v, elements, tuple(map(members.__getitem__, elements)))
 
 
-@lru_cache(maxsize=65536)
+# The intervals of ``polynomials.poincare`` and ``carrell_condition``. Its hits
+# come from a sweep that asks both of one pair in turn, as the smoothness
+# criteria on lower intervals do; no caller asks for an interval again later,
+# and the class sweeps of verify miss on every call, so a few slots keep the
+# hits and a large cache would only hold intervals no one reads.
+@lru_cache(maxsize=16)
 def _cached_interval(u: Perm, v: Perm) -> BruhatInterval:
     return interval_elements(u, v)
 

@@ -1,8 +1,9 @@
 """Named verification checks over S_n, backing the `verify` CLI command.
 
 Each check exercises a theorem-backed invariant by exhaustive or sampled
-enumeration.  Checks backed by proved theorems must report failed = 0;
-open-question probes report their observations as findings instead.
+enumeration, and is declared once, in its ``CHECKS`` row.  Checks backed by
+proved theorems must report failed = 0; open-question probes report their
+observations as findings instead.
 """
 
 import random
@@ -13,12 +14,12 @@ from . import classes as classes_mod
 from . import diagrams, duality, intervals, partition, perms, polynomials
 from .perms import Record
 
-__all__ = ["CheckResult", "VerificationReport", "CHECKS", "MAX_N", "select_checks", "run_checks"]
+__all__ = ["CheckResult", "VerificationReport", "CHECKS", "select_checks", "run_checks"]
 
 
 class CheckResult(Record):
-    """One check's counts and findings, and the seconds it took, which
-    ``run_checks`` sets once the check returns."""
+    """One check's counts and findings, which the check records, and the
+    seconds it took, which ``run_checks`` sets once the check returns."""
 
     _fields = ("name", "scope", "passed", "failed", "findings", "wall_time")
 
@@ -57,23 +58,13 @@ class VerificationReport(Record):
             "schema": 2,
             "n": self.n,
             "wall_time": self.wall_time,
-            "checks": [
-                {
-                    "name": c.name,
-                    "scope": c.scope,
-                    "passed": c.passed,
-                    "failed": c.failed,
-                    "findings": c.findings,
-                    "wall_time": c.wall_time,
-                }
-                for c in self.checks
-            ],
+            "checks": [{field: getattr(c, field) for field in CheckResult._fields}
+                       for c in self.checks],
         }
 
 
-def check_bruhat_vs_covers(n: int, rng) -> CheckResult:
+def check_bruhat_vs_covers(n: int, rng, result: CheckResult) -> None:
     """bruhat_leq agrees with the transitive closure of the cover relation."""
-    result = CheckResult("bruhat_vs_covers", "exhaustive")
     elems = list(perms.all_perms(n))
     reach = {w: {w} for w in elems}
     by_len = sorted(elems, key=perms.length, reverse=True)
@@ -86,12 +77,10 @@ def check_bruhat_vs_covers(n: int, rng) -> CheckResult:
                 perms.bruhat_leq(u, v) == (v in reach[u]),
                 {"u": perms.format_perm(u), "v": perms.format_perm(v)},
             )
-    return result
 
 
-def check_cover_gradedness(n: int, rng) -> CheckResult:
+def check_cover_gradedness(n: int, rng, result: CheckResult) -> None:
     """Covers raise length by exactly 1 via exactly one transposition."""
-    result = CheckResult("cover_gradedness", "exhaustive")
     for u in perms.all_perms(n):
         lu = perms.length(u)
         for v in perms.upward_covers(u):
@@ -102,12 +91,10 @@ def check_cover_gradedness(n: int, rng) -> CheckResult:
             ]
             ok = perms.length(v) == lu + 1 and len(witnesses) == 1 and perms.covers(u, v)
             result.record(ok, {"u": perms.format_perm(u), "v": perms.format_perm(v)})
-    return result
 
 
-def check_diagram_counts(n: int, rng) -> CheckResult:
+def check_diagram_counts(n: int, rng, result: CheckResult) -> None:
     """|Rothe| = length, |odd| = odd length, odd diagram inside Rothe."""
-    result = CheckResult("diagram_counts", "exhaustive")
     for w in perms.all_perms(n):
         rothe = diagrams.rothe_diagram(w)
         odd = diagrams.odd_diagram(w)
@@ -117,28 +104,24 @@ def check_diagram_counts(n: int, rng) -> CheckResult:
             and set(odd) <= set(rothe)
         )
         result.record(ok, {"w": perms.format_perm(w)})
-    return result
 
 
-def check_theorem_b(n: int, rng) -> CheckResult:
+def check_theorem_b(n: int, rng, result: CheckResult) -> None:
     """Every odd diagram class is the Bruhat interval between its extremes."""
-    result = CheckResult("theorem_b", "exhaustive")
     for cls in classes_mod.class_stream(n):
         try:
             classes_mod.class_extremes(cls)
             result.record(True)
         except AssertionError:
             result.record(False, {"min": perms.format_perm(cls.min_elem)})
-    return result
 
 
-def check_parity(n: int, rng) -> CheckResult:
+def check_parity(n: int, rng, result: CheckResult) -> None:
     """Within a class, each value occupies positions of one parity: all
     members have the same set of values at even positions. The classes are
     grouped by ``odd_diagram_key`` over S_n, not read from ``class_stream``,
     which sweeps one such set at a time and would split a class that broke the
     theorem. A key keeps its first member, as bytes, and its even-position bitmask."""
-    result = CheckResult("parity", "exhaustive")
     seen: dict[int, tuple[bytes, int]] = {}
     broken = set()
     for w in perms.all_perms(n):
@@ -148,16 +131,14 @@ def check_parity(n: int, rng) -> CheckResult:
             broken.add(key)
     for key, (first, _) in seen.items():
         result.record(key not in broken, {"min": perms.format_perm(tuple(first))})
-    return result
 
 
-def check_legality_sufficiency(n: int, rng) -> CheckResult:
+def check_legality_sufficiency(n: int, rng, result: CheckResult) -> None:
     """The three-part criterion implies definitional legality.
 
     Legal transpositions failing the criterion are recorded as findings:
     the criterion is only claimed to be sufficient.
     """
-    result = CheckResult("legality_sufficiency", "exhaustive")
     converse_gaps = 0
     for u in perms.all_perms(n):
         for t in combinations(range(1, n + 1), 2):
@@ -173,12 +154,10 @@ def check_legality_sufficiency(n: int, rng) -> CheckResult:
         result.findings.append(
             {"legal_but_criterion_false": converse_gaps, "note": "converse probe"}
         )
-    return result
 
 
-def check_uniform_partition(n: int, rng) -> CheckResult:
+def check_uniform_partition(n: int, rng, result: CheckResult) -> None:
     """Blocks are equal-sized intervals; phi maps each member to a cover."""
-    result = CheckResult("uniform_partition", "exhaustive")
     for cls in classes_mod.class_stream(n):
         if len(cls.members) == 1:
             continue
@@ -197,24 +176,20 @@ def check_uniform_partition(n: int, rng) -> CheckResult:
                 if partition.block_index(image, step) != i + 1:
                     ok = False
         result.record(ok, {"min": perms.format_perm(cls.min_elem)})
-    return result
 
 
-def check_factorization(n: int, rng) -> CheckResult:
+def check_factorization(n: int, rng, result: CheckResult) -> None:
     """factorize's product equals the enumerated Poincare polynomial and
     that polynomial is palindromic."""
-    result = CheckResult("factorization", "exhaustive")
     for cls in classes_mod.class_stream(n):
         outcome = partition.factorize(cls.min_elem, cls.max_elem)
         direct = polynomials.poincare(cls.min_elem, cls.max_elem)
         ok = outcome.product == direct and polynomials.is_palindromic(direct)
         result.record(ok, {"min": perms.format_perm(cls.min_elem)})
-    return result
 
 
-def check_rpoly_descent_independence(n: int, rng) -> CheckResult:
+def check_rpoly_descent_independence(n: int, rng, result: CheckResult) -> None:
     """R-polynomials do not depend on the chosen descent of y."""
-    result = CheckResult("rpoly_descent_independence", "exhaustive")
     elems = list(perms.all_perms(n))
     for y in elems:
         ds = sorted(perms.descent_set(y))
@@ -228,7 +203,6 @@ def check_rpoly_descent_independence(n: int, rng) -> CheckResult:
             result.record(
                 len(values) == 1, {"x": perms.format_perm(x), "y": perms.format_perm(y)}
             )
-    return result
 
 
 def _pick(w, preferred):
@@ -236,13 +210,13 @@ def _pick(w, preferred):
     return preferred if preferred in ds else min(ds)
 
 
-def check_interval_bfs_vs_filter(n: int, rng, samples: int = 500) -> CheckResult:
-    """The lifting recursion of ``interval_elements`` equals the brute-force
-    filter, and the lengths it carries equal ``perms.length``."""
-    result = CheckResult("interval_bfs_vs_filter", "sampled")
+def check_interval_bfs_vs_filter(n: int, rng, result: CheckResult) -> None:
+    """On 500 sampled pairs u <= v, the lifting recursion of
+    ``interval_elements`` equals the brute-force filter, and the lengths it
+    carries equal ``perms.length``."""
     elems = list(perms.all_perms(n))
     tried = 0
-    while tried < samples:
+    while tried < 500:
         u, v = rng.choice(elems), rng.choice(elems)
         if not perms.bruhat_leq(u, v):
             continue
@@ -254,24 +228,20 @@ def check_interval_bfs_vs_filter(n: int, rng, samples: int = 500) -> CheckResult
         lengths = tuple(map(perms.length, built.elements))
         result.record(built.elements == brute and built.lengths == lengths,
                       {"u": perms.format_perm(u), "v": perms.format_perm(v)})
-    return result
 
 
-def check_top_heavy(n: int, rng) -> CheckResult:
+def check_top_heavy(n: int, rng, result: CheckResult) -> None:
     """Lower intervals are top-heavy."""
-    result = CheckResult("top_heavy", "exhaustive")
     for w in perms.all_perms(n):
         result.record(duality.top_heavy_check(w), {"w": perms.format_perm(w)})
-    return result
 
 
-def check_self_dual_bipartite_agreement(n: int, rng) -> CheckResult:
+def check_self_dual_bipartite_agreement(n: int, rng, result: CheckResult) -> None:
     """Probe: self-duality vs the boundary bipartite-graph criterion.
 
     Disagreements are findings, not failures; the criterion is proved for
     lower intervals only.
     """
-    result = CheckResult("self_dual_bipartite_agreement", "exhaustive")
     for cls in classes_mod.class_stream(n):
         interval = cls.interval
         sd = duality.is_self_dual(interval)
@@ -286,14 +256,12 @@ def check_self_dual_bipartite_agreement(n: int, rng) -> CheckResult:
                     "bipartite_criterion": bc,
                 }
             )
-    return result
 
 
-def check_short_intervals_self_dual(n: int, rng) -> CheckResult:
+def check_short_intervals_self_dual(n: int, rng, result: CheckResult) -> None:
     """Every interval [u, v] with 1 <= length(v) - length(u) <= 3 is self-dual
     by the full search, which ``is_self_dual`` skips at these ranks. The
     tops v are the elements up to three covers above u."""
-    result = CheckResult("short_intervals_self_dual", "exhaustive")
     for u in perms.all_perms(n):
         tops, frontier = [], [u]
         for _ in range(3):
@@ -305,23 +273,19 @@ def check_short_intervals_self_dual(n: int, rng) -> CheckResult:
                 duality.has_anti_automorphism(interval),
                 {"u": perms.format_perm(u), "v": perms.format_perm(v)},
             )
-    return result
 
 
-def check_kl_class_probe(n: int, rng) -> CheckResult:
+def check_kl_class_probe(n: int, rng, result: CheckResult) -> None:
     """KL polynomial of every odd diagram class equals 1."""
-    result = CheckResult("kl_class_probe", "exhaustive")
     for cls in classes_mod.class_stream(n):
         p = polynomials.kl_polynomial(cls.min_elem, cls.max_elem)
         result.record(p == 1, {"min": perms.format_perm(cls.min_elem)})
-    return result
 
 
-def check_kl_inversion(n: int, rng) -> CheckResult:
+def check_kl_inversion(n: int, rng, result: CheckResult) -> None:
     """KL polynomials satisfy their defining conditions: for x <= y,
     sum_{z in [x, y]} R_{x,z} P_{z,y} = q^d P_{x,y}(1/q) with
     d = length(y) - length(x), and deg P_{x,y} <= (d - 1)/2 for x < y."""
-    result = CheckResult("kl_inversion", "exhaustive")
     e = perms.identity(n)
     for y in perms.all_perms(n):
         below = intervals.interval_elements(e, y).elements
@@ -337,29 +301,25 @@ def check_kl_inversion(n: int, rng) -> CheckResult:
                     total = total + polynomials.r_polynomial(x, z) * kl[z]
                 ok = total == p.reversed_to(d)
             result.record(ok, {"x": perms.format_perm(x), "y": perms.format_perm(y)})
-    return result
 
 
-def check_kl_carrell(n: int, rng) -> CheckResult:
+def check_kl_carrell(n: int, rng, result: CheckResult) -> None:
     """P_{x,y} = 1 iff [x, y] passes the Carrell-Peterson reflection count,
     for every pair x <= y of S_n (3,781 at n = 5, 394 of them with P_{x,y}
     != 1). The count says P_{u,y} = 1 for every u in [x, y]; by monotonicity
     (Braden-MacPherson) that follows from P_{x,y} = 1, which is how the
     class report reads ``kl_is_one``."""
-    result = CheckResult("kl_carrell", "exhaustive")
     e = perms.identity(n)
     for y in perms.all_perms(n):
         for x in intervals.interval_elements(e, y).elements:
             ok = (polynomials.kl_polynomial(x, y) == 1) == polynomials.carrell_condition(x, y)
             result.record(ok, {"x": perms.format_perm(x), "y": perms.format_perm(y)})
-    return result
 
 
-def check_class_covers(n: int, rng) -> CheckResult:
+def check_class_covers(n: int, rng, result: CheckResult) -> None:
     """The Hasse diagram of every class, built from the position pairs that
     ``BruhatInterval.swaps`` derives from its members, equals the covers
     ``perms.upward_covers`` finds among the same members."""
-    result = CheckResult("class_covers", "exhaustive")
     for cls in classes_mod.class_stream(n):
         members = set(cls.members)
         covers = [(x, y) for x in cls.members
@@ -368,17 +328,15 @@ def check_class_covers(n: int, rng) -> CheckResult:
             intervals.hasse_edges(cls.interval) == covers,
             {"min": perms.format_perm(cls.min_elem), "max": perms.format_perm(cls.max_elem)},
         )
-    return result
 
 
-def check_class_shapes(n: int, rng) -> CheckResult:
+def check_class_shapes(n: int, rng, result: CheckResult) -> None:
     """``classes.class_shape`` keeps the Bruhat order among a class's
     members, and all classes of one shape get the same self-duality search
     and Carrell-Peterson verdicts: the facts that let the census and the
     report decide both once per shape. The key they use, ``ends_shape``,
     groups the classes as ``class_shape`` does, and the positions that
     ``pinned_values`` pins are exactly those where all members agree."""
-    result = CheckResult("class_shapes", "exhaustive")
     verdicts: dict = {}
     ends_of: dict = {}  # class_shape -> ends_shape
     shape_of: dict = {}  # ends_shape -> class_shape
@@ -398,60 +356,38 @@ def check_class_shapes(n: int, rng) -> CheckResult:
                       for u, flat_u in pairs for w, flat_w in pairs))
         result.record(ok, {"min": perms.format_perm(cls.min_elem),
                            "max": perms.format_perm(cls.max_elem)})
-    return result
 
 
+# Each check's one declaration: its name maps to (check, scope, n-limit). The
+# n-limit is the largest n at which the check runs without --long: each
+# finishes within about 15 s there on a 2-core host with Python 3.11, and takes
+# longer one size up (bruhat_vs_covers also holds memory quadratic in n!).
 CHECKS = {
-    "bruhat_vs_covers": check_bruhat_vs_covers,
-    "cover_gradedness": check_cover_gradedness,
-    "diagram_counts": check_diagram_counts,
-    "theorem_b": check_theorem_b,
-    "parity": check_parity,
-    "legality_sufficiency": check_legality_sufficiency,
-    "uniform_partition": check_uniform_partition,
-    "factorization": check_factorization,
-    "rpoly_descent_independence": check_rpoly_descent_independence,
-    "interval_bfs_vs_filter": check_interval_bfs_vs_filter,
-    "top_heavy": check_top_heavy,
-    "self_dual_bipartite_agreement": check_self_dual_bipartite_agreement,
-    "short_intervals_self_dual": check_short_intervals_self_dual,
-    "kl_class_probe": check_kl_class_probe,
-    "kl_inversion": check_kl_inversion,
-    "kl_carrell": check_kl_carrell,
-    "class_covers": check_class_covers,
-    "class_shapes": check_class_shapes,
-}
-
-
-# The largest n at which each check runs without --long: each finishes
-# within about 15 s there on a 2-core host with Python 3.11, and takes longer
-# one size up (bruhat_vs_covers also holds memory quadratic in n!).
-MAX_N = {
-    "bruhat_vs_covers": 6,
-    "cover_gradedness": 8,
-    "diagram_counts": 9,
-    "theorem_b": 8,
-    "parity": 9,
-    "legality_sufficiency": 8,
-    "uniform_partition": 8,
-    "factorization": 8,
-    "rpoly_descent_independence": 5,
-    "interval_bfs_vs_filter": 6,
-    "top_heavy": 7,
-    "self_dual_bipartite_agreement": 9,
-    "short_intervals_self_dual": 6,
-    "kl_class_probe": 8,
-    "kl_inversion": 5,
-    "kl_carrell": 5,
-    "class_covers": 7,
-    "class_shapes": 8,
+    "bruhat_vs_covers": (check_bruhat_vs_covers, "exhaustive", 6),
+    "cover_gradedness": (check_cover_gradedness, "exhaustive", 8),
+    "diagram_counts": (check_diagram_counts, "exhaustive", 9),
+    "theorem_b": (check_theorem_b, "exhaustive", 8),
+    "parity": (check_parity, "exhaustive", 9),
+    "legality_sufficiency": (check_legality_sufficiency, "exhaustive", 8),
+    "uniform_partition": (check_uniform_partition, "exhaustive", 8),
+    "factorization": (check_factorization, "exhaustive", 8),
+    "rpoly_descent_independence": (check_rpoly_descent_independence, "exhaustive", 5),
+    "interval_bfs_vs_filter": (check_interval_bfs_vs_filter, "sampled", 6),
+    "top_heavy": (check_top_heavy, "exhaustive", 7),
+    "self_dual_bipartite_agreement": (check_self_dual_bipartite_agreement, "exhaustive", 9),
+    "short_intervals_self_dual": (check_short_intervals_self_dual, "exhaustive", 6),
+    "kl_class_probe": (check_kl_class_probe, "exhaustive", 8),
+    "kl_inversion": (check_kl_inversion, "exhaustive", 5),
+    "kl_carrell": (check_kl_carrell, "exhaustive", 5),
+    "class_covers": (check_class_covers, "exhaustive", 7),
+    "class_shapes": (check_class_shapes, "exhaustive", 8),
 }
 
 
 def select_checks(n: int, names=None, allow_large: bool = False) -> list[str]:
     """The names of the checks to run over S_n (default: all). Raises
     ValueError for n < 1, an unknown or repeated name, or, unless
-    ``allow_large``, a check asked for above its ``MAX_N``."""
+    ``allow_large``, a check asked for above its n-limit in ``CHECKS``."""
     if n < 1:
         raise ValueError("n must be positive")
     names = list(CHECKS) if names is None else names
@@ -461,7 +397,7 @@ def select_checks(n: int, names=None, allow_large: bool = False) -> list[str]:
     repeated = sorted({name for name in names if names.count(name) > 1})
     if repeated:
         raise ValueError(f"checks named more than once: {repeated}")
-    over = [f"{name} (n <= {MAX_N[name]})" for name in names if n > MAX_N[name]]
+    over = [f"{name} (n <= {CHECKS[name][2]})" for name in names if n > CHECKS[name][2]]
     if over and not allow_large:
         raise ValueError(f"n = {n} is above the n-limit of {', '.join(over)}; "
                          "pass --long to run anyway")
@@ -470,7 +406,8 @@ def select_checks(n: int, names=None, allow_large: bool = False) -> list[str]:
 
 def run_checks(n: int, names=None, seed: int = 0, allow_large: bool = False) -> VerificationReport:
     """Run the named checks (default: all) over S_n, after ``select_checks``
-    has accepted them. Each class check reads ``classes.class_stream(n)``
+    has accepted them. Each check records into a ``CheckResult`` made from
+    its ``CHECKS`` row. Each class check reads ``classes.class_stream(n)``
     itself, so no table of S_n is held, and its findings come in
     parity-block order, then by minimum."""
     names = select_checks(n, names, allow_large)
@@ -478,8 +415,10 @@ def run_checks(n: int, names=None, seed: int = 0, allow_large: bool = False) -> 
     start = time.perf_counter()
     results = []
     for name in names:
+        check, scope, _ = CHECKS[name]
+        result = CheckResult(name, scope)
         check_start = time.perf_counter()
-        result = CHECKS[name](n, rng)
+        check(n, rng, result)
         result.wall_time = time.perf_counter() - check_start
         results.append(result)
     return VerificationReport(n, results, time.perf_counter() - start)

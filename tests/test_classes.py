@@ -473,7 +473,7 @@ def test_sweep_matches_all_perms_key_and_length(n):
     # those of its block, and no key is found in two groups
     swept, keys = [], []
     for evens in classes.parity_sets(n):
-        for key, members, lengths in classes.parity_block(n, evens):
+        for key, members, lengths in classes.parity_block(n, evens, {}):
             assert list(members) == sorted(members)
             assert {tuple(sorted(w[::2])) for w in members} == {evens}
             swept += zip(members, [key] * len(members), lengths)
@@ -520,12 +520,10 @@ def _reference_parity_block(n, evens):
 @pytest.mark.parametrize("n", [*range(1, 9), pytest.param(9, marks=pytest.mark.long)])
 def test_parity_block_returns_what_the_position_sweep_returned(n):
     # keys, member order, lengths and class order, with the suffix tables
-    # shared across the blocks of S_n and with a store of the block's own
+    # shared across the blocks of S_n
     tables = {}
     for evens in classes.parity_sets(n):
-        expected = _reference_parity_block(n, evens)
-        assert classes.parity_block(n, evens, tables) == expected
-        assert classes.parity_block(n, evens) == expected
+        assert classes.parity_block(n, evens, tables) == _reference_parity_block(n, evens)
 
 
 @pytest.mark.parametrize("n", [*range(1, 9), pytest.param(9, marks=pytest.mark.long)])
@@ -536,7 +534,7 @@ def test_parity_block_ends_are_the_first_and_last_members(n):
     tables = {}
     for evens in classes.parity_sets(n):
         expected = [(key, (members[0], lengths[0]), (members[-1], lengths[-1]))
-                    for key, members, lengths in classes.parity_block(n, evens)]
+                    for key, members, lengths in classes.parity_block(n, evens, {})]
         assert classes.parity_block_ends(n, evens, tables) == expected
 
 
@@ -609,7 +607,7 @@ def test_suffix_tables_match_the_tuple_builder(n, monkeypatch):
     monkeypatch.setattr(classes, "_suffix_table", lambda n, mine_bits, their_bits, tables:
                         _reference_suffix_table(n, _values(mine_bits, n),
                                                 _values(their_bits, n), tables))
-    assert [classes.parity_block(n, evens) for evens in classes.parity_sets(n)] == blocks
+    assert [classes.parity_block(n, evens, {}) for evens in classes.parity_sets(n)] == blocks
 
 
 def test_suffix_tables_stay_within_their_bound():
@@ -753,7 +751,8 @@ def test_class_shapes_check_fails_on_a_wrong_shape_key(monkeypatch):
     # the class of 213 and 312 inside S_5 is one the wrong key breaks; its
     # block is not among those whose findings fill the first 20
     monkeypatch.setattr(classes, "class_stream", lambda n: iter([class_of(parse_perm("21345"))]))
-    assert verify.check_class_shapes(5, None).findings == [{"min": "21345", "max": "31245"}]
+    check = verify.run_checks(5, ["class_shapes"]).checks[0]
+    assert check.findings == [{"min": "21345", "max": "31245"}]
 
 
 def _ends_shape_keeping_a_pinned_position(u, v):

@@ -217,7 +217,8 @@ def test_verify_rejects_a_check_above_its_n_limit(argv, names, monkeypatch, caps
     def fail(*args):
         raise AssertionError("check ran")
 
-    monkeypatch.setattr(verify, "CHECKS", dict.fromkeys(verify.CHECKS, fail))
+    monkeypatch.setattr(verify, "CHECKS", {name: (fail, *row[1:])
+                                           for name, row in verify.CHECKS.items()})
     monkeypatch.setattr(classes_mod, "classes_of_sn", fail)
     assert run(["verify", *argv]) == 2
     captured = capsys.readouterr()
@@ -229,26 +230,30 @@ def test_verify_rejects_a_check_above_its_n_limit(argv, names, monkeypatch, caps
 def test_verify_long_lifts_the_n_limit(monkeypatch, capsys):
     ran = []
 
-    def fake(n, rng):
+    def fake(n, rng, result):
         ran.append(n)
-        return verify.CheckResult("kl_inversion", "exhaustive", passed=1)
+        result.record(True)
 
-    monkeypatch.setitem(verify.CHECKS, "kl_inversion", fake)
+    monkeypatch.setitem(verify.CHECKS, "kl_inversion", (fake, "exhaustive", 5))
     assert run(["verify", "--n", "7", "--checks", "kl_inversion", "--long"]) == 0
     assert ran == [7]
 
 
-def test_every_check_has_an_n_limit():
-    assert verify.MAX_N.keys() == verify.CHECKS.keys()
-    assert min(verify.MAX_N.values()) == 5  # the full battery runs at n <= 5
+def test_every_check_row_names_its_function_scope_and_n_limit():
+    for name, (check, scope, limit) in verify.CHECKS.items():
+        assert check.__name__ == f"check_{name}"
+        assert scope in ("exhaustive", "sampled")
+        assert limit >= 5
+    # the full battery runs at n <= 5
+    assert min(limit for _, _, limit in verify.CHECKS.values()) == 5
 
 
 def test_verify_times_each_check(tmp_path, monkeypatch, capsys):
-    def slow(n, rng):
+    def slow(n, rng, result):
         time.sleep(0.05)
-        return verify.CheckResult("parity", "exhaustive", passed=1)
+        result.record(True)
 
-    monkeypatch.setitem(verify.CHECKS, "parity", slow)
+    monkeypatch.setitem(verify.CHECKS, "parity", (slow, "exhaustive", 9))
     path = tmp_path / "report.json"
     assert run(["verify", "--n", "4", "--checks", "parity,theorem_b", "--out", str(path)]) == 0
     report = json.loads(path.read_text())
@@ -297,7 +302,7 @@ def test_verify_checks_each_block_before_sweeping_the_next(monkeypatch, capsys):
     events = []
     real_block, real_extremes = classes_mod.parity_block, classes_mod.class_extremes
 
-    def block(n, evens, tables=None):
+    def block(n, evens, tables):
         events.append(("swept", evens))
         return real_block(n, evens, tables)
 
@@ -312,7 +317,7 @@ def test_verify_checks_each_block_before_sweeping_the_next(monkeypatch, capsys):
     expected = []
     for evens in classes_mod.parity_sets(4):
         expected.append(("swept", evens))
-        expected += [("checked", members[0]) for _, members, _ in real_block(4, evens)]
+        expected += [("checked", members[0]) for _, members, _ in real_block(4, evens, {})]
     assert events == expected
 
 

@@ -173,7 +173,7 @@ def test_class_covers_check_fails_when_swaps_drop_a_needed_pair(monkeypatch):
     monkeypatch.setattr(BruhatInterval, "swaps",
                         property(lambda self: [p for p in derive(self) if p != needed]))
     monkeypatch.setattr(classes, "class_stream", lambda n: iter([cls]))
-    check = verify.check_class_covers(7, None)
+    check = verify.run_checks(7, ["class_covers"]).checks[0]
     assert (check.passed, check.failed) == (0, 1)
     assert check.findings == [{"min": "5431627", "max": "7461523"}]
 
@@ -522,8 +522,8 @@ def test_interval_bfs_vs_filter_checks_the_carried_lengths(monkeypatch):
                                         tuple(lw + 1 for lw in interval.lengths))
 
     monkeypatch.setattr(verify.intervals, "interval_elements", off_by_one)
-    check = verify.check_interval_bfs_vs_filter(4, random.Random(0), samples=20)
-    assert (check.passed, check.failed) == (0, 20)
+    check = verify.run_checks(4, ["interval_bfs_vs_filter"]).checks[0]
+    assert (check.passed, check.failed) == (0, 500)
 
 
 def test_member_budget_stops_the_lifting():

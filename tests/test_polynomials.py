@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from odd_diagrams import polynomials
+from odd_diagrams import polynomials, verify
 from odd_diagrams.classes import classes_of_sn
 from odd_diagrams.intervals import BruhatInterval, interval_elements
 from odd_diagrams.perms import (
@@ -457,3 +457,26 @@ def test_r_memo_holds_a_lower_interval_sweep_of_s6_under_its_cap(fresh_memos, mo
         assert r_polynomial(e, w) == p
         peak = max(peak, len(polynomials._R_MEMO))
     assert peak < len(first)
+
+
+# --- the interval cache ---
+
+
+def test_carrell_after_poincare_on_one_pair_reuses_the_interval():
+    cache = polynomials._cached_interval
+    cache.cache_clear()
+    e, w = identity(5), parse_perm("35142")
+    poincare(e, w)
+    carrell_condition(e, w)
+    info = cache.cache_info()
+    assert (info.misses, info.hits) == (1, 1)
+
+
+def test_verify_factorization_leaves_the_interval_cache_within_its_size():
+    cache = polynomials._cached_interval
+    cache.cache_clear()
+    assert verify.run_checks(6, ["factorization"]).ok
+    info = cache.cache_info()
+    # every class of S_6 is asked for once, 351 intervals in all
+    assert info.misses == 351 and info.hits == 0
+    assert info.currsize <= info.maxsize < 351
