@@ -20,7 +20,6 @@ from .diagrams import (
 )
 from .duality import (
     bipartite_criterion,
-    boundary_bipartite_graphs,
     is_self_dual,
     top_heavy_check,
 )

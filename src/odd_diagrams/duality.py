@@ -6,35 +6,18 @@ isomorphic to its dual, and is its bottom boundary graph isomorphic to its
 top one."""
 
 from .intervals import BruhatInterval, interval_elements, rank_vector
-from .perms import FrozenRecord, Perm, identity
+from .perms import Perm, identity
 
 # (levels, up, down) as in ``BruhatInterval.cover_graph``
 CoverGraph = tuple[list[list[int]], list[set[int]], list[set[int]]]
 
 __all__ = [
-    "BipartiteGraph",
     "self_dual_by_rank",
     "top_heavy_check",
     "is_self_dual",
     "has_anti_automorphism",
-    "boundary_bipartite_graphs",
     "bipartite_criterion",
 ]
-
-
-class BipartiteGraph(FrozenRecord):
-    """Covers between two consecutive rank levels; edges are index pairs."""
-
-    __slots__ = _fields = ("left", "right", "edges")
-    left: tuple[Perm, ...]
-    right: tuple[Perm, ...]
-    edges: frozenset[tuple[int, int]]
-
-    def __init__(self, left: tuple[Perm, ...], right: tuple[Perm, ...],
-                 edges: frozenset[tuple[int, int]]):
-        object.__setattr__(self, "left", left)
-        object.__setattr__(self, "right", right)
-        object.__setattr__(self, "edges", edges)
 
 
 def self_dual_by_rank(rank: int) -> bool:
@@ -115,40 +98,28 @@ def _graded_isomorphic(a: CoverGraph, b: CoverGraph) -> bool:
     return False
 
 
-def boundary_bipartite_graphs(
-    interval: BruhatInterval,
-) -> tuple[BipartiteGraph, BipartiteGraph]:
-    """Cover graphs between ranks 1-2 above the bottom and ranks 1-2 below
-    the top; defined only for intervals of rank >= 2."""
-    if interval.rank < 2:
-        raise ValueError("boundary graphs need an interval of rank >= 2")
-    levels, up, down = interval.cover_graph
-
-    def graph(left: int, right: int, neighbors) -> BipartiteGraph:
-        rpos = {i: p for p, i in enumerate(levels[right])}
-        edges = frozenset(
-            (p, rpos[j]) for p, i in enumerate(levels[left]) for j in neighbors[i] if j in rpos
-        )
-        return BipartiteGraph(interval.levels[left], interval.levels[right], edges)
-
-    return graph(1, 2, up), graph(-2, -3, down)
-
-
-def _as_cover_graph(graph: BipartiteGraph) -> CoverGraph:
-    """The graph as two levels, the left part below the right."""
-    k = len(graph.left)
-    up: list[set[int]] = [set() for _ in range(k + len(graph.right))]
-    down: list[set[int]] = [set() for _ in up]
-    for a, b in graph.edges:
-        up[a].add(k + b)
-        down[k + b].add(a)
-    return [list(range(k)), list(range(k, len(up)))], up, down
+def _boundary_graph(levels: list[list[int]], up: list[set[int]], down: list[set[int]],
+                    lower: int, upper: int) -> CoverGraph:
+    """Levels ``lower`` and ``upper`` of a cover graph, one rank apart, as a
+    graph of two levels on the same member indices: the up sets of ``lower``
+    and the down sets of ``upper`` are kept whole, since a cover is one rank
+    away, and every other set is empty. Given down and up in place of up and
+    down, the graph reads the interval downward, ``upper`` below ``lower``."""
+    cut_up, cut_down = [frozenset()] * len(up), [frozenset()] * len(down)
+    for k in levels[lower]:
+        cut_up[k] = up[k]
+    for k in levels[upper]:
+        cut_down[k] = down[k]
+    return [levels[lower], levels[upper]], cut_up, cut_down
 
 
 def bipartite_criterion(interval: BruhatInterval) -> bool:
-    """True iff the two boundary graphs are isomorphic as bipartite graphs
-    (parts not exchanged); vacuously true for intervals of rank <= 1."""
+    """True iff the cover graph between ranks 1 and 2 above the bottom is
+    isomorphic to the one between ranks 1 and 2 below the top, as bipartite
+    graphs whose parts are not exchanged; vacuously true for intervals of
+    rank <= 1."""
     if interval.rank < 2:
         return True
-    bottom_graph, top_graph = boundary_bipartite_graphs(interval)
-    return _graded_isomorphic(_as_cover_graph(bottom_graph), _as_cover_graph(top_graph))
+    levels, up, down = interval.cover_graph
+    return _graded_isomorphic(_boundary_graph(levels, up, down, 1, 2),
+                              _boundary_graph(levels, down, up, -2, -3))

@@ -1,5 +1,6 @@
 """Bruhat intervals [u, v]: elements, rank levels, Hasse diagrams, DOT export."""
 
+from collections import Counter
 from collections.abc import Callable, Iterable
 from functools import cached_property, lru_cache
 from itertools import combinations
@@ -40,15 +41,6 @@ class BruhatInterval(FrozenRecord):
         return len(self.bottom)
 
     @cached_property
-    def levels(self) -> tuple[tuple[Perm, ...], ...]:
-        """levels[r] = the members at length(bottom) + r, in sorted order."""
-        base = min(self.lengths)
-        grouped: list[list[Perm]] = [[] for _ in range(self.rank + 1)]
-        for w, lw in zip(self.elements, self.lengths):
-            grouped[lw - base].append(w)
-        return tuple(map(tuple, grouped))
-
-    @cached_property
     def swaps(self) -> list[tuple[int, int]]:
         """The 0-based position pairs i < j a reflection between two members
         can swap: w and w (i j) differ only at i and j, and w(j) stands at j
@@ -59,10 +51,11 @@ class BruhatInterval(FrozenRecord):
 
     @cached_property
     def cover_graph(self) -> tuple[list[list[int]], list[set[int]], list[set[int]]]:
-        """Member indices grouped as in ``levels``, and for each member index
-        the indices covering it (up) and covered by it (down). Each ascending
-        swap of a member is tried once; the result is a cover when it is a
-        member one length above, read from the carried lengths."""
+        """levels[r] = the indices of the members at length(bottom) + r, in
+        member order, and for each member index the indices covering it (up)
+        and covered by it (down). Each ascending swap of a member is tried
+        once; the result is a cover when it is a member one length above,
+        read from the carried lengths."""
         index = {w: k for k, w in enumerate(self.elements)}
         lengths = self.lengths
         base = min(lengths)
@@ -214,8 +207,10 @@ def _cached_interval(u: Perm, v: Perm) -> BruhatInterval:
 
 
 def rank_vector(interval: BruhatInterval) -> tuple[int, ...]:
-    """counts[r] = number of members at length(bottom) + r."""
-    return tuple(map(len, interval.levels))
+    """counts[r] = number of members at length(bottom) + r, counted from the
+    carried lengths."""
+    counts = Counter(interval.lengths)
+    return tuple(counts[r] for r in range(min(counts), max(counts) + 1))
 
 
 def hasse_edges(interval: BruhatInterval) -> list[tuple[Perm, Perm]]:
@@ -228,9 +223,11 @@ def hasse_edges(interval: BruhatInterval) -> list[tuple[Perm, Perm]]:
 
 def to_dot(interval: BruhatInterval) -> str:
     """Hasse diagram in DOT, one rank group per length level."""
+    levels, _, _ = interval.cover_graph
+    elements = interval.elements
     lines = ["graph bruhat_interval {", "  rankdir=BT;", "  node [shape=plaintext];"]
-    for level in interval.levels:
-        names = " ".join(f'"{format_perm(w)}"' for w in level)
+    for level in levels:
+        names = " ".join(f'"{format_perm(elements[k])}"' for k in level)
         lines.append(f"  {{ rank=same; {names} }}")
     for x, y in hasse_edges(interval):
         lines.append(f'  "{format_perm(x)}" -- "{format_perm(y)}";')

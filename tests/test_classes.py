@@ -285,26 +285,26 @@ RANK_3_SHAPES = {6: 1, 7: 13}
 def test_report_builds_an_interval_only_from_rank_3(n, ranked, count, monkeypatch):
     # the report builds one interval per shape of the classes of rank >= 3,
     # and no class of rank <= 2 reaches ``OddDiagramClass.interval``,
-    # ``levels`` or ``rank_vector``
+    # ``cover_graph`` or ``rank_vector``
     accesses = []
     interval = OddDiagramClass.interval.fget
-    levels = BruhatInterval.levels.func
+    cover_graph = BruhatInterval.cover_graph.func
 
     def counting(cls):
         assert cls.rank >= 3
         accesses.append(cls)
         return interval(cls)
 
-    def checked_levels(iv):
+    def checked_cover_graph(iv):
         assert iv.rank >= 3
-        return levels(iv)
+        return cover_graph(iv)
 
     def checked_rank_vector(iv):
         assert iv.rank >= 3
         return rank_vector(iv)
 
     monkeypatch.setattr(OddDiagramClass, "interval", property(counting))
-    monkeypatch.setattr(BruhatInterval, "levels", property(checked_levels))
+    monkeypatch.setattr(BruhatInterval, "cover_graph", property(checked_cover_graph))
     monkeypatch.setattr(intervals, "rank_vector", checked_rank_vector)
     monkeypatch.setattr(duality, "rank_vector", checked_rank_vector)
     table = classes_of_sn(n)

@@ -18,15 +18,21 @@ from odd_diagrams.classes import (
 )
 from odd_diagrams.cli import check_sweep_degree, run
 from odd_diagrams.duality import (
-    BipartiteGraph,
     bipartite_criterion,
-    boundary_bipartite_graphs,
     is_self_dual,
     self_dual_by_rank,
     top_heavy_check,
 )
 from odd_diagrams.intervals import BruhatInterval, hasse_edges, interval_elements
-from odd_diagrams.perms import all_perms, bruhat_leq, format_perm, identity, length, parse_perm
+from odd_diagrams.perms import (
+    all_perms,
+    bruhat_leq,
+    covers,
+    format_perm,
+    identity,
+    length,
+    parse_perm,
+)
 
 
 @pytest.fixture(scope="module")
@@ -137,22 +143,39 @@ def test_known_non_self_dual_class(golden_s9):
     assert non_self_dual_classes([golden_s9, figure2]) == [golden_s9]
 
 
+def _boundary_graphs(interval):
+    """The two graphs ``bipartite_criterion`` compares, cut from the cover graph."""
+    levels, up, down = interval.cover_graph
+    return (duality._boundary_graph(levels, up, down, 1, 2),
+            duality._boundary_graph(levels, down, up, -2, -3))
+
+
+def _part_sizes_and_edges(graph):
+    (lower, upper), up, down = graph
+    assert sum(map(len, up)) == sum(map(len, down))
+    assert all(up[k] <= set(upper) for k in lower)
+    return len(lower), len(upper), sum(map(len, up))
+
+
 def test_boundary_graph_shapes():
     interval = class_of(parse_perm("5431627")).interval
-    bottom, top = boundary_bipartite_graphs(interval)
-    assert (len(bottom.left), len(bottom.right)) == (3, 5)
-    assert (len(top.left), len(top.right)) == (3, 5)
+    bottom, top = _boundary_graphs(interval)
+    assert _part_sizes_and_edges(bottom)[:2] == (3, 5)
+    assert _part_sizes_and_edges(top)[:2] == (3, 5)
 
     s3 = interval_elements(identity(3), parse_perm("321"))
-    bottom, top = boundary_bipartite_graphs(s3)
+    bottom, top = _boundary_graphs(s3)
     # middle layer of the S_3 Hasse diagram: 132, 213 each cover into both
     # of 231, 312
-    assert (len(bottom.left), len(bottom.right)) == (2, 2)
-    assert len(bottom.edges) == 4
-    assert len(top.edges) == 4
+    assert _part_sizes_and_edges(bottom) == (2, 2, 4)
+    assert _part_sizes_and_edges(top) == (2, 2, 4)
 
-    with pytest.raises(ValueError):
-        boundary_bipartite_graphs(interval_elements(identity(2), parse_perm("21")))
+
+def test_bipartite_criterion_fails_on_every_non_self_dual_class_of_s9(golden_s9):
+    # the 8 classes of the published S_9 census, not only the golden one
+    count, bad = census(9)
+    assert count == 103873 and len(bad) == 8 and golden_s9 in bad
+    assert [bipartite_criterion(cls.interval) for cls in bad] == [False] * 8
 
 
 def test_bipartite_criterion_low_rank_vacuous():
@@ -164,22 +187,22 @@ def test_bipartite_criterion_low_rank_vacuous():
 
 
 def _reference_bipartite_isomorphic(g1, g2):
-    """Reference: the bipartite search the shared graded search replaced.
-    For a fixed left bijection, a right bijection exists iff the multisets
-    of right-vertex neighborhoods (as subsets of the left part) agree."""
-    if len(g1.left) != len(g2.left) or len(g1.right) != len(g2.right):
+    """Reference: the bipartite search the shared graded search replaced, on
+    graphs given as (left part size, right part size, edges), each edge an
+    index pair into the two parts. For a fixed left bijection, a right
+    bijection exists iff the multisets of right-vertex neighborhoods (as
+    subsets of the left part) agree."""
+    (k, m, edges1), (k2, m2, edges2) = g1, g2
+    if (k, m, len(edges1)) != (k2, m2, len(edges2)):
         return False
-    if len(g1.edges) != len(g2.edges):
-        return False
-    k = len(g1.left)
     deg1 = [0] * k
     deg2 = [0] * k
-    nbhd1 = [set() for _ in g1.right]
-    nbhd2 = [set() for _ in g2.right]
-    for a, b in g1.edges:
+    nbhd1 = [set() for _ in range(m)]
+    nbhd2 = [set() for _ in range(m)]
+    for a, b in edges1:
         deg1[a] += 1
         nbhd1[b].add(a)
-    for a, b in g2.edges:
+    for a, b in edges2:
         deg2[a] += 1
         nbhd2[b].add(a)
     if sorted(deg1) != sorted(deg2):
@@ -208,10 +231,26 @@ def _reference_bipartite_isomorphic(g1, g2):
     return extend(0)
 
 
+def _reference_boundary_graphs(interval):
+    """Reference: the covers between the members one and two above the
+    bottom, and between those one and two below the top, found among the
+    members by ``covers`` and ``length`` alone."""
+    bottom, top = length(interval.bottom), length(interval.top)
+
+    def graph(left_length, right_length):
+        left, right = ([w for w in interval.elements if length(w) == r]
+                       for r in (left_length, right_length))
+        edges = {(a, b) for a, x in enumerate(left) for b, y in enumerate(right)
+                 if covers(x, y) or covers(y, x)}
+        return len(left), len(right), edges
+
+    return graph(bottom + 1, bottom + 2), graph(top - 1, top - 2)
+
+
 def _reference_criterion(interval):
     if interval.rank < 2:
         return True
-    return _reference_bipartite_isomorphic(*boundary_bipartite_graphs(interval))
+    return _reference_bipartite_isomorphic(*_reference_boundary_graphs(interval))
 
 
 def _assert_criterion_matches_reference(intervals):
@@ -242,14 +281,23 @@ def test_bipartite_criterion_matches_reference_on_lower_intervals_of_s6(golden_s
 
 
 def _graph(left, right, edges):
-    return BipartiteGraph(
-        tuple((i,) for i in range(left)), tuple((j,) for j in range(right)), frozenset(edges)
-    )
+    return left, right, frozenset(edges)
+
+
+def _two_levels(graph):
+    """The graph as a cover graph of two levels, the left part below the right."""
+    k, m, edges = graph
+    up = [set() for _ in range(k + m)]
+    down = [set() for _ in up]
+    for a, b in edges:
+        up[a].add(k + b)
+        down[k + b].add(a)
+    return [list(range(k)), list(range(k, k + m))], up, down
 
 
 def _criterion_search(g1, g2):
     """The search ``bipartite_criterion`` runs on its two boundary graphs."""
-    return duality._graded_isomorphic(duality._as_cover_graph(g1), duality._as_cover_graph(g2))
+    return duality._graded_isomorphic(_two_levels(g1), _two_levels(g2))
 
 
 @st.composite
@@ -282,7 +330,7 @@ def test_criterion_search_tells_apart_graphs_with_equal_degrees():
     cycle = _graph(4, 4, [(a, a) for a in range(4)] + [(a, (a + 1) % 4) for a in range(4)])
     squares = _graph(4, 4, [(a, b) for a in range(4) for b in range(4) if a // 2 == b // 2])
     assert not _criterion_search(cycle, squares)
-    relabeled = _graph(4, 4, [((a + 1) % 4, (b + 2) % 4) for a, b in cycle.edges])
+    relabeled = _graph(4, 4, [((a + 1) % 4, (b + 2) % 4) for a, b in cycle[2]])
     assert _criterion_search(cycle, relabeled)
     assert not _criterion_search(_graph(2, 3, [(0, 0)]), _graph(3, 2, [(0, 0)]))
     assert not _criterion_search(_graph(2, 2, [(0, 0)]), _graph(2, 2, [(0, 0), (1, 1)]))

@@ -208,13 +208,15 @@ def test_class_swaps_are_same_parity_pairs_of_moving_positions(n):
 
 
 def _assert_levels_group_by_length(interval):
-    levels = interval.levels
+    levels, _, _ = interval.cover_graph
+    elements = interval.elements
     base = length(interval.bottom)
-    assert sorted(chain.from_iterable(levels)) == list(interval.elements)
-    assert levels[0] == (interval.bottom,) and levels[-1] == (interval.top,)
+    assert sorted(chain.from_iterable(levels)) == list(range(len(elements)))
+    assert [elements[k] for k in levels[0]] == [interval.bottom]
+    assert [elements[k] for k in levels[-1]] == [interval.top]
     for r, level in enumerate(levels):
         assert list(level) == sorted(level)
-        assert all(length(x) == base + r for x in level)
+        assert all(length(elements[k]) == base + r for k in level)
     assert interval.rank == length(interval.top) - base
 
 

@@ -8,13 +8,13 @@ import pickle
 import subprocess
 import sys
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 
 import pytest
 
 from odd_diagrams import classes
 from odd_diagrams.classes import OddDiagramClass, class_of
-from odd_diagrams.duality import BipartiteGraph
 from odd_diagrams.intervals import BruhatInterval, interval_elements
 from odd_diagrams.partition import BlockDecomposition, FactorizationResult, PartitionStep
 from odd_diagrams.perms import parse_perm
@@ -41,13 +41,6 @@ class _reference_BruhatInterval:
     top: tuple
     elements: tuple
     lengths: tuple
-
-
-@dataclass(frozen=True)
-class _reference_BipartiteGraph:
-    left: tuple
-    right: tuple
-    edges: frozenset
 
 
 @dataclass(frozen=True)
@@ -100,8 +93,6 @@ CASES = [
     (BruhatInterval, _reference_BruhatInterval, ("bottom", "top", "elements", "lengths"),
      ((2, 1, 3), (3, 1, 2), ((2, 1, 3), (3, 1, 2)), (1, 2)),
      ((2, 1, 3), (3, 1, 2), ((2, 1, 3), (3, 1, 2)), (1, 3))),
-    (BipartiteGraph, _reference_BipartiteGraph, ("left", "right", "edges"),
-     ((U,), (V,), frozenset({(0, 0)})), ((U,), (V,), frozenset())),
     (PartitionStep, _reference_PartitionStep, ("k", "a", "b", "anchors"),
      (1, 1, 3, (1, 3)), (2, 1, 3, (1, 3))),
     (BlockDecomposition, _reference_BlockDecomposition, ("step", "blocks", "u_chain", "v_chain"),
@@ -188,7 +179,10 @@ def test_check_results_stay_mutable_with_their_defaults(check, report):
 
 
 def test_interval_properties_are_computed_once_and_cached(monkeypatch):
-    names = ("levels", "swaps", "cover_graph")
+    names = ("swaps", "cover_graph")
+    cached = [name for name, prop in vars(BruhatInterval).items()
+              if isinstance(prop, cached_property)]
+    assert sorted(cached) == sorted(names)
     calls = []
     for name in names:
         prop = vars(BruhatInterval)[name]
@@ -223,10 +217,10 @@ def test_a_polynomial_survives_a_pickle_round_trip_at_every_protocol(coeffs):
 
 def test_a_pickled_interval_recomputes_its_cached_properties():
     interval = interval_elements(parse_perm("1234"), parse_perm("3412"))
-    levels, cover_graph = interval.levels, interval.cover_graph
+    swaps, cover_graph = interval.swaps, interval.cover_graph
     back = pickle.loads(pickle.dumps(interval))
-    assert "levels" not in vars(back)
-    assert back.levels == levels and back.cover_graph == cover_graph
+    assert "cover_graph" not in vars(back)
+    assert back.swaps == swaps and back.cover_graph == cover_graph
 
 
 def test_census_output_of_an_s9_block_survives_a_pickle_round_trip():
