@@ -10,9 +10,9 @@ from collections.abc import Iterator
 from io import TextIOBase
 from itertools import combinations
 
-from .diagrams import Diagram, boxes_of_key, diagram_of_key, legal_swap, odd_diagram_key
+from .diagrams import Diagram, diagram_of_key, legal_swap, odd_diagram_key
 from .duality import has_anti_automorphism, is_self_dual, self_dual_by_rank
-from .intervals import BruhatInterval, interval_elements
+from .intervals import BruhatInterval, interval_elements, rank_counts
 from .partition import _factor_lengths, check_class_size
 from .perms import FrozenRecord, Perm, format_perm, slot_setters
 from .polynomials import carrell_holds
@@ -439,67 +439,118 @@ def class_extremes(cls: OddDiagramClass) -> tuple[Perm, Perm]:
 
 
 def class_report(cls: OddDiagramClass) -> dict:
-    """Per-class JSON record of the report, schema version 1, read from the
-    class's fields: the rank vector counts the carried lengths, and the boxes
-    are its key decoded.
+    """Per-class JSON record of the report, schema version 1: the text that
+    ``write_report`` writes for the class, read back by ``json.loads``, so
+    the schema has one encoder, ``_record_text``."""
+    return json.loads(_record_text(cls, _ReportMemo(cls.n)))
 
-    ``kl_is_one`` is P_{min,max} = 1, decided without the KL engine: at rank
-    <= 2 by the degree bound deg P <= (rank - 1)/2 < 1 and P(0) = 1, where
-    ``self_dual_by_rank`` settles ``self_dual``; only a class of higher rank
-    builds its interval, for ``carrell_holds`` and ``is_self_dual``. ``verify
-    kl_carrell`` and ``kl_class_probe`` re-check ``kl_is_one`` against KL.
+
+# a record as ``json.dumps`` writes the record dict: the diagram's boxes, the
+# size, the two ends, then the fields that ``_ReportMemo.tail`` encodes
+_RECORD = '{"diagram": [%s], "size": %d, "min": "%s", "max": "%s", %s}'
+
+
+class _RowTexts(dict):
+    """The texts of the diagram rows of S_n, each keyed by the row's bits in
+    place in an ``odd_diagram_key``: its boxes as ``[row, col], `` each, lowest
+    column first, and "" for an empty row. A text is made when first asked
+    for: the 2,041 classes of S_7 have 120 distinct rows, the 103,873 of S_9
+    502."""
+
+    def __init__(self, n: int):
+        super().__init__({0: ""})
+        self.n = n
+
+    def __missing__(self, bits: int) -> str:
+        n = self.n
+        row = (bits.bit_length() - 1) // n
+        self[bits] = text = "".join([f"[{row + 1}, {j + 1}], "
+                                     for j in range(n) if bits >> (row * n + j) & 1])
+        return text
+
+
+class _ReportMemo:
+    """What the records of one report of S_n share, each encoded once: the
+    texts of the diagram rows, of the field tails, and the verdicts by rank
+    (<= 2) and by ``ends_shape`` (>= 3)."""
+
+    __slots__ = ("masks", "rows", "tails", "by_rank", "by_shape")
+
+    def __init__(self, n: int):
+        # row n of a key is empty: no position follows the last
+        self.masks = [((1 << n) - 1) << (i * n) for i in range(n - 1)]
+        self.rows = _RowTexts(n)
+        self.tails: dict[tuple, str] = {}
+        # (kl_is_one, self_dual, factor lengths)
+        self.by_rank = [(True, self_dual_by_rank(rank), (2,) * rank) for rank in range(3)]
+        self.by_shape: dict[Shape, tuple[bool, bool, tuple[int, ...]]] = {}
+
+    def tail(self, ranks: tuple[int, ...], verdict: tuple[bool, bool, tuple[int, ...]]) -> str:
+        """The text of the last five fields of a record, one ``json.dumps``
+        per distinct ``ranks`` and ``verdict``."""
+        text = self.tails.get((ranks, verdict))
+        if text is None:
+            kl_is_one, self_dual, factors = verdict
+            text = self.tails[ranks, verdict] = json.dumps({
+                "rank_vector": ranks,
+                "poincare_coeffs": ranks,
+                "factor_lengths": factors,
+                "kl_is_one": kl_is_one,
+                "self_dual": self_dual,
+            })[1:-1]
+        return text
+
+
+def _record_text(cls: OddDiagramClass, memo: _ReportMemo) -> str:
+    """The JSON text of the class's record, filled in from the texts in
+    ``memo``: no box list, record dict or ``json.dumps`` per record. The
+    diagram joins the texts of its rows, each the key's bits in one row.
+
+    The rank vector is ``rank_counts`` of the carried lengths. ``kl_is_one``
+    is P_{min,max} = 1, decided without the KL engine: at rank <= 2 by the
+    degree bound deg P <= (rank - 1)/2 < 1 and P(0) = 1, where
+    ``self_dual_by_rank`` settles ``self_dual``. A class of higher rank
+    builds its interval, for ``carrell_holds`` and ``is_self_dual``, only
+    when it is the first of its ``ends_shape``: both verdicts and the factor
+    lengths depend on the shape alone. ``verify kl_carrell`` and
+    ``kl_class_probe`` re-check ``kl_is_one`` against KL.
 
     ``factor_lengths`` is the unchecked core of ``factorize``, since a
     class's ends are its extremes by construction. A class of rank r <= 2
     has r factors of 2: the factors m_i give sum(m_i - 1) = r, and an
     interval of length 2 has 4 members (Bjorner-Brenti, Lemma 2.7.3), not
     the 3 of a factor of 3."""
-    return _class_record(cls, {})
-
-
-def _class_record(cls: OddDiagramClass, by_shape: dict) -> dict:
-    """``class_report``, with ``by_shape`` keeping ``kl_is_one``,
-    ``self_dual`` and the factor lengths of the classes of rank >= 3 by
-    ``ends_shape``: all three depend on the shape alone."""
     lengths = cls.lengths
-    lo, hi = cls.min_elem, cls.max_elem
-    base = lengths[0]
-    rank = lengths[-1] - base
-    ranks = [0] * (rank + 1)
-    for lw in lengths:
-        ranks[lw - base] += 1
+    lo, hi = cls.members[0], cls.members[-1]
+    ranks = rank_counts(lengths)
+    rank = len(ranks) - 1
     if rank <= 2:
-        kl_is_one, self_dual, factors = True, self_dual_by_rank(rank), (2,) * rank
+        verdict = memo.by_rank[rank]
     else:
         shape = ends_shape(lo, hi)
-        if shape not in by_shape:
+        verdict = memo.by_shape.get(shape)
+        if verdict is None:
             interval = cls.interval
-            by_shape[shape] = (carrell_holds(interval), is_self_dual(interval),
-                               _factor_lengths(lo, hi))
-        kl_is_one, self_dual, factors = by_shape[shape]
-    return {
-        "diagram": boxes_of_key(cls.key, len(lo)),
-        "size": len(lengths),
-        "min": format_perm(lo),
-        "max": format_perm(hi),
-        "rank_vector": ranks,
-        "poincare_coeffs": ranks[:],
-        "factor_lengths": list(factors),
-        "kl_is_one": kl_is_one,
-        "self_dual": self_dual,
-    }
+            verdict = memo.by_shape[shape] = (carrell_holds(interval), is_self_dual(interval),
+                                              _factor_lengths(lo, hi))
+    key = cls.key
+    rows = memo.rows
+    # every box text ends in ", ", so the last two characters are cut
+    diagram = "".join([rows[key & mask] for mask in memo.masks])[:-2]
+    return _RECORD % (diagram, len(lengths), format_perm(lo), format_perm(hi),
+                      memo.tail(ranks, verdict))
 
 
 def write_report(classes: list[OddDiagramClass], out: TextIOBase) -> None:
     """Write the JSON report of the class table of S_n, schema version 1, to
-    ``out``: the header, then one class record a line. Each record is
-    encoded and written on its own, so no more than one is held; the
-    verdicts and factor lengths of the classes of rank >= 3 are kept by
-    ``ends_shape`` (13 shapes for the 171 such classes of S_7) until the
+    ``out``: the header, then one class record a line, each the text of
+    ``_record_text`` written on its own, so no more than one is held. The
+    texts of the diagram rows and field tails, and the verdicts by shape
+    (13 shapes for the 171 classes of S_7 of rank >= 3), are kept until the
     report is written."""
-    by_shape: dict[Shape, tuple[bool, bool, tuple[int, ...]]] = {}
+    memo = _ReportMemo(classes[0].n)
     out.write(f'{{"schema": 1, "n": {classes[0].n}, "classes": [')
     for i, cls in enumerate(classes):
         out.write(",\n" if i else "\n")
-        out.write(json.dumps(_class_record(cls, by_shape)))
+        out.write(_record_text(cls, memo))
     out.write("\n]}\n")

@@ -17,7 +17,6 @@ __all__ = [
     "odd_diagram",
     "odd_diagram_key",
     "diagram_of_key",
-    "boxes_of_key",
     "odd_length",
     "is_legal",
     "satisfies_legality_criterion",
@@ -62,20 +61,15 @@ def odd_diagram_key(w: Perm) -> int:
 
 
 def diagram_of_key(key: int, n: int) -> Diagram:
-    """The sorted boxes of an ``odd_diagram_key`` of S_n: ``boxes_of_key`` as tuples."""
-    return tuple(map(tuple, boxes_of_key(key, n)))
-
-
-def boxes_of_key(key: int, n: int) -> list[list[int]]:
-    """The boxes of an ``odd_diagram_key`` of S_n as ``[row, col]`` lists,
-    the form the class report writes: its set bits, lowest first."""
+    """The sorted boxes of an ``odd_diagram_key`` of S_n: its set bits,
+    lowest first."""
     boxes = []
     while key:
         low = key & -key
         i, j = divmod(low.bit_length() - 1, n)
-        boxes.append([i + 1, j + 1])
+        boxes.append((i + 1, j + 1))
         key ^= low
-    return boxes
+    return tuple(boxes)
 
 
 def odd_length(w: Perm) -> int:

@@ -4,6 +4,7 @@ import io
 import json
 import math
 import random
+import re
 
 import pytest
 
@@ -17,7 +18,7 @@ from odd_diagrams.classes import (
     classes_of_sn,
 )
 from odd_diagrams.cli import check_sweep_degree, run
-from odd_diagrams.diagrams import is_legal, odd_diagram, odd_diagram_key
+from odd_diagrams.diagrams import is_legal, odd_diagram, odd_diagram_key, rothe_diagram
 from odd_diagrams.duality import is_self_dual
 from odd_diagrams.intervals import BruhatInterval, interval_elements, rank_vector
 from odd_diagrams.partition import _factor_lengths, check_class_size
@@ -83,7 +84,7 @@ def test_classes_are_keyed_once_per_permutation_and_never_decoded(n, monkeypatch
 
     monkeypatch.setattr(classes, "odd_diagram_key", counting)
     monkeypatch.setattr(classes, "diagram_of_key", no_decode)
-    monkeypatch.setattr(classes, "boxes_of_key", no_decode)
+    monkeypatch.setattr(diagrams, "diagram_of_key", no_decode)
     table = classes_of_sn(n)
     assert calls == []
     assert sum(map(len, table)) == math.factorial(n)
@@ -194,10 +195,12 @@ def test_a_sweep_left_by_an_exception_restores_the_collector(monkeypatch, collec
 
 
 def _reference_class_report(cls):
-    """Reference: the class report that built every class's interval and
-    read the rank vector from its levels and the boxes from ``cls.diagram``."""
+    """Reference: the class report that built every class's interval, counted
+    the rank vector from ``length`` of each member and read the boxes from
+    ``cls.diagram``."""
     interval = cls.interval
-    ranks = rank_vector(interval)
+    levels = [length(w) - length(cls.min_elem) for w in cls.members]
+    ranks = [levels.count(r) for r in range(max(levels) + 1)]
     return {
         "diagram": [list(box) for box in cls.diagram],
         "size": len(cls.members),
@@ -241,6 +244,43 @@ def test_write_report_text_matches_the_interval_report(n):
     assert _report_text(table) == _reference_report_text(table)
 
 
+@pytest.mark.parametrize("n", [10, 11, 12])
+def test_record_text_matches_the_reference_past_nine(n):
+    # rows, columns and sizes of two digits, comma-separated ends; one memo
+    # serves the whole sample, as it serves a whole report
+    rng = random.Random(n)
+    memo = classes._ReportMemo(n)
+    for _ in range(20):
+        cls = class_of(tuple(rng.sample(range(1, n + 1), n)))
+        assert classes._record_text(cls, memo) == json.dumps(_reference_class_report(cls))
+    assert "," in format_perm(cls.min_elem)
+    # S_10 has no box past row 9 or column 9
+    assert any(re.search(r"\d\d", text) for text in memo.rows.values()) == (n > 10)
+
+
+def test_write_report_encodes_no_record_on_its_own(monkeypatch):
+    # no box is decoded, and ``json.dumps`` runs once per distinct tail of
+    # fields, not once per record
+    table = classes_of_sn(6)
+    expected = _reference_report_text(table)
+    records = json.loads(expected)["classes"]
+    tails = {json.dumps(list(r.items())[4:]) for r in records}
+    dumps, calls = json.dumps, []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return dumps(*args, **kwargs)
+
+    def no_decode(key, n):
+        raise AssertionError("a diagram was decoded while writing the report")
+
+    monkeypatch.setattr(classes, "diagram_of_key", no_decode)
+    monkeypatch.setattr(diagrams, "diagram_of_key", no_decode)
+    monkeypatch.setattr(json, "dumps", counting)
+    assert _report_text(table) == expected
+    assert len(calls) <= len(tails) < len(records) == 351
+
+
 def _reference_format_perm(w):
     """Reference: the ``format_perm`` that joined ``str`` of each entry."""
     if len(w) <= 9:
@@ -248,16 +288,11 @@ def _reference_format_perm(w):
     return ",".join(str(x) for x in w)
 
 
-def _reference_boxes(key, n):
-    """Reference: the report's boxes as ``list`` copies of the box tuples of
-    the former ``diagram_of_key``."""
-    boxes = []
-    while key:
-        low = key & -key
-        i, j = divmod(low.bit_length() - 1, n)
-        boxes.append((i + 1, j + 1))
-        key ^= low
-    return [list(box) for box in tuple(boxes)]
+def _reference_odd_diagram(w):
+    """Reference: the Rothe boxes (i, j) of w with i and w^-1(j) of
+    opposite parity, by the definition."""
+    inv = inverse(w)
+    return tuple(sorted((i, j) for i, j in rothe_diagram(w) if (i - inv[j - 1]) % 2))
 
 
 @pytest.mark.parametrize("n", range(1, 8))
@@ -266,8 +301,7 @@ def test_report_fields_match_their_reference_on_every_class(n):
     for cls in classes_of_sn(n):
         for w in (cls.min_elem, cls.max_elem):
             assert format_perm(w) == _reference_format_perm(w)
-        assert diagrams.boxes_of_key(cls.key, n) == _reference_boxes(cls.key, n)
-        assert cls.diagram == tuple(map(tuple, _reference_boxes(cls.key, n)))
+            assert cls.diagram == _reference_odd_diagram(w)
 
 
 def test_format_perm_matches_its_reference_at_every_degree_to_20():
@@ -321,13 +355,16 @@ REPORT_SHA256 = {
     7: "0f5e6eee6204aeee0d47dbacfcc7ced9728b13dffca1074f25d2ce7a0b91365b",
     8: "97e5d62bc3c0aa01d18948e06d25b35f87886255456cb893aff36db7c422173f",
     9: "5aa699eeba0f59c1210ebcb3fb719a579c0f5210825048b71ac38a941b89cebb",
+    # 882,213 classes, 268 MB; the sweep holds the whole table, about 650 MB
+    10: "ba38a79e07ddc2c119ac3419af79b01898f3b1f8d308a848b2cc20113def44c4",
 }
 
 
-@pytest.mark.parametrize("n", [7, *(pytest.param(n, marks=pytest.mark.long) for n in (8, 9))])
+@pytest.mark.parametrize("n", [7, *(pytest.param(n, marks=pytest.mark.long) for n in (8, 9, 10))])
 def test_report_digest(n, tmp_path, capsys):
     path = tmp_path / "report.json"
-    assert run(["classes", "--n", str(n), "--out", str(path)]) == 0
+    long = ["--long"] if n >= 10 else []
+    assert run(["classes", "--n", str(n), *long, "--out", str(path)]) == 0
     capsys.readouterr()
     assert hashlib.sha256(path.read_bytes()).hexdigest() == REPORT_SHA256[n]
 

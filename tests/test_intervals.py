@@ -9,6 +9,7 @@ from odd_diagrams.intervals import (
     BruhatInterval,
     hasse_edges,
     interval_elements,
+    rank_counts,
     rank_vector,
     to_dot,
 )
@@ -90,6 +91,19 @@ def test_intervals_are_graded(n):
         ranks = rank_vector(interval)
         assert all(c > 0 for c in ranks)
         assert len(ranks) - 1 == length(v) - length(u)
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+def test_rank_counts_count_the_member_lengths(n):
+    # the reference counts ``length`` of each member, not the carried lengths
+    for u in all_perms(n):
+        for v in all_perms(n):
+            if not bruhat_leq(u, v):
+                continue
+            interval = interval_elements(u, v)
+            levels = [length(w) - length(u) for w in interval.elements]
+            expected = tuple(levels.count(r) for r in range(length(v) - length(u) + 1))
+            assert rank_counts(interval.lengths) == rank_vector(interval) == expected
 
 
 def test_dot_export():
