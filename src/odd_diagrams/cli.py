@@ -1,5 +1,11 @@
 """Command-line harness: diagrams, classes, polynomials, censuses, checks, and
-the one degree rule of the commands that sweep S_n, ``check_sweep_degree``."""
+the one degree rule of the commands that sweep S_n, ``check_sweep_degree``.
+
+Each command is declared once, in its ``COMMANDS`` row: help text, arguments
+and handler. ``build_parser`` makes the full parser, every row a subcommand.
+``run`` builds and runs only the parser of the command it is given, one per
+row and process, and leaves help, usage errors and any other line to the full
+parser, so a call neither builds the other subparsers nor parses its line twice."""
 
 import argparse
 import contextlib
@@ -10,6 +16,7 @@ import sys
 from . import classes as classes_mod
 from . import diagrams, intervals, partition, perms, polynomials, verify
 
+PROG = "odd-diagrams"
 USAGE_ERROR = 2
 CHECK_FAILURE = 1
 
@@ -158,73 +165,69 @@ def cmd_verify(args) -> int:
     return 0 if report.ok else CHECK_FAILURE
 
 
+def _arg(*flags: str, **options) -> tuple[tuple[str, ...], dict]:
+    """One argument of a command, as ``add_argument`` takes it."""
+    return flags, options
+
+
+def _long(what: str) -> tuple[tuple[str, ...], dict]:
+    return _arg("--long", action="store_true", help=f"allow {what}")
+
+
+_PERM = _arg("--perm", required=True)
+_INTERVAL = _arg("--interval", nargs=2, required=True, metavar=("U", "V"))
+_X, _Y = _arg("--x", required=True), _arg("--y", required=True)
+_N = _arg("--n", type=int, required=True)
+
+# Each command's one declaration: its name maps to (help, arguments,
+# handler), in the order the usage lists them. ``build_parser`` makes a
+# subcommand of every row; ``parse_args`` builds only the row it is given.
+COMMANDS = {
+    "diagram": ("ASCII Rothe/odd diagram of a permutation", (_PERM,), cmd_diagram),
+    "class": ("odd diagram class of a permutation",
+              (_PERM, _long("classes above the member budget")), cmd_class),
+    "poincare": ("Poincare polynomial of [u, v]",
+                 (_INTERVAL, _long("intervals above the member budget")), cmd_poincare),
+    "factorize": ("factor the Poincare polynomial of a class", (_INTERVAL,), cmd_factorize),
+    "partition": ("uniform partition of a class",
+                  (_INTERVAL, _long("classes above the member budget")), cmd_partition),
+    "kl": ("Kazhdan-Lusztig polynomial P_{x,y}", (_X, _Y), cmd_kl),
+    "rpoly": ("R-polynomial R_{x,y}", (_X, _Y), cmd_rpoly),
+    "hasse": ("DOT Hasse diagram of [u, v]",
+              (_INTERVAL, _arg("--dot", help="output path (default: stdout)"),
+               _long("intervals above the member budget")), cmd_hasse),
+    "classes": ("JSON report of all classes of S_n",
+                (_N, _arg("--out", help="output path PATH.json (default: stdout)"),
+                 _long("long-running sizes")), cmd_classes),
+    "census": ("non-self-dual class census of S_n",
+               (_N, _long("long-running sizes"),
+                _arg("--list", action="store_true", help="list non-self-dual classes"),
+                _arg("--jobs", type=int, default=0, help="worker count (0 = all cores)")),
+               cmd_census),
+    "verify": ("run theorem-backed verification checks",
+               (_N, _arg("--checks", help="comma-separated check names (default: all)"),
+                _long("long-running sizes"), _arg("--seed", type=int, default=0),
+                _arg("--out", help="write the JSON report here")), cmd_verify),
+}
+
+
+def _add_command(parser: argparse.ArgumentParser, name: str) -> None:
+    """Give ``parser`` the arguments and handler of the command ``name``."""
+    _, arguments, handler = COMMANDS[name]
+    for flags, options in arguments:
+        parser.add_argument(*flags, **options)
+    parser.set_defaults(func=handler)
+
+
 def build_parser() -> argparse.ArgumentParser:
+    """The full parser: every command of ``COMMANDS`` as a subcommand."""
     parser = argparse.ArgumentParser(
-        prog="odd-diagrams",
+        prog=PROG,
         description="Odd diagrams, Bruhat intervals, and Poincare factorization",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("diagram", help="ASCII Rothe/odd diagram of a permutation")
-    p.add_argument("--perm", required=True)
-    p.set_defaults(func=cmd_diagram)
-
-    p = sub.add_parser("class", help="odd diagram class of a permutation")
-    p.add_argument("--perm", required=True)
-    p.add_argument("--long", action="store_true", help="allow classes above the member budget")
-    p.set_defaults(func=cmd_class)
-
-    p = sub.add_parser("poincare", help="Poincare polynomial of [u, v]")
-    p.add_argument("--interval", nargs=2, required=True, metavar=("U", "V"))
-    p.add_argument("--long", action="store_true", help="allow intervals above the member budget")
-    p.set_defaults(func=cmd_poincare)
-
-    p = sub.add_parser("factorize", help="factor the Poincare polynomial of a class")
-    p.add_argument("--interval", nargs=2, required=True, metavar=("U", "V"))
-    p.set_defaults(func=cmd_factorize)
-
-    p = sub.add_parser("partition", help="uniform partition of a class")
-    p.add_argument("--interval", nargs=2, required=True, metavar=("U", "V"))
-    p.add_argument("--long", action="store_true", help="allow classes above the member budget")
-    p.set_defaults(func=cmd_partition)
-
-    p = sub.add_parser("kl", help="Kazhdan-Lusztig polynomial P_{x,y}")
-    p.add_argument("--x", required=True)
-    p.add_argument("--y", required=True)
-    p.set_defaults(func=cmd_kl)
-
-    p = sub.add_parser("rpoly", help="R-polynomial R_{x,y}")
-    p.add_argument("--x", required=True)
-    p.add_argument("--y", required=True)
-    p.set_defaults(func=cmd_rpoly)
-
-    p = sub.add_parser("hasse", help="DOT Hasse diagram of [u, v]")
-    p.add_argument("--interval", nargs=2, required=True, metavar=("U", "V"))
-    p.add_argument("--dot", help="output path (default: stdout)")
-    p.add_argument("--long", action="store_true", help="allow intervals above the member budget")
-    p.set_defaults(func=cmd_hasse)
-
-    p = sub.add_parser("classes", help="JSON report of all classes of S_n")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--out", help="output path PATH.json (default: stdout)")
-    p.add_argument("--long", action="store_true", help="allow long-running sizes")
-    p.set_defaults(func=cmd_classes)
-
-    p = sub.add_parser("census", help="non-self-dual class census of S_n")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--long", action="store_true", help="allow long-running sizes")
-    p.add_argument("--list", action="store_true", help="list non-self-dual classes")
-    p.add_argument("--jobs", type=int, default=0, help="worker count (0 = all cores)")
-    p.set_defaults(func=cmd_census)
-
-    p = sub.add_parser("verify", help="run theorem-backed verification checks")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--checks", help="comma-separated check names (default: all)")
-    p.add_argument("--long", action="store_true", help="allow long-running sizes")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--out", help="write the JSON report here")
-    p.set_defaults(func=cmd_verify)
-
+    for name, (help_text, _, _) in COMMANDS.items():
+        _add_command(sub.add_parser(name, help=help_text), name)
     return parser
 
 
@@ -235,9 +238,33 @@ def _parser() -> argparse.ArgumentParser:
     return build_parser()
 
 
+@functools.cache
+def _command_parser(name: str) -> argparse.ArgumentParser:
+    """The command ``name`` alone, as ``build_parser`` makes its subparser:
+    same prog, arguments and handler, and ``command`` set to ``name``. Built
+    on first use and kept for the process, one per row of ``COMMANDS``."""
+    parser = argparse.ArgumentParser(prog=f"{PROG} {name}")
+    _add_command(parser, name)
+    parser.set_defaults(command=name)
+    return parser
+
+
+def parse_args(argv: list[str]) -> argparse.Namespace:
+    """``build_parser().parse_args(argv)``, building and running only the
+    parser of the command ``argv`` starts with. The full parser reads any
+    other line and any line that command leaves arguments of, so every help,
+    usage and error message is its own; as there, SystemExit ends a line
+    that asks for help or does not parse."""
+    if argv and argv[0] in COMMANDS:
+        args, rest = _command_parser(argv[0]).parse_known_args(argv[1:])
+        if not rest:
+            return args
+    return _parser().parse_args(argv)
+
+
 def run(argv=None) -> int:
     try:
-        args = _parser().parse_args(argv)
+        args = parse_args(sys.argv[1:] if argv is None else list(argv))
     except SystemExit as exc:
         return USAGE_ERROR if exc.code else 0
     try:

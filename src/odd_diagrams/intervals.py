@@ -19,7 +19,9 @@ __all__ = [
 
 class BruhatInterval(FrozenRecord):
     """An interval [bottom, top] with its sorted member list and the
-    members' lengths, aligned with it."""
+    members' lengths, aligned with it. Bruhat order refines lexicographic
+    order, so the first member is the bottom and the last the top, and the
+    first and last lengths are theirs."""
 
     _fields = ("bottom", "top", "elements", "lengths")
     # the cached properties below are kept in __dict__
@@ -58,7 +60,7 @@ class BruhatInterval(FrozenRecord):
         read from the carried lengths."""
         index = {w: k for k, w in enumerate(self.elements)}
         lengths = self.lengths
-        base = min(lengths)
+        base = lengths[0]
         swaps = self.swaps
         levels: list[list[int]] = [[] for _ in range(self.rank + 1)]
         up: list[set[int]] = [set() for _ in self.elements]
@@ -79,8 +81,8 @@ class BruhatInterval(FrozenRecord):
 
     @property
     def rank(self) -> int:
-        """length(top) - length(bottom), read from the carried lengths."""
-        return max(self.lengths) - min(self.lengths)
+        """length(top) - length(bottom): the last carried length less the first."""
+        return self.lengths[-1] - self.lengths[0]
 
     def __len__(self) -> int:
         return len(self.elements)

@@ -354,7 +354,7 @@ def carrell_holds(interval: BruhatInterval) -> bool:
     is a member. Only the position pairs of ``interval.swaps`` are tried,
     and lengths are the ones the interval carries."""
     members = set(interval.elements)
-    top = max(interval.lengths)
+    top = interval.lengths[-1]
     swaps = interval.swaps
     for w, lw in zip(interval.elements, interval.lengths):
         row = list(w)

@@ -333,8 +333,9 @@ def check_class_covers(n: int, rng, result: CheckResult) -> None:
 def check_class_shapes(n: int, rng, result: CheckResult) -> None:
     """``classes.class_shape`` keeps the Bruhat order among a class's
     members, and all classes of one shape get the same self-duality search
-    and Carrell-Peterson verdicts: the facts that let the census and the
-    report decide both once per shape. The key they use, ``ends_shape``,
+    and Carrell-Peterson verdicts, the same bipartite-criterion verdict and
+    the same rank vector: the facts that let the census and the report
+    decide these once per shape. The key they use, ``ends_shape``,
     groups the classes as ``class_shape`` does, and the positions that
     ``pinned_values`` pins are exactly those where all members agree."""
     verdicts: dict = {}
@@ -344,7 +345,8 @@ def check_class_shapes(n: int, rng, result: CheckResult) -> None:
         shape = classes_mod.class_shape(cls.members)
         ends = classes_mod.ends_shape(cls.min_elem, cls.max_elem)
         interval = cls.interval
-        verdict = (duality.has_anti_automorphism(interval), polynomials.carrell_holds(interval))
+        verdict = (duality.has_anti_automorphism(interval), polynomials.carrell_holds(interval),
+                   duality.bipartite_criterion(interval), intervals.rank_counts(cls.lengths))
         pinned = classes_mod.pinned_values(cls.min_elem, cls.max_elem)
         agree = [len(set(column)) == 1 for column in zip(*cls.members)]
         pairs = list(zip(cls.members, shape))

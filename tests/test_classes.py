@@ -819,3 +819,28 @@ def test_class_shapes_check_fails_on_a_wrong_pinned_rule(monkeypatch):
         1 << x for x, y in zip(u, v) if x == y))
     report = verify.run_checks(5, ["class_shapes"])
     assert not report.ok
+
+
+def test_class_shapes_check_fails_on_a_rank_vector_that_depends_on_more_than_the_shape(
+        monkeypatch):
+    # a rank vector with an extra empty rank where the bottom's length is odd:
+    # classes of one shape whose bottoms differ in the parity of their length
+    # then get two rank vectors
+    real = intervals.rank_counts
+    monkeypatch.setattr(intervals, "rank_counts",
+                        lambda lengths: real(lengths) + (0,) * (lengths[0] % 2))
+    check = verify.run_checks(5, ["class_shapes"]).checks[0]
+    assert (check.passed, check.failed) == (37, 33)
+    assert check.findings[0] == {"min": "14352", "max": "15342"}
+
+
+def test_class_shapes_check_fails_on_a_criterion_verdict_that_depends_on_more_than_the_shape(
+        monkeypatch):
+    # the criterion's verdict flipped on the intervals of rank >= 2 whose
+    # bottom has odd length
+    real = duality.bipartite_criterion
+    monkeypatch.setattr(duality, "bipartite_criterion", lambda interval: real(interval) != (
+        interval.rank >= 2 and interval.lengths[0] % 2 == 1))
+    check = verify.run_checks(5, ["class_shapes"]).checks[0]
+    assert (check.passed, check.failed) == (69, 1)
+    assert check.findings == [{"min": "32415", "max": "52413"}]

@@ -2,6 +2,7 @@ import json
 import os
 import time
 import tracemalloc
+from pathlib import Path
 
 import pytest
 
@@ -9,6 +10,8 @@ from odd_diagrams import classes as classes_mod
 from odd_diagrams import cli, diagrams, partition, polynomials, verify
 from odd_diagrams.cli import run
 from odd_diagrams.perms import format_perm, parse_perm
+
+README = Path(__file__).resolve().parent.parent / "README.md"
 
 
 def test_diagram(capsys):
@@ -80,20 +83,100 @@ def test_a_parse_error_leaves_the_parser_usable(capsys):
     assert capsys.readouterr().out == "classes: 70, non-self-dual: 0\n"
 
 
-def test_the_parser_is_built_once_across_runs(monkeypatch, capsys):
-    calls = []
-    build = cli.build_parser
+def test_a_run_builds_only_its_command_parser_once(monkeypatch, capsys):
+    built = []
+    add_command = cli._add_command
 
-    def counting_build_parser():
-        calls.append(1)
-        return build()
+    def recording_add_command(parser, name):
+        built.append(name)
+        add_command(parser, name)
 
-    monkeypatch.setattr(cli, "build_parser", counting_build_parser)
+    monkeypatch.setattr(cli, "_add_command", recording_add_command)
+    cli._command_parser.cache_clear()
     cli._parser.cache_clear()
     assert run(["census", "--n", "4", "--jobs", "1"]) == 0
+    assert run(["census", "--n", "4", "--jobs", "1"]) == 0
     assert run(["diagram", "--perm", "312"]) == 0
-    assert len(calls) == 1
-    assert capsys.readouterr().out.startswith("classes: 17, non-self-dual: 0\n")
+    assert built == ["census", "diagram"]
+    assert capsys.readouterr().out.startswith("classes: 17, non-self-dual: 0\n" * 2)
+
+
+# --- one-command parsing against the full parser ---
+
+
+def _readme_cli_examples():
+    """The command lines of README's CLI block, without their comments."""
+    block = README.read_text().split("## CLI\n\n```\n", 1)[1].split("```", 1)[0]
+    return [line.split("#", 1)[0].split()[1:] for line in block.splitlines()]
+
+
+README_EXAMPLES = _readme_cli_examples()
+
+DIFFERENTIAL_ARGVS = [
+    *README_EXAMPLES,
+    *([name, "-h"] for name in cli.COMMANDS),
+    [],
+    ["-h"],
+    ["nonsense"],
+    ["cen", "--n", "7"],
+    ["--", "census", "--n", "7"],
+    ["census"],
+    ["census", "--n", "7", "junk"],
+    ["census", "--n", "7", "--lis"],
+    ["census", "--n", "7", "--l"],
+    ["census", "--n=7", "--jobs=1"],
+    ["hasse", "--interval", "123", "321", "--dot=s3.dot"],
+    ["census", "--", "--n", "7"],
+    ["census", "--n", "7", "--", "junk"],
+    ["census", "--n", "five"],
+    ["kl", "--x", "12"],
+    ["verify", "--n", "3", "--jobs", "2"],
+]
+
+
+def test_readme_cli_examples_cover_every_command():
+    assert [argv[0] for argv in README_EXAMPLES] == list(cli.COMMANDS)
+
+
+@pytest.fixture
+def recorded_args(monkeypatch):
+    """Every command's handler replaced by one that records its arguments,
+    with the parsers rebuilt from the patched table and dropped after."""
+    calls = []
+
+    def record(args):
+        calls.append(vars(args))
+        return 0
+
+    monkeypatch.setattr(cli, "COMMANDS", {name: (help_text, arguments, record)
+                                          for name, (help_text, arguments, _)
+                                          in cli.COMMANDS.items()})
+    cli._command_parser.cache_clear()
+    cli._parser.cache_clear()
+    yield calls
+    cli._command_parser.cache_clear()
+    cli._parser.cache_clear()
+
+
+def _full_parser_run(argv):
+    """``run`` with the full parser reading every line."""
+    try:
+        args = cli.build_parser().parse_args(argv)
+    except SystemExit as exc:
+        return cli.USAGE_ERROR if exc.code else 0
+    return args.func(args)
+
+
+@pytest.mark.parametrize("argv", DIFFERENTIAL_ARGVS, ids=lambda argv: " ".join(argv) or "none")
+def test_run_parses_a_line_as_the_full_parser_does(argv, recorded_args, capsys):
+    code = run(argv)
+    captured, calls = capsys.readouterr(), list(recorded_args)
+    # a line that parses reaches its handler once, and one that does not never does
+    assert len(calls) == (code == 0 and "-h" not in argv)
+    recorded_args.clear()
+    assert _full_parser_run(argv) == code
+    assert capsys.readouterr() == captured
+    assert recorded_args == calls
 
 
 def test_census_list_without_findings_prints_summary_only(capsys):

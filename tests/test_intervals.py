@@ -106,6 +106,24 @@ def test_rank_counts_count_the_member_lengths(n):
             assert rank_counts(interval.lengths) == rank_vector(interval) == expected
 
 
+@pytest.mark.parametrize("n", range(1, 6))
+def test_the_first_and_last_carried_lengths_are_the_bottoms_and_the_tops(n):
+    # members are sorted and Bruhat order refines lexicographic order, so
+    # rank, the levels of cover_graph and carrell_holds read these two ends
+    for u in all_perms(n):
+        for v in all_perms(n):
+            if not bruhat_leq(u, v):
+                continue
+            interval = interval_elements(u, v)
+            lengths = interval.lengths
+            assert (interval.elements[0], interval.elements[-1]) == (u, v)
+            ends = (length(u), length(v))
+            assert (lengths[0], lengths[-1]) == (min(lengths), max(lengths)) == ends
+            assert interval.rank == length(v) - length(u)
+            levels = interval.cover_graph[0]
+            assert (levels[0], levels[-1]) == ([0], [len(interval) - 1])
+
+
 def test_dot_export():
     interval = interval_elements(identity(3), parse_perm("321"))
     dot = to_dot(interval)
