@@ -9,6 +9,7 @@ import os
 from collections.abc import Iterator
 from io import TextIOBase
 from itertools import combinations
+from operator import itemgetter
 
 from .diagrams import Diagram, diagram_of_key, legal_swap, odd_diagram_key
 from .duality import has_anti_automorphism, is_self_dual, self_dual_by_rank
@@ -321,8 +322,9 @@ def class_stream(n: int) -> Iterator[OddDiagramClass]:
 
 
 def classes_of_sn(n: int) -> list[OddDiagramClass]:
-    """The classes of ``class_stream``, held in one list sorted by minimum.
-    Nothing runs between its blocks, so the collector stays paused throughout."""
+    """The classes of ``class_stream``, held in one list sorted by minimum,
+    for the library and the tests: no command builds it. Nothing runs
+    between its blocks, so the collector stays paused throughout."""
     with _collector_paused():
         return sorted(class_stream(n), key=lambda cls: cls.min_elem)
 
@@ -442,11 +444,12 @@ def class_report(cls: OddDiagramClass) -> dict:
     """Per-class JSON record of the report, schema version 1: the text that
     ``write_report`` writes for the class, read back by ``json.loads``, so
     the schema has one encoder, ``_record_text``."""
-    return json.loads(_record_text(cls, _ReportMemo(cls.n)))
+    return json.loads(_record_text(cls.key, cls.min_elem, cls.max_elem, cls.rank,
+                                   _ReportMemo(cls.n)))
 
 
 # a record as ``json.dumps`` writes the record dict: the diagram's boxes, the
-# size, the two ends, then the fields that ``_ReportMemo.tail`` encodes
+# size, the two ends, then the last five fields, the text of a ``_ReportMemo`` entry
 _RECORD = '{"diagram": [%s], "size": %d, "min": "%s", "max": "%s", %s}'
 
 
@@ -469,88 +472,85 @@ class _RowTexts(dict):
         return text
 
 
-class _ReportMemo:
-    """What the records of one report of S_n share, each encoded once: the
-    texts of the diagram rows, of the field tails, and the verdicts by rank
-    (<= 2) and by ``ends_shape`` (>= 3)."""
+def _entry(ranks: tuple, kl_is_one: bool, self_dual: bool, factors: tuple) -> tuple[int, str]:
+    """An entry of ``_ReportMemo``: the size of a class with rank vector
+    ``ranks``, and the text of its record's last five fields, one ``json.dumps``."""
+    fields = {"rank_vector": ranks, "poincare_coeffs": ranks, "factor_lengths": factors,
+              "kl_is_one": kl_is_one, "self_dual": self_dual}
+    return sum(ranks), json.dumps(fields)[1:-1]
 
-    __slots__ = ("masks", "rows", "tails", "by_rank", "by_shape")
+
+class _ReportMemo:
+    """What the records of one report of S_n share, each made once: the
+    texts of the diagram rows, and one ``_entry`` per rank <= 2 and per
+    ``ends_shape`` of rank >= 3."""
+
+    __slots__ = ("masks", "rows", "by_rank", "by_shape")
 
     def __init__(self, n: int):
         # row n of a key is empty: no position follows the last
         self.masks = [((1 << n) - 1) << (i * n) for i in range(n - 1)]
         self.rows = _RowTexts(n)
-        self.tails: dict[tuple, str] = {}
-        # (kl_is_one, self_dual, factor lengths)
-        self.by_rank = [(True, self_dual_by_rank(rank), (2,) * rank) for rank in range(3)]
-        self.by_shape: dict[Shape, tuple[bool, bool, tuple[int, ...]]] = {}
-
-    def tail(self, ranks: tuple[int, ...], verdict: tuple[bool, bool, tuple[int, ...]]) -> str:
-        """The text of the last five fields of a record, one ``json.dumps``
-        per distinct ``ranks`` and ``verdict``."""
-        text = self.tails.get((ranks, verdict))
-        if text is None:
-            kl_is_one, self_dual, factors = verdict
-            text = self.tails[ranks, verdict] = json.dumps({
-                "rank_vector": ranks,
-                "poincare_coeffs": ranks,
-                "factor_lengths": factors,
-                "kl_is_one": kl_is_one,
-                "self_dual": self_dual,
-            })[1:-1]
-        return text
+        self.by_rank = [_entry(ranks, True, self_dual_by_rank(rank), (2,) * rank)
+                        for rank, ranks in enumerate([(1,), (1, 1), (1, 2, 1)])]
+        self.by_shape: dict[Shape, tuple[int, str]] = {}
 
 
-def _record_text(cls: OddDiagramClass, memo: _ReportMemo) -> str:
-    """The JSON text of the class's record, filled in from the texts in
-    ``memo``: no box list, record dict or ``json.dumps`` per record. The
-    diagram joins the texts of its rows, each the key's bits in one row.
+def _record_text(key: int, lo: Perm, hi: Perm, rank: int, memo: _ReportMemo) -> str:
+    """The JSON text of the record of the class with key ``key``, ends ``lo``
+    and ``hi`` and rank ``rank``, filled in from the texts in ``memo``: no
+    member, box list, record dict or ``json.dumps`` per record. The diagram
+    joins the texts of its rows, each the key's bits in one row.
 
-    The rank vector is ``rank_counts`` of the carried lengths. ``kl_is_one``
-    is P_{min,max} = 1, decided without the KL engine: at rank <= 2 by the
-    degree bound deg P <= (rank - 1)/2 < 1 and P(0) = 1, where
-    ``self_dual_by_rank`` settles ``self_dual``. A class of higher rank
-    builds its interval, for ``carrell_holds`` and ``is_self_dual``, only
-    when it is the first of its ``ends_shape``: both verdicts and the factor
-    lengths depend on the shape alone. ``verify kl_carrell`` and
-    ``kl_class_probe`` re-check ``kl_is_one`` against KL.
+    The other fields depend on the ends only through their ``ends_shape``
+    (the proof is in its docstring; ``verify class_shapes`` re-checks them
+    per shape). At rank <= 2 the rank vector is (1), (1, 1) or (1, 2, 1): an
+    interval of rank 2 has 4 members (Bjorner-Brenti, Lemma 2.7.3). A class
+    of higher rank builds its interval only when it is the first of its
+    shape, for the size and every field but the diagram.
 
-    ``factor_lengths`` is the unchecked core of ``factorize``, since a
-    class's ends are its extremes by construction. A class of rank r <= 2
-    has r factors of 2: the factors m_i give sum(m_i - 1) = r, and an
-    interval of length 2 has 4 members (Bjorner-Brenti, Lemma 2.7.3), not
-    the 3 of a factor of 3."""
-    lengths = cls.lengths
-    lo, hi = cls.members[0], cls.members[-1]
-    ranks = rank_counts(lengths)
-    rank = len(ranks) - 1
+    ``kl_is_one`` is P_{min,max} = 1, decided without the KL engine: at rank
+    <= 2 by the degree bound deg P <= (rank - 1)/2 < 1 and P(0) = 1, where
+    ``self_dual_by_rank`` settles ``self_dual``. ``verify kl_carrell`` and
+    ``kl_class_probe`` re-check ``kl_is_one`` against KL. ``factor_lengths``
+    is the unchecked core of ``factorize``, since a class's ends are its
+    extremes by construction. A class of rank r <= 2 has r factors of 2:
+    the factors m_i give sum(m_i - 1) = r, and 4 members are not the 3 of a
+    factor of 3."""
     if rank <= 2:
-        verdict = memo.by_rank[rank]
+        size, tail = memo.by_rank[rank]
     else:
         shape = ends_shape(lo, hi)
-        verdict = memo.by_shape.get(shape)
-        if verdict is None:
-            interval = cls.interval
-            verdict = memo.by_shape[shape] = (carrell_holds(interval), is_self_dual(interval),
-                                              _factor_lengths(lo, hi))
-    key = cls.key
+        entry = memo.by_shape.get(shape)
+        if entry is None:
+            interval = interval_elements(lo, hi)
+            entry = memo.by_shape[shape] = _entry(
+                rank_counts(interval.lengths), carrell_holds(interval), is_self_dual(interval),
+                _factor_lengths(lo, hi))
+        size, tail = entry
     rows = memo.rows
     # every box text ends in ", ", so the last two characters are cut
     diagram = "".join([rows[key & mask] for mask in memo.masks])[:-2]
-    return _RECORD % (diagram, len(lengths), format_perm(lo), format_perm(hi),
-                      memo.tail(ranks, verdict))
+    return _RECORD % (diagram, size, format_perm(lo), format_perm(hi), tail)
 
 
-def write_report(classes: list[OddDiagramClass], out: TextIOBase) -> None:
-    """Write the JSON report of the class table of S_n, schema version 1, to
-    ``out``: the header, then one class record a line, each the text of
-    ``_record_text`` written on its own, so no more than one is held. The
-    texts of the diagram rows and field tails, and the verdicts by shape
-    (13 shapes for the 171 classes of S_7 of rank >= 3), are kept until the
-    report is written."""
-    memo = _ReportMemo(classes[0].n)
-    out.write(f'{{"schema": 1, "n": {classes[0].n}, "classes": [')
-    for i, cls in enumerate(classes):
-        out.write(",\n" if i else "\n")
-        out.write(_record_text(cls, memo))
-    out.write("\n]}\n")
+def write_report(n: int, out: TextIOBase) -> int:
+    """Write the JSON report of the classes of S_n, schema version 1, to
+    ``out``, and return their number: the header, then one record a line,
+    by class minimum, each the text of ``_record_text``. S_n is swept as
+    the census sweeps it, by ``parity_block_ends`` with one store of suffix
+    tables and the collector paused, so only each class's key and ends are
+    held: about 430 MB for S_10. The row texts and the entries by rank and
+    by shape (13 shapes for the 171 classes of S_7 of rank >= 3) are kept
+    until the report is written. ValueError for n < 1."""
+    tables: dict = {}
+    with _collector_paused():
+        ends = [end for evens in parity_sets(n) for end in parity_block_ends(n, evens, tables)]
+        ends.sort(key=itemgetter(1))
+        memo = _ReportMemo(n)
+        out.write(f'{{"schema": 1, "n": {n}, "classes": [')
+        for i, (key, (lo, lo_length), (hi, hi_length)) in enumerate(ends):
+            out.write(",\n" if i else "\n")
+            out.write(_record_text(key, lo, hi, hi_length - lo_length, memo))
+        out.write("\n]}\n")
+    return len(ends)

@@ -113,8 +113,8 @@ def cmd_hasse(args) -> int:
 def check_sweep_degree(command: str, n: int, long: bool) -> None:
     """ValueError unless ``command``, ``census`` or ``classes``, may sweep S_n:
     neither goes past n = 10, which --long cannot lift, and n = 10 needs
-    --long (S_10 has 3.6M permutations). The report holds its whole class
-    table, 644 MB at n = 10."""
+    --long (S_10 has 3.6M permutations). The report holds the key and ends
+    of every class, about 430 MB at n = 10."""
     if n < 1:
         raise ValueError("n must be positive")
     if n > 10:
@@ -127,10 +127,9 @@ def cmd_classes(args) -> int:
     check_sweep_degree("classes", args.n, args.long)
     # the path is opened before the sweep, so one that cannot be written fails at once
     with (open(args.out, "w") if args.out else contextlib.nullcontext(sys.stdout)) as out:
-        table = classes_mod.classes_of_sn(args.n)
-        classes_mod.write_report(table, out)
+        count = classes_mod.write_report(args.n, out)
     if args.out:
-        print(f"wrote {args.out} ({len(table)} classes)")
+        print(f"wrote {args.out} ({count} classes)")
     return 0
 
 

@@ -220,9 +220,9 @@ def _report_as_one_dict(n):
             "classes": [_reference_class_report(c) for c in classes_of_sn(n)]}
 
 
-def _report_text(table):
+def _report_text(n):
     out = io.StringIO()
-    classes.write_report(table, out)
+    classes.write_report(n, out)
     return out.getvalue()
 
 
@@ -240,8 +240,8 @@ def _reference_report_text(table):
 
 @pytest.mark.parametrize("n", [*range(1, 8), pytest.param(8, marks=pytest.mark.long)])
 def test_write_report_text_matches_the_interval_report(n):
-    table = classes_of_sn(n)
-    assert _report_text(table) == _reference_report_text(table)
+    # the report from the class ends against the one from every class's members
+    assert _report_text(n) == _reference_report_text(classes_of_sn(n))
 
 
 @pytest.mark.parametrize("n", [10, 11, 12])
@@ -252,19 +252,18 @@ def test_record_text_matches_the_reference_past_nine(n):
     memo = classes._ReportMemo(n)
     for _ in range(20):
         cls = class_of(tuple(rng.sample(range(1, n + 1), n)))
-        assert classes._record_text(cls, memo) == json.dumps(_reference_class_report(cls))
+        text = classes._record_text(cls.key, cls.min_elem, cls.max_elem, cls.rank, memo)
+        assert text == json.dumps(_reference_class_report(cls))
     assert "," in format_perm(cls.min_elem)
     # S_10 has no box past row 9 or column 9
     assert any(re.search(r"\d\d", text) for text in memo.rows.values()) == (n > 10)
 
 
 def test_write_report_encodes_no_record_on_its_own(monkeypatch):
-    # no box is decoded, and ``json.dumps`` runs once per distinct tail of
-    # fields, not once per record
-    table = classes_of_sn(6)
-    expected = _reference_report_text(table)
+    # no box is decoded, and ``json.dumps`` runs once per rank <= 2 and once
+    # per shape of rank >= 3, not once per record
+    expected = _reference_report_text(classes_of_sn(6))
     records = json.loads(expected)["classes"]
-    tails = {json.dumps(list(r.items())[4:]) for r in records}
     dumps, calls = json.dumps, []
 
     def counting(*args, **kwargs):
@@ -277,8 +276,8 @@ def test_write_report_encodes_no_record_on_its_own(monkeypatch):
     monkeypatch.setattr(classes, "diagram_of_key", no_decode)
     monkeypatch.setattr(diagrams, "diagram_of_key", no_decode)
     monkeypatch.setattr(json, "dumps", counting)
-    assert _report_text(table) == expected
-    assert len(calls) <= len(tails) < len(records) == 351
+    assert _report_text(6) == expected
+    assert len(calls) <= 3 + RANK_3_SHAPES[6] < len(records) == 351
 
 
 def _reference_format_perm(w):
@@ -318,16 +317,15 @@ RANK_3_SHAPES = {6: 1, 7: 13}
 @pytest.mark.parametrize("n, ranked, count", [(6, 20, 351), (7, 171, 2041)])
 def test_report_builds_an_interval_only_from_rank_3(n, ranked, count, monkeypatch):
     # the report builds one interval per shape of the classes of rank >= 3,
-    # and no class of rank <= 2 reaches ``OddDiagramClass.interval``,
-    # ``cover_graph`` or ``rank_vector``
-    accesses = []
-    interval = OddDiagramClass.interval.fget
+    # and no class of rank <= 2 reaches ``cover_graph`` or ``rank_vector``
+    built = []
     cover_graph = BruhatInterval.cover_graph.func
 
-    def counting(cls):
-        assert cls.rank >= 3
-        accesses.append(cls)
-        return interval(cls)
+    def counting(lo, hi):
+        iv = interval_elements(lo, hi)
+        assert iv.rank >= 3
+        built.append(iv)
+        return iv
 
     def checked_cover_graph(iv):
         assert iv.rank >= 3
@@ -337,16 +335,16 @@ def test_report_builds_an_interval_only_from_rank_3(n, ranked, count, monkeypatc
         assert iv.rank >= 3
         return rank_vector(iv)
 
-    monkeypatch.setattr(OddDiagramClass, "interval", property(counting))
+    monkeypatch.setattr(classes, "interval_elements", counting)
     monkeypatch.setattr(BruhatInterval, "cover_graph", property(checked_cover_graph))
     monkeypatch.setattr(intervals, "rank_vector", checked_rank_vector)
     monkeypatch.setattr(duality, "rank_vector", checked_rank_vector)
+    records = json.loads(_report_text(n))["classes"]
     table = classes_of_sn(n)
-    records = json.loads(_report_text(table))["classes"]
     assert len(records) == len(table) == count
     assert sum(cls.rank >= 3 for cls in table) == ranked
-    shapes = [class_shape(cls.members) for cls in accesses]
-    assert len(accesses) == len(set(shapes)) == RANK_3_SHAPES[n]
+    shapes = [class_shape(iv.elements) for iv in built]
+    assert len(built) == len(set(shapes)) == RANK_3_SHAPES[n]
     assert set(shapes) == {class_shape(cls.members) for cls in table if cls.rank >= 3}
 
 
@@ -355,7 +353,7 @@ REPORT_SHA256 = {
     7: "0f5e6eee6204aeee0d47dbacfcc7ced9728b13dffca1074f25d2ce7a0b91365b",
     8: "97e5d62bc3c0aa01d18948e06d25b35f87886255456cb893aff36db7c422173f",
     9: "5aa699eeba0f59c1210ebcb3fb719a579c0f5210825048b71ac38a941b89cebb",
-    # 882,213 classes, 268 MB; the sweep holds the whole table, about 650 MB
+    # 882,213 classes, 268 MB; the sweep holds every class's key and ends, about 430 MB
     10: "ba38a79e07ddc2c119ac3419af79b01898f3b1f8d308a848b2cc20113def44c4",
 }
 
@@ -439,7 +437,7 @@ def test_report_never_calls_the_kl_engine(monkeypatch):
 
     monkeypatch.setattr(polynomials, "kl_polynomial", fail)
     out = io.StringIO()
-    classes.write_report(classes_of_sn(6), out)
+    assert classes.write_report(6, out) == 351
     records = json.loads(out.getvalue())["classes"]
     assert len(records) == 351 and all(r["kl_is_one"] for r in records)
 

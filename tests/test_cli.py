@@ -70,6 +70,25 @@ def test_classes_report(tmp_path, capsys):
     assert all("self_dual" in c and "kl_is_one" in c for c in report["classes"])
 
 
+def test_classes_builds_no_member_tuple_but_one_interval_per_shape(tmp_path, monkeypatch, capsys):
+    # the report reads the ends sweep; only the one class of rank >= 3 in S_6
+    # has its members built, as an interval
+    def fail(*args, **kwargs):
+        raise AssertionError("class members built")
+
+    for name in ("parity_block", "class_stream", "classes_of_sn"):
+        monkeypatch.setattr(classes_mod, name, fail)
+    monkeypatch.setattr(classes_mod.OddDiagramClass, "interval", property(fail))
+    built, interval_elements = [], classes_mod.interval_elements
+    monkeypatch.setattr(classes_mod, "interval_elements",
+                        lambda lo, hi: built.append(lo) or interval_elements(lo, hi))
+    path = tmp_path / "s6.json"
+    assert run(["classes", "--n", "6", "--out", str(path)]) == 0
+    assert capsys.readouterr().out == f"wrote {path} (351 classes)\n"
+    assert len(json.loads(path.read_text())["classes"]) == 351
+    assert len(built) == 1
+
+
 def test_census(capsys):
     assert run(["census", "--n", "5"]) == 0
     out = capsys.readouterr().out
@@ -260,9 +279,10 @@ def test_verify_rejects_n_below_1_with_checks(n, capsys):
 
 def test_classes_requires_long_at_10(monkeypatch, capsys):
     def fail(*args, **kwargs):
-        raise AssertionError("classes_of_sn called")
+        raise AssertionError("a sweep started")
 
     monkeypatch.setattr(classes_mod, "classes_of_sn", fail)
+    monkeypatch.setattr(classes_mod, "parity_block_ends", fail)
     assert run(["classes", "--n", "10"]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
@@ -665,6 +685,7 @@ def test_unwritable_output_path_fails_before_any_work(argv, tmp_path, monkeypatc
         raise AssertionError("work began before the output path was opened")
 
     monkeypatch.setattr(classes_mod, "classes_of_sn", fail)
+    monkeypatch.setattr(classes_mod, "parity_block_ends", fail)
     monkeypatch.setattr(verify, "run_checks", fail)
     path = tmp_path / "missing" / "out"
     assert run([*argv, str(path)]) == 2
