@@ -5,8 +5,8 @@ Each line gives the census of one n, its time, and the peak resident set
 size of this process so far (``ru_maxrss``); with --jobs above 1 the
 workers' peak is printed too. The census streams S_n one parity block at a
 time, so the peak stays small even at n = 10. The n = 10 census
-enumerates 3,628,800 permutations and takes about 10 s at 24 MB with
---jobs 1 and 5 s with --jobs 0 on a 2-core Intel Xeon host with 8 GB RAM
+enumerates 3,628,800 permutations and takes about 4.9 s at 22 MB with
+--jobs 1 and 2.7 s with --jobs 0 on a 2-core Intel Xeon host with 8 GB RAM
 and Python 3.11.7; enable it with --long.
 """
 

@@ -2,8 +2,6 @@
 classes, their uniform partition, and Poincare polynomial factorization."""
 
 from .classes import (
-    OddDiagramClass,
-    class_extremes,
     class_of,
     classes_of_sn,
     non_self_dual_census,

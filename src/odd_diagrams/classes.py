@@ -1,5 +1,6 @@
 """Odd diagram classes of S_n, any n >= 1 (``cli.check_sweep_degree`` limits the
-commands): the parity-block sweep, the self-duality census, extremes, JSON reports."""
+commands): the parity-block sweep, the self-duality census, class lookup, JSON reports.
+Every class handed out is the ``BruhatInterval`` between its extremes (Theorem B)."""
 
 import contextlib
 import functools
@@ -11,15 +12,14 @@ from io import TextIOBase
 from itertools import combinations
 from operator import itemgetter
 
-from .diagrams import Diagram, diagram_of_key, legal_swap, odd_diagram_key
+from .diagrams import legal_swap, odd_diagram_key
 from .duality import has_anti_automorphism, is_self_dual, self_dual_by_rank
 from .intervals import BruhatInterval, interval_elements, rank_counts
 from .partition import _factor_lengths, check_class_size
-from .perms import FrozenRecord, Perm, format_perm, slot_setters
+from .perms import Perm, format_perm
 from .polynomials import carrell_holds
 
 __all__ = [
-    "OddDiagramClass",
     "class_shape",
     "ends_shape",
     "pinned_values",
@@ -28,7 +28,6 @@ __all__ = [
     "parity_block",
     "parity_block_ends",
     "parity_sets",
-    "class_extremes",
     "class_of",
     "class_report",
     "write_report",
@@ -42,61 +41,10 @@ __all__ = [
 # precomputed tables: C(n, 2) C(n - 2, 2) tables of 4 rows at most
 SUFFIX = 4
 
-# the fields of an OddDiagramClass: key, sorted members, their lengths
+# a class as ``parity_block`` gives it: key, sorted members, their lengths
 ClassFields = tuple[int, tuple[Perm, ...], tuple[int, ...]]
 # a class as ``parity_block_ends`` gives it: key, (minimum, its length), (maximum, its length)
 ClassEnds = tuple[int, tuple[Perm, int], tuple[Perm, int]]
-
-
-class OddDiagramClass(FrozenRecord):
-    """All permutations sharing one odd diagram: its ``odd_diagram_key``, its
-    sorted members and their lengths, from which the rest is derived. Bruhat
-    order refines lexicographic order, so by Theorem B (checked by verify
-    theorem_b) the first and last members are the Bruhat extremes."""
-
-    __slots__ = _fields = ("key", "members", "lengths")
-    key: int
-    members: tuple[Perm, ...]
-    lengths: tuple[int, ...]
-
-    def __init__(self, key: int, members: tuple[Perm, ...], lengths: tuple[int, ...]):
-        _set_key(self, key)
-        _set_members(self, members)
-        _set_lengths(self, lengths)
-
-    @property
-    def min_elem(self) -> Perm:
-        return self.members[0]
-
-    @property
-    def max_elem(self) -> Perm:
-        return self.members[-1]
-
-    @property
-    def diagram(self) -> Diagram:
-        return diagram_of_key(self.key, self.n)
-
-    @property
-    def n(self) -> int:
-        return len(self.members[0])
-
-    @property
-    def rank(self) -> int:
-        """length(max_elem) - length(min_elem), from the carried lengths."""
-        return self.lengths[-1] - self.lengths[0]
-
-    @property
-    def interval(self) -> BruhatInterval:
-        """The class as the Bruhat interval [min_elem, max_elem] (Theorem B)."""
-        return BruhatInterval(self.min_elem, self.max_elem, self.members, self.lengths)
-
-    def __len__(self) -> int:
-        return len(self.members)
-
-
-# construction is hot: the class table of S_9 builds 103,873 classes
-_set_key, _set_members, _set_lengths = slot_setters(OddDiagramClass)
-
 
 # a class with every position its members share deleted, standardized:
 # its two ends from ``ends_shape``, all its members from ``class_shape``
@@ -178,11 +126,11 @@ def parity_sets(n: int) -> list[tuple[int, ...]]:
 
 def parity_block(n: int, evens: tuple[int, ...], tables: dict) -> list[ClassFields]:
     """The odd diagram classes of the w in S_n with the values ``evens`` at
-    the 0-based even positions, each as its ``(key, members, lengths)``, the
-    fields of ``OddDiagramClass``. The block is swept in lexicographic
-    order, so each class's members are sorted and the classes come in the
-    order of their minima. ``tables`` is the store of suffix tables of
-    ``_block_leaves``, shared by every block of one sweep."""
+    the 0-based even positions, each as its ``(key, members, lengths)``. The
+    block is swept in lexicographic order, so each class's members are sorted
+    and the classes come in the order of their minima. ``tables`` is the
+    store of suffix tables of ``_block_leaves``, shared by every block of one
+    sweep."""
     groups: dict[int, list] = {}  # key -> [member, length, member, length, ...]
     for prefix, key, inv, table in _block_leaves(n, evens, tables):
         for tail, bits, tail_inv in table:
@@ -307,26 +255,31 @@ def _collector_paused():
             gc.enable()
 
 
-def class_stream(n: int) -> Iterator[OddDiagramClass]:
-    """The odd diagram classes of S_n, one parity block at a time in the order
-    of ``parity_sets``, each block's classes by minimum, with one store of
+def class_stream(n: int) -> Iterator[BruhatInterval]:
+    """The odd diagram classes of S_n, each as the ``BruhatInterval`` from its
+    first member to its last, one parity block at a time in the order of
+    ``parity_sets``, each block's classes by minimum, with one store of
     suffix tables and one copy of each length vector (376 for S_9's 103,873
-    classes). The collector is paused only while a block is built."""
+    classes). The collector is paused only while a block's members are
+    swept. Each interval is made only as it is yielded and the stream keeps
+    no reference to it, so the ``cover_graph`` a reader caches on a class
+    goes when the reader drops the class."""
     shared: dict[tuple[int, ...], tuple[int, ...]] = {}
     tables: dict = {}
     for evens in parity_sets(n):
         with _collector_paused():
-            block = [OddDiagramClass(key, members, shared.setdefault(lengths, lengths))
-                     for key, members, lengths in parity_block(n, evens, tables)]
-        yield from block
+            block = parity_block(n, evens, tables)
+        for _, members, lengths in block:
+            yield BruhatInterval(members[0], members[-1], members,
+                                 shared.setdefault(lengths, lengths))
 
 
-def classes_of_sn(n: int) -> list[OddDiagramClass]:
-    """The classes of ``class_stream``, held in one list sorted by minimum,
+def classes_of_sn(n: int) -> list[BruhatInterval]:
+    """The intervals of ``class_stream``, held in one list sorted by minimum,
     for the library and the tests: no command builds it. Nothing runs
     between its blocks, so the collector stays paused throughout."""
     with _collector_paused():
-        return sorted(class_stream(n), key=lambda cls: cls.min_elem)
+        return sorted(class_stream(n), key=lambda cls: cls.bottom)
 
 
 def resolve_jobs(jobs: int) -> int:
@@ -338,14 +291,14 @@ def resolve_jobs(jobs: int) -> int:
     return jobs or cores
 
 
-def non_self_dual_classes(classes: list[OddDiagramClass]) -> list[OddDiagramClass]:
-    """The classes whose Bruhat interval is not self-dual, in input order:
-    ``is_self_dual`` on each, without the census's memo by shape."""
-    return [c for c in classes if not is_self_dual(c.interval)]
+def non_self_dual_classes(classes: list[BruhatInterval]) -> list[BruhatInterval]:
+    """The classes that are not self-dual, in input order: ``is_self_dual``
+    on each, without the census's memo by shape."""
+    return [c for c in classes if not is_self_dual(c)]
 
 
 def _block_census(n: int, evens: tuple[int, ...], tables: dict,
-                  verdicts: dict) -> tuple[int, list[OddDiagramClass]]:
+                  verdicts: dict) -> tuple[int, list[BruhatInterval]]:
     """The number of classes in one parity block of S_n, and those that are
     not self-dual, from the ends of ``parity_block_ends``. The classes that
     ``self_dual_by_rank`` settles are dropped by their lengths; of the rest
@@ -354,7 +307,7 @@ def _block_census(n: int, evens: tuple[int, ...], tables: dict,
     is kept, once if it is both. ``tables`` is the store of suffix tables."""
     block = parity_block_ends(n, evens, tables)
     bad = []
-    for key, (lo, lo_length), (hi, hi_length) in block:
+    for _, (lo, lo_length), (hi, hi_length) in block:
         if self_dual_by_rank(hi_length - lo_length):
             continue
         shape = ends_shape(lo, hi)
@@ -365,11 +318,11 @@ def _block_census(n: int, evens: tuple[int, ...], tables: dict,
         if not verdicts[shape]:
             if interval is None:
                 interval = interval_elements(lo, hi)
-            bad.append(OddDiagramClass(key, interval.elements, interval.lengths))
+            bad.append(interval)
     return len(block), bad
 
 
-def _run_census(n: int, run: list[tuple[int, ...]]) -> list[tuple[int, list[OddDiagramClass]]]:
+def _run_census(n: int, run: list[tuple[int, ...]]) -> list[tuple[int, list[BruhatInterval]]]:
     """``_block_census`` of each parity block in ``run``, the blocks sharing
     one store of suffix tables and one memo of verdicts by ``ends_shape``,
     both of which end with the run."""
@@ -379,11 +332,11 @@ def _run_census(n: int, run: list[tuple[int, ...]]) -> list[tuple[int, list[OddD
         return [_block_census(n, evens, tables, verdicts) for evens in run]
 
 
-def census(n: int, jobs: int = 1) -> tuple[int, list[OddDiagramClass]]:
+def census(n: int, jobs: int = 1) -> tuple[int, list[BruhatInterval]]:
     """The number of odd diagram classes of S_n, and those that are not
-    self-dual, with their members, sorted by minimum. No table of S_n is
-    held: each parity block is swept for the ends of its classes only, and
-    decided whole. The blocks are dealt out in turn to ``jobs`` workers (as
+    self-dual, each as its ``BruhatInterval``, sorted by minimum. No table of
+    S_n is held: each parity block is swept for the ends of its classes only,
+    and decided whole. The blocks are dealt out in turn to ``jobs`` workers (as
     in ``resolve_jobs``), and each worker sweeps its run of blocks with one
     store of suffix tables and one memo of verdicts by ``ends_shape``: the
     66,795 classes of S_10 that the rank leaves open have 389 shapes, and
@@ -401,7 +354,7 @@ def census(n: int, jobs: int = 1) -> tuple[int, list[OddDiagramClass]]:
     else:
         results = task(blocks)
     bad = sorted((cls for _, block_bad in results for cls in block_bad),
-                 key=lambda cls: cls.min_elem)
+                 key=lambda cls: cls.bottom)
     return sum(count for count, _ in results), bad
 
 
@@ -410,7 +363,7 @@ def non_self_dual_census(n: int, jobs: int = 1) -> int:
     return len(census(n, jobs)[1])
 
 
-def class_of(w: Perm, max_members: int | None = None) -> OddDiagramClass:
+def class_of(w: Perm, max_members: int | None = None) -> BruhatInterval:
     """The odd diagram class of w, the interval between its ends. By Theorem
     B and the parity theorem only the minimum has no lowering ``legal_swap``
     move and only the maximum no raising one, so each walk ends at its
@@ -425,26 +378,14 @@ def class_of(w: Perm, max_members: int | None = None) -> OddDiagramClass:
         hi = x
     if max_members is not None:
         check_class_size(lo, hi, max_members)
-    interval = interval_elements(lo, hi)
-    return OddDiagramClass(key, interval.elements, interval.lengths)
+    return interval_elements(lo, hi)
 
 
-def class_extremes(cls: OddDiagramClass) -> tuple[Perm, Perm]:
-    """Bruhat minimum and maximum; re-verifies the interval property."""
-    interval = interval_elements(cls.min_elem, cls.max_elem)
-    if interval.elements != cls.members:
-        raise AssertionError(
-            f"members of class {format_perm(cls.min_elem)} do not form "
-            f"the interval [{format_perm(cls.min_elem)}, {format_perm(cls.max_elem)}]"
-        )
-    return cls.min_elem, cls.max_elem
-
-
-def class_report(cls: OddDiagramClass) -> dict:
+def class_report(cls: BruhatInterval) -> dict:
     """Per-class JSON record of the report, schema version 1: the text that
     ``write_report`` writes for the class, read back by ``json.loads``, so
     the schema has one encoder, ``_record_text``."""
-    return json.loads(_record_text(cls.key, cls.min_elem, cls.max_elem, cls.rank,
+    return json.loads(_record_text(odd_diagram_key(cls.bottom), cls.bottom, cls.top, cls.rank,
                                    _ReportMemo(cls.n)))
 
 

@@ -40,11 +40,11 @@ def _member_budget(args) -> int | None:
 def cmd_class(args) -> int:
     w = perms.parse_perm(args.perm)
     cls = classes_mod.class_of(w, max_members=_member_budget(args))
-    print(f"min: {perms.format_perm(cls.min_elem)}")
-    print(f"max: {perms.format_perm(cls.max_elem)}")
-    print(f"size: {len(cls.members)}")
-    print(f"rank_vector: {list(intervals.rank_vector(cls.interval))}")
-    print("members: " + " ".join(perms.format_perm(x) for x in cls.members))
+    print(f"min: {perms.format_perm(cls.bottom)}")
+    print(f"max: {perms.format_perm(cls.top)}")
+    print(f"size: {len(cls)}")
+    print(f"rank_vector: {list(intervals.rank_vector(cls))}")
+    print("members: " + " ".join(perms.format_perm(x) for x in cls.elements))
     return 0
 
 
@@ -139,8 +139,7 @@ def cmd_census(args) -> int:
     print(f"classes: {count}, non-self-dual: {len(bad)}")
     if args.list:
         for cls in bad:
-            print(f"  [{perms.format_perm(cls.min_elem)}, "
-                  f"{perms.format_perm(cls.max_elem)}]")
+            print(f"  [{perms.format_perm(cls.bottom)}, {perms.format_perm(cls.top)}]")
     return 0
 
 

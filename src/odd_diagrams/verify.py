@@ -107,13 +107,12 @@ def check_diagram_counts(n: int, rng, result: CheckResult) -> None:
 
 
 def check_theorem_b(n: int, rng, result: CheckResult) -> None:
-    """Every odd diagram class is the Bruhat interval between its extremes."""
+    """Every odd diagram class is the Bruhat interval between its extremes:
+    the lifting recursion from its first to its last member gives back its
+    members and their carried lengths."""
     for cls in classes_mod.class_stream(n):
-        try:
-            classes_mod.class_extremes(cls)
-            result.record(True)
-        except AssertionError:
-            result.record(False, {"min": perms.format_perm(cls.min_elem)})
+        result.record(intervals.interval_elements(cls.bottom, cls.top) == cls,
+                      {"min": perms.format_perm(cls.bottom)})
 
 
 def check_parity(n: int, rng, result: CheckResult) -> None:
@@ -159,12 +158,12 @@ def check_legality_sufficiency(n: int, rng, result: CheckResult) -> None:
 def check_uniform_partition(n: int, rng, result: CheckResult) -> None:
     """Blocks are equal-sized intervals; phi maps each member to a cover."""
     for cls in classes_mod.class_stream(n):
-        if len(cls.members) == 1:
+        if len(cls) == 1:
             continue
         try:
-            decomp = partition.decompose(cls.min_elem, cls.max_elem)
+            decomp = partition.decompose(cls.bottom, cls.top)
         except AssertionError as exc:
-            result.record(False, {"min": perms.format_perm(cls.min_elem), "error": str(exc)})
+            result.record(False, {"min": perms.format_perm(cls.bottom), "error": str(exc)})
             continue
         ok = True
         step = decomp.step
@@ -175,17 +174,17 @@ def check_uniform_partition(n: int, rng, result: CheckResult) -> None:
                     ok = False
                 if partition.block_index(image, step) != i + 1:
                     ok = False
-        result.record(ok, {"min": perms.format_perm(cls.min_elem)})
+        result.record(ok, {"min": perms.format_perm(cls.bottom)})
 
 
 def check_factorization(n: int, rng, result: CheckResult) -> None:
     """factorize's product equals the enumerated Poincare polynomial and
     that polynomial is palindromic."""
     for cls in classes_mod.class_stream(n):
-        outcome = partition.factorize(cls.min_elem, cls.max_elem)
-        direct = polynomials.poincare(cls.min_elem, cls.max_elem)
+        outcome = partition.factorize(cls.bottom, cls.top)
+        direct = polynomials.poincare(cls.bottom, cls.top)
         ok = outcome.product == direct and polynomials.is_palindromic(direct)
-        result.record(ok, {"min": perms.format_perm(cls.min_elem)})
+        result.record(ok, {"min": perms.format_perm(cls.bottom)})
 
 
 def check_rpoly_descent_independence(n: int, rng, result: CheckResult) -> None:
@@ -243,15 +242,14 @@ def check_self_dual_bipartite_agreement(n: int, rng, result: CheckResult) -> Non
     lower intervals only.
     """
     for cls in classes_mod.class_stream(n):
-        interval = cls.interval
-        sd = duality.is_self_dual(interval)
-        bc = duality.bipartite_criterion(interval)
+        sd = duality.is_self_dual(cls)
+        bc = duality.bipartite_criterion(cls)
         result.record(True)
         if sd != bc:
             result.findings.append(
                 {
-                    "min": perms.format_perm(cls.min_elem),
-                    "max": perms.format_perm(cls.max_elem),
+                    "min": perms.format_perm(cls.bottom),
+                    "max": perms.format_perm(cls.top),
                     "self_dual": sd,
                     "bipartite_criterion": bc,
                 }
@@ -278,8 +276,8 @@ def check_short_intervals_self_dual(n: int, rng, result: CheckResult) -> None:
 def check_kl_class_probe(n: int, rng, result: CheckResult) -> None:
     """KL polynomial of every odd diagram class equals 1."""
     for cls in classes_mod.class_stream(n):
-        p = polynomials.kl_polynomial(cls.min_elem, cls.max_elem)
-        result.record(p == 1, {"min": perms.format_perm(cls.min_elem)})
+        p = polynomials.kl_polynomial(cls.bottom, cls.top)
+        result.record(p == 1, {"min": perms.format_perm(cls.bottom)})
 
 
 def check_kl_inversion(n: int, rng, result: CheckResult) -> None:
@@ -321,12 +319,12 @@ def check_class_covers(n: int, rng, result: CheckResult) -> None:
     ``BruhatInterval.swaps`` derives from its members, equals the covers
     ``perms.upward_covers`` finds among the same members."""
     for cls in classes_mod.class_stream(n):
-        members = set(cls.members)
-        covers = [(x, y) for x in cls.members
+        members = set(cls.elements)
+        covers = [(x, y) for x in cls.elements
                   for y in sorted(members.intersection(perms.upward_covers(x)))]
         result.record(
-            intervals.hasse_edges(cls.interval) == covers,
-            {"min": perms.format_perm(cls.min_elem), "max": perms.format_perm(cls.max_elem)},
+            intervals.hasse_edges(cls) == covers,
+            {"min": perms.format_perm(cls.bottom), "max": perms.format_perm(cls.top)},
         )
 
 
@@ -342,22 +340,21 @@ def check_class_shapes(n: int, rng, result: CheckResult) -> None:
     ends_of: dict = {}  # class_shape -> ends_shape
     shape_of: dict = {}  # ends_shape -> class_shape
     for cls in classes_mod.class_stream(n):
-        shape = classes_mod.class_shape(cls.members)
-        ends = classes_mod.ends_shape(cls.min_elem, cls.max_elem)
-        interval = cls.interval
-        verdict = (duality.has_anti_automorphism(interval), polynomials.carrell_holds(interval),
-                   duality.bipartite_criterion(interval), intervals.rank_counts(cls.lengths))
-        pinned = classes_mod.pinned_values(cls.min_elem, cls.max_elem)
-        agree = [len(set(column)) == 1 for column in zip(*cls.members)]
-        pairs = list(zip(cls.members, shape))
+        shape = classes_mod.class_shape(cls.elements)
+        ends = classes_mod.ends_shape(cls.bottom, cls.top)
+        verdict = (duality.has_anti_automorphism(cls), polynomials.carrell_holds(cls),
+                   duality.bipartite_criterion(cls), intervals.rank_vector(cls))
+        pinned = classes_mod.pinned_values(cls.bottom, cls.top)
+        agree = [len(set(column)) == 1 for column in zip(*cls.elements)]
+        pairs = list(zip(cls.elements, shape))
         ok = (verdicts.setdefault(shape, verdict) == verdict and len(shape) == len(cls)
               and ends_of.setdefault(shape, ends) == ends
               and shape_of.setdefault(ends, shape) == shape
-              and agree == [bool(pinned >> x & 1) for x in cls.min_elem]
+              and agree == [bool(pinned >> x & 1) for x in cls.bottom]
               and all(perms.bruhat_leq(u, w) == perms.bruhat_leq(flat_u, flat_w)
                       for u, flat_u in pairs for w, flat_w in pairs))
-        result.record(ok, {"min": perms.format_perm(cls.min_elem),
-                           "max": perms.format_perm(cls.max_elem)})
+        result.record(ok, {"min": perms.format_perm(cls.bottom),
+                           "max": perms.format_perm(cls.top)})
 
 
 # Each check's one declaration: its name maps to (check, scope, n-limit). The

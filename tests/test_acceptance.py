@@ -11,7 +11,7 @@ from itertools import combinations
 
 import pytest
 
-from odd_diagrams.classes import class_extremes, class_of, classes_of_sn, non_self_dual_census
+from odd_diagrams.classes import class_of, classes_of_sn, non_self_dual_census
 from odd_diagrams.diagrams import is_legal, satisfies_legality_criterion
 from odd_diagrams.intervals import interval_elements, rank_vector
 from odd_diagrams.partition import anchors, decompose, factorize, phi
@@ -45,8 +45,7 @@ def test_criterion_1_theorem_b():
     ok = True
     for n in range(1, 8):
         for cls in classes_of_sn(n):
-            lo, hi = class_extremes(cls)  # raises on violation
-            if interval_elements(lo, hi).elements != cls.members:
+            if interval_elements(cls.bottom, cls.top) != cls:
                 ok = False
     report("1 theorem-b intervals n<=7", ok)
 
@@ -54,8 +53,8 @@ def test_criterion_1_theorem_b():
 def _factorization_sweep(n_max):
     for n in range(1, n_max + 1):
         for cls in classes_of_sn(n):
-            direct = poincare(cls.min_elem, cls.max_elem)
-            result = factorize(cls.min_elem, cls.max_elem)
+            direct = poincare(cls.bottom, cls.top)
+            result = factorize(cls.bottom, cls.top)
             if result.product != direct or not is_palindromic(direct):
                 return False
     return True
@@ -69,8 +68,8 @@ def test_criterion_2_factorization():
 def test_criterion_2_factorization_n8():
     ok = True
     for cls in classes_of_sn(8):
-        direct = poincare(cls.min_elem, cls.max_elem)
-        result = factorize(cls.min_elem, cls.max_elem)
+        direct = poincare(cls.bottom, cls.top)
+        result = factorize(cls.bottom, cls.top)
         if result.product != direct or not is_palindromic(direct):
             ok = False
     report("2L factorization + palindromicity n=8", ok)
@@ -84,8 +83,8 @@ def test_criterion_3_figure2_golden():
     decomp = decompose(u, v)
     result = factorize(u, v)
     ok = (
-        (cls.min_elem, cls.max_elem) == (u, v)
-        and len(cls.members) == 18
+        (cls.bottom, cls.top) == (u, v)
+        and len(cls.elements) == 18
         and rank_vector(interval) == (1, 3, 5, 5, 3, 1)
         and step.k == 3
         and step.anchors == (3, 5, 7)
@@ -99,11 +98,11 @@ def test_criterion_3_figure2_golden():
 def test_criterion_4_s9_golden():
     u = parse_perm("654172839")
     cls = class_of(u)
-    step = anchors(cls.min_elem, cls.max_elem)
-    decomp = decompose(cls.min_elem, cls.max_elem)
+    step = anchors(cls.bottom, cls.top)
+    decomp = decompose(cls.bottom, cls.top)
     ok = (
-        cls.min_elem == u
-        and cls.max_elem == parse_perm("958172634")
+        cls.bottom == u
+        and cls.top == parse_perm("958172634")
         and step.k == 4
         and step.anchors == (3, 5, 7, 9)
         and decomp.u_chain
@@ -121,9 +120,9 @@ def test_criterion_5_uniform_partition_and_covers():
     ok = True
     for n in range(2, 8):
         for cls in classes_of_sn(n):
-            if len(cls.members) == 1:
+            if len(cls.elements) == 1:
                 continue
-            decomp = decompose(cls.min_elem, cls.max_elem)
+            decomp = decompose(cls.bottom, cls.top)
             step = decomp.step
             if len({len(b) for b in decomp.blocks}) != 1:
                 ok = False
@@ -142,8 +141,8 @@ def test_criterion_6_legality_and_parity():
                 if satisfies_legality_criterion(u, t) and not is_legal(u, t):
                     ok = False
         for cls in classes_of_sn(n):
-            base = inverse(cls.min_elem)
-            for w in cls.members:
+            base = inverse(cls.bottom)
+            for w in cls.elements:
                 pos = inverse(w)
                 if any((pos[k] - base[k]) % 2 != 0 for k in range(n)):
                     ok = False
@@ -168,12 +167,12 @@ def test_criterion_8_kl_probe():
     ok = True
     for n in range(1, 7):
         for cls in classes_of_sn(n):
-            if kl_polynomial(cls.min_elem, cls.max_elem) != 1:
+            if kl_polynomial(cls.bottom, cls.top) != 1:
                 ok = False
     rng = random.Random(2024)
-    multi = [c for c in classes_of_sn(7) if len(c.members) > 1]
+    multi = [c for c in classes_of_sn(7) if len(c.elements) > 1]
     for cls in rng.sample(multi, 50):
-        if kl_polynomial(cls.min_elem, cls.max_elem) != 1:
+        if kl_polynomial(cls.bottom, cls.top) != 1:
             ok = False
     report("8 KL = 1 probe (n<=6 exhaustive, 50 sampled at n=7)", ok)
 

@@ -10,8 +10,6 @@ import pytest
 
 from odd_diagrams import classes, diagrams, duality, intervals, polynomials, verify
 from odd_diagrams.classes import (
-    OddDiagramClass,
-    class_extremes,
     class_of,
     class_report,
     class_shape,
@@ -28,45 +26,48 @@ from odd_diagrams.polynomials import carrell_holds, kl_polynomial, one
 
 def test_s2_classes():
     classes = classes_of_sn(2)
-    assert [c.members for c in classes] == [((1, 2),), ((2, 1),)]
+    assert [c.elements for c in classes] == [((1, 2),), ((2, 1),)]
 
 
 def test_s3_classes():
     classes = classes_of_sn(3)
     assert len(classes) == 5
-    multi = [c for c in classes if len(c.members) > 1]
+    multi = [c for c in classes if len(c.elements) > 1]
     assert len(multi) == 1
-    assert multi[0].members == (parse_perm("213"), parse_perm("312"))
+    assert multi[0].elements == (parse_perm("213"), parse_perm("312"))
 
 
 def test_figure2_class_membership():
     cls = class_of(parse_perm("5431627"))
-    assert len(cls.members) == 18
-    assert class_extremes(cls) == (parse_perm("5431627"), parse_perm("7461523"))
+    assert len(cls.elements) == 18
+    assert (cls.bottom, cls.top) == (parse_perm("5431627"), parse_perm("7461523"))
+    assert interval_elements(cls.bottom, cls.top) == cls
 
 
 def test_s9_class_extremes():
     cls = class_of(parse_perm("654172839"))
-    assert cls.min_elem == parse_perm("654172839")
-    assert cls.max_elem == parse_perm("958172634")
+    assert cls.bottom == parse_perm("654172839")
+    assert cls.top == parse_perm("958172634")
 
 
 def test_singleton_extremes():
     cls = class_of(parse_perm("1234"))
-    assert class_extremes(cls) == (parse_perm("1234"), parse_perm("1234"))
+    assert (cls.bottom, cls.top) == (parse_perm("1234"), parse_perm("1234"))
+    assert interval_elements(cls.bottom, cls.top) == cls
 
 
 @pytest.mark.parametrize("n", range(1, 7))
 def test_class_sizes_sum_to_factorial(n):
     classes = classes_of_sn(n)
-    assert sum(len(c.members) for c in classes) == math.factorial(n)
+    assert sum(len(c.elements) for c in classes) == math.factorial(n)
 
 
 @pytest.mark.parametrize("n", range(1, 7))
 def test_members_share_the_diagram(n):
     for cls in classes_of_sn(n):
-        for w in cls.members:
-            assert odd_diagram(w) == cls.diagram
+        diagram = diagrams.diagram_of_key(odd_diagram_key(cls.bottom), n)
+        for w in cls.elements:
+            assert odd_diagram(w) == diagram
 
 
 @pytest.mark.parametrize("n", range(1, 7))
@@ -83,28 +84,50 @@ def test_classes_are_keyed_once_per_permutation_and_never_decoded(n, monkeypatch
         raise AssertionError("a class diagram was decoded while building classes")
 
     monkeypatch.setattr(classes, "odd_diagram_key", counting)
-    monkeypatch.setattr(classes, "diagram_of_key", no_decode)
     monkeypatch.setattr(diagrams, "diagram_of_key", no_decode)
     table = classes_of_sn(n)
     assert calls == []
     assert sum(map(len, table)) == math.factorial(n)
     for cls in table:
-        assert all(odd_diagram_key(w) == cls.key for w in cls.members)
-        assert class_of(cls.max_elem) == cls
+        key = odd_diagram_key(cls.bottom)
+        assert all(odd_diagram_key(w) == key for w in cls.elements)
+        assert class_of(cls.top) == cls
 
 
 @pytest.mark.parametrize("n", range(1, 7))
 def test_theorem_b_interval_property(n):
     for cls in classes_of_sn(n):
-        lo, hi = class_extremes(cls)
-        assert interval_elements(lo, hi).elements == cls.members
+        assert interval_elements(cls.bottom, cls.top) == cls
+
+
+def _theorem_b_on(monkeypatch, cls):
+    """``verify theorem_b`` on a stream of the one class ``cls``."""
+    monkeypatch.setattr(classes, "class_stream", lambda n: iter([cls]))
+    return verify.run_checks(7, ["theorem_b"]).checks[0]
+
+
+def test_theorem_b_check_fails_on_a_wrong_carried_length(monkeypatch):
+    # the members are those of the interval, so a check of members alone passes
+    cls = class_of(parse_perm("5431627"))
+    lengths = (cls.lengths[0], cls.lengths[1] + 1) + cls.lengths[2:]
+    check = _theorem_b_on(monkeypatch, BruhatInterval(cls.bottom, cls.top, cls.elements, lengths))
+    assert (check.passed, check.failed) == (0, 1)
+    assert check.findings == [{"min": "5431627"}]
+
+
+def test_theorem_b_check_fails_on_a_dropped_member(monkeypatch):
+    cls = class_of(parse_perm("5431627"))
+    elements, lengths = cls.elements[:1] + cls.elements[2:], cls.lengths[:1] + cls.lengths[2:]
+    check = _theorem_b_on(monkeypatch, BruhatInterval(cls.bottom, cls.top, elements, lengths))
+    assert (check.passed, check.failed) == (0, 1)
+    assert check.findings == [{"min": "5431627"}]
 
 
 @pytest.mark.parametrize("n", range(1, 7))
 def test_parity_within_class(n):
     for cls in classes_of_sn(n):
-        base = inverse(cls.min_elem)
-        for w in cls.members:
+        base = inverse(cls.bottom)
+        for w in cls.elements:
             pos = inverse(w)
             assert all((pos[k] - base[k]) % 2 == 0 for k in range(n))
 
@@ -112,15 +135,15 @@ def test_parity_within_class(n):
 @pytest.mark.parametrize("n", range(2, 7))
 def test_minimum_has_no_length_decreasing_legal_move(n):
     for cls in classes_of_sn(n):
-        for w in cls.members:
+        for w in cls.elements:
             has_down_move = any(
                 is_legal(w, (i, j)) and w[i - 1] > w[j - 1]
                 for i in range(1, n)
                 for j in range(i + 1, n + 1)
             )
-            if w == cls.min_elem:
+            if w == cls.bottom:
                 assert not has_down_move
-            elif length(w) > length(cls.min_elem):
+            elif length(w) > length(cls.bottom):
                 # anything strictly above the minimum admits one
                 assert has_down_move
 
@@ -128,8 +151,8 @@ def test_minimum_has_no_length_decreasing_legal_move(n):
 def test_classes_sorted_and_deterministic():
     first = classes_of_sn(5)
     second = classes_of_sn(5)
-    assert [c.min_elem for c in first] == [c.min_elem for c in second]
-    assert [c.min_elem for c in first] == sorted(c.min_elem for c in first)
+    assert [c.bottom for c in first] == [c.bottom for c in second]
+    assert [c.bottom for c in first] == sorted(c.bottom for c in first)
 
 
 def test_guard_rejects_large_n():
@@ -197,20 +220,19 @@ def test_a_sweep_left_by_an_exception_restores_the_collector(monkeypatch, collec
 def _reference_class_report(cls):
     """Reference: the class report that built every class's interval, counted
     the rank vector from ``length`` of each member and read the boxes from
-    ``cls.diagram``."""
-    interval = cls.interval
-    levels = [length(w) - length(cls.min_elem) for w in cls.members]
+    ``odd_diagram`` of the class's minimum."""
+    levels = [length(w) - length(cls.bottom) for w in cls.elements]
     ranks = [levels.count(r) for r in range(max(levels) + 1)]
     return {
-        "diagram": [list(box) for box in cls.diagram],
-        "size": len(cls.members),
-        "min": format_perm(cls.min_elem),
-        "max": format_perm(cls.max_elem),
+        "diagram": [list(box) for box in odd_diagram(cls.bottom)],
+        "size": len(cls.elements),
+        "min": format_perm(cls.bottom),
+        "max": format_perm(cls.top),
         "rank_vector": list(ranks),
         "poincare_coeffs": list(ranks),
-        "factor_lengths": list(_factor_lengths(cls.min_elem, cls.max_elem)),
-        "kl_is_one": interval.rank <= 2 or carrell_holds(interval),
-        "self_dual": is_self_dual(interval),
+        "factor_lengths": list(_factor_lengths(cls.bottom, cls.top)),
+        "kl_is_one": cls.rank <= 2 or carrell_holds(cls),
+        "self_dual": is_self_dual(cls),
     }
 
 
@@ -252,9 +274,10 @@ def test_record_text_matches_the_reference_past_nine(n):
     memo = classes._ReportMemo(n)
     for _ in range(20):
         cls = class_of(tuple(rng.sample(range(1, n + 1), n)))
-        text = classes._record_text(cls.key, cls.min_elem, cls.max_elem, cls.rank, memo)
+        text = classes._record_text(odd_diagram_key(cls.bottom), cls.bottom, cls.top, cls.rank,
+                                    memo)
         assert text == json.dumps(_reference_class_report(cls))
-    assert "," in format_perm(cls.min_elem)
+    assert "," in format_perm(cls.bottom)
     # S_10 has no box past row 9 or column 9
     assert any(re.search(r"\d\d", text) for text in memo.rows.values()) == (n > 10)
 
@@ -273,7 +296,6 @@ def test_write_report_encodes_no_record_on_its_own(monkeypatch):
     def no_decode(key, n):
         raise AssertionError("a diagram was decoded while writing the report")
 
-    monkeypatch.setattr(classes, "diagram_of_key", no_decode)
     monkeypatch.setattr(diagrams, "diagram_of_key", no_decode)
     monkeypatch.setattr(json, "dumps", counting)
     assert _report_text(6) == expected
@@ -298,9 +320,10 @@ def _reference_odd_diagram(w):
 def test_report_fields_match_their_reference_on_every_class(n):
     # ``_factor_lengths`` has its reference in test_partition
     for cls in classes_of_sn(n):
-        for w in (cls.min_elem, cls.max_elem):
+        diagram = diagrams.diagram_of_key(odd_diagram_key(cls.bottom), n)
+        for w in (cls.bottom, cls.top):
             assert format_perm(w) == _reference_format_perm(w)
-            assert cls.diagram == _reference_odd_diagram(w)
+            assert diagram == _reference_odd_diagram(w)
 
 
 def test_format_perm_matches_its_reference_at_every_degree_to_20():
@@ -345,7 +368,7 @@ def test_report_builds_an_interval_only_from_rank_3(n, ranked, count, monkeypatc
     assert sum(cls.rank >= 3 for cls in table) == ranked
     shapes = [class_shape(iv.elements) for iv in built]
     assert len(built) == len(set(shapes)) == RANK_3_SHAPES[n]
-    assert set(shapes) == {class_shape(cls.members) for cls in table if cls.rank >= 3}
+    assert set(shapes) == {class_shape(cls.elements) for cls in table if cls.rank >= 3}
 
 
 # sha256 of ``classes --n k --out``, fixed points of the report
@@ -374,7 +397,7 @@ def test_factor_lengths_of_a_class_of_rank_at_most_2_are_all_2(n):
     # the first class of rank 1 is in S_3, the first of rank 2 in S_5
     assert {cls.rank for cls in ranked} == {2: {0}, 3: {0, 1}, 4: {0, 1}}.get(n, {0, 1, 2})
     for cls in ranked:
-        assert _factor_lengths(cls.min_elem, cls.max_elem) == (2,) * cls.rank
+        assert _factor_lengths(cls.bottom, cls.top) == (2,) * cls.rank
 
 
 @pytest.mark.parametrize("n", [*range(5, 9), pytest.param(9, marks=pytest.mark.long)])
@@ -383,8 +406,8 @@ def test_classes_of_one_ends_shape_share_their_factor_lengths(n):
     by_shape = {}
     for cls in classes_of_sn(n):
         if cls.rank >= 3:
-            factors = _factor_lengths(cls.min_elem, cls.max_elem)
-            shape = classes.ends_shape(cls.min_elem, cls.max_elem)
+            factors = _factor_lengths(cls.bottom, cls.top)
+            shape = classes.ends_shape(cls.bottom, cls.top)
             assert by_shape.setdefault(shape, factors) == factors
     assert len(by_shape) == RANK_3_SHAPES.get(n, len(by_shape)) > 0
 
@@ -425,7 +448,7 @@ def test_report_matches_the_kl_engine(n, counted):
     records = []
     for cls in classes_of_sn(n):
         record = class_report(cls)
-        old = dict(record, kl_is_one=kl_polynomial(cls.min_elem, cls.max_elem) == one())
+        old = dict(record, kl_is_one=kl_polynomial(cls.bottom, cls.top) == one())
         assert record == old
         records.append(record)
     assert sum(len(r["rank_vector"]) > 3 for r in records) == counted
@@ -455,10 +478,10 @@ def _rechecking_classes_of_sn(n):
         lo = min(members, key=length)
         hi = max(members, key=length)
         assert all(bruhat_leq(lo, w) and bruhat_leq(w, hi) for w in members)
-        cls = OddDiagramClass(key, tuple(members), tuple(map(length, members)))
-        assert (cls.min_elem, cls.max_elem, cls.diagram) == (lo, hi, odd_diagram(lo))
+        cls = BruhatInterval(members[0], members[-1], tuple(members), tuple(map(length, members)))
+        assert (cls.bottom, cls.top, diagrams.diagram_of_key(key, n)) == (lo, hi, odd_diagram(lo))
         classes.append(cls)
-    classes.sort(key=lambda c: c.min_elem)
+    classes.sort(key=lambda c: c.bottom)
     return classes
 
 
@@ -470,11 +493,11 @@ def test_classes_of_sn_matches_rechecking_builder(n):
 @pytest.mark.parametrize("n", range(1, 8))
 def test_class_stream_gives_each_class_once_block_by_block(n):
     stream = list(classes.class_stream(n))
-    assert sorted(stream, key=lambda cls: cls.min_elem) == classes_of_sn(n)
-    assert len({cls.key for cls in stream}) == len(stream)
+    assert sorted(stream, key=lambda cls: cls.bottom) == classes_of_sn(n)
+    assert len({odd_diagram_key(cls.bottom) for cls in stream}) == len(stream)
     # the blocks in the order of parity_sets, each block's classes by minimum
     block_of = {evens: i for i, evens in enumerate(classes.parity_sets(n))}
-    order = [(block_of[tuple(sorted(cls.min_elem[::2]))], cls.min_elem) for cls in stream]
+    order = [(block_of[tuple(sorted(cls.bottom[::2]))], cls.bottom) for cls in stream]
     assert order == sorted(order)
 
 
@@ -494,8 +517,9 @@ def test_class_of_matches_scan_of_sn(n):
         lo = min(members, key=length)
         hi = max(members, key=length)
         members.sort()
-        expected = OddDiagramClass(key, tuple(members), tuple(map(length, members)))
-        assert (expected.min_elem, expected.max_elem, expected.diagram) == (
+        expected = BruhatInterval(members[0], members[-1], tuple(members),
+                                  tuple(map(length, members)))
+        assert (expected.bottom, expected.top, diagrams.diagram_of_key(key, n)) == (
             lo, hi, odd_diagram(lo))
         for w in members:
             assert class_of(w) == expected
@@ -658,7 +682,7 @@ def test_suffix_tables_stay_within_their_bound():
 def test_class_of_in_s12_has_720_members():
     cls = class_of(parse_perm("1,7,2,8,3,9,4,10,5,11,6,12"))
     assert len(cls) == 720
-    assert len({odd_diagram(w) for w in cls.members}) == 1
+    assert len({odd_diagram(w) for w in cls.elements}) == 1
 
 
 def _bfs_class_of(w):
@@ -677,7 +701,7 @@ def _bfs_class_of(w):
                     seen.add(x)
                     queue.append(x)
     queue.sort()
-    return OddDiagramClass(target, tuple(queue), tuple(map(length, queue)))
+    return BruhatInterval(queue[0], queue[-1], tuple(queue), tuple(map(length, queue)))
 
 
 @pytest.mark.parametrize("n", range(8, 13))
@@ -711,8 +735,8 @@ def test_class_of_keys_few_permutations(monkeypatch):
 @pytest.mark.parametrize("n", range(1, 8))
 def test_class_size_is_the_product_of_the_factor_lengths(n):
     for cls in classes_of_sn(n):
-        found = class_of(cls.max_elem)
-        lo, hi, size = found.min_elem, found.max_elem, len(found.members)
+        found = class_of(cls.top)
+        lo, hi, size = found.bottom, found.top, len(found.elements)
         assert math.prod(_factor_lengths(lo, hi)) == size == len(cls)
         check_class_size(lo, hi, size)
         with pytest.raises(ValueError, match=f"has {size} members, more than {size - 1};"):
@@ -738,7 +762,7 @@ def test_class_shape_deletes_the_positions_all_members_share():
     assert class_shape((parse_perm("213"), parse_perm("312"))) == ((1, 2), (2, 1))
     assert class_shape((parse_perm("3412"),)) == ((),)
     cls = class_of(parse_perm("5431627"))
-    shape = class_shape(cls.members)
+    shape = class_shape(cls.elements)
     assert len(shape) == len(cls) == 18
     assert sorted(shape) == list(shape) and len(shape[0]) == 4
 
@@ -754,7 +778,7 @@ def _reference_class_shape(members):
 @pytest.mark.parametrize("n", range(1, 8))
 def test_class_shape_matches_the_member_by_member_reference(n):
     for cls in classes_of_sn(n):
-        assert class_shape(cls.members) == _reference_class_shape(cls.members)
+        assert class_shape(cls.elements) == _reference_class_shape(cls.elements)
 
 
 @pytest.mark.parametrize("n, count, shapes", [
@@ -765,7 +789,7 @@ def test_class_shapes_check_passes_on_every_class(n, count, shapes):
     report = verify.run_checks(n, ["class_shapes"], allow_large=True)
     assert report.ok
     assert report.checks[0].passed == count
-    assert len({class_shape(c.members) for c in classes_of_sn(n)}) == shapes
+    assert len({class_shape(c.elements) for c in classes_of_sn(n)}) == shapes
 
 
 def _shape_keeping_a_constant_column(members):

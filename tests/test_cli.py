@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 from odd_diagrams import classes as classes_mod
-from odd_diagrams import cli, diagrams, partition, polynomials, verify
+from odd_diagrams import cli, diagrams, intervals, partition, polynomials, verify
 from odd_diagrams.cli import run
 from odd_diagrams.perms import format_perm, parse_perm
 
@@ -78,7 +78,7 @@ def test_classes_builds_no_member_tuple_but_one_interval_per_shape(tmp_path, mon
 
     for name in ("parity_block", "class_stream", "classes_of_sn"):
         monkeypatch.setattr(classes_mod, name, fail)
-    monkeypatch.setattr(classes_mod.OddDiagramClass, "interval", property(fail))
+    monkeypatch.setattr(classes_mod, "BruhatInterval", fail)
     built, interval_elements = [], classes_mod.interval_elements
     monkeypatch.setattr(classes_mod, "interval_elements",
                         lambda lo, hi: built.append(lo) or interval_elements(lo, hi))
@@ -208,7 +208,8 @@ def test_census_list_prints_non_self_dual_intervals(monkeypatch, capsys):
     # one parity block holding the two classes, as the census sweeps it: by their ends
     monkeypatch.setattr(classes_mod, "parity_sets", lambda n: [None])
     monkeypatch.setattr(classes_mod, "parity_block_ends", lambda n, evens, tables: [
-        (c.key, (c.min_elem, c.lengths[0]), (c.max_elem, c.lengths[-1])) for c in table])
+        (diagrams.odd_diagram_key(c.bottom), (c.bottom, c.lengths[0]), (c.top, c.lengths[-1]))
+        for c in table])
     assert run(["census", "--n", "9", "--list", "--jobs", "1"]) == 0
     out = capsys.readouterr().out
     assert out == "classes: 2, non-self-dual: 1\n  [654172839, 958172634]\n"
@@ -403,18 +404,18 @@ def test_verify_never_calls_classes_of_sn(monkeypatch):
 
 def test_verify_checks_each_block_before_sweeping_the_next(monkeypatch, capsys):
     events = []
-    real_block, real_extremes = classes_mod.parity_block, classes_mod.class_extremes
+    real_block, real_interval = classes_mod.parity_block, intervals.interval_elements
 
     def block(n, evens, tables):
         events.append(("swept", evens))
         return real_block(n, evens, tables)
 
-    def extremes(cls):
-        events.append(("checked", cls.min_elem))
-        return real_extremes(cls)
+    def interval(u, v):
+        events.append(("checked", u))
+        return real_interval(u, v)
 
     monkeypatch.setattr(classes_mod, "parity_block", block)
-    monkeypatch.setattr(classes_mod, "class_extremes", extremes)
+    monkeypatch.setattr(intervals, "interval_elements", interval)
     assert run(["verify", "--n", "4", "--checks", "theorem_b"]) == 0
     capsys.readouterr()
     expected = []
@@ -549,10 +550,10 @@ def test_factorize_error_names_the_failing_end(capsys):
 @pytest.mark.parametrize("n", range(1, 6))
 def test_only_the_class_extremes_are_accepted(n, capsys):
     for cls in classes_mod.classes_of_sn(n):
-        for u in cls.members:
-            for v in cls.members:
+        for u in cls.elements:
+            for v in cls.elements:
                 args = ["--interval", format_perm(u), format_perm(v)]
-                extremes = (u, v) == (cls.min_elem, cls.max_elem)
+                extremes = (u, v) == (cls.bottom, cls.top)
                 assert (run(["factorize", *args]) == 0) == extremes
                 if len(cls) > 1:
                     assert (run(["partition", *args]) == 0) == extremes

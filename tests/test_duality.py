@@ -1,5 +1,6 @@
 import functools
 import gc
+import weakref
 from collections import Counter
 
 import pytest
@@ -8,7 +9,6 @@ from hypothesis import strategies as st
 
 from odd_diagrams import classes, duality, verify
 from odd_diagrams.classes import (
-    OddDiagramClass,
     census,
     class_of,
     class_shape,
@@ -115,7 +115,7 @@ def _recursive_is_self_dual(interval):
 
 def test_iterative_search_matches_recursive(golden_s9):
     intervals = [interval_elements(identity(5), w) for w in all_perms(5)]
-    intervals.append(golden_s9.interval)
+    intervals.append(golden_s9)
     verdicts = [is_self_dual(i) for i in intervals]
     assert verdicts == [_recursive_is_self_dual(i) for i in intervals]
     assert True in verdicts and False in verdicts
@@ -124,8 +124,7 @@ def test_iterative_search_matches_recursive(golden_s9):
 @pytest.mark.parametrize("n", range(1, 8))
 def test_rank_shortcut_matches_recursive_search_on_every_class(n):
     for cls in classes_of_sn(n):
-        interval = cls.interval
-        assert is_self_dual(interval) == _recursive_is_self_dual(interval)
+        assert is_self_dual(cls) == _recursive_is_self_dual(cls)
 
 
 @pytest.mark.parametrize("n, count", [(1, 0), (2, 1), (3, 13), (4, 163), (5, 2096)])
@@ -136,9 +135,8 @@ def test_every_interval_of_rank_at_most_3_is_self_dual(n, count):
 
 
 def test_known_non_self_dual_class(golden_s9):
-    interval = golden_s9.interval
-    assert not is_self_dual(interval)
-    assert not bipartite_criterion(interval)
+    assert not is_self_dual(golden_s9)
+    assert not bipartite_criterion(golden_s9)
     figure2 = class_of(parse_perm("5431627"))
     assert non_self_dual_classes([golden_s9, figure2]) == [golden_s9]
 
@@ -158,7 +156,7 @@ def _part_sizes_and_edges(graph):
 
 
 def test_boundary_graph_shapes():
-    interval = class_of(parse_perm("5431627")).interval
+    interval = class_of(parse_perm("5431627"))
     bottom, top = _boundary_graphs(interval)
     assert _part_sizes_and_edges(bottom)[:2] == (3, 5)
     assert _part_sizes_and_edges(top)[:2] == (3, 5)
@@ -175,15 +173,14 @@ def test_bipartite_criterion_fails_on_every_non_self_dual_class_of_s9(golden_s9)
     # the 8 classes of the published S_9 census, not only the golden one
     count, bad = census(9)
     assert count == 103873 and len(bad) == 8 and golden_s9 in bad
-    assert [bipartite_criterion(cls.interval) for cls in bad] == [False] * 8
+    assert [bipartite_criterion(cls) for cls in bad] == [False] * 8
 
 
 def test_bipartite_criterion_low_rank_vacuous():
     w = parse_perm("213")
     cls = class_of(w)
-    interval = cls.interval
-    assert interval.rank == 1
-    assert bipartite_criterion(interval)
+    assert cls.rank == 1
+    assert bipartite_criterion(cls)
 
 
 def _reference_bipartite_isomorphic(g1, g2):
@@ -270,12 +267,12 @@ def test_bipartite_criterion_matches_reference_on_every_comparable_pair(n):
 
 @pytest.mark.parametrize("n", range(1, 8))
 def test_bipartite_criterion_matches_reference_on_every_class(n):
-    _assert_criterion_matches_reference([c.interval for c in classes_of_sn(n)])
+    _assert_criterion_matches_reference(classes_of_sn(n))
 
 
 def test_bipartite_criterion_matches_reference_on_lower_intervals_of_s6(golden_s9):
     lower = [interval_elements(identity(6), w) for w in all_perms(6)]
-    verdicts = _assert_criterion_matches_reference(lower + [golden_s9.interval])
+    verdicts = _assert_criterion_matches_reference(lower + [golden_s9])
     assert verdicts[-1] is False
     assert True in verdicts and False in verdicts
 
@@ -345,9 +342,8 @@ def test_small_censuses_are_zero(n):
 def test_self_duality_agrees_with_bipartite_criterion(n):
     disagreements = []
     for cls in classes_of_sn(n):
-        interval = cls.interval
-        if is_self_dual(interval) != bipartite_criterion(interval):
-            disagreements.append(cls.min_elem)
+        if is_self_dual(cls) != bipartite_criterion(cls):
+            disagreements.append(cls.bottom)
     assert disagreements == []
 
 
@@ -356,9 +352,8 @@ def test_self_dual_classes_have_palindromic_ranks(n):
     from odd_diagrams.intervals import rank_vector
 
     for cls in classes_of_sn(n):
-        interval = cls.interval
-        if is_self_dual(interval):
-            ranks = rank_vector(interval)
+        if is_self_dual(cls):
+            ranks = rank_vector(cls)
             assert ranks == tuple(reversed(ranks))
 
 
@@ -366,14 +361,13 @@ def test_self_duality_label_independent():
     # relabeling members by conjugation-like reversal gives the dual interval,
     # which must produce the same verdict
     cls = class_of(parse_perm("5431627"))
-    interval = cls.interval
-    verdict = is_self_dual(interval)
-    assert verdict == is_self_dual(interval)  # deterministic
+    verdict = is_self_dual(cls)
+    assert verdict == is_self_dual(cls)  # deterministic
 
     from odd_diagrams.perms import length
 
     w0 = tuple(range(7, 0, -1))
-    flipped = tuple(sorted(tuple(w0[x - 1] for x in w) for w in cls.members))
+    flipped = tuple(sorted(tuple(w0[x - 1] for x in w) for w in cls.elements))
     dual = BruhatInterval(
         min(flipped, key=length), max(flipped, key=length), flipped, tuple(map(length, flipped))
     )
@@ -406,8 +400,8 @@ def test_self_dual_bipartite_check_builds_each_hasse_diagram_once(monkeypatch):
     # is_self_dual settles rank <= 3 without a Hasse diagram, and
     # bipartite_criterion needs one from rank 2 up
     table = classes_of_sn(6)
-    ranked = [c.min_elem for c in table if c.interval.rank >= 2]
-    assert len([c for c in table if len(c.members) > 1]) == 227
+    ranked = [c.bottom for c in table if c.rank >= 2]
+    assert len([c for c in table if len(c.elements) > 1]) == 227
     assert 0 < len(ranked) < 227
     assert sorted(calls) == ranked
 
@@ -425,32 +419,27 @@ def test_census_searches_only_classes_above_rank_3(monkeypatch):
     monkeypatch.setattr(duality, "has_anti_automorphism", counting_search)
     table = classes_of_sn(7)
     assert non_self_dual_classes(table) == []
-    assert searched == [c.min_elem for c in table if c.interval.rank >= 4]
+    assert searched == [c.bottom for c in table if c.rank >= 4]
     assert len(searched) == 24
 
 
 def _watch_census_builds(monkeypatch):
-    """Record, in the census, the minimum of each interval built, of each
-    class built and of each interval searched."""
-    built, kept, searched = [], [], []
+    """Record, in the census, each interval built and the minimum of each
+    interval searched."""
+    built, searched = [], []
 
     def counting_interval(u, v):
-        built.append(u)
-        return interval_elements(u, v)
-
-    def counting_class(key, members, lengths):
-        kept.append(members[0])
-        return OddDiagramClass(key, members, lengths)
+        built.append(interval_elements(u, v))
+        return built[-1]
 
     def counting_search(interval):
         searched.append(interval.bottom)
         return duality.has_anti_automorphism(interval)
 
     monkeypatch.setattr(classes, "interval_elements", counting_interval)
-    monkeypatch.setattr(classes, "OddDiagramClass", counting_class)
     monkeypatch.setattr(classes, "has_anti_automorphism", counting_search)
     monkeypatch.setattr(classes, "is_self_dual", None)
-    return built, kept, searched
+    return built, searched
 
 
 def test_census_builds_and_searches_only_classes_above_rank_3(monkeypatch):
@@ -458,27 +447,27 @@ def test_census_builds_and_searches_only_classes_above_rank_3(monkeypatch):
     # interval is built, and of the 24 classes of rank >= 4 one class per
     # shape is built and searched: 7 searches, and no class is kept
     table = classes_of_sn(7)
-    built, kept, searched = _watch_census_builds(monkeypatch)
+    built, searched = _watch_census_builds(monkeypatch)
     assert census(7) == (2041, [])
-    open_classes = {c.min_elem: c for c in table if c.interval.rank >= 4}
-    assert len(open_classes) == 24 and kept == []
-    assert built == searched and set(searched) <= set(open_classes)
-    shapes = [class_shape(open_classes[w].members) for w in searched]
+    open_classes = {c.bottom: c for c in table if c.rank >= 4}
+    assert len(open_classes) == 24
+    assert [i.bottom for i in built] == searched and set(searched) <= set(open_classes)
+    shapes = [class_shape(open_classes[w].elements) for w in searched]
     assert len(searched) == len(set(shapes)) == 7
-    assert set(shapes) == {class_shape(c.members) for c in open_classes.values()}
+    assert set(shapes) == {class_shape(c.elements) for c in open_classes.values()}
 
 
 def test_census_builds_a_class_it_searches_and_keeps_once(monkeypatch):
     # the parity block of S_9 with 4, 6, 7, 8, 9 at the even positions holds 6
     # of the 8 non-self-dual classes, some of them the first of their shape:
     # one interval is built for each search and each kept class, once for a
-    # class that is both, and a class only for each kept one
-    built, kept, searched = _watch_census_builds(monkeypatch)
+    # class that is both, and each kept class is the interval built for it
+    built, searched = _watch_census_builds(monkeypatch)
     (count, bad), = classes._run_census(9, [(4, 6, 7, 8, 9)])
-    bad_minima = {cls.min_elem for cls in bad}
+    bad_minima = {cls.bottom for cls in bad}
     assert count == 84 and len(bad_minima) == 6 and bad_minima & set(searched)
-    assert sorted(built) == sorted(set(searched) | bad_minima)
-    assert sorted(kept) == sorted(bad_minima)
+    assert sorted(i.bottom for i in built) == sorted(set(searched) | bad_minima)
+    assert all(any(cls is interval for interval in built) for cls in bad)
 
 
 @pytest.mark.parametrize("n", [*range(1, 9), pytest.param(9, marks=pytest.mark.long)])
@@ -497,13 +486,13 @@ def _reference_block_census(n, evens, tables, verdicts):
     by ``class_shape``."""
     block = classes.parity_block(n, evens, tables)
     bad = []
-    for key, members, lengths in block:
+    for _, members, lengths in block:
         if self_dual_by_rank(lengths[-1] - lengths[0]):
             continue
         shape = class_shape(members)
-        cls = OddDiagramClass(key, members, lengths)
+        cls = BruhatInterval(members[0], members[-1], members, lengths)
         if shape not in verdicts:
-            verdicts[shape] = duality.has_anti_automorphism(cls.interval)
+            verdicts[shape] = duality.has_anti_automorphism(cls)
         if not verdicts[shape]:
             bad.append(cls)
     return len(block), bad
@@ -515,9 +504,9 @@ def _reference_census_output(n):
     results = [_reference_block_census(n, evens, tables, verdicts)
                for evens in classes.parity_sets(n)]
     bad = sorted((cls for _, block_bad in results for cls in block_bad),
-                 key=lambda cls: cls.min_elem)
+                 key=lambda cls: cls.bottom)
     lines = [f"classes: {sum(count for count, _ in results)}, non-self-dual: {len(bad)}"]
-    lines += [f"  [{format_perm(cls.min_elem)}, {format_perm(cls.max_elem)}]" for cls in bad]
+    lines += [f"  [{format_perm(cls.bottom)}, {format_perm(cls.top)}]" for cls in bad]
     return "\n".join(lines) + "\n"
 
 
@@ -583,10 +572,18 @@ def test_each_census_builds_its_own_suffix_tables(monkeypatch):
     assert {id(holder) for holder in holders} <= {id(tables), id(stores[0]), id(stores[1])}
 
 
-def test_class_interval_is_a_fresh_object():
-    # a class table keeps no cover graph: each access builds a new interval
-    cls = class_of(parse_perm("5431627"))
-    interval = cls.interval
-    assert interval.cover_graph is interval.cover_graph
-    assert cls.interval is not interval
-    assert "cover_graph" not in vars(cls.interval)
+def test_class_stream_keeps_no_class_its_reader_drops(monkeypatch):
+    # each class is made only as the stream yields it, so a class its reader
+    # drops goes with the cover graph cached on it, while the stream is still
+    # in the block; the subclass only adds the slot a weak reference needs
+    class Tracked(BruhatInterval):
+        __slots__ = ("__weakref__",)
+
+    monkeypatch.setattr(classes, "BruhatInterval", Tracked)
+    stream = classes.class_stream(6)
+    cls = next(stream)
+    assert type(cls) is Tracked and cls.cover_graph is cls.cover_graph
+    evens, ref = sorted(cls.bottom[::2]), weakref.ref(cls)
+    del cls
+    assert ref() is None
+    assert sorted(next(stream).bottom[::2]) == evens

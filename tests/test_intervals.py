@@ -4,7 +4,7 @@ from itertools import chain, combinations
 import pytest
 
 from odd_diagrams import classes, intervals, verify
-from odd_diagrams.classes import OddDiagramClass, class_of, classes_of_sn
+from odd_diagrams.classes import class_of, classes_of_sn
 from odd_diagrams.intervals import (
     BruhatInterval,
     hasse_edges,
@@ -176,12 +176,11 @@ def test_hasse_edges_match_cover_filter_on_every_interval_up_to_s5():
 
 def test_hasse_edges_match_cover_filter_on_every_class_of_s7():
     for cls in classes_of_sn(7):
-        interval = cls.interval
-        assert hasse_edges(interval) == _cover_filter_hasse_edges(interval)
+        assert hasse_edges(cls) == _cover_filter_hasse_edges(cls)
 
 
 def test_hasse_edges_match_cover_filter_on_golden_s9_class():
-    interval = class_of(parse_perm("654172839")).interval
+    interval = class_of(parse_perm("654172839"))
     edges = hasse_edges(interval)
     assert edges == _cover_filter_hasse_edges(interval)
     assert edges
@@ -199,7 +198,8 @@ def test_class_covers_check_passes_on_every_class(n, count):
 
 def test_class_covers_check_fails_when_swaps_drop_a_needed_pair(monkeypatch):
     cls = class_of(parse_perm("5431627"))
-    x, y = hasse_edges(cls.interval)[0]
+    # the edge comes from a copy, so ``cls`` caches no cover graph before the check
+    x, y = hasse_edges(class_of(cls.bottom))[0]
     needed = tuple(i for i in range(7) if x[i] != y[i])
     derive = BruhatInterval.swaps.func
     monkeypatch.setattr(BruhatInterval, "swaps",
@@ -234,8 +234,8 @@ def test_swaps_hold_every_reflection_between_members_of_any_set(n):
 @pytest.mark.parametrize("n", range(1, 9))
 def test_class_swaps_are_same_parity_pairs_of_moving_positions(n):
     for cls in classes_of_sn(n):
-        moving = {i for i, column in enumerate(zip(*cls.members)) if len(set(column)) > 1}
-        for i, j in cls.interval.swaps:
+        moving = {i for i, column in enumerate(zip(*cls.elements)) if len(set(column)) > 1}
+        for i, j in cls.swaps:
             assert (j - i) % 2 == 0 and i in moving and j in moving
 
 
@@ -257,12 +257,12 @@ def test_levels_group_members_by_length(n):
     for w in all_perms(n):
         _assert_levels_group_by_length(interval_elements(identity(n), w))
     for cls in classes_of_sn(n):
-        _assert_levels_group_by_length(cls.interval)
+        _assert_levels_group_by_length(cls)
 
 
 def test_to_dot_matches_length_grouped_export():
     intervals = [interval_elements(identity(4), w) for w in all_perms(4)]
-    intervals.append(class_of(parse_perm("5431627")).interval)
+    intervals.append(class_of(parse_perm("5431627")))
     for interval in intervals:
         assert to_dot(interval) == _length_grouped_to_dot(interval)
 
@@ -312,14 +312,14 @@ def test_lifting_engine_matches_bfs_on_seeded_pairs(n):
 
 def test_lifting_engine_matches_bfs_on_every_class_of_s7():
     for cls in classes_of_sn(7):
-        assert interval_elements(cls.min_elem, cls.max_elem).elements == cls.members
-        assert cls.members == _bfs_interval(cls.min_elem, cls.max_elem)
+        assert interval_elements(cls.bottom, cls.top).elements == cls.elements
+        assert cls.elements == _bfs_interval(cls.bottom, cls.top)
 
 
 def test_lifting_engine_matches_bfs_on_golden_s9_class():
     cls = class_of(parse_perm("654172839"))
-    members = interval_elements(cls.min_elem, cls.max_elem).elements
-    assert members == _bfs_interval(cls.min_elem, cls.max_elem) == cls.members
+    members = interval_elements(cls.bottom, cls.top).elements
+    assert members == _bfs_interval(cls.bottom, cls.top) == cls.elements
     assert len(members) == 96
 
 
@@ -431,16 +431,16 @@ def test_two_sided_engine_matches_right_only_engine_on_seeded_pairs_of_s7():
 def test_two_sided_engine_matches_right_only_engine_on_every_class_of_s8():
     table = classes_of_sn(8)
     for cls in table:
-        built = interval_elements(cls.min_elem, cls.max_elem)
-        assert built == _reference_interval_elements(cls.min_elem, cls.max_elem)
-        assert built.elements == cls.members
+        built = interval_elements(cls.bottom, cls.top)
+        assert built == _reference_interval_elements(cls.bottom, cls.top)
+        assert built.elements == cls.elements
     assert len(table) == 13732
 
 
 def test_two_sided_engine_matches_right_only_engine_on_the_5040_member_class():
     cls = class_of(tuple(c for i in range(1, 8) for c in (i, i + 7)))
-    built = interval_elements(cls.min_elem, cls.max_elem)
-    assert built == _reference_interval_elements(cls.min_elem, cls.max_elem)
+    built = interval_elements(cls.bottom, cls.top)
+    assert built == _reference_interval_elements(cls.bottom, cls.top)
     assert len(built) == 5040
 
 
@@ -518,7 +518,7 @@ def test_rebuild_matches_the_former_rebuild_on_seeded_class_intervals(n, count):
     ends = []
     for _ in range(count):
         cls = class_of(tuple(rng.sample(values, n)))
-        ends.append((cls.min_elem, cls.max_elem))
+        ends.append((cls.bottom, cls.top))
     assert _former_rebuild_steps(ends) == set(STEP_KINDS)
 
 
@@ -542,7 +542,7 @@ def test_the_5040_member_class_is_built_by_left_lifts_alone(monkeypatch):
         return step(x, y)
 
     monkeypatch.setattr(intervals, "_lifting_step", recording_step)
-    assert len(interval_elements(cls.min_elem, cls.max_elem)) == 5040
+    assert len(interval_elements(cls.bottom, cls.top)) == 5040
     assert sides == ["left"] * 21
 
 

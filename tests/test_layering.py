@@ -73,3 +73,67 @@ def test_the_imports_between_modules_are_acyclic():
 @pytest.mark.parametrize("module", ["intervals", "polynomials", "duality"])
 def test_interval_layers_know_nothing_of_classes(module):
     assert not _imports(module) & {"classes", "verify", "cli"}
+
+
+def _import_bindings(node: ast.stmt) -> list[str]:
+    """The names a top-level import statement binds, none for ``from
+    __future__`` or any other statement."""
+    if isinstance(node, ast.Import):
+        return [alias.asname or alias.name.split(".")[0] for alias in node.names]
+    if isinstance(node, ast.ImportFrom) and node.module != "__future__":
+        return [alias.asname or alias.name for alias in node.names]
+    return []
+
+
+def _top_level_names(tree: ast.Module) -> set[str]:
+    """The names the module's own statements bind: imports, functions,
+    classes and assignments."""
+    names = set()
+    for node in tree.body:
+        names.update(_import_bindings(node))
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        targets = (node.targets if isinstance(node, ast.Assign)
+                   else [node.target] if isinstance(node, ast.AnnAssign) else [])
+        names.update(leaf.id for target in targets for leaf in ast.walk(target)
+                     if isinstance(leaf, ast.Name))
+    return names
+
+
+def _exported(tree: ast.Module) -> list[str]:
+    """The strings in the module's ``__all__``, [] if it has none."""
+    for node in tree.body:
+        if (isinstance(node, ast.Assign)
+                and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets)):
+            return ast.literal_eval(node.value)
+    return []
+
+
+def _unused_imports(tree: ast.Module) -> list[str]:
+    """The names bound by the module's top-level imports that nothing in it
+    reads, counting a name listed in ``__all__`` as read."""
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    read.update(_exported(tree))
+    return [name for node in tree.body for name in _import_bindings(node) if name not in read]
+
+
+def test_the_import_lint_finds_a_leftover_name():
+    source = ("from __future__ import annotations\nimport os.path\nimport json as j\n"
+              "from .perms import FrozenRecord, Perm, slot_setters\n"
+              "__all__ = ['f']\ndef f(w: Perm) -> str:\n    return os.path.join(j.dumps(w))\n")
+    tree = ast.parse(source)
+    assert _unused_imports(tree) == ["FrozenRecord", "slot_setters"]
+    assert _top_level_names(tree) >= {"os", "j", "Perm", "f", "__all__"}
+    assert _exported(ast.parse("x = 1\n")) == []
+
+
+@pytest.mark.parametrize("module", [module for module in MODULES if module != "__init__"])
+def test_every_top_level_import_is_used(module):
+    # ``__init__`` imports its names to re-export them
+    assert _unused_imports(_tree(module)) == []
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_every_name_in_all_exists(module):
+    tree = _tree(module)
+    assert [name for name in _exported(tree) if name not in _top_level_names(tree)] == []

@@ -134,9 +134,9 @@ def test_factorize_golden():
 @pytest.mark.parametrize("n", range(1, 7))
 def test_factorize_equals_poincare(n):
     for cls in classes_of_sn(n):
-        result = factorize(cls.min_elem, cls.max_elem)
-        assert result.product == poincare(cls.min_elem, cls.max_elem)
-        size = len(interval_elements(cls.min_elem, cls.max_elem))
+        result = factorize(cls.bottom, cls.top)
+        assert result.product == poincare(cls.bottom, cls.top)
+        size = len(interval_elements(cls.bottom, cls.top))
         product_of_lengths = 1
         for m in result.factor_lengths:
             product_of_lengths *= m
@@ -146,16 +146,16 @@ def test_factorize_equals_poincare(n):
 @pytest.mark.parametrize("n", range(2, 7))
 def test_uniformity_and_coverage(n):
     for cls in classes_of_sn(n):
-        if len(cls.members) == 1:
+        if len(cls.elements) == 1:
             continue
-        decomp = decompose(cls.min_elem, cls.max_elem)
+        decomp = decompose(cls.bottom, cls.top)
         step = decomp.step
         assert len({len(b) for b in decomp.blocks}) == 1
         # every member's k-position is an anchor, and the anchored values
         # of the minimum increase
-        for w in cls.members:
+        for w in cls.elements:
             assert 1 <= block_index(w, step) <= step.m
-        values = [cls.min_elem[i - 1] for i in step.anchors]
+        values = [cls.bottom[i - 1] for i in step.anchors]
         assert values == sorted(values)
         # chain construction matches the block extremes
         for i, block in enumerate(decomp.blocks):
@@ -171,9 +171,9 @@ def test_uniformity_and_coverage(n):
 @pytest.mark.parametrize("n", range(1, 6))
 def test_library_accepts_only_the_class_extremes(n):
     for cls in classes_of_sn(n):
-        for u in cls.members:
-            for v in cls.members:
-                if (u, v) == (cls.min_elem, cls.max_elem):
+        for u in cls.elements:
+            for v in cls.elements:
+                if (u, v) == (cls.bottom, cls.top):
                     continue
                 for call in (factorize, anchors, decompose):
                     with pytest.raises(ValueError):
@@ -210,5 +210,5 @@ def _reference_factor_lengths(u, v):
 @pytest.mark.parametrize("n", range(1, 8))
 def test_factor_lengths_match_the_transposition_walk_on_every_class(n):
     for cls in classes_of_sn(n):
-        u, v = cls.min_elem, cls.max_elem
+        u, v = cls.bottom, cls.top
         assert partition._factor_lengths(u, v) == _reference_factor_lengths(u, v)

@@ -398,10 +398,9 @@ def test_class_reflection_counts_from_same_parity_swaps_match_all_pairs(n):
     # length(max) - length(w) for every member w: two passing counts agree
     # member by member. The derived swaps are same-parity pairs at most
     for cls in classes_of_sn(n):
-        interval = cls.interval
-        every_pair = _EveryPair(cls.min_elem, cls.max_elem, cls.members, cls.lengths)
-        assert all((j - i) % 2 == 0 for i, j in interval.swaps)
-        assert carrell_holds(interval) and carrell_holds(every_pair)
+        every_pair = _EveryPair(cls.bottom, cls.top, cls.elements, cls.lengths)
+        assert all((j - i) % 2 == 0 for i, j in cls.swaps)
+        assert carrell_holds(cls) and carrell_holds(every_pair)
 
 
 def test_carrell_reads_lengths_from_the_interval(monkeypatch):

@@ -14,7 +14,7 @@ from pathlib import Path
 import pytest
 
 from odd_diagrams import classes
-from odd_diagrams.classes import OddDiagramClass, class_of
+from odd_diagrams.classes import class_of
 from odd_diagrams.intervals import BruhatInterval, interval_elements
 from odd_diagrams.partition import BlockDecomposition, FactorizationResult, PartitionStep
 from odd_diagrams.perms import parse_perm
@@ -27,13 +27,6 @@ SRC = Path(__file__).resolve().parent.parent / "src"
 # The dataclasses as they were before the value classes were written out.
 # ``_reference_CheckResult`` also has the ``wall_time`` field that
 # ``CheckResult`` gained with its rewrite.
-
-@dataclass(frozen=True)
-class _reference_OddDiagramClass:
-    key: int
-    members: tuple
-    lengths: tuple
-
 
 @dataclass(frozen=True)
 class _reference_BruhatInterval:
@@ -88,8 +81,6 @@ BLOCK = interval_elements(parse_perm("213"), parse_perm("312"))
 
 # each class, its reference, its field names and two sets of field values
 CASES = [
-    (OddDiagramClass, _reference_OddDiagramClass, ("key", "members", "lengths"),
-     (5, ((2, 1, 3), (3, 1, 2)), (1, 2)), (6, ((2, 1, 3), (3, 1, 2)), (1, 2))),
     (BruhatInterval, _reference_BruhatInterval, ("bottom", "top", "elements", "lengths"),
      ((2, 1, 3), (3, 1, 2), ((2, 1, 3), (3, 1, 2)), (1, 2)),
      ((2, 1, 3), (3, 1, 2), ((2, 1, 3), (3, 1, 2)), (1, 3))),
@@ -233,8 +224,9 @@ def test_census_output_of_an_s9_block_survives_a_pickle_round_trip():
     back = pickle.loads(pickle.dumps(result))
     assert back == result
     for cls, copy in zip(bad, back[0][1]):
-        assert (copy.key, copy.members, copy.lengths) == (cls.key, cls.members, cls.lengths)
-        assert copy == class_of(cls.min_elem)
+        assert (copy.bottom, copy.top, copy.elements, copy.lengths) == (
+            cls.bottom, cls.top, cls.elements, cls.lengths)
+        assert copy == class_of(cls.bottom)
 
 
 def test_the_cli_imports_neither_dataclasses_nor_inspect_nor_typing():
