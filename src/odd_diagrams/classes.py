@@ -14,7 +14,7 @@ from operator import itemgetter
 
 from .diagrams import legal_swap, odd_diagram_key
 from .duality import has_anti_automorphism, is_self_dual, self_dual_by_rank
-from .intervals import BruhatInterval, interval_elements, rank_counts
+from .intervals import BruhatInterval, interval_elements, rank_vector
 from .partition import _factor_lengths, check_class_size
 from .perms import Perm, format_perm
 from .polynomials import carrell_holds
@@ -43,8 +43,8 @@ SUFFIX = 4
 
 # a class as ``parity_block`` gives it: key, sorted members, their lengths
 ClassFields = tuple[int, tuple[Perm, ...], tuple[int, ...]]
-# a class as ``parity_block_ends`` gives it: key, (minimum, its length), (maximum, its length)
-ClassEnds = tuple[int, tuple[Perm, int], tuple[Perm, int]]
+# a class as ``parity_block_ends`` gives it: key, minimum, maximum, rank
+ClassEnds = tuple[int, Perm, Perm, int]
 
 # a class with every position its members share deleted, standardized:
 # its two ends from ``ends_shape``, all its members from ``class_shape``
@@ -140,11 +140,11 @@ def parity_block(n: int, evens: tuple[int, ...], tables: dict) -> list[ClassFiel
 
 def parity_block_ends(n: int, evens: tuple[int, ...], tables: dict) -> list[ClassEnds]:
     """The classes of ``parity_block`` with only their ends: each as its key,
-    then its first and last member, each with its length. Bruhat order
-    refines lexicographic order, so these are the class minimum and maximum
-    (Theorem B), and the rank is the difference of the two lengths; no
-    member tuple of a class is built. ``tables`` is the store of suffix
-    tables of ``_block_leaves``."""
+    its first and last member, and its rank, the last member's length less
+    the first's. Bruhat order refines lexicographic order, so these are the
+    class minimum and maximum (Theorem B), and the class is the interval
+    between them; no member tuple of a class is built. ``tables`` is the
+    store of suffix tables of ``_block_leaves``."""
     first: dict[int, tuple[Perm, int]] = {}
     last: dict[int, tuple[Perm, int]] = {}
     for prefix, key, inv, table in _block_leaves(n, evens, tables):
@@ -155,7 +155,8 @@ def parity_block_ends(n: int, evens: tuple[int, ...], tables: dict) -> list[Clas
                 first[key_w] = end
             last[key_w] = end
     # both dicts gained their keys in the same order
-    return [(key, lo, hi) for (key, lo), hi in zip(first.items(), last.values())]
+    return [(key, lo, hi, hi_length - lo_length)
+            for (key, (lo, lo_length)), (hi, hi_length) in zip(first.items(), last.values())]
 
 
 def _block_leaves(n: int, evens: tuple[int, ...],
@@ -297,51 +298,45 @@ def non_self_dual_classes(classes: list[BruhatInterval]) -> list[BruhatInterval]
     return [c for c in classes if not is_self_dual(c)]
 
 
-def _block_census(n: int, evens: tuple[int, ...], tables: dict,
-                  verdicts: dict) -> tuple[int, list[BruhatInterval]]:
-    """The number of classes in one parity block of S_n, and those that are
-    not self-dual, from the ends of ``parity_block_ends``. The classes that
-    ``self_dual_by_rank`` settles are dropped by their lengths; of the rest
-    one class per ``ends_shape`` is searched, and ``verdicts`` keeps the
-    answer by shape. An interval is built for a search and for a class that
-    is kept, once if it is both. ``tables`` is the store of suffix tables."""
-    block = parity_block_ends(n, evens, tables)
-    bad = []
-    for _, (lo, lo_length), (hi, hi_length) in block:
-        if self_dual_by_rank(hi_length - lo_length):
-            continue
-        shape = ends_shape(lo, hi)
-        interval = None
-        if shape not in verdicts:
-            interval = interval_elements(lo, hi)
-            verdicts[shape] = has_anti_automorphism(interval)
-        if not verdicts[shape]:
-            if interval is None:
-                interval = interval_elements(lo, hi)
-            bad.append(interval)
-    return len(block), bad
-
-
-def _run_census(n: int, run: list[tuple[int, ...]]) -> list[tuple[int, list[BruhatInterval]]]:
-    """``_block_census`` of each parity block in ``run``, the blocks sharing
-    one store of suffix tables and one memo of verdicts by ``ends_shape``,
-    both of which end with the run."""
+def _run_census(n: int, run: list[tuple[int, ...]]) -> tuple[int, list[tuple[Perm, Perm]]]:
+    """The number of classes in the parity blocks of S_n in ``run``, and the
+    ends of those that are not self-dual, from ``parity_block_ends``. The
+    classes that ``self_dual_by_rank`` settles are dropped by their rank; of
+    the rest one class per ``ends_shape`` is built and searched. The blocks
+    share one store of suffix tables and one memo of verdicts by shape, both
+    of which end with the run."""
     tables: dict = {}
     verdicts: dict[Shape, bool] = {}
+    count = 0
+    kept = []
     with _collector_paused():
-        return [_block_census(n, evens, tables, verdicts) for evens in run]
+        for evens in run:
+            block = parity_block_ends(n, evens, tables)
+            count += len(block)
+            for _, lo, hi, rank in block:
+                if self_dual_by_rank(rank):
+                    continue
+                shape = ends_shape(lo, hi)
+                verdict = verdicts.get(shape)
+                if verdict is None:
+                    verdict = verdicts[shape] = has_anti_automorphism(interval_elements(lo, hi))
+                if not verdict:
+                    kept.append((lo, hi))
+            # freed before the next block is swept, not as that sweep returns
+            del block
+    return count, kept
 
 
 def census(n: int, jobs: int = 1) -> tuple[int, list[BruhatInterval]]:
     """The number of odd diagram classes of S_n, and those that are not
     self-dual, each as its ``BruhatInterval``, sorted by minimum. No table of
-    S_n is held: each parity block is swept for the ends of its classes only,
-    and decided whole. The blocks are dealt out in turn to ``jobs`` workers (as
-    in ``resolve_jobs``), and each worker sweeps its run of blocks with one
-    store of suffix tables and one memo of verdicts by ``ends_shape``: the
-    66,795 classes of S_10 that the rank leaves open have 389 shapes, and
-    only those 389 searches and the 118 classes kept build their
-    members."""
+    S_n is held: each parity block is swept for the ends of its classes only.
+    The blocks are dealt out in turn to ``jobs`` workers (as in
+    ``resolve_jobs``), and each worker's ``_run_census`` sweeps its run of
+    blocks and returns its count and the ends of the classes it keeps: the
+    66,795 classes of S_10 that the rank leaves open have 389 shapes, so a
+    run builds 389 intervals at most, and the 118 classes kept are built
+    here, once each, from their ends."""
     jobs = resolve_jobs(jobs)
     blocks = parity_sets(n)
     task = functools.partial(_run_census, n)
@@ -350,12 +345,10 @@ def census(n: int, jobs: int = 1) -> tuple[int, list[BruhatInterval]]:
 
         with multiprocessing.Pool(jobs) as pool:
             runs = pool.map(task, [blocks[i::jobs] for i in range(jobs)], chunksize=1)
-        results = [result for run in runs for result in run]
     else:
-        results = task(blocks)
-    bad = sorted((cls for _, block_bad in results for cls in block_bad),
-                 key=lambda cls: cls.bottom)
-    return sum(count for count, _ in results), bad
+        runs = [task(blocks)]
+    kept = sorted(ends for _, run_kept in runs for ends in run_kept)
+    return sum(count for count, _ in runs), [interval_elements(lo, hi) for lo, hi in kept]
 
 
 def non_self_dual_census(n: int, jobs: int = 1) -> int:
@@ -466,7 +459,7 @@ def _record_text(key: int, lo: Perm, hi: Perm, rank: int, memo: _ReportMemo) -> 
         if entry is None:
             interval = interval_elements(lo, hi)
             entry = memo.by_shape[shape] = _entry(
-                rank_counts(interval.lengths), carrell_holds(interval), is_self_dual(interval),
+                rank_vector(interval), carrell_holds(interval), is_self_dual(interval),
                 _factor_lengths(lo, hi))
         size, tail = entry
     rows = memo.rows
@@ -480,8 +473,9 @@ def write_report(n: int, out: TextIOBase) -> int:
     ``out``, and return their number: the header, then one record a line,
     by class minimum, each the text of ``_record_text``. S_n is swept as
     the census sweeps it, by ``parity_block_ends`` with one store of suffix
-    tables and the collector paused, so only each class's key and ends are
-    held: about 430 MB for S_10. The row texts and the entries by rank and
+    tables and the collector paused, so each class is held only as the
+    sweep's (key, min, max, rank), sorted by the minimum: about 345 MB for
+    S_10. The row texts and the entries by rank and
     by shape (13 shapes for the 171 classes of S_7 of rank >= 3) are kept
     until the report is written. ValueError for n < 1."""
     tables: dict = {}
@@ -490,8 +484,8 @@ def write_report(n: int, out: TextIOBase) -> int:
         ends.sort(key=itemgetter(1))
         memo = _ReportMemo(n)
         out.write(f'{{"schema": 1, "n": {n}, "classes": [')
-        for i, (key, (lo, lo_length), (hi, hi_length)) in enumerate(ends):
+        for i, (key, lo, hi, rank) in enumerate(ends):
             out.write(",\n" if i else "\n")
-            out.write(_record_text(key, lo, hi, hi_length - lo_length, memo))
+            out.write(_record_text(key, lo, hi, rank, memo))
         out.write("\n]}\n")
     return len(ends)

@@ -113,8 +113,8 @@ def cmd_hasse(args) -> int:
 def check_sweep_degree(command: str, n: int, long: bool) -> None:
     """ValueError unless ``command``, ``census`` or ``classes``, may sweep S_n:
     neither goes past n = 10, which --long cannot lift, and n = 10 needs
-    --long (S_10 has 3.6M permutations). The report holds the key and ends
-    of every class, about 430 MB at n = 10."""
+    --long (S_10 has 3.6M permutations). The report holds the key, ends and
+    rank of every class, about 345 MB at n = 10."""
     if n < 1:
         raise ValueError("n must be positive")
     if n > 10:

@@ -10,7 +10,6 @@ from .perms import FrozenRecord, Perm, bruhat_leq, format_perm, length, slot_set
 __all__ = [
     "BruhatInterval",
     "interval_elements",
-    "rank_counts",
     "rank_vector",
     "hasse_edges",
     "to_dot",
@@ -208,21 +207,15 @@ def _cached_interval(u: Perm, v: Perm) -> BruhatInterval:
     return interval_elements(u, v)
 
 
-def rank_counts(lengths: tuple[int, ...]) -> tuple[int, ...]:
-    """counts[r] = number of the ``lengths`` equal to lengths[0] + r: the
-    rank vector of an interval or class from its carried lengths, which
-    start at the bottom's and end at the top's (members in sorted order)."""
+def rank_vector(interval: BruhatInterval) -> tuple[int, ...]:
+    """counts[r] = number of members at length(bottom) + r, read from the
+    carried lengths, which start at the bottom's and end at the top's."""
+    lengths = interval.lengths
     base = lengths[0]
     counts = [0] * (lengths[-1] - base + 1)
     for lw in lengths:
         counts[lw - base] += 1
     return tuple(counts)
-
-
-def rank_vector(interval: BruhatInterval) -> tuple[int, ...]:
-    """counts[r] = number of members at length(bottom) + r: ``rank_counts``
-    of the carried lengths."""
-    return rank_counts(interval.lengths)
 
 
 def hasse_edges(interval: BruhatInterval) -> list[tuple[Perm, Perm]]:

@@ -362,6 +362,7 @@ def test_report_builds_an_interval_only_from_rank_3(n, ranked, count, monkeypatc
     monkeypatch.setattr(BruhatInterval, "cover_graph", property(checked_cover_graph))
     monkeypatch.setattr(intervals, "rank_vector", checked_rank_vector)
     monkeypatch.setattr(duality, "rank_vector", checked_rank_vector)
+    monkeypatch.setattr(classes, "rank_vector", checked_rank_vector)
     records = json.loads(_report_text(n))["classes"]
     table = classes_of_sn(n)
     assert len(records) == len(table) == count
@@ -376,7 +377,7 @@ REPORT_SHA256 = {
     7: "0f5e6eee6204aeee0d47dbacfcc7ced9728b13dffca1074f25d2ce7a0b91365b",
     8: "97e5d62bc3c0aa01d18948e06d25b35f87886255456cb893aff36db7c422173f",
     9: "5aa699eeba0f59c1210ebcb3fb719a579c0f5210825048b71ac38a941b89cebb",
-    # 882,213 classes, 268 MB; the sweep holds every class's key and ends, about 430 MB
+    # 882,213 classes, 268 MB; the report holds every class's key, ends and rank, about 345 MB
     10: "ba38a79e07ddc2c119ac3419af79b01898f3b1f8d308a848b2cc20113def44c4",
 }
 
@@ -588,13 +589,16 @@ def test_parity_block_returns_what_the_position_sweep_returned(n):
 @pytest.mark.parametrize("n", [*range(1, 9), pytest.param(9, marks=pytest.mark.long)])
 def test_parity_block_ends_are_the_first_and_last_members(n):
     # the ends sweep against the member sweep, block by block: keys, class
-    # order, first and last member and their lengths, with the suffix tables
-    # shared across the blocks of S_n
+    # order, first and last member, with the suffix tables shared across the
+    # blocks of S_n; the rank is the difference of the ends' lengths, each
+    # computed by ``length``, not carried
     tables = {}
     for evens in classes.parity_sets(n):
-        expected = [(key, (members[0], lengths[0]), (members[-1], lengths[-1]))
-                    for key, members, lengths in classes.parity_block(n, evens, {})]
-        assert classes.parity_block_ends(n, evens, tables) == expected
+        ends = classes.parity_block_ends(n, evens, tables)
+        assert [end[:3] for end in ends] == [
+            (key, members[0], members[-1])
+            for key, members, _ in classes.parity_block(n, evens, {})]
+        assert all(rank == length(hi) - length(lo) for _, lo, hi, rank in ends)
 
 
 def _reference_block_leaves(n, evens, tables):
@@ -848,9 +852,9 @@ def test_class_shapes_check_fails_on_a_rank_vector_that_depends_on_more_than_the
     # a rank vector with an extra empty rank where the bottom's length is odd:
     # classes of one shape whose bottoms differ in the parity of their length
     # then get two rank vectors
-    real = intervals.rank_counts
-    monkeypatch.setattr(intervals, "rank_counts",
-                        lambda lengths: real(lengths) + (0,) * (lengths[0] % 2))
+    real = intervals.rank_vector
+    monkeypatch.setattr(intervals, "rank_vector",
+                        lambda interval: real(interval) + (0,) * (interval.lengths[0] % 2))
     check = verify.run_checks(5, ["class_shapes"]).checks[0]
     assert (check.passed, check.failed) == (37, 33)
     assert check.findings[0] == {"min": "14352", "max": "15342"}

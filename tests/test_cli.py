@@ -208,8 +208,7 @@ def test_census_list_prints_non_self_dual_intervals(monkeypatch, capsys):
     # one parity block holding the two classes, as the census sweeps it: by their ends
     monkeypatch.setattr(classes_mod, "parity_sets", lambda n: [None])
     monkeypatch.setattr(classes_mod, "parity_block_ends", lambda n, evens, tables: [
-        (diagrams.odd_diagram_key(c.bottom), (c.bottom, c.lengths[0]), (c.top, c.lengths[-1]))
-        for c in table])
+        (diagrams.odd_diagram_key(c.bottom), c.bottom, c.top, c.rank) for c in table])
     assert run(["census", "--n", "9", "--list", "--jobs", "1"]) == 0
     out = capsys.readouterr().out
     assert out == "classes: 2, non-self-dual: 1\n  [654172839, 958172634]\n"
@@ -235,9 +234,9 @@ def test_census_jobs_2_prints_what_jobs_1_prints(capsys):
     assert capsys.readouterr().out == serial == "classes: 13732, non-self-dual: 0\n"
 
 
-@pytest.mark.long
 @pytest.mark.skipif((os.cpu_count() or 1) < 2, reason="--jobs 2 needs two cores")
 def test_census_n9_jobs_2_prints_what_jobs_1_prints(capsys):
+    # a worker sends the ends of the 8 classes kept back to the parent, which builds them
     assert run(["census", "--n", "9", "--list", "--jobs", "1"]) == 0
     serial = capsys.readouterr().out
     assert run(["census", "--n", "9", "--list", "--jobs", "2"]) == 0

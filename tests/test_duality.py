@@ -457,17 +457,27 @@ def test_census_builds_and_searches_only_classes_above_rank_3(monkeypatch):
     assert set(shapes) == {class_shape(c.elements) for c in open_classes.values()}
 
 
-def test_census_builds_a_class_it_searches_and_keeps_once(monkeypatch):
+def test_census_runs_return_ends_and_the_census_builds_each_kept_class(monkeypatch):
     # the parity block of S_9 with 4, 6, 7, 8, 9 at the even positions holds 6
-    # of the 8 non-self-dual classes, some of them the first of their shape:
-    # one interval is built for each search and each kept class, once for a
-    # class that is both, and each kept class is the interval built for it
+    # of the 8 non-self-dual classes: a run builds one interval per shape it
+    # searches and returns each kept class as its plain (min, max) ends, and
+    # the census then builds one interval for each class kept
     built, searched = _watch_census_builds(monkeypatch)
-    (count, bad), = classes._run_census(9, [(4, 6, 7, 8, 9)])
-    bad_minima = {cls.bottom for cls in bad}
-    assert count == 84 and len(bad_minima) == 6 and bad_minima & set(searched)
-    assert sorted(i.bottom for i in built) == sorted(set(searched) | bad_minima)
-    assert all(any(cls is interval for interval in built) for cls in bad)
+    count, kept = classes._run_census(9, [(4, 6, 7, 8, 9)])
+    assert count == 84 and len(kept) == 6
+    assert all(type(lo) is type(hi) is tuple for lo, hi in kept)
+    assert [i.bottom for i in built] == searched
+    assert len(searched) == len({class_shape(i.elements) for i in built})
+    assert {lo for lo, _ in kept} & set(searched)
+    built.clear()
+    searched.clear()
+    count, bad = census(9)
+    assert count == 103873 and len(bad) == 8
+    # the census's searches, then one interval per kept class, in order
+    searches = len(searched)
+    assert [i.bottom for i in built[:searches]] == searched
+    assert len(built) == searches + 8
+    assert all(cls is interval for cls, interval in zip(bad, built[searches:]))
 
 
 @pytest.mark.parametrize("n", [*range(1, 9), pytest.param(9, marks=pytest.mark.long)])
@@ -519,9 +529,9 @@ def test_census_list_prints_what_the_member_census_printed(n, capsys):
 def test_s9_block_census_keeps_the_classes_of_the_member_census():
     # the block of S_9 that holds 6 of the 8 non-self-dual classes, whole
     evens = (4, 6, 7, 8, 9)
-    expected = _reference_block_census(9, evens, {}, {})
-    assert classes._block_census(9, evens, {}, {}) == expected
-    assert len(expected[1]) == 6
+    count, bad = _reference_block_census(9, evens, {}, {})
+    assert classes._run_census(9, [evens]) == (count, [(cls.bottom, cls.top) for cls in bad])
+    assert len(bad) == 6
 
 
 @pytest.mark.parametrize("n, shapes",
@@ -530,8 +540,8 @@ def test_classes_of_rank_4_and_up_have_the_known_number_of_ends_shapes(n, shapes
     tables = {}
     found = {classes.ends_shape(lo, hi)
              for evens in classes.parity_sets(n)
-             for _, (lo, lo_length), (hi, hi_length) in classes.parity_block_ends(n, evens, tables)
-             if hi_length - lo_length >= 4}
+             for _, lo, hi, rank in classes.parity_block_ends(n, evens, tables)
+             if rank >= 4}
     assert len(found) == shapes
 
 
