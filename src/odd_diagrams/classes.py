@@ -271,8 +271,7 @@ def class_stream(n: int) -> Iterator[BruhatInterval]:
         with _collector_paused():
             block = parity_block(n, evens, tables)
         for _, members, lengths in block:
-            yield BruhatInterval(members[0], members[-1], members,
-                                 shared.setdefault(lengths, lengths))
+            yield BruhatInterval(members, shared.setdefault(lengths, lengths))
 
 
 def classes_of_sn(n: int) -> list[BruhatInterval]:

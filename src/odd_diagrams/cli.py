@@ -99,14 +99,15 @@ def cmd_rpoly(args) -> int:
 
 def cmd_hasse(args) -> int:
     u, v = _interval_args(args)
-    interval = intervals.interval_elements(u, v, max_members=_member_budget(args))
-    dot = intervals.to_dot(interval)
+    # the path is opened before the interval is built, so one that cannot be written fails
+    # at once, and emptied only once it is built, so a rejected interval leaves it as it was
+    with (open(args.dot, "a") if args.dot else contextlib.nullcontext(sys.stdout)) as out:
+        interval = intervals.interval_elements(u, v, max_members=_member_budget(args))
+        if args.dot:
+            out.truncate(0)
+        out.write(intervals.to_dot(interval) + "\n")
     if args.dot:
-        with open(args.dot, "w") as fh:
-            fh.write(dot + "\n")
         print(f"wrote {args.dot} ({len(interval)} nodes)")
-    else:
-        print(dot)
     return 0
 
 

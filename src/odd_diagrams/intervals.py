@@ -5,7 +5,7 @@ from functools import cached_property, lru_cache
 from itertools import combinations
 from operator import itemgetter, le
 
-from .perms import FrozenRecord, Perm, bruhat_leq, format_perm, length, slot_setters
+from .perms import FrozenRecord, Perm, bruhat_leq, format_perm, length
 
 __all__ = [
     "BruhatInterval",
@@ -17,29 +17,32 @@ __all__ = [
 
 
 class BruhatInterval(FrozenRecord):
-    """An interval [bottom, top] with its sorted member list and the
-    members' lengths, aligned with it. Bruhat order refines lexicographic
-    order, so the first member is the bottom and the last the top, and the
-    first and last lengths are theirs."""
+    """An interval by its sorted member list and the members' lengths,
+    aligned with it. Bruhat order refines lexicographic order, so the first
+    member is the bottom and the last the top, and the first and last
+    lengths are theirs."""
 
-    _fields = ("bottom", "top", "elements", "lengths")
+    _fields = ("elements", "lengths")
     # the cached properties below are kept in __dict__
     __slots__ = _fields + ("__dict__",)
-    bottom: Perm
-    top: Perm
     elements: tuple[Perm, ...]
     lengths: tuple[int, ...]
 
-    def __init__(self, bottom: Perm, top: Perm, elements: tuple[Perm, ...],
-                 lengths: tuple[int, ...]):
-        _set_bottom(self, bottom)
-        _set_top(self, top)
-        _set_elements(self, elements)
-        _set_lengths(self, lengths)
+    def __init__(self, elements: tuple[Perm, ...], lengths: tuple[int, ...]):
+        object.__setattr__(self, "elements", elements)
+        object.__setattr__(self, "lengths", lengths)
+
+    @property
+    def bottom(self) -> Perm:
+        return self.elements[0]
+
+    @property
+    def top(self) -> Perm:
+        return self.elements[-1]
 
     @property
     def n(self) -> int:
-        return len(self.bottom)
+        return len(self.elements[0])
 
     @cached_property
     def swaps(self) -> list[tuple[int, int]]:
@@ -85,9 +88,6 @@ class BruhatInterval(FrozenRecord):
 
     def __len__(self) -> int:
         return len(self.elements)
-
-
-_set_bottom, _set_top, _set_elements, _set_lengths = slot_setters(BruhatInterval)
 
 
 @lru_cache(maxsize=1024)
@@ -194,7 +194,7 @@ def interval_elements(u: Perm, v: Perm, max_members: int | None = None) -> Bruha
             raise ValueError(f"building [{format_perm(u)}, {format_perm(v)}] takes more than "
                              f"{max_members} members; pass --long to run anyway")
     elements = tuple(sorted(members))
-    return BruhatInterval(u, v, elements, tuple(map(members.__getitem__, elements)))
+    return BruhatInterval(elements, tuple(map(members.__getitem__, elements)))
 
 
 # The intervals of ``polynomials.poincare`` and ``carrell_condition``. Its hits

@@ -33,19 +33,25 @@ MEMBER_BUDGET = 50_000
 
 
 class PartitionStep(FrozenRecord):
-    """The split data for one extreme pair (u, v)."""
+    """The split data for one extreme pair (u, v): the first value k where
+    they differ, and the anchor positions a = u^-1(k) through b = v^-1(k),
+    the first and last of them."""
 
-    __slots__ = _fields = ("k", "a", "b", "anchors")
+    __slots__ = _fields = ("k", "anchors")
     k: int
-    a: int
-    b: int
     anchors: tuple[int, ...]
 
-    def __init__(self, k: int, a: int, b: int, anchors: tuple[int, ...]):
+    def __init__(self, k: int, anchors: tuple[int, ...]):
         object.__setattr__(self, "k", k)
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "b", b)
         object.__setattr__(self, "anchors", anchors)
+
+    @property
+    def a(self) -> int:
+        return self.anchors[0]
+
+    @property
+    def b(self) -> int:
+        return self.anchors[-1]
 
     @property
     def m(self) -> int:
@@ -53,30 +59,39 @@ class PartitionStep(FrozenRecord):
 
 
 class BlockDecomposition(FrozenRecord):
-    __slots__ = _fields = ("step", "blocks", "u_chain", "v_chain")
+    """The blocks of a class in anchor order, each the interval between its
+    ends: the u-chain of the block minima and the v-chain of their maxima."""
+
+    __slots__ = _fields = ("step", "blocks")
     step: PartitionStep
     blocks: tuple[BruhatInterval, ...]
-    u_chain: tuple[Perm, ...]
-    v_chain: tuple[Perm, ...]
 
-    def __init__(self, step: PartitionStep, blocks: tuple[BruhatInterval, ...],
-                 u_chain: tuple[Perm, ...], v_chain: tuple[Perm, ...]):
+    def __init__(self, step: PartitionStep, blocks: tuple[BruhatInterval, ...]):
         object.__setattr__(self, "step", step)
         object.__setattr__(self, "blocks", blocks)
-        object.__setattr__(self, "u_chain", u_chain)
-        object.__setattr__(self, "v_chain", v_chain)
+
+    @property
+    def u_chain(self) -> tuple[Perm, ...]:
+        return tuple([block.bottom for block in self.blocks])
+
+    @property
+    def v_chain(self) -> tuple[Perm, ...]:
+        return tuple([block.top for block in self.blocks])
 
 
 class FactorizationResult(FrozenRecord):
-    """Factor term counts in recursion order and their expanded product."""
+    """Factor term counts in recursion order; their expanded product is the
+    Poincare polynomial."""
 
-    __slots__ = _fields = ("factor_lengths", "product")
+    __slots__ = _fields = ("factor_lengths",)
     factor_lengths: tuple[int, ...]
-    product: IntPolynomial
 
-    def __init__(self, factor_lengths: tuple[int, ...], product: IntPolynomial):
+    def __init__(self, factor_lengths: tuple[int, ...]):
         object.__setattr__(self, "factor_lengths", factor_lengths)
-        object.__setattr__(self, "product", product)
+
+    @property
+    def product(self) -> IntPolynomial:
+        return expand_factors(self.factor_lengths)
 
 
 def _require_class_extremes(u: Perm, v: Perm) -> None:
@@ -92,20 +107,15 @@ def _require_class_extremes(u: Perm, v: Perm) -> None:
 
 
 def anchors(u: Perm, v: Perm) -> PartitionStep:
-    """Anchor positions between u^-1(k) and v^-1(k).
+    """The first difference k of u and v and the anchor positions between
+    u^-1(k) and v^-1(k).
 
     Requires u != v, the minimum and maximum of one odd diagram class
     (ValueError otherwise).  The anchor values u(a_1) < ... < u(a_m) are
     increasing and all anchors share one parity; both facts are asserted.
     """
     _require_class_extremes(u, v)
-    return _anchor_step(u, v)
-
-
-def _anchor_step(u: Perm, v: Perm) -> PartitionStep:
-    """``anchors`` for a pair already known to be the extremes of a class."""
-    k, positions = _anchor_positions(u, v)
-    return PartitionStep(k, positions[0], positions[-1], positions)
+    return PartitionStep(*_anchor_positions(u, v))
 
 
 def _anchor_positions(u: Perm, v: Perm) -> tuple[int, tuple[int, ...]]:
@@ -150,55 +160,37 @@ def phi(w: Perm, step: PartitionStep, i: int) -> Perm:
     return right_transpose(w, (step.anchors[i - 1], step.anchors[i]))
 
 
-def _chains(u: Perm, v: Perm, step: PartitionStep) -> tuple[tuple[Perm, ...], tuple[Perm, ...]]:
-    u_chain = [u]
-    for i in range(step.m - 1):
-        pair = (step.anchors[i], step.anchors[i + 1])
-        u_chain.append(right_transpose(u_chain[-1], pair))
-    v_chain = [v]
-    for i in range(step.m - 2, -1, -1):
-        pair = (step.anchors[i], step.anchors[i + 1])
-        v_chain.append(right_transpose(v_chain[-1], pair))
-    v_chain.reverse()
-    return tuple(u_chain), tuple(v_chain)
-
-
 def decompose(u: Perm, v: Perm, max_members: int | None = None) -> BlockDecomposition:
-    """Split [u, v] into its anchor-indexed blocks and verify each block is
-    the Bruhat interval between its chain elements. With ``max_members``,
-    ``check_class_size`` runs before any member is built."""
+    """Split [u, v] into its anchor-indexed blocks and verify that they are
+    equal in size and that each is the Bruhat interval between its first and
+    last member. With ``max_members``, ``check_class_size`` runs before any
+    member is built."""
     step = anchors(u, v)
     if max_members is not None:
         check_class_size(u, v, max_members)
-    parent = interval_elements(u, v)
     groups: list[list[Perm]] = [[] for _ in range(step.m)]
-    for w in parent.elements:
+    for w in interval_elements(u, v).elements:
         groups[block_index(w, step) - 1].append(w)
-    u_chain, v_chain = _chains(u, v, step)
-    blocks = []
-    for i in range(step.m):
-        block = interval_elements(u_chain[i], v_chain[i])
-        if block.elements != tuple(groups[i]):
-            raise AssertionError(
-                f"block {i + 1} of [{format_perm(u)}, {format_perm(v)}] is not "
-                f"the interval [{format_perm(u_chain[i])}, {format_perm(v_chain[i])}]"
-            )
-        blocks.append(block)
-    sizes = {len(b) for b in blocks}
-    if len(sizes) != 1:
+    if len({len(group) for group in groups}) != 1:
         raise AssertionError(
             f"non-uniform partition of [{format_perm(u)}, {format_perm(v)}]: "
-            f"{[len(b) for b in blocks]}"
+            f"{[len(group) for group in groups]}"
         )
-    return BlockDecomposition(step, tuple(blocks), u_chain, v_chain)
+    blocks = tuple([interval_elements(group[0], group[-1]) for group in groups])
+    for i, (block, group) in enumerate(zip(blocks, groups), start=1):
+        if block.elements != tuple(group):
+            raise AssertionError(
+                f"block {i} of [{format_perm(u)}, {format_perm(v)}] is not "
+                f"the interval [{format_perm(group[0])}, {format_perm(group[-1])}]"
+            )
+    return BlockDecomposition(step, blocks)
 
 
 def factorize(u: Perm, v: Perm) -> FactorizationResult:
     """Factor the Poincare polynomial of the class [u, v]. Raises ValueError
     unless u and v are the minimum and maximum of one odd diagram class."""
     _require_class_extremes(u, v)
-    factors = _factor_lengths(u, v)
-    return FactorizationResult(factors, expand_factors(factors))
+    return FactorizationResult(_factor_lengths(u, v))
 
 
 def check_class_size(u: Perm, v: Perm, max_members: int) -> None:

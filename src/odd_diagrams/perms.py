@@ -21,7 +21,6 @@ __all__ = [
     "Transposition",
     "Record",
     "FrozenRecord",
-    "slot_setters",
     "make_permutation",
     "parse_perm",
     "format_perm",
@@ -72,8 +71,8 @@ class FrozenRecord(Record):
     """An immutable ``Record``: assigning or deleting an attribute raises
     AttributeError, and it hashes by its fields. A subclass keeps its fields
     in ``__slots__``, and its ``__init__`` sets them with
-    ``object.__setattr__``, or with ``slot_setters`` where construction is
-    hot."""
+    ``object.__setattr__``. The fields hold only what cannot be derived from
+    one another; what can is a property."""
 
     __slots__ = ()
 
@@ -85,13 +84,6 @@ class FrozenRecord(Record):
 
     def __hash__(self) -> int:
         return hash(self._astuple())
-
-
-def slot_setters(cls: type) -> tuple:
-    """The setter of each slot of ``cls`` named in its ``_fields``, in order:
-    they fill a ``FrozenRecord`` without its refusing ``__setattr__``, in
-    about half the time of ``object.__setattr__``."""
-    return tuple(vars(cls)[name].__set__ for name in cls._fields)
 
 
 def make_permutation(values: Iterable[int]) -> Perm:

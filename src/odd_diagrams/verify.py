@@ -156,24 +156,24 @@ def check_legality_sufficiency(n: int, rng, result: CheckResult) -> None:
 
 
 def check_uniform_partition(n: int, rng, result: CheckResult) -> None:
-    """Blocks are equal-sized intervals; phi maps each member to a cover."""
+    """Blocks are equal-sized intervals; phi maps each member to a cover in
+    the next block, and each block's ends to the next block's ends, so the
+    u- and v-chains are the anchor transpositions of the class's ends."""
     for cls in classes_mod.class_stream(n):
         if len(cls) == 1:
             continue
         try:
             decomp = partition.decompose(cls.bottom, cls.top)
-        except AssertionError as exc:
+        except (AssertionError, ValueError) as exc:
             result.record(False, {"min": perms.format_perm(cls.bottom), "error": str(exc)})
             continue
         ok = True
         step = decomp.step
-        for i, block in enumerate(decomp.blocks[:-1], start=1):
-            for w in block.elements:
-                image = partition.phi(w, step, i)
-                if not perms.covers(w, image):
-                    ok = False
-                if partition.block_index(image, step) != i + 1:
-                    ok = False
+        for i, (block, after) in enumerate(zip(decomp.blocks, decomp.blocks[1:]), start=1):
+            images = [partition.phi(w, step, i) for w in block.elements]
+            ok = (ok and all(map(perms.covers, block.elements, images))
+                  and all(partition.block_index(x, step) == i + 1 for x in images)
+                  and (images[0], images[-1]) == (after.bottom, after.top))
         result.record(ok, {"min": perms.format_perm(cls.bottom)})
 
 

@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import os
 import time
@@ -5,6 +7,9 @@ import tracemalloc
 from pathlib import Path
 
 import pytest
+from conftest import perm_pair_strategy, perm_strategy
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from odd_diagrams import classes as classes_mod
 from odd_diagrams import cli, diagrams, intervals, partition, polynomials, verify
@@ -58,6 +63,13 @@ def test_hasse_dot(tmp_path, capsys):
     dot = path.read_text()
     assert dot.startswith("graph")
     assert dot.count("--") == 8
+    # a second run replaces a longer file whole, and prints what it wrote
+    path.write_text("x" * 10_000)
+    assert run(["hasse", "--interval", "123", "321", "--dot", str(path)]) == 0
+    assert path.read_text() == dot
+    capsys.readouterr()
+    assert run(["hasse", "--interval", "123", "321"]) == 0
+    assert capsys.readouterr().out == dot
 
 
 def test_classes_report(tmp_path, capsys):
@@ -564,7 +576,7 @@ def test_extremes_check_runs_before_any_work(monkeypatch, capsys):
         raise AssertionError("work started before the extremes were checked")
 
     monkeypatch.setattr(partition, "_factor_lengths", fail)
-    monkeypatch.setattr(partition, "_anchor_step", fail)
+    monkeypatch.setattr(partition, "_anchor_positions", fail)
     assert run(["factorize", "--interval", "7461523", "5431627"]) == 2
     assert run(["partition", "--interval", "7461523", "5431627"]) == 2
 
@@ -678,6 +690,7 @@ def test_unwritable_output_path_exits_2(argv, tmp_path, capsys):
 
 @pytest.mark.parametrize("argv", [
     ["classes", "--n", "9", "--out"],
+    ["hasse", "--interval", "1234", "4321", "--dot"],
     ["verify", "--n", "5", "--out"],
 ])
 def test_unwritable_output_path_fails_before_any_work(argv, tmp_path, monkeypatch, capsys):
@@ -686,6 +699,7 @@ def test_unwritable_output_path_fails_before_any_work(argv, tmp_path, monkeypatc
 
     monkeypatch.setattr(classes_mod, "classes_of_sn", fail)
     monkeypatch.setattr(classes_mod, "parity_block_ends", fail)
+    monkeypatch.setattr(intervals, "interval_elements", fail)
     monkeypatch.setattr(verify, "run_checks", fail)
     path = tmp_path / "missing" / "out"
     assert run([*argv, str(path)]) == 2
@@ -694,16 +708,17 @@ def test_unwritable_output_path_fails_before_any_work(argv, tmp_path, monkeypatc
 
 
 @pytest.mark.parametrize("argv", [
-    ["classes", "--n", "0"],
-    ["classes", "--n", "10"],
-    ["verify", "--n", "0"],
-    ["verify", "--n", "3", "--checks", "nonsense"],
-    ["verify", "--n", "6", "--checks", "kl_inversion"],
+    ["classes", "--n", "0", "--out"],
+    ["classes", "--n", "10", "--out"],
+    ["verify", "--n", "0", "--out"],
+    ["verify", "--n", "3", "--checks", "nonsense", "--out"],
+    ["verify", "--n", "6", "--checks", "kl_inversion", "--out"],
+    ["hasse", "--interval", "321", "123", "--dot"],
 ])
 def test_rejected_arguments_leave_an_existing_output_file_untouched(argv, tmp_path, capsys):
     path = tmp_path / "out.json"
     path.write_text("kept\n")
-    assert run([*argv, "--out", str(path)]) == 2
+    assert run([*argv, str(path)]) == 2
     assert capsys.readouterr().err.startswith("error: ")
     assert path.read_text() == "kept\n"
 
@@ -727,3 +742,34 @@ def test_a_recursion_too_deep_exits_2_with_one_error_line(command, x, y, capsys)
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
+# --- random inputs to the commands with a member budget ---
+
+
+def _argv(command, u, v):
+    """The line of ``command`` on the pair (u, v): ``class`` and ``diagram``
+    take u alone."""
+    if command in ("class", "diagram"):
+        return [command, "--perm", format_perm(u)]
+    return [command, "--interval", format_perm(u), format_perm(v)]
+
+
+@pytest.mark.parametrize("command", ["class", "poincare", "factorize", "partition", "hasse",
+                                     "diagram"])
+@settings(max_examples=40, deadline=None)
+@given(pair=st.one_of(perm_pair_strategy(max_n=6),
+                      st.tuples(perm_strategy(max_n=6), perm_strategy(max_n=6)),
+                      perm_strategy(max_n=6).map(classes_mod.class_of).map(
+                          lambda cls: (cls.bottom, cls.top))))
+def test_a_random_pair_answers_or_exits_2_with_one_error_line(command, pair):
+    # pairs of one degree, of any two degrees, and the ends of a class
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = run(_argv(command, *pair))
+    lines = err.getvalue().splitlines()
+    if code == 0:
+        assert lines == [] and out.getvalue()
+    else:
+        assert code == 2 and out.getvalue() == ""
+        assert len(lines) == 1 and lines[0].startswith("error: ")

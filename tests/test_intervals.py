@@ -218,7 +218,7 @@ def test_swaps_hold_every_reflection_between_members_of_any_set(n):
     reflections = 0
     for size in (2, 3, 8, 30, 60):
         members = tuple(sorted(rng.sample(every, size)))
-        interval = BruhatInterval(members[0], members[-1], members, tuple(map(length, members)))
+        interval = BruhatInterval(members, tuple(map(length, members)))
         swaps = set(interval.swaps)
         present = set(members)
         for w in members:
@@ -403,7 +403,7 @@ def _reference_interval_elements(u, v):
         else:
             members = {w: members[w] for w in _reference_above(x, i, members)}
     elements = tuple(sorted(members))
-    return intervals.BruhatInterval(u, v, elements, tuple(map(members.__getitem__, elements)))
+    return intervals.BruhatInterval(elements, tuple(map(members.__getitem__, elements)))
 
 
 def test_two_sided_engine_matches_right_only_engine_on_every_pair_of_s5():
@@ -483,7 +483,7 @@ def _reference_two_sided_interval_elements(u, v, sides):
         else:
             members = {w: members[w] for w in _reference_above(x, i, members)}
     elements = tuple(sorted(members))
-    return intervals.BruhatInterval(u, v, elements, tuple(map(members.__getitem__, elements)))
+    return intervals.BruhatInterval(elements, tuple(map(members.__getitem__, elements)))
 
 
 def _former_rebuild_steps(pairs):
@@ -552,7 +552,7 @@ def test_interval_bfs_vs_filter_checks_the_carried_lengths(monkeypatch):
 
     def off_by_one(u, v):
         interval = interval_elements(u, v)
-        return intervals.BruhatInterval(u, v, interval.elements,
+        return intervals.BruhatInterval(interval.elements,
                                         tuple(lw + 1 for lw in interval.lengths))
 
     monkeypatch.setattr(verify.intervals, "interval_elements", off_by_one)

@@ -1,10 +1,11 @@
 import pytest
 
 from odd_diagrams import partition
-from odd_diagrams.classes import classes_of_sn
+from odd_diagrams.classes import class_stream, classes_of_sn, parity_block_ends, parity_sets
 from odd_diagrams.diagrams import odd_diagram_key
 from odd_diagrams.intervals import interval_elements
 from odd_diagrams.partition import (
+    PartitionStep,
     anchors,
     block_index,
     decompose,
@@ -12,7 +13,7 @@ from odd_diagrams.partition import (
     phi,
 )
 from odd_diagrams.perms import covers, parse_perm, right_transpose
-from odd_diagrams.polynomials import poincare
+from odd_diagrams.polynomials import expand_factors, poincare
 
 
 def fig2_pair():
@@ -197,7 +198,7 @@ def _reference_factor_lengths(u, v):
     current = u
     last_k = 0
     while current != v:
-        step = partition._anchor_step(current, v)
+        step = PartitionStep(*partition._anchor_positions(current, v))
         if step.k <= last_k:
             raise AssertionError("first difference failed to increase")
         last_k = step.k
@@ -212,3 +213,40 @@ def test_factor_lengths_match_the_transposition_walk_on_every_class(n):
     for cls in classes_of_sn(n):
         u, v = cls.bottom, cls.top
         assert partition._factor_lengths(u, v) == _reference_factor_lengths(u, v)
+
+
+def _reference_chains(u, v, step):
+    """Reference: the chains ``decompose`` built before it read them from its
+    blocks, the class's ends carried through the anchor transpositions, u
+    upward from the first block and v downward from the last."""
+    pairs = list(zip(step.anchors, step.anchors[1:]))
+    u_chain = [u]
+    for pair in pairs:
+        u_chain.append(right_transpose(u_chain[-1], pair))
+    v_chain = [v]
+    for pair in reversed(pairs):
+        v_chain.append(right_transpose(v_chain[-1], pair))
+    return tuple(u_chain), tuple(reversed(v_chain))
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_derived_fields_match_the_values_they_replace_on_every_class(n):
+    # bottom and top, a and b, the chains and the product were stored fields;
+    # each is now read from the others, and here checked against its source
+    tables = {}
+    ends = {key: (lo, hi) for evens in parity_sets(n)
+            for key, lo, hi, _ in parity_block_ends(n, evens, tables)}
+    stream = list(class_stream(n))
+    assert len(stream) == len(ends)
+    for cls in stream:
+        u, v = cls.bottom, cls.top
+        assert ends[odd_diagram_key(u)] == (u, v)
+        result = factorize(u, v)
+        assert result.product == expand_factors(result.factor_lengths)
+        if u == v:
+            continue
+        decomp = decompose(u, v)
+        step = decomp.step
+        assert (step.a, step.b) == (u.index(step.k) + 1, v.index(step.k) + 1)
+        assert (step.a, step.b) == (step.anchors[0], step.anchors[-1])
+        assert (decomp.u_chain, decomp.v_chain) == _reference_chains(u, v, step)

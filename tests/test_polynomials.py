@@ -398,7 +398,7 @@ def test_class_reflection_counts_from_same_parity_swaps_match_all_pairs(n):
     # length(max) - length(w) for every member w: two passing counts agree
     # member by member. The derived swaps are same-parity pairs at most
     for cls in classes_of_sn(n):
-        every_pair = _EveryPair(cls.bottom, cls.top, cls.elements, cls.lengths)
+        every_pair = _EveryPair(cls.elements, cls.lengths)
         assert all((j - i) % 2 == 0 for i, j in cls.swaps)
         assert carrell_holds(cls) and carrell_holds(every_pair)
 

@@ -16,7 +16,8 @@ import pytest
 from odd_diagrams import classes
 from odd_diagrams.classes import class_of
 from odd_diagrams.intervals import BruhatInterval, interval_elements
-from odd_diagrams.partition import BlockDecomposition, FactorizationResult, PartitionStep
+from odd_diagrams.partition import (BlockDecomposition, FactorizationResult, PartitionStep,
+                                    decompose, factorize)
 from odd_diagrams.perms import parse_perm
 from odd_diagrams.polynomials import IntPolynomial
 from odd_diagrams.verify import CheckResult, VerificationReport
@@ -24,14 +25,12 @@ from odd_diagrams.verify import CheckResult, VerificationReport
 SRC = Path(__file__).resolve().parent.parent / "src"
 
 
-# The dataclasses as they were before the value classes were written out.
-# ``_reference_CheckResult`` also has the ``wall_time`` field that
-# ``CheckResult`` gained with its rewrite.
+# The dataclasses as they were before the value classes were written out,
+# less the fields now read from the others. ``_reference_CheckResult`` also
+# has the ``wall_time`` field that ``CheckResult`` gained with its rewrite.
 
 @dataclass(frozen=True)
 class _reference_BruhatInterval:
-    bottom: tuple
-    top: tuple
     elements: tuple
     lengths: tuple
 
@@ -39,8 +38,6 @@ class _reference_BruhatInterval:
 @dataclass(frozen=True)
 class _reference_PartitionStep:
     k: int
-    a: int
-    b: int
     anchors: tuple
 
 
@@ -48,14 +45,11 @@ class _reference_PartitionStep:
 class _reference_BlockDecomposition:
     step: PartitionStep
     blocks: tuple
-    u_chain: tuple
-    v_chain: tuple
 
 
 @dataclass(frozen=True)
 class _reference_FactorizationResult:
     factor_lengths: tuple
-    product: IntPolynomial
 
 
 @dataclass
@@ -75,21 +69,25 @@ class _reference_VerificationReport:
     wall_time: float
 
 
-U, V = parse_perm("2143"), parse_perm("4231")
-STEP = PartitionStep(1, 1, 3, (1, 3))
-BLOCK = interval_elements(parse_perm("213"), parse_perm("312"))
+def _points(*texts):
+    """The one-member intervals of these permutations."""
+    return tuple(interval_elements(w, w) for w in map(parse_perm, texts))
+
+
+# the anchor steps and blocks of the classes [213, 312] and [1324, 1423]
+STEP, BLOCKS = PartitionStep(2, (1, 3)), _points("213", "312")
+OTHER_STEP, OTHER_BLOCKS = PartitionStep(3, (2, 4)), _points("1324", "1423")
 
 # each class, its reference, its field names and two sets of field values
 CASES = [
-    (BruhatInterval, _reference_BruhatInterval, ("bottom", "top", "elements", "lengths"),
-     ((2, 1, 3), (3, 1, 2), ((2, 1, 3), (3, 1, 2)), (1, 2)),
-     ((2, 1, 3), (3, 1, 2), ((2, 1, 3), (3, 1, 2)), (1, 3))),
-    (PartitionStep, _reference_PartitionStep, ("k", "a", "b", "anchors"),
-     (1, 1, 3, (1, 3)), (2, 1, 3, (1, 3))),
-    (BlockDecomposition, _reference_BlockDecomposition, ("step", "blocks", "u_chain", "v_chain"),
-     (STEP, (BLOCK,), (U,), (V,)), (STEP, (BLOCK,), (U,), (U,))),
-    (FactorizationResult, _reference_FactorizationResult, ("factor_lengths", "product"),
-     ((2, 2), IntPolynomial([1, 2, 1])), ((2, 3), IntPolynomial([1, 2, 1]))),
+    (BruhatInterval, _reference_BruhatInterval, ("elements", "lengths"),
+     (((2, 1, 3), (3, 1, 2)), (1, 2)), (((1, 3, 2, 4), (1, 4, 2, 3)), (1, 2))),
+    (PartitionStep, _reference_PartitionStep, ("k", "anchors"),
+     (2, (1, 3)), (3, (2, 4))),
+    (BlockDecomposition, _reference_BlockDecomposition, ("step", "blocks"),
+     (STEP, BLOCKS), (OTHER_STEP, OTHER_BLOCKS)),
+    (FactorizationResult, _reference_FactorizationResult, ("factor_lengths",),
+     ((2,),), ((3, 3, 2),)),
     (CheckResult, _reference_CheckResult,
      ("name", "scope", "passed", "failed", "findings", "wall_time"),
      ("parity", "exhaustive", 3, 1, [{"min": "123"}], 0.5),
@@ -116,7 +114,7 @@ def test_construction_matches_the_dataclass(cls, ref, names, values, other):
         with pytest.raises(TypeError):
             make(*values, None)
         with pytest.raises(TypeError):
-            make(*values[:-1], **{names[-1]: values[-1], names[0]: values[0]})
+            make(*values, **{names[0]: values[0]})
         with pytest.raises(TypeError):
             make(*values, nonsense=1)
 
@@ -152,6 +150,40 @@ def test_frozen_classes_refuse_assignment_and_deletion(cls, ref, names, values, 
             with pytest.raises(AttributeError):
                 delattr(obj, name)
         assert _fields(obj, names) == values
+
+
+def test_the_sample_values_are_those_the_library_builds():
+    # the values and the other values of the first three rows, in turn
+    for column, pair in ((3, ("213", "312")), (4, ("1324", "1423"))):
+        u, v = map(parse_perm, pair)
+        decomp = decompose(u, v)
+        for case, built in zip(CASES, (interval_elements(u, v), decomp.step, decomp)):
+            assert case[0](*case[column]) == built
+    assert factorize(parse_perm("213"), parse_perm("312")) == FactorizationResult(*CASES[3][3])
+    assert factorize(parse_perm("5431627"), parse_perm("7461523")) == FactorizationResult(
+        *CASES[3][4])
+
+
+def test_derived_properties_read_the_fields_and_are_not_fields():
+    interval = BruhatInterval(*CASES[0][3])
+    assert (interval.bottom, interval.top, interval.n, interval.rank) == (
+        (2, 1, 3), (3, 1, 2), 3, 1)
+    assert (STEP.a, STEP.b, STEP.m) == (1, 3, 2)
+    decomp = BlockDecomposition(STEP, BLOCKS)
+    assert decomp.u_chain == decomp.v_chain == ((2, 1, 3), (3, 1, 2))
+    assert FactorizationResult((3, 3, 2)).product == IntPolynomial([1, 3, 5, 5, 3, 1])
+    # a derived value is no constructor argument, and none can be set
+    with pytest.raises(TypeError):
+        BruhatInterval((2, 1, 3), (3, 1, 2), *CASES[0][3])
+    with pytest.raises(TypeError):
+        PartitionStep(2, 1, 3, (1, 3))
+    with pytest.raises(TypeError):
+        FactorizationResult((2,), IntPolynomial([1, 1]))
+    for obj, name in ((interval, "bottom"), (interval, "top"), (STEP, "a"), (STEP, "b"),
+                      (decomp, "u_chain"), (decomp, "v_chain"),
+                      (FactorizationResult((2,)), "product")):
+        with pytest.raises(AttributeError):
+            setattr(obj, name, None)
 
 
 @pytest.mark.parametrize("check, report", [
