@@ -5,7 +5,7 @@ from functools import cached_property, lru_cache
 from itertools import combinations
 from operator import itemgetter, le
 
-from .perms import FrozenRecord, Perm, bruhat_leq, format_perm, length
+from .perms import FrozenRecord, Perm, bruhat_leq, format_perm, inverse, length
 
 __all__ = [
     "BruhatInterval",
@@ -117,14 +117,6 @@ def _descent_step(x: Perm, y: Perm) -> tuple[int, bool]:
     return next(((i, True) for i in descents if x[i] < x[i + 1]), (descents[0], False))
 
 
-def _positions(w: Perm) -> list[int]:
-    """where[k] = the 0-based position of the value k in w (where[0] unused)."""
-    where = [0] * (len(w) + 1)
-    for p, c in enumerate(w):
-        where[c] = p
-    return where
-
-
 def _lifting_step(x: Perm, y: Perm) -> tuple[str, int]:
     """For x < y, the step ``interval_elements`` takes: ("right", i) for case
     A of ``_descent_step``; else ("left", k) for the first left descent s_k
@@ -139,9 +131,10 @@ def _lifting_step(x: Perm, y: Perm) -> tuple[str, int]:
     i, lifts = _descent_step(x, y)
     if lifts:
         return "right", i
-    where_x, where_y = _positions(x), _positions(y)
+    # inverse(w)[k - 1] is the position of the value k in w
+    x_inv, y_inv = inverse(x), inverse(y)
     for k in range(1, len(y)):
-        if where_y[k + 1] < where_y[k] and where_x[k] < where_x[k + 1]:
+        if y_inv[k] < y_inv[k - 1] and x_inv[k - 1] < x_inv[k]:
             return "left", k
     return "filter", i
 
@@ -200,8 +193,9 @@ def interval_elements(u: Perm, v: Perm, max_members: int | None = None) -> Bruha
 # The intervals of ``polynomials.poincare`` and ``carrell_condition``. Its hits
 # come from a sweep that asks both of one pair in turn, as the smoothness
 # criteria on lower intervals do; no caller asks for an interval again later,
-# and the class sweeps of verify miss on every call, so a few slots keep the
-# hits and a large cache would only hold intervals no one reads.
+# and only the pair sweep of verify's ``kl_carrell`` misses on every call, so
+# a few slots keep the hits and a large cache would only hold intervals no
+# one reads.
 @lru_cache(maxsize=16)
 def _cached_interval(u: Perm, v: Perm) -> BruhatInterval:
     return interval_elements(u, v)

@@ -59,8 +59,10 @@ class PartitionStep(FrozenRecord):
 
 
 class BlockDecomposition(FrozenRecord):
-    """The blocks of a class in anchor order, each the interval between its
-    ends: the u-chain of the block minima and the v-chain of their maxima."""
+    """The blocks of a class in anchor order, each its members that hold k at
+    one anchor, with their lengths: the u-chain of the block minima and the
+    v-chain of their maxima. ``verify uniform_partition`` checks that they
+    are equal in size and each the interval between its ends."""
 
     __slots__ = _fields = ("step", "blocks")
     step: PartitionStep
@@ -141,14 +143,13 @@ def _anchor_positions(u: Perm, v: Perm) -> tuple[int, tuple[int, ...]]:
 
 
 def block_index(w: Perm, step: PartitionStep) -> int:
-    """1-based block number of an interval member: which anchor holds k."""
+    """1-based block number of an interval member: which anchor holds k.
+    ValueError if w holds k at no anchor."""
     c = w.index(step.k) + 1
     try:
         return step.anchors.index(c) + 1
     except ValueError:
-        raise AssertionError(
-            f"{format_perm(w)} holds {step.k} at non-anchor position {c}"
-        ) from None
+        raise ValueError(f"{format_perm(w)} holds {step.k} at non-anchor position {c}") from None
 
 
 def phi(w: Perm, step: PartitionStep, i: int) -> Perm:
@@ -161,29 +162,23 @@ def phi(w: Perm, step: PartitionStep, i: int) -> Perm:
 
 
 def decompose(u: Perm, v: Perm, max_members: int | None = None) -> BlockDecomposition:
-    """Split [u, v] into its anchor-indexed blocks and verify that they are
-    equal in size and that each is the Bruhat interval between its first and
-    last member. With ``max_members``, ``check_class_size`` runs before any
-    member is built."""
+    """Split [u, v] into its anchor-indexed blocks by their definition: build
+    [u, v] once and cut its members, with their lengths and in member order,
+    by the anchor that holds k. That the blocks are equal in size and each
+    the Bruhat interval between its ends is the uniform partition theorem,
+    re-proved by ``verify uniform_partition`` and not here. With
+    ``max_members``, ``check_class_size`` runs before any member is built."""
     step = anchors(u, v)
     if max_members is not None:
         check_class_size(u, v, max_members)
-    groups: list[list[Perm]] = [[] for _ in range(step.m)]
-    for w in interval_elements(u, v).elements:
-        groups[block_index(w, step) - 1].append(w)
-    if len({len(group) for group in groups}) != 1:
-        raise AssertionError(
-            f"non-uniform partition of [{format_perm(u)}, {format_perm(v)}]: "
-            f"{[len(group) for group in groups]}"
-        )
-    blocks = tuple([interval_elements(group[0], group[-1]) for group in groups])
-    for i, (block, group) in enumerate(zip(blocks, groups), start=1):
-        if block.elements != tuple(group):
-            raise AssertionError(
-                f"block {i} of [{format_perm(u)}, {format_perm(v)}] is not "
-                f"the interval [{format_perm(group[0])}, {format_perm(group[-1])}]"
-            )
-    return BlockDecomposition(step, blocks)
+    interval = interval_elements(u, v)
+    groups: list[tuple[list[Perm], list[int]]] = [([], []) for _ in range(step.m)]
+    for w, lw in zip(interval.elements, interval.lengths):
+        elements, lengths = groups[block_index(w, step) - 1]
+        elements.append(w)
+        lengths.append(lw)
+    return BlockDecomposition(step, tuple([BruhatInterval(tuple(elements), tuple(lengths))
+                                           for elements, lengths in groups]))
 
 
 def factorize(u: Perm, v: Perm) -> FactorizationResult:

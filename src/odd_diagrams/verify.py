@@ -156,34 +156,40 @@ def check_legality_sufficiency(n: int, rng, result: CheckResult) -> None:
 
 
 def check_uniform_partition(n: int, rng, result: CheckResult) -> None:
-    """Blocks are equal-sized intervals; phi maps each member to a cover in
-    the next block, and each block's ends to the next block's ends, so the
-    u- and v-chains are the anchor transpositions of the class's ends."""
+    """The uniform partition theorem, re-proved here and nowhere else: the
+    blocks of ``decompose`` are non-empty and equal in size, and each is the
+    Bruhat interval between its ends, members and lengths; phi maps each
+    member to a cover in the next block, and each block's ends to the next
+    block's ends, so the u- and v-chains are the anchor transpositions of the
+    class's ends. A ValueError or AssertionError is recorded as a failure,
+    with its message."""
     for cls in classes_mod.class_stream(n):
         if len(cls) == 1:
             continue
+        finding = {"min": perms.format_perm(cls.bottom)}
         try:
             decomp = partition.decompose(cls.bottom, cls.top)
+            blocks, step = decomp.blocks, decomp.step
+            ok = (len({len(block) for block in blocks}) == 1 and len(blocks[0]) > 0
+                  and all(intervals.interval_elements(b.bottom, b.top) == b for b in blocks))
+            for i, (block, after) in enumerate(zip(blocks, blocks[1:]), start=1):
+                images = [partition.phi(w, step, i) for w in block.elements]
+                ok = (ok and all(map(perms.covers, block.elements, images))
+                      and all(partition.block_index(x, step) == i + 1 for x in images)
+                      and (images[0], images[-1]) == (after.bottom, after.top))
         except (AssertionError, ValueError) as exc:
-            result.record(False, {"min": perms.format_perm(cls.bottom), "error": str(exc)})
-            continue
-        ok = True
-        step = decomp.step
-        for i, (block, after) in enumerate(zip(decomp.blocks, decomp.blocks[1:]), start=1):
-            images = [partition.phi(w, step, i) for w in block.elements]
-            ok = (ok and all(map(perms.covers, block.elements, images))
-                  and all(partition.block_index(x, step) == i + 1 for x in images)
-                  and (images[0], images[-1]) == (after.bottom, after.top))
-        result.record(ok, {"min": perms.format_perm(cls.bottom)})
+            ok, finding["error"] = False, str(exc)
+        result.record(ok, finding)
 
 
 def check_factorization(n: int, rng, result: CheckResult) -> None:
-    """factorize's product equals the enumerated Poincare polynomial and
-    that polynomial is palindromic."""
+    """factorize's product equals the rank generating function of the class
+    the stream hands over, [bottom, top] by ``theorem_b``, and that
+    polynomial is palindromic. No interval is built."""
     for cls in classes_mod.class_stream(n):
-        outcome = partition.factorize(cls.bottom, cls.top)
-        direct = polynomials.poincare(cls.bottom, cls.top)
-        ok = outcome.product == direct and polynomials.is_palindromic(direct)
+        direct = polynomials.IntPolynomial(intervals.rank_vector(cls))
+        ok = (partition.factorize(cls.bottom, cls.top).product == direct
+              and polynomials.is_palindromic(direct))
         result.record(ok, {"min": perms.format_perm(cls.bottom)})
 
 

@@ -1,10 +1,11 @@
 import pytest
 
-from odd_diagrams import partition
+from odd_diagrams import partition, verify
 from odd_diagrams.classes import class_stream, classes_of_sn, parity_block_ends, parity_sets
 from odd_diagrams.diagrams import odd_diagram_key
-from odd_diagrams.intervals import interval_elements
+from odd_diagrams.intervals import BruhatInterval, interval_elements
 from odd_diagrams.partition import (
+    BlockDecomposition,
     PartitionStep,
     anchors,
     block_index,
@@ -250,3 +251,97 @@ def test_derived_fields_match_the_values_they_replace_on_every_class(n):
         assert (step.a, step.b) == (u.index(step.k) + 1, v.index(step.k) + 1)
         assert (step.a, step.b) == (step.anchors[0], step.anchors[-1])
         assert (decomp.u_chain, decomp.v_chain) == _reference_chains(u, v, step)
+
+
+def test_block_index_and_phi_reject_a_non_anchor_position():
+    step = anchors(*fig2_pair())
+    w = parse_perm("3124567")
+    for call in (lambda: block_index(w, step), lambda: phi(w, step, 1)):
+        with pytest.raises(ValueError, match="3124567 holds 3 at non-anchor position 1"):
+            call()
+
+
+def _reference_blocks(u, v):
+    """Reference: the blocks ``decompose`` built before it cut them from
+    [u, v], one ``interval_elements`` between the ends of each group of
+    members that hold k at one anchor."""
+    step = anchors(u, v)
+    groups = [[] for _ in range(step.m)]
+    for w in interval_elements(u, v).elements:
+        groups[block_index(w, step) - 1].append(w)
+    return tuple(interval_elements(group[0], group[-1]) for group in groups)
+
+
+@pytest.mark.parametrize("n", [*range(2, 8), pytest.param(8, marks=pytest.mark.long)])
+def test_cut_blocks_match_the_rebuilt_blocks_on_every_class(n):
+    for cls in class_stream(n):
+        if len(cls) > 1:
+            assert decompose(cls.bottom, cls.top).blocks == _reference_blocks(cls.bottom, cls.top)
+
+
+@pytest.mark.parametrize("pair", [fig2_pair(), s9_pair()])
+def test_decompose_builds_one_interval(monkeypatch, pair):
+    calls = []
+
+    def counting(u, v, max_members=None):
+        calls.append((u, v))
+        return interval_elements(u, v, max_members)
+
+    monkeypatch.setattr(partition, "interval_elements", counting)
+    decompose(*pair)
+    assert calls == [pair]
+
+
+# --- verify uniform_partition on a broken partition ---
+
+
+def _drop_middle(block):
+    return BruhatInterval(block.elements[:2] + block.elements[3:],
+                          block.lengths[:2] + block.lengths[3:])
+
+
+def _point(w, lw):
+    return BruhatInterval((w,), (lw,))
+
+
+BROKEN = {
+    # a block missing a member that is neither its first nor its last
+    "one block short": lambda blocks: (blocks[0], _drop_middle(blocks[1]), *blocks[2:]),
+    "every block short": lambda blocks: tuple(map(_drop_middle, blocks)),
+    "lengths shifted": lambda blocks: (
+        blocks[0], BruhatInterval(blocks[1].elements, tuple(lw + 1 for lw in blocks[1].lengths)),
+        *blocks[2:]),
+    # one-member blocks: phi maps the first block's member to the second
+    # block's bottom, not to its top; every other condition holds
+    "chain end missed": lambda blocks: (
+        _point(blocks[0].bottom, blocks[0].lengths[0]),
+        *[_point(block.top, block.lengths[-1]) for block in blocks[1:]]),
+    # phi is asked to map members of block 2 as if they were in block 1
+    "blocks swapped": lambda blocks: (blocks[1], blocks[0], *blocks[2:]),
+}
+
+
+def _check_figure2_class(monkeypatch, broken):
+    u, v = fig2_pair()
+    real = decompose(u, v)
+    monkeypatch.setattr(verify.classes_mod, "class_stream",
+                        lambda n: iter([interval_elements(u, v)]))
+    monkeypatch.setattr(partition, "decompose", lambda u, v: BlockDecomposition(
+        real.step, broken(real.blocks)))
+    result = verify.CheckResult("uniform_partition", "exhaustive")
+    verify.check_uniform_partition(7, None, result)
+    return result
+
+
+def test_uniform_partition_check_passes_the_real_partition(monkeypatch):
+    result = _check_figure2_class(monkeypatch, lambda blocks: blocks)
+    assert (result.passed, result.failed) == (1, 0)
+
+
+@pytest.mark.parametrize("name", BROKEN)
+def test_uniform_partition_check_fails_a_broken_partition(monkeypatch, name):
+    result = _check_figure2_class(monkeypatch, BROKEN[name])
+    assert (result.passed, result.failed) == (0, 1)
+    assert result.findings[0]["min"] == "5431627"
+    if name == "blocks swapped":
+        assert result.findings[0]["error"] == "5461327 is not in block 1"

@@ -476,6 +476,5 @@ def test_verify_factorization_leaves_the_interval_cache_within_its_size():
     cache.cache_clear()
     assert verify.run_checks(6, ["factorization"]).ok
     info = cache.cache_info()
-    # every class of S_6 is asked for once, 351 intervals in all
-    assert info.misses == 351 and info.hits == 0
-    assert info.currsize <= info.maxsize < 351
+    # the check reads the rank vector of each class the stream hands it
+    assert (info.misses, info.hits, info.currsize) == (0, 0, 0)
