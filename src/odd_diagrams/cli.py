@@ -149,14 +149,14 @@ def cmd_verify(args) -> int:
     names = verify.select_checks(args.n, names, allow_large=args.long)
     # the path is opened before the checks run, so one that cannot be written fails at once
     with (open(args.out, "w") if args.out else contextlib.nullcontext()) as out:
-        report = verify.run_checks(args.n, names, seed=args.seed, allow_large=args.long)
+        report = verify.run_checks(args.n, names, allow_large=args.long)
         if out:
             json.dump(report.to_json(), out, indent=1)
             out.write("\n")
     for check in report.checks:
         status = "ok" if check.failed == 0 else "FAIL"
         line = (f"{check.name:34s} {status:4s} passed={check.passed} "
-                f"failed={check.failed} scope={check.scope} wall_time={check.wall_time:.2f}s")
+                f"failed={check.failed} wall_time={check.wall_time:.2f}s")
         if check.findings:
             line += f" findings={len(check.findings)}"
         print(line)
@@ -205,7 +205,7 @@ COMMANDS = {
                cmd_census),
     "verify": ("run theorem-backed verification checks",
                (_N, _arg("--checks", help="comma-separated check names (default: all)"),
-                _long("long-running sizes"), _arg("--seed", type=int, default=0),
+                _long("long-running sizes"),
                 _arg("--out", help="write the JSON report here")), cmd_verify),
 }
 

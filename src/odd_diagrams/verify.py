@@ -1,12 +1,11 @@
 """Named verification checks over S_n, backing the `verify` CLI command.
 
-Each check exercises a theorem-backed invariant by exhaustive or sampled
-enumeration, and is declared once, in its ``CHECKS`` row.  Checks backed by
+Each check exercises a theorem-backed invariant by exhaustive enumeration
+over S_n, and is declared once, in its ``CHECKS`` row.  Checks backed by
 proved theorems must report failed = 0; open-question probes report their
 observations as findings instead.
 """
 
-import random
 import time
 from itertools import combinations
 
@@ -18,15 +17,15 @@ __all__ = ["CheckResult", "VerificationReport", "CHECKS", "select_checks", "run_
 
 
 class CheckResult(Record):
-    """One check's counts and findings, which the check records, and the
-    seconds it took, which ``run_checks`` sets once the check returns."""
+    """One check's counts, one for each case of S_n it tries, and its
+    findings, which the check records, and the seconds it took, which
+    ``run_checks`` sets once the check returns."""
 
-    _fields = ("name", "scope", "passed", "failed", "findings", "wall_time")
+    _fields = ("name", "passed", "failed", "findings", "wall_time")
 
-    def __init__(self, name: str, scope: str, passed: int = 0, failed: int = 0,
+    def __init__(self, name: str, passed: int = 0, failed: int = 0,
                  findings: list | None = None, wall_time: float = 0.0):
         self.name = name
-        self.scope = scope  # "exhaustive" | "sampled"
         self.passed = passed
         self.failed = failed
         self.findings = [] if findings is None else findings
@@ -55,7 +54,7 @@ class VerificationReport(Record):
 
     def to_json(self) -> dict:
         return {
-            "schema": 2,
+            "schema": 3,
             "n": self.n,
             "wall_time": self.wall_time,
             "checks": [{field: getattr(c, field) for field in CheckResult._fields}
@@ -63,7 +62,7 @@ class VerificationReport(Record):
         }
 
 
-def check_bruhat_vs_covers(n: int, rng, result: CheckResult) -> None:
+def check_bruhat_vs_covers(n: int, result: CheckResult) -> None:
     """bruhat_leq agrees with the transitive closure of the cover relation."""
     elems = list(perms.all_perms(n))
     reach = {w: {w} for w in elems}
@@ -79,7 +78,7 @@ def check_bruhat_vs_covers(n: int, rng, result: CheckResult) -> None:
             )
 
 
-def check_cover_gradedness(n: int, rng, result: CheckResult) -> None:
+def check_cover_gradedness(n: int, result: CheckResult) -> None:
     """Covers raise length by exactly 1 via exactly one transposition."""
     for u in perms.all_perms(n):
         lu = perms.length(u)
@@ -93,7 +92,7 @@ def check_cover_gradedness(n: int, rng, result: CheckResult) -> None:
             result.record(ok, {"u": perms.format_perm(u), "v": perms.format_perm(v)})
 
 
-def check_diagram_counts(n: int, rng, result: CheckResult) -> None:
+def check_diagram_counts(n: int, result: CheckResult) -> None:
     """|Rothe| = length, |odd| = odd length, odd diagram inside Rothe."""
     for w in perms.all_perms(n):
         rothe = diagrams.rothe_diagram(w)
@@ -106,7 +105,7 @@ def check_diagram_counts(n: int, rng, result: CheckResult) -> None:
         result.record(ok, {"w": perms.format_perm(w)})
 
 
-def check_theorem_b(n: int, rng, result: CheckResult) -> None:
+def check_theorem_b(n: int, result: CheckResult) -> None:
     """Every odd diagram class is the Bruhat interval between its extremes:
     the lifting recursion from its first to its last member gives back its
     members and their carried lengths."""
@@ -115,7 +114,7 @@ def check_theorem_b(n: int, rng, result: CheckResult) -> None:
                       {"min": perms.format_perm(cls.bottom)})
 
 
-def check_parity(n: int, rng, result: CheckResult) -> None:
+def check_parity(n: int, result: CheckResult) -> None:
     """Within a class, each value occupies positions of one parity: all
     members have the same set of values at even positions. The classes are
     grouped by ``odd_diagram_key`` over S_n, not read from ``class_stream``,
@@ -132,7 +131,7 @@ def check_parity(n: int, rng, result: CheckResult) -> None:
         result.record(key not in broken, {"min": perms.format_perm(tuple(first))})
 
 
-def check_legality_sufficiency(n: int, rng, result: CheckResult) -> None:
+def check_legality_sufficiency(n: int, result: CheckResult) -> None:
     """The three-part criterion implies definitional legality.
 
     Legal transpositions failing the criterion are recorded as findings:
@@ -155,7 +154,7 @@ def check_legality_sufficiency(n: int, rng, result: CheckResult) -> None:
         )
 
 
-def check_uniform_partition(n: int, rng, result: CheckResult) -> None:
+def check_uniform_partition(n: int, result: CheckResult) -> None:
     """The uniform partition theorem, re-proved here and nowhere else: the
     blocks of ``decompose`` are non-empty and equal in size, and each is the
     Bruhat interval between its ends, members and lengths; phi maps each
@@ -182,7 +181,7 @@ def check_uniform_partition(n: int, rng, result: CheckResult) -> None:
         result.record(ok, finding)
 
 
-def check_factorization(n: int, rng, result: CheckResult) -> None:
+def check_factorization(n: int, result: CheckResult) -> None:
     """factorize's product equals the rank generating function of the class
     the stream hands over, [bottom, top] by ``theorem_b``, and that
     polynomial is palindromic. No interval is built."""
@@ -193,7 +192,7 @@ def check_factorization(n: int, rng, result: CheckResult) -> None:
         result.record(ok, {"min": perms.format_perm(cls.bottom)})
 
 
-def check_rpoly_descent_independence(n: int, rng, result: CheckResult) -> None:
+def check_rpoly_descent_independence(n: int, result: CheckResult) -> None:
     """R-polynomials do not depend on the chosen descent of y."""
     elems = list(perms.all_perms(n))
     for y in elems:
@@ -215,33 +214,31 @@ def _pick(w, preferred):
     return preferred if preferred in ds else min(ds)
 
 
-def check_interval_bfs_vs_filter(n: int, rng, result: CheckResult) -> None:
-    """On 500 sampled pairs u <= v, the lifting recursion of
-    ``interval_elements`` equals the brute-force filter, and the lengths it
-    carries equal ``perms.length``."""
+def check_interval_lifting_vs_filter(n: int, result: CheckResult) -> None:
+    """For every pair u <= v of S_n, in lexicographic order, the lifting
+    recursion of ``interval_elements`` equals the brute-force filter
+    {w : u <= w <= v} by ``bruhat_leq``, members in order, and the lengths it
+    carries equal ``perms.length``. Each element's up-set, down-set and
+    length are computed once, and each pair's filter intersects two sets."""
     elems = list(perms.all_perms(n))
-    tried = 0
-    while tried < 500:
-        u, v = rng.choice(elems), rng.choice(elems)
-        if not perms.bruhat_leq(u, v):
-            continue
-        tried += 1
-        built = intervals.interval_elements(u, v)
-        brute = tuple(
-            sorted(w for w in elems if perms.bruhat_leq(u, w) and perms.bruhat_leq(w, v))
-        )
-        lengths = tuple(map(perms.length, built.elements))
-        result.record(built.elements == brute and built.lengths == lengths,
-                      {"u": perms.format_perm(u), "v": perms.format_perm(v)})
+    up = {u: {w for w in elems if perms.bruhat_leq(u, w)} for u in elems}
+    down = {w: {u for u in elems if w in up[u]} for w in elems}
+    length = {w: perms.length(w) for w in elems}
+    for u in elems:
+        for v in sorted(up[u]):
+            built = intervals.interval_elements(u, v)
+            ok = (built.elements == tuple(sorted(up[u] & down[v]))
+                  and built.lengths == tuple(map(length.get, built.elements)))
+            result.record(ok, {"u": perms.format_perm(u), "v": perms.format_perm(v)})
 
 
-def check_top_heavy(n: int, rng, result: CheckResult) -> None:
+def check_top_heavy(n: int, result: CheckResult) -> None:
     """Lower intervals are top-heavy."""
     for w in perms.all_perms(n):
         result.record(duality.top_heavy_check(w), {"w": perms.format_perm(w)})
 
 
-def check_self_dual_bipartite_agreement(n: int, rng, result: CheckResult) -> None:
+def check_self_dual_bipartite_agreement(n: int, result: CheckResult) -> None:
     """Probe: self-duality vs the boundary bipartite-graph criterion.
 
     Disagreements are findings, not failures; the criterion is proved for
@@ -262,7 +259,7 @@ def check_self_dual_bipartite_agreement(n: int, rng, result: CheckResult) -> Non
             )
 
 
-def check_short_intervals_self_dual(n: int, rng, result: CheckResult) -> None:
+def check_short_intervals_self_dual(n: int, result: CheckResult) -> None:
     """Every interval [u, v] with 1 <= length(v) - length(u) <= 3 is self-dual
     by the full search, which ``is_self_dual`` skips at these ranks. The
     tops v are the elements up to three covers above u."""
@@ -279,14 +276,14 @@ def check_short_intervals_self_dual(n: int, rng, result: CheckResult) -> None:
             )
 
 
-def check_kl_class_probe(n: int, rng, result: CheckResult) -> None:
+def check_kl_class_probe(n: int, result: CheckResult) -> None:
     """KL polynomial of every odd diagram class equals 1."""
     for cls in classes_mod.class_stream(n):
         p = polynomials.kl_polynomial(cls.bottom, cls.top)
         result.record(p == 1, {"min": perms.format_perm(cls.bottom)})
 
 
-def check_kl_inversion(n: int, rng, result: CheckResult) -> None:
+def check_kl_inversion(n: int, result: CheckResult) -> None:
     """KL polynomials satisfy their defining conditions: for x <= y,
     sum_{z in [x, y]} R_{x,z} P_{z,y} = q^d P_{x,y}(1/q) with
     d = length(y) - length(x), and deg P_{x,y} <= (d - 1)/2 for x < y."""
@@ -307,7 +304,7 @@ def check_kl_inversion(n: int, rng, result: CheckResult) -> None:
             result.record(ok, {"x": perms.format_perm(x), "y": perms.format_perm(y)})
 
 
-def check_kl_carrell(n: int, rng, result: CheckResult) -> None:
+def check_kl_carrell(n: int, result: CheckResult) -> None:
     """P_{x,y} = 1 iff [x, y] passes the Carrell-Peterson reflection count,
     for every pair x <= y of S_n (3,781 at n = 5, 394 of them with P_{x,y}
     != 1). The count says P_{u,y} = 1 for every u in [x, y]; by monotonicity
@@ -320,7 +317,7 @@ def check_kl_carrell(n: int, rng, result: CheckResult) -> None:
             result.record(ok, {"x": perms.format_perm(x), "y": perms.format_perm(y)})
 
 
-def check_class_covers(n: int, rng, result: CheckResult) -> None:
+def check_class_covers(n: int, result: CheckResult) -> None:
     """The Hasse diagram of every class, built from the position pairs that
     ``BruhatInterval.swaps`` derives from its members, equals the covers
     ``perms.upward_covers`` finds among the same members."""
@@ -334,7 +331,7 @@ def check_class_covers(n: int, rng, result: CheckResult) -> None:
         )
 
 
-def check_class_shapes(n: int, rng, result: CheckResult) -> None:
+def check_class_shapes(n: int, result: CheckResult) -> None:
     """``classes.class_shape`` keeps the Bruhat order among a class's
     members, and all classes of one shape get the same self-duality search
     and Carrell-Peterson verdicts, the same bipartite-criterion verdict and
@@ -363,29 +360,29 @@ def check_class_shapes(n: int, rng, result: CheckResult) -> None:
                            "max": perms.format_perm(cls.top)})
 
 
-# Each check's one declaration: its name maps to (check, scope, n-limit). The
+# Each check's one declaration: its name maps to (check, n-limit). The
 # n-limit is the largest n at which the check runs without --long: each
 # finishes within about 15 s there on a 2-core host with Python 3.11, and takes
 # longer one size up (bruhat_vs_covers also holds memory quadratic in n!).
 CHECKS = {
-    "bruhat_vs_covers": (check_bruhat_vs_covers, "exhaustive", 6),
-    "cover_gradedness": (check_cover_gradedness, "exhaustive", 8),
-    "diagram_counts": (check_diagram_counts, "exhaustive", 9),
-    "theorem_b": (check_theorem_b, "exhaustive", 8),
-    "parity": (check_parity, "exhaustive", 9),
-    "legality_sufficiency": (check_legality_sufficiency, "exhaustive", 8),
-    "uniform_partition": (check_uniform_partition, "exhaustive", 8),
-    "factorization": (check_factorization, "exhaustive", 8),
-    "rpoly_descent_independence": (check_rpoly_descent_independence, "exhaustive", 5),
-    "interval_bfs_vs_filter": (check_interval_bfs_vs_filter, "sampled", 6),
-    "top_heavy": (check_top_heavy, "exhaustive", 7),
-    "self_dual_bipartite_agreement": (check_self_dual_bipartite_agreement, "exhaustive", 9),
-    "short_intervals_self_dual": (check_short_intervals_self_dual, "exhaustive", 6),
-    "kl_class_probe": (check_kl_class_probe, "exhaustive", 8),
-    "kl_inversion": (check_kl_inversion, "exhaustive", 5),
-    "kl_carrell": (check_kl_carrell, "exhaustive", 5),
-    "class_covers": (check_class_covers, "exhaustive", 7),
-    "class_shapes": (check_class_shapes, "exhaustive", 8),
+    "bruhat_vs_covers": (check_bruhat_vs_covers, 6),
+    "cover_gradedness": (check_cover_gradedness, 8),
+    "diagram_counts": (check_diagram_counts, 9),
+    "theorem_b": (check_theorem_b, 8),
+    "parity": (check_parity, 9),
+    "legality_sufficiency": (check_legality_sufficiency, 8),
+    "uniform_partition": (check_uniform_partition, 8),
+    "factorization": (check_factorization, 8),
+    "rpoly_descent_independence": (check_rpoly_descent_independence, 5),
+    "interval_lifting_vs_filter": (check_interval_lifting_vs_filter, 5),
+    "top_heavy": (check_top_heavy, 7),
+    "self_dual_bipartite_agreement": (check_self_dual_bipartite_agreement, 9),
+    "short_intervals_self_dual": (check_short_intervals_self_dual, 6),
+    "kl_class_probe": (check_kl_class_probe, 8),
+    "kl_inversion": (check_kl_inversion, 5),
+    "kl_carrell": (check_kl_carrell, 5),
+    "class_covers": (check_class_covers, 7),
+    "class_shapes": (check_class_shapes, 8),
 }
 
 
@@ -402,28 +399,27 @@ def select_checks(n: int, names=None, allow_large: bool = False) -> list[str]:
     repeated = sorted({name for name in names if names.count(name) > 1})
     if repeated:
         raise ValueError(f"checks named more than once: {repeated}")
-    over = [f"{name} (n <= {CHECKS[name][2]})" for name in names if n > CHECKS[name][2]]
+    over = [f"{name} (n <= {CHECKS[name][1]})" for name in names if n > CHECKS[name][1]]
     if over and not allow_large:
         raise ValueError(f"n = {n} is above the n-limit of {', '.join(over)}; "
                          "pass --long to run anyway")
     return names
 
 
-def run_checks(n: int, names=None, seed: int = 0, allow_large: bool = False) -> VerificationReport:
+def run_checks(n: int, names=None, allow_large: bool = False) -> VerificationReport:
     """Run the named checks (default: all) over S_n, after ``select_checks``
-    has accepted them. Each check records into a ``CheckResult`` made from
-    its ``CHECKS`` row. Each class check reads ``classes.class_stream(n)``
+    has accepted them. Each check records into a ``CheckResult`` of its
+    name. Each class check reads ``classes.class_stream(n)``
     itself, so no table of S_n is held, and its findings come in
     parity-block order, then by minimum."""
     names = select_checks(n, names, allow_large)
-    rng = random.Random(seed)
     start = time.perf_counter()
     results = []
     for name in names:
-        check, scope, _ = CHECKS[name]
-        result = CheckResult(name, scope)
+        check, _ = CHECKS[name]
+        result = CheckResult(name)
         check_start = time.perf_counter()
-        check(n, rng, result)
+        check(n, result)
         result.wall_time = time.perf_counter() - check_start
         results.append(result)
     return VerificationReport(n, results, time.perf_counter() - start)

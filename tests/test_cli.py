@@ -2,13 +2,14 @@ import contextlib
 import io
 import json
 import os
+import re
 import time
 import tracemalloc
 from pathlib import Path
 
 import pytest
 from conftest import perm_pair_strategy, perm_strategy
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from odd_diagrams import classes as classes_mod
@@ -315,7 +316,7 @@ def test_verify_subset(tmp_path, capsys):
         "--out", str(path),
     ]) == 0
     report = json.loads(path.read_text())
-    assert report["schema"] == 2
+    assert report["schema"] == 3
     assert "jobs" not in report
     assert [c["name"] for c in report["checks"]] == ["theorem_b", "factorization"]
     assert all(c["failed"] == 0 for c in report["checks"])
@@ -323,8 +324,8 @@ def test_verify_subset(tmp_path, capsys):
 
 @pytest.mark.parametrize("argv, names", [
     (["--n", "7", "--checks", "kl_inversion"], "kl_inversion (n <= 5)"),
-    (["--n", "6"], "rpoly_descent_independence (n <= 5), kl_inversion (n <= 5), "
-                   "kl_carrell (n <= 5)"),
+    (["--n", "6"], "rpoly_descent_independence (n <= 5), interval_lifting_vs_filter (n <= 5), "
+                   "kl_inversion (n <= 5), kl_carrell (n <= 5)"),
     (["--n", "10", "--checks", "parity,bruhat_vs_covers"],
      "parity (n <= 9), bruhat_vs_covers (n <= 6)"),
 ])
@@ -332,8 +333,8 @@ def test_verify_rejects_a_check_above_its_n_limit(argv, names, monkeypatch, caps
     def fail(*args):
         raise AssertionError("check ran")
 
-    monkeypatch.setattr(verify, "CHECKS", {name: (fail, *row[1:])
-                                           for name, row in verify.CHECKS.items()})
+    monkeypatch.setattr(verify, "CHECKS", {name: (fail, limit)
+                                           for name, (_, limit) in verify.CHECKS.items()})
     monkeypatch.setattr(classes_mod, "classes_of_sn", fail)
     assert run(["verify", *argv]) == 2
     captured = capsys.readouterr()
@@ -345,30 +346,29 @@ def test_verify_rejects_a_check_above_its_n_limit(argv, names, monkeypatch, caps
 def test_verify_long_lifts_the_n_limit(monkeypatch, capsys):
     ran = []
 
-    def fake(n, rng, result):
+    def fake(n, result):
         ran.append(n)
         result.record(True)
 
-    monkeypatch.setitem(verify.CHECKS, "kl_inversion", (fake, "exhaustive", 5))
+    monkeypatch.setitem(verify.CHECKS, "kl_inversion", (fake, 5))
     assert run(["verify", "--n", "7", "--checks", "kl_inversion", "--long"]) == 0
     assert ran == [7]
 
 
-def test_every_check_row_names_its_function_scope_and_n_limit():
-    for name, (check, scope, limit) in verify.CHECKS.items():
+def test_every_check_row_names_its_function_and_n_limit():
+    for name, (check, limit) in verify.CHECKS.items():
         assert check.__name__ == f"check_{name}"
-        assert scope in ("exhaustive", "sampled")
         assert limit >= 5
     # the full battery runs at n <= 5
-    assert min(limit for _, _, limit in verify.CHECKS.values()) == 5
+    assert min(limit for _, limit in verify.CHECKS.values()) == 5
 
 
 def test_verify_times_each_check(tmp_path, monkeypatch, capsys):
-    def slow(n, rng, result):
+    def slow(n, result):
         time.sleep(0.05)
         result.record(True)
 
-    monkeypatch.setitem(verify.CHECKS, "parity", (slow, "exhaustive", 9))
+    monkeypatch.setitem(verify.CHECKS, "parity", (slow, 9))
     path = tmp_path / "report.json"
     assert run(["verify", "--n", "4", "--checks", "parity,theorem_b", "--out", str(path)]) == 0
     report = json.loads(path.read_text())
@@ -403,6 +403,11 @@ def test_verify_rejects_a_repeated_check(monkeypatch, capsys):
 
 def test_verify_has_no_jobs_option(capsys):
     assert run(["verify", "--n", "3", "--jobs", "2"]) == 2
+
+
+def test_verify_has_no_seed_option(capsys):
+    # every check is exhaustive, so there is nothing to seed
+    assert run(["verify", "--n", "3", "--seed", "0"]) == 2
 
 
 def test_verify_never_calls_classes_of_sn(monkeypatch):
@@ -773,3 +778,57 @@ def test_a_random_pair_answers_or_exits_2_with_one_error_line(command, pair):
     else:
         assert code == 2 and out.getvalue() == ""
         assert len(lines) == 1 and lines[0].startswith("error: ")
+
+
+# --- random lines of the commands that sweep S_n ---
+
+CHECK_NAME = st.sampled_from([*verify.CHECKS, "nope"])
+
+
+@st.composite
+def sweep_lines(draw):
+    """A line of ``verify`` at n in -1..4, with --checks of known, unknown,
+    empty or repeated names, or without it; or of ``census`` or ``classes``
+    at n in -1..5, 10 or 11, census with --jobs -1, 1 or one more than the
+    cores. Each with or without --long, except that n = 10 under --long, a
+    sweep of S_10 that takes seconds, is left to its own CI steps."""
+    command = draw(st.sampled_from(["verify", "census", "classes"]))
+    long = draw(st.booleans())
+    if command == "verify":
+        n = draw(st.integers(-1, 4))
+        checks = draw(st.one_of(st.none(), st.just(""),
+                                CHECK_NAME.map(lambda name: f"{name},{name}"),
+                                st.lists(CHECK_NAME, min_size=1, max_size=3).map(",".join)))
+        options = [] if checks is None else ["--checks", checks]
+    else:
+        n = draw(st.sampled_from([*range(-1, 6), 10, 11]))
+        assume(not (n == 10 and long))
+        jobs = draw(st.sampled_from([-1, 1, (os.cpu_count() or 1) + 1]))
+        options = ["--jobs", str(jobs)] if command == "census" else []
+    return [command, "--n", str(n), *options] + ["--long"] * long
+
+
+@settings(max_examples=80, deadline=None)
+@given(argv=sweep_lines())
+def test_a_random_sweep_line_answers_or_exits_2_with_one_error_line(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = run(argv)
+    lines = err.getvalue().splitlines()
+    if code != 0:
+        assert code == 2 and out.getvalue() == ""
+        assert len(lines) == 1 and lines[0].startswith("error: ")
+        return
+    assert lines == []
+    command, n = argv[0], int(argv[2])
+    if command == "verify":
+        names = argv[4].split(",") if "--checks" in argv else list(verify.CHECKS)
+        *rows, total = out.getvalue().splitlines()
+        assert [row.split()[:2] for row in rows] == [[name, "ok"] for name in names]
+        assert total.startswith("wall_time: ")
+    elif command == "census":
+        # the first non-self-dual classes are in S_9
+        assert re.fullmatch(r"classes: \d+, non-self-dual: 0\n", out.getvalue())
+    else:
+        report = json.loads(out.getvalue())
+        assert (report["schema"], report["n"]) == (1, n)

@@ -546,9 +546,15 @@ def test_the_5040_member_class_is_built_by_left_lifts_alone(monkeypatch):
     assert sides == ["left"] * 21
 
 
-def test_interval_bfs_vs_filter_checks_the_carried_lengths(monkeypatch):
-    report = verify.run_checks(5, ["interval_bfs_vs_filter"], allow_large=True)
-    assert report.ok and report.checks[0].passed == 500
+@pytest.mark.parametrize("n, pairs", [(1, 1), (2, 3), (3, 19), (4, 213), (5, 3781)])
+def test_interval_lifting_vs_filter_tries_every_comparable_pair_once(n, pairs):
+    check = verify.run_checks(n, ["interval_lifting_vs_filter"]).checks[0]
+    assert (check.passed, check.failed, check.findings) == (pairs, 0, [])
+
+
+def test_interval_lifting_vs_filter_checks_the_carried_lengths(monkeypatch):
+    report = verify.run_checks(5, ["interval_lifting_vs_filter"])
+    assert report.ok and report.checks[0].passed == 3781
 
     def off_by_one(u, v):
         interval = interval_elements(u, v)
@@ -556,8 +562,42 @@ def test_interval_bfs_vs_filter_checks_the_carried_lengths(monkeypatch):
                                         tuple(lw + 1 for lw in interval.lengths))
 
     monkeypatch.setattr(verify.intervals, "interval_elements", off_by_one)
-    check = verify.run_checks(4, ["interval_bfs_vs_filter"]).checks[0]
-    assert (check.passed, check.failed) == (0, 500)
+    check = verify.run_checks(4, ["interval_lifting_vs_filter"]).checks[0]
+    assert (check.passed, check.failed) == (0, 213)
+
+
+def _drop_a_middle_member(interval):
+    """[u, v] without its middle member, when it has one that is neither end."""
+    if len(interval) < 3:
+        return interval
+    i = len(interval) // 2
+    return BruhatInterval(interval.elements[:i] + interval.elements[i + 1:],
+                          interval.lengths[:i] + interval.lengths[i + 1:])
+
+
+def _add_an_outsider(interval):
+    """[u, v] with the first permutation outside it added in order, with its
+    length, when S_n has one."""
+    members = set(interval.elements)
+    outside = [w for w in all_perms(len(interval.bottom)) if w not in members]
+    if not outside:
+        return interval
+    elements = tuple(sorted(members | {outside[0]}))
+    return BruhatInterval(elements, tuple(map(length, elements)))
+
+
+@pytest.mark.parametrize("broken, passed", [
+    # only the 82 pairs of rank 0 or 1 have no member that is neither end
+    (_drop_a_middle_member, 82),
+    # only [1234, 4321] has no permutation of S_4 outside it
+    (_add_an_outsider, 1),
+])
+def test_interval_lifting_vs_filter_catches_a_wrong_member_set(monkeypatch, broken, passed):
+    monkeypatch.setattr(verify.intervals, "interval_elements",
+                        lambda u, v: broken(interval_elements(u, v)))
+    check = verify.run_checks(4, ["interval_lifting_vs_filter"]).checks[0]
+    assert (check.passed, check.failed) == (passed, 213 - passed)
+    assert len(check.findings) == 20
 
 
 def test_member_budget_stops_the_lifting():

@@ -328,8 +328,8 @@ def _check_figure2_class(monkeypatch, broken):
                         lambda n: iter([interval_elements(u, v)]))
     monkeypatch.setattr(partition, "decompose", lambda u, v: BlockDecomposition(
         real.step, broken(real.blocks)))
-    result = verify.CheckResult("uniform_partition", "exhaustive")
-    verify.check_uniform_partition(7, None, result)
+    result = verify.CheckResult("uniform_partition")
+    verify.check_uniform_partition(7, result)
     return result
 
 

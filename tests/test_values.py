@@ -55,7 +55,6 @@ class _reference_FactorizationResult:
 @dataclass
 class _reference_CheckResult:
     name: str
-    scope: str
     passed: int = 0
     failed: int = 0
     findings: list = field(default_factory=list)
@@ -89,11 +88,11 @@ CASES = [
     (FactorizationResult, _reference_FactorizationResult, ("factor_lengths",),
      ((2,),), ((3, 3, 2),)),
     (CheckResult, _reference_CheckResult,
-     ("name", "scope", "passed", "failed", "findings", "wall_time"),
-     ("parity", "exhaustive", 3, 1, [{"min": "123"}], 0.5),
-     ("parity", "exhaustive", 3, 0, [], 0.5)),
+     ("name", "passed", "failed", "findings", "wall_time"),
+     ("parity", 3, 1, [{"min": "123"}], 0.5),
+     ("parity", 3, 0, [], 0.5)),
     (VerificationReport, _reference_VerificationReport, ("n", "checks", "wall_time"),
-     (3, [CheckResult("parity", "exhaustive")], 1.5), (4, [], 1.5)),
+     (3, [CheckResult("parity")], 1.5), (4, [], 1.5)),
 ]
 MUTABLE = (CheckResult, VerificationReport)
 FROZEN = [case for case in CASES if case[0] not in MUTABLE]
@@ -191,7 +190,7 @@ def test_derived_properties_read_the_fields_and_are_not_fields():
     (_reference_CheckResult, _reference_VerificationReport),
 ])
 def test_check_results_stay_mutable_with_their_defaults(check, report):
-    a, b = check("parity", "exhaustive"), check("parity", "exhaustive")
+    a, b = check("parity"), check("parity")
     assert _fields(a, ("passed", "failed", "findings", "wall_time")) == (0, 0, [], 0.0)
     assert a.findings is not b.findings
     a.passed, a.wall_time = 2, 0.25
