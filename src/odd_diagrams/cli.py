@@ -3,9 +3,9 @@ the one degree rule of the commands that sweep S_n, ``check_sweep_degree``.
 
 Each command is declared once, in its ``COMMANDS`` row: help text, arguments
 and handler. ``build_parser`` makes the full parser, every row a subcommand.
-``run`` builds and runs only the parser of the command it is given, one per
-row and process, and leaves help, usage errors and any other line to the full
-parser, so a call neither builds the other subparsers nor parses its line twice."""
+``run`` reads a well-formed line straight from its command's row, with no
+parser built, and leaves help, usage errors and any other line to the full
+parser, so every message is the full parser's own."""
 
 import argparse
 import contextlib
@@ -180,7 +180,8 @@ _N = _arg("--n", type=int, required=True)
 
 # Each command's one declaration: its name maps to (help, arguments,
 # handler), in the order the usage lists them. ``build_parser`` makes a
-# subcommand of every row; ``parse_args`` builds only the row it is given.
+# subcommand of every row; ``parse_args`` reads a well-formed line from its
+# row alone.
 COMMANDS = {
     "diagram": ("ASCII Rothe/odd diagram of a permutation", (_PERM,), cmd_diagram),
     "class": ("odd diagram class of a permutation",
@@ -237,28 +238,53 @@ def _parser() -> argparse.ArgumentParser:
     return build_parser()
 
 
-@functools.cache
-def _command_parser(name: str) -> argparse.ArgumentParser:
-    """The command ``name`` alone, as ``build_parser`` makes its subparser:
-    same prog, arguments and handler, and ``command`` set to ``name``. Built
-    on first use and kept for the process, one per row of ``COMMANDS``."""
-    parser = argparse.ArgumentParser(prog=f"{PROG} {name}")
-    _add_command(parser, name)
-    parser.set_defaults(command=name)
-    return parser
+def _read_line(argv: list[str]) -> argparse.Namespace | None:
+    """What ``build_parser().parse_args(argv)`` returns, read from the row of
+    the command ``argv`` starts with, when every other token is one of that
+    row's flags spelt out in full or one of its values; None for any other
+    line. A value may not start with "-" and must pass the flag's type, a
+    repeated flag keeps its last value, and every required flag is given."""
+    if not argv or argv[0] not in COMMANDS:
+        return None
+    _, arguments, handler = COMMANDS[argv[0]]
+    # each flag's destination, as argparse names it, and its options
+    row = {flags[0]: (flags[0].lstrip("-").replace("-", "_"), options)
+           for flags, options in arguments}
+    values = {}
+    i = 1
+    while i < len(argv):
+        if argv[i] not in row:
+            return None
+        dest, options = row[argv[i]]
+        if options.get("action") == "store_true":
+            values[dest], i = True, i + 1
+            continue
+        count = options.get("nargs", 1)
+        tokens = argv[i + 1:i + 1 + count]
+        if len(tokens) < count or any(t.startswith("-") for t in tokens):
+            return None
+        try:
+            converted = [options.get("type", str)(t) for t in tokens]
+        except (TypeError, ValueError):
+            return None
+        values[dest] = converted if "nargs" in options else converted[0]
+        i += 1 + count
+    for dest, options in row.values():
+        if dest not in values:
+            if options.get("required"):
+                return None
+            values[dest] = options.get("default",
+                                       False if options.get("action") == "store_true" else None)
+    return argparse.Namespace(command=argv[0], func=handler, **values)
 
 
 def parse_args(argv: list[str]) -> argparse.Namespace:
-    """``build_parser().parse_args(argv)``, building and running only the
-    parser of the command ``argv`` starts with. The full parser reads any
-    other line and any line that command leaves arguments of, so every help,
-    usage and error message is its own; as there, SystemExit ends a line
-    that asks for help or does not parse."""
-    if argv and argv[0] in COMMANDS:
-        args, rest = _command_parser(argv[0]).parse_known_args(argv[1:])
-        if not rest:
-            return args
-    return _parser().parse_args(argv)
+    """``build_parser().parse_args(argv)``: a line ``_read_line`` reads needs
+    no parser, and the full parser reads any other, so every help, usage and
+    error message is its own; as there, SystemExit ends a line that asks for
+    help or does not parse."""
+    args = _read_line(argv)
+    return args if args is not None else _parser().parse_args(argv)
 
 
 def run(argv=None) -> int:

@@ -1,8 +1,11 @@
+import argparse
 import contextlib
 import io
 import json
 import os
 import re
+import subprocess
+import sys
 import time
 import tracemalloc
 from pathlib import Path
@@ -18,6 +21,7 @@ from odd_diagrams.cli import run
 from odd_diagrams.perms import format_perm, parse_perm
 
 README = Path(__file__).resolve().parent.parent / "README.md"
+SRC = README.with_name("src")
 
 
 def test_diagram(capsys):
@@ -115,25 +119,36 @@ def test_a_parse_error_leaves_the_parser_usable(capsys):
     assert capsys.readouterr().out == "classes: 70, non-self-dual: 0\n"
 
 
-def test_a_run_builds_only_its_command_parser_once(monkeypatch, capsys):
-    built = []
-    add_command = cli._add_command
+def _forbid_parsers(monkeypatch):
+    """Fail the test if a line builds an ``argparse.ArgumentParser`` or
+    reaches the full parser, built or kept."""
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__",
+                        lambda *args, **kwargs: pytest.fail("a parser was built"))
+    monkeypatch.setattr(cli, "_parser", lambda: pytest.fail("the full parser read the line"))
 
-    def recording_add_command(parser, name):
-        built.append(name)
-        add_command(parser, name)
 
-    monkeypatch.setattr(cli, "_add_command", recording_add_command)
-    cli._command_parser.cache_clear()
-    cli._parser.cache_clear()
+def test_a_well_formed_run_builds_no_parser(monkeypatch, capsys):
+    _forbid_parsers(monkeypatch)
     assert run(["census", "--n", "4", "--jobs", "1"]) == 0
-    assert run(["census", "--n", "4", "--jobs", "1"]) == 0
+    assert run(["census", "--n", "4", "--jobs", "1", "--list", "--n", "3"]) == 0
     assert run(["diagram", "--perm", "312"]) == 0
-    assert built == ["census", "diagram"]
-    assert capsys.readouterr().out.startswith("classes: 17, non-self-dual: 0\n" * 2)
+    assert capsys.readouterr().out == ("classes: 17, non-self-dual: 0\n"
+                                       "classes: 5, non-self-dual: 0\n"
+                                       "* # .\n. . .\n. . .\n")
 
 
-# --- one-command parsing against the full parser ---
+def test_a_well_formed_first_run_imports_no_locale():
+    # argparse's first gettext lookup imports locale; -S skips the site hook,
+    # whose .pth files may import it themselves
+    code = (f"import sys; sys.path.insert(0, {str(SRC)!r}); from odd_diagrams import cli; "
+            "code = cli.run(['diagram', '--perm', '312']); print(code, 'locale' in sys.modules)")
+    done = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True,
+                          timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == "0 False"
+
+
+# --- the line reader against the full parser ---
 
 
 def _readme_cli_examples():
@@ -163,6 +178,9 @@ DIFFERENTIAL_ARGVS = [
     ["census", "--n", "five"],
     ["kl", "--x", "12"],
     ["verify", "--n", "3", "--jobs", "2"],
+    ["census", "--n", "4", "--jobs", "-1"],
+    ["census", "--n", "4", "--jobs", "1", "--n", "3", "--list"],
+    ["hasse", "--interval", "123", "--dot", "s3.dot"],
 ]
 
 
@@ -173,7 +191,7 @@ def test_readme_cli_examples_cover_every_command():
 @pytest.fixture
 def recorded_args(monkeypatch):
     """Every command's handler replaced by one that records its arguments,
-    with the parsers rebuilt from the patched table and dropped after."""
+    with the full parser rebuilt from the patched table and dropped after."""
     calls = []
 
     def record(args):
@@ -183,10 +201,8 @@ def recorded_args(monkeypatch):
     monkeypatch.setattr(cli, "COMMANDS", {name: (help_text, arguments, record)
                                           for name, (help_text, arguments, _)
                                           in cli.COMMANDS.items()})
-    cli._command_parser.cache_clear()
     cli._parser.cache_clear()
     yield calls
-    cli._command_parser.cache_clear()
     cli._parser.cache_clear()
 
 
@@ -209,6 +225,45 @@ def test_run_parses_a_line_as_the_full_parser_does(argv, recorded_args, capsys):
     assert _full_parser_run(argv) == code
     assert capsys.readouterr() == captured
     assert recorded_args == calls
+
+
+@pytest.mark.parametrize("argv", README_EXAMPLES, ids=" ".join)
+def test_a_readme_example_is_read_with_no_parser(argv, monkeypatch):
+    expected = vars(cli.build_parser().parse_args(argv))
+    _forbid_parsers(monkeypatch)
+    assert vars(cli.parse_args(argv)) == expected
+
+
+FLAGS = sorted({flags[0] for _, arguments, _ in cli.COMMANDS.values() for flags, _ in arguments})
+VALUES = ["7", "312", "-1", "", "five", " 7", "+3", "1_0", "\u0663", "123", "321", "s3.dot"]
+JUNK = ["-", "--", "-h", "--help", "--n=7", "--lis", "--l", "-n", "junk", "census"]
+
+
+def _flag_with_values(argument):
+    """One argument's flag followed by as many values as it takes."""
+    flags, options = argument
+    count = 0 if options.get("action") else options.get("nargs", 1)
+    return st.lists(st.sampled_from(VALUES), min_size=count, max_size=count).map(
+        lambda values: [flags[0], *values])
+
+
+@st.composite
+def command_lines(draw):
+    """A command and pieces of its line: one of its own flags with as many
+    values as it takes, or one token of every row's flags, values and junk."""
+    name = draw(st.sampled_from(list(cli.COMMANDS)))
+    own = st.sampled_from(cli.COMMANDS[name][1]).flatmap(_flag_with_values)
+    token = st.sampled_from(FLAGS + VALUES + JUNK).map(lambda t: [t])
+    pieces = draw(st.lists(st.one_of(own, own, own, token), max_size=6))
+    return [name, *(t for piece in pieces for t in piece)]
+
+
+@settings(max_examples=400, deadline=None)
+@given(argv=command_lines())
+def test_a_line_the_reader_reads_parses_the_same_in_the_full_parser(argv):
+    args = cli._read_line(argv)
+    if args is not None:
+        assert vars(args) == vars(cli.build_parser().parse_args(argv))
 
 
 def test_census_list_without_findings_prints_summary_only(capsys):
@@ -754,21 +809,30 @@ def test_a_recursion_too_deep_exits_2_with_one_error_line(command, x, y, capsys)
 
 def _argv(command, u, v):
     """The line of ``command`` on the pair (u, v): ``class`` and ``diagram``
-    take u alone."""
+    take u alone, ``kl`` and ``rpoly`` take x = u and y = v."""
     if command in ("class", "diagram"):
         return [command, "--perm", format_perm(u)]
+    if command in ("kl", "rpoly"):
+        return [command, "--x", format_perm(u), "--y", format_perm(v)]
     return [command, "--interval", format_perm(u), format_perm(v)]
 
 
+def _pairs(max_n):
+    """Pairs of one degree, of any two degrees, and the ends of a class, in
+    S_1..S_max_n."""
+    return st.one_of(perm_pair_strategy(max_n=max_n),
+                     st.tuples(perm_strategy(max_n=max_n), perm_strategy(max_n=max_n)),
+                     perm_strategy(max_n=max_n).map(classes_mod.class_of).map(
+                         lambda cls: (cls.bottom, cls.top)))
+
+
 @pytest.mark.parametrize("command", ["class", "poincare", "factorize", "partition", "hasse",
-                                     "diagram"])
+                                     "diagram", "kl", "rpoly"])
 @settings(max_examples=40, deadline=None)
-@given(pair=st.one_of(perm_pair_strategy(max_n=6),
-                      st.tuples(perm_strategy(max_n=6), perm_strategy(max_n=6)),
-                      perm_strategy(max_n=6).map(classes_mod.class_of).map(
-                          lambda cls: (cls.bottom, cls.top))))
-def test_a_random_pair_answers_or_exits_2_with_one_error_line(command, pair):
-    # pairs of one degree, of any two degrees, and the ends of a class
+@given(data=st.data())
+def test_a_random_pair_answers_or_exits_2_with_one_error_line(command, data):
+    # KL and R-polynomials are drawn in S_1..S_5, the others in S_1..S_6
+    pair = data.draw(_pairs(5 if command in ("kl", "rpoly") else 6), label="pair")
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = run(_argv(command, *pair))
