@@ -4,7 +4,6 @@ classes, their uniform partition, and Poincare polynomial factorization."""
 from .classes import (
     class_of,
     classes_of_sn,
-    non_self_dual_census,
     non_self_dual_classes,
 )
 from .diagrams import (

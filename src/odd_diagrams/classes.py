@@ -1,6 +1,6 @@
 """Odd diagram classes of S_n, any n >= 1 (``cli.check_sweep_degree`` limits the
 commands): the parity-block sweep, the self-duality census, class lookup, JSON reports.
-Every class handed out is the ``BruhatInterval`` between its extremes (Theorem B)."""
+A class is the ``BruhatInterval`` between its extremes (Theorem B); a census gives only its ends."""
 
 import contextlib
 import functools
@@ -34,7 +34,6 @@ __all__ = [
     "resolve_jobs",
     "non_self_dual_classes",
     "census",
-    "non_self_dual_census",
 ]
 
 # the positions at the end of a permutation that ``parity_block`` takes from
@@ -299,11 +298,11 @@ def non_self_dual_classes(classes: list[BruhatInterval]) -> list[BruhatInterval]
 
 def _run_census(n: int, run: list[tuple[int, ...]]) -> tuple[int, list[tuple[Perm, Perm]]]:
     """The number of classes in the parity blocks of S_n in ``run``, and the
-    ends of those that are not self-dual, from ``parity_block_ends``. The
-    classes that ``self_dual_by_rank`` settles are dropped by their rank; of
-    the rest one class per ``ends_shape`` is built and searched. The blocks
-    share one store of suffix tables and one memo of verdicts by shape, both
-    of which end with the run."""
+    (min, max) of those that are not self-dual, from ``parity_block_ends``
+    in sweep order. The classes that ``self_dual_by_rank`` settles are
+    dropped by their rank; of the rest one class per ``ends_shape`` is built
+    and searched. The blocks share one store of suffix tables and one memo
+    of verdicts by shape, both of which end with the run."""
     tables: dict = {}
     verdicts: dict[Shape, bool] = {}
     count = 0
@@ -326,16 +325,15 @@ def _run_census(n: int, run: list[tuple[int, ...]]) -> tuple[int, list[tuple[Per
     return count, kept
 
 
-def census(n: int, jobs: int = 1) -> tuple[int, list[BruhatInterval]]:
-    """The number of odd diagram classes of S_n, and those that are not
-    self-dual, each as its ``BruhatInterval``, sorted by minimum. No table of
-    S_n is held: each parity block is swept for the ends of its classes only.
-    The blocks are dealt out in turn to ``jobs`` workers (as in
-    ``resolve_jobs``), and each worker's ``_run_census`` sweeps its run of
-    blocks and returns its count and the ends of the classes it keeps: the
-    66,795 classes of S_10 that the rank leaves open have 389 shapes, so a
-    run builds 389 intervals at most, and the 118 classes kept are built
-    here, once each, from their ends."""
+def census(n: int, jobs: int = 1) -> tuple[int, list[tuple[Perm, Perm]]]:
+    """The number of odd diagram classes of S_n, and the (min, max) of each
+    that is not self-dual, sorted by minimum. No table of S_n is held: each
+    parity block is swept for the ends of its classes only. The blocks are
+    dealt out in turn to ``jobs`` workers (as in ``resolve_jobs``), and each
+    worker's ``_run_census`` sweeps its run of blocks and returns its count
+    and the ends of the classes it keeps. The 66,795 classes of S_10 that
+    the rank leaves open have 389 shapes, so a run builds 389 intervals at
+    most; none is built here."""
     jobs = resolve_jobs(jobs)
     blocks = parity_sets(n)
     task = functools.partial(_run_census, n)
@@ -346,13 +344,8 @@ def census(n: int, jobs: int = 1) -> tuple[int, list[BruhatInterval]]:
             runs = pool.map(task, [blocks[i::jobs] for i in range(jobs)], chunksize=1)
     else:
         runs = [task(blocks)]
-    kept = sorted(ends for _, run_kept in runs for ends in run_kept)
-    return sum(count for count, _ in runs), [interval_elements(lo, hi) for lo, hi in kept]
-
-
-def non_self_dual_census(n: int, jobs: int = 1) -> int:
-    """Number of odd diagram classes of S_n that are not self-dual."""
-    return len(census(n, jobs)[1])
+    return (sum(count for count, _ in runs),
+            sorted(ends for _, run_kept in runs for ends in run_kept))
 
 
 def class_of(w: Perm, max_members: int | None = None) -> BruhatInterval:

@@ -56,8 +56,8 @@ def cmd_poincare(args) -> int:
 
 def cmd_factorize(args) -> int:
     u, v = _interval_args(args)
-    result = partition.factorize(u, v)
-    print(f"{list(result.factor_lengths)} = {result.product.pretty('t')}")
+    factors = partition.factorize(u, v)
+    print(f"{list(factors)} = {polynomials.expand_factors(factors).pretty('t')}")
     return 0
 
 
@@ -73,12 +73,11 @@ def _highlight(w: perms.Perm, positions) -> str:
 
 def cmd_partition(args) -> int:
     u, v = _interval_args(args)
-    decomp = partition.decompose(u, v, max_members=_member_budget(args))
-    step = decomp.step
+    step, blocks = partition.decompose(u, v, max_members=_member_budget(args))
     print(f"k={step.k} a={step.a} b={step.b} anchors={list(step.anchors)} m={step.m}")
-    print("u_chain: " + " ".join(_highlight(w, step.anchors) for w in decomp.u_chain))
-    print("v_chain: " + " ".join(_highlight(w, step.anchors) for w in decomp.v_chain))
-    for i, block in enumerate(decomp.blocks, start=1):
+    print("u_chain: " + " ".join(_highlight(block.bottom, step.anchors) for block in blocks))
+    print("v_chain: " + " ".join(_highlight(block.top, step.anchors) for block in blocks))
+    for i, block in enumerate(blocks, start=1):
         members = " ".join(perms.format_perm(w) for w in block.elements)
         print(f"block {i} [{perms.format_perm(block.bottom)}, "
               f"{perms.format_perm(block.top)}]: {members}")
@@ -101,12 +100,13 @@ def cmd_hasse(args) -> int:
     u, v = _interval_args(args)
     # the path is opened before the interval is built, so one that cannot be written fails
     # at once, and emptied only once it is built, so a rejected interval leaves it as it was
-    with (open(args.dot, "a") if args.dot else contextlib.nullcontext(sys.stdout)) as out:
+    to_file = args.dot is not None
+    with (open(args.dot, "a") if to_file else contextlib.nullcontext(sys.stdout)) as out:
         interval = intervals.interval_elements(u, v, max_members=_member_budget(args))
-        if args.dot:
+        if to_file:
             out.truncate(0)
         out.write(intervals.to_dot(interval) + "\n")
-    if args.dot:
+    if to_file:
         print(f"wrote {args.dot} ({len(interval)} nodes)")
     return 0
 
@@ -127,20 +127,21 @@ def check_sweep_degree(command: str, n: int, long: bool) -> None:
 def cmd_classes(args) -> int:
     check_sweep_degree("classes", args.n, args.long)
     # the path is opened before the sweep, so one that cannot be written fails at once
-    with (open(args.out, "w") if args.out else contextlib.nullcontext(sys.stdout)) as out:
+    to_file = args.out is not None
+    with (open(args.out, "w") if to_file else contextlib.nullcontext(sys.stdout)) as out:
         count = classes_mod.write_report(args.n, out)
-    if args.out:
+    if to_file:
         print(f"wrote {args.out} ({count} classes)")
     return 0
 
 
 def cmd_census(args) -> int:
     check_sweep_degree("census", args.n, args.long)
-    count, bad = classes_mod.census(args.n, jobs=args.jobs)
-    print(f"classes: {count}, non-self-dual: {len(bad)}")
+    count, ends = classes_mod.census(args.n, jobs=args.jobs)
+    print(f"classes: {count}, non-self-dual: {len(ends)}")
     if args.list:
-        for cls in bad:
-            print(f"  [{perms.format_perm(cls.bottom)}, {perms.format_perm(cls.top)}]")
+        for lo, hi in ends:
+            print(f"  [{perms.format_perm(lo)}, {perms.format_perm(hi)}]")
     return 0
 
 
@@ -148,9 +149,9 @@ def cmd_verify(args) -> int:
     names = args.checks.split(",") if args.checks is not None else None
     names = verify.select_checks(args.n, names, allow_large=args.long)
     # the path is opened before the checks run, so one that cannot be written fails at once
-    with (open(args.out, "w") if args.out else contextlib.nullcontext()) as out:
+    with (open(args.out, "w") if args.out is not None else contextlib.nullcontext()) as out:
         report = verify.run_checks(args.n, names, allow_large=args.long)
-        if out:
+        if out is not None:
             json.dump(report.to_json(), out, indent=1)
             out.write("\n")
     for check in report.checks:

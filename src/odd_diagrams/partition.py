@@ -12,12 +12,9 @@ import math
 from .diagrams import first_difference, legal_swap, odd_diagram_key
 from .intervals import BruhatInterval, interval_elements
 from .perms import FrozenRecord, Perm, format_perm, right_transpose
-from .polynomials import IntPolynomial, expand_factors
 
 __all__ = [
     "PartitionStep",
-    "BlockDecomposition",
-    "FactorizationResult",
     "anchors",
     "block_index",
     "decompose",
@@ -58,50 +55,14 @@ class PartitionStep(FrozenRecord):
         return len(self.anchors)
 
 
-class BlockDecomposition(FrozenRecord):
-    """The blocks of a class in anchor order, each its members that hold k at
-    one anchor, with their lengths: the u-chain of the block minima and the
-    v-chain of their maxima. ``verify uniform_partition`` checks that they
-    are equal in size and each the interval between its ends."""
-
-    __slots__ = _fields = ("step", "blocks")
-    step: PartitionStep
-    blocks: tuple[BruhatInterval, ...]
-
-    def __init__(self, step: PartitionStep, blocks: tuple[BruhatInterval, ...]):
-        object.__setattr__(self, "step", step)
-        object.__setattr__(self, "blocks", blocks)
-
-    @property
-    def u_chain(self) -> tuple[Perm, ...]:
-        return tuple([block.bottom for block in self.blocks])
-
-    @property
-    def v_chain(self) -> tuple[Perm, ...]:
-        return tuple([block.top for block in self.blocks])
-
-
-class FactorizationResult(FrozenRecord):
-    """Factor term counts in recursion order; their expanded product is the
-    Poincare polynomial."""
-
-    __slots__ = _fields = ("factor_lengths",)
-    factor_lengths: tuple[int, ...]
-
-    def __init__(self, factor_lengths: tuple[int, ...]):
-        object.__setattr__(self, "factor_lengths", factor_lengths)
-
-    @property
-    def product(self) -> IntPolynomial:
-        return expand_factors(self.factor_lengths)
-
-
 def _require_class_extremes(u: Perm, v: Perm) -> None:
     """ValueError unless u and v are the minimum and maximum of one odd diagram
     class. By Theorem B and the parity theorem a member above the minimum has
     a lower cover in the class, which ``legal_swap`` finds, and dually."""
+    if len(u) != len(v):
+        raise ValueError("degree mismatch")
     key = odd_diagram_key(u)
-    if len(u) != len(v) or odd_diagram_key(v) != key:
+    if odd_diagram_key(v) != key:
         raise ValueError(f"{format_perm(u)} and {format_perm(v)} have different odd diagrams")
     for w, down, extreme in ((u, True, "minimum"), (v, False, "maximum")):
         if legal_swap(w, key, down):
@@ -161,13 +122,15 @@ def phi(w: Perm, step: PartitionStep, i: int) -> Perm:
     return right_transpose(w, (step.anchors[i - 1], step.anchors[i]))
 
 
-def decompose(u: Perm, v: Perm, max_members: int | None = None) -> BlockDecomposition:
-    """Split [u, v] into its anchor-indexed blocks by their definition: build
+def decompose(u: Perm, v: Perm, max_members: int | None = None
+              ) -> tuple[PartitionStep, tuple[BruhatInterval, ...]]:
+    """The step of the class [u, v] and its blocks in anchor order: build
     [u, v] once and cut its members, with their lengths and in member order,
-    by the anchor that holds k. That the blocks are equal in size and each
-    the Bruhat interval between its ends is the uniform partition theorem,
-    re-proved by ``verify uniform_partition`` and not here. With
-    ``max_members``, ``check_class_size`` runs before any member is built."""
+    by the anchor that holds k. The blocks' bottoms are the u-chain and their
+    tops the v-chain. That the blocks are equal in size and each the Bruhat
+    interval between its ends is the uniform partition theorem, re-proved by
+    ``verify uniform_partition`` and not here. With ``max_members``,
+    ``check_class_size`` runs before any member is built."""
     step = anchors(u, v)
     if max_members is not None:
         check_class_size(u, v, max_members)
@@ -177,15 +140,17 @@ def decompose(u: Perm, v: Perm, max_members: int | None = None) -> BlockDecompos
         elements, lengths = groups[block_index(w, step) - 1]
         elements.append(w)
         lengths.append(lw)
-    return BlockDecomposition(step, tuple([BruhatInterval(tuple(elements), tuple(lengths))
-                                           for elements, lengths in groups]))
+    return step, tuple([BruhatInterval(tuple(elements), tuple(lengths))
+                        for elements, lengths in groups])
 
 
-def factorize(u: Perm, v: Perm) -> FactorizationResult:
-    """Factor the Poincare polynomial of the class [u, v]. Raises ValueError
-    unless u and v are the minimum and maximum of one odd diagram class."""
+def factorize(u: Perm, v: Perm) -> tuple[int, ...]:
+    """The factor lengths m_i of the class [u, v] in recursion order: its
+    Poincare polynomial is the product of the [m_i]_t, ``expand_factors``
+    of them. Raises ValueError unless u and v are the minimum and maximum
+    of one odd diagram class."""
     _require_class_extremes(u, v)
-    return FactorizationResult(_factor_lengths(u, v))
+    return _factor_lengths(u, v)
 
 
 def check_class_size(u: Perm, v: Perm, max_members: int) -> None:

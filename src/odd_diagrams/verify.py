@@ -167,8 +167,7 @@ def check_uniform_partition(n: int, result: CheckResult) -> None:
             continue
         finding = {"min": perms.format_perm(cls.bottom)}
         try:
-            decomp = partition.decompose(cls.bottom, cls.top)
-            blocks, step = decomp.blocks, decomp.step
+            step, blocks = partition.decompose(cls.bottom, cls.top)
             ok = (len({len(block) for block in blocks}) == 1 and len(blocks[0]) > 0
                   and all(intervals.interval_elements(b.bottom, b.top) == b for b in blocks))
             for i, (block, after) in enumerate(zip(blocks, blocks[1:]), start=1):
@@ -182,12 +181,12 @@ def check_uniform_partition(n: int, result: CheckResult) -> None:
 
 
 def check_factorization(n: int, result: CheckResult) -> None:
-    """factorize's product equals the rank generating function of the class
-    the stream hands over, [bottom, top] by ``theorem_b``, and that
-    polynomial is palindromic. No interval is built."""
+    """The product of factorize's factors equals the rank generating function
+    of the class the stream hands over, [bottom, top] by ``theorem_b``, and
+    that polynomial is palindromic. No interval is built."""
     for cls in classes_mod.class_stream(n):
         direct = polynomials.IntPolynomial(intervals.rank_vector(cls))
-        ok = (partition.factorize(cls.bottom, cls.top).product == direct
+        ok = (polynomials.expand_factors(partition.factorize(cls.bottom, cls.top)) == direct
               and polynomials.is_palindromic(direct))
         result.record(ok, {"min": perms.format_perm(cls.bottom)})
 

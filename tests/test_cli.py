@@ -47,6 +47,47 @@ def test_partition(capsys):
     assert out.count("block") == 3
 
 
+# the full text of partition and factorize on the golden classes of S_7 and S_9, byte for byte
+PINNED_TEXT = {
+    ("partition", "5431627", "7461523"): (
+        "k=3 a=3 b=7 anchors=[3, 5, 7] m=3\n"
+        "u_chain: 54[3]1[6]2[7] 54[6]1[3]2[7] 54[6]1[7]2[3]\n"
+        "v_chain: 74[3]1[6]2[5] 74[6]1[3]2[5] 74[6]1[5]2[3]\n"
+        "block 1 [5431627, 7431625]: 5431627 5431726 6431527 6431725 7431526 7431625\n"
+        "block 2 [5461327, 7461325]: 5461327 5471326 6451327 6471325 7451326 7461325\n"
+        "block 3 [5461723, 7461523]: 5461723 5471623 6451723 6471523 7451623 7461523\n"),
+    ("partition", "654172839", "958172634"): (
+        "k=4 a=3 b=9 anchors=[3, 5, 7, 9] m=4\n"
+        "u_chain: 65[4]1[7]2[8]3[9] 65[7]1[4]2[8]3[9] 65[7]1[8]2[4]3[9] "
+        "65[7]1[8]2[9]3[4]\n"
+        "v_chain: 95[4]1[8]2[7]3[6] 95[8]1[4]2[7]3[6] 95[8]1[7]2[4]3[6] "
+        "95[8]1[7]2[6]3[4]\n"
+        "block 1 [654172839, 954182736]: 654172839 654172938 654182739 654182937 "
+        "654192738 654192837 754162839 754162938 754182639 754182936 754192638 "
+        "754192836 854162739 854162937 854172639 854172936 854192637 854192736 "
+        "954162738 954162837 954172638 954172836 954182637 954182736\n"
+        "block 2 [657142839, 958142736]: 657142839 657142938 658142739 658142937 "
+        "659142738 659142837 756142839 756142938 758142639 758142936 759142638 "
+        "759142836 856142739 856142937 857142639 857142936 859142637 859142736 "
+        "956142738 956142837 957142638 957142836 958142637 958142736\n"
+        "block 3 [657182439, 958172436]: 657182439 657192438 658172439 658192437 "
+        "659172438 659182437 756182439 756192438 758162439 758192436 759162438 "
+        "759182436 856172439 856192437 857162439 857192436 859162437 859172436 "
+        "956172438 956182437 957162438 957182436 958162437 958172436\n"
+        "block 4 [657182934, 958172634]: 657182934 657192834 658172934 658192734 "
+        "659172834 659182734 756182934 756192834 758162934 758192634 759162834 "
+        "759182634 856172934 856192734 857162934 857192634 859162734 859172634 "
+        "956172834 956182734 957162834 957182634 958162734 958172634\n"),
+    ("factorize", "5431627", "7461523"): "[3, 3, 2] = 1+3t+5t^2+5t^3+3t^4+t^5\n",
+}
+
+
+@pytest.mark.parametrize("command, u, v", list(PINNED_TEXT), ids=" ".join)
+def test_partition_and_factorize_print_their_pinned_text(command, u, v, capsys):
+    assert run([command, "--interval", u, v]) == 0
+    assert capsys.readouterr().out == PINNED_TEXT[command, u, v]
+
+
 def test_class(capsys):
     assert run(["class", "--perm", "213"]) == 0
     out = capsys.readouterr().out
@@ -304,7 +345,7 @@ def test_census_jobs_2_prints_what_jobs_1_prints(capsys):
 
 @pytest.mark.skipif((os.cpu_count() or 1) < 2, reason="--jobs 2 needs two cores")
 def test_census_n9_jobs_2_prints_what_jobs_1_prints(capsys):
-    # a worker sends the ends of the 8 classes kept back to the parent, which builds them
+    # a worker sends the ends of the 8 classes kept back to the parent, which prints them
     assert run(["census", "--n", "9", "--list", "--jobs", "1"]) == 0
     serial = capsys.readouterr().out
     assert run(["census", "--n", "9", "--list", "--jobs", "2"]) == 0
@@ -611,6 +652,13 @@ def test_non_extreme_pairs_exit_2_with_one_error_line(command, pair, capsys):
     assert len(lines) == 1 and lines[0].startswith("error: ")
 
 
+@pytest.mark.parametrize("command", ["factorize", "partition"])
+def test_a_pair_of_different_degree_is_a_degree_mismatch(command, capsys):
+    # 12 and 123 both have an empty odd diagram, so the diagrams do not differ
+    assert run([command, "--interval", "12", "123"]) == 2
+    assert capsys.readouterr() == ("", "error: degree mismatch\n")
+
+
 def test_factorize_error_names_the_failing_end(capsys):
     assert run(["factorize", "--interval", "31425", "41523"]) == 2
     assert "41523 is not the maximum" in capsys.readouterr().err
@@ -735,23 +783,40 @@ def test_long_lifts_the_interval_member_budget(command, monkeypatch, capsys):
 # --- unwritable output paths ---
 
 
+def _unwritable(argv, tmp_path):
+    """``argv`` and the output path it ends in: a path in a missing directory
+    after a line that ends in its output flag."""
+    if argv[-1].startswith("--"):
+        argv = [*argv, str(tmp_path / "missing" / "out")]
+    return argv, argv[-1]
+
+
 @pytest.mark.parametrize("argv", [
     ["classes", "--n", "3", "--out"],
     ["hasse", "--interval", "123", "321", "--dot"],
     ["verify", "--n", "3", "--checks", "diagram_counts", "--out"],
+    # the empty path is opened like any other, not taken for no path
+    ["classes", "--n", "3", "--out", ""],
+    ["hasse", "--interval", "123", "321", "--dot", ""],
+    ["verify", "--n", "2", "--checks", "parity", "--out", ""],
 ])
 def test_unwritable_output_path_exits_2(argv, tmp_path, capsys):
-    path = tmp_path / "missing" / "out"
-    assert run([*argv, str(path)]) == 2
-    err = capsys.readouterr().err.splitlines()
-    assert len(err) == 1 and err[0].startswith("error: ") and str(path) in err[0]
-    assert not path.parent.exists()
+    argv, path = _unwritable(argv, tmp_path)
+    assert run(argv) == 2
+    captured = capsys.readouterr()
+    err = captured.err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ") and repr(path) in err[0]
+    assert captured.out == ""
+    assert not (tmp_path / "missing").exists()
 
 
 @pytest.mark.parametrize("argv", [
     ["classes", "--n", "9", "--out"],
     ["hasse", "--interval", "1234", "4321", "--dot"],
     ["verify", "--n", "5", "--out"],
+    ["classes", "--n", "9", "--out", ""],
+    ["hasse", "--interval", "1234", "4321", "--dot", ""],
+    ["verify", "--n", "5", "--out", ""],
 ])
 def test_unwritable_output_path_fails_before_any_work(argv, tmp_path, monkeypatch, capsys):
     def fail(*args, **kwargs):
@@ -761,10 +826,10 @@ def test_unwritable_output_path_fails_before_any_work(argv, tmp_path, monkeypatc
     monkeypatch.setattr(classes_mod, "parity_block_ends", fail)
     monkeypatch.setattr(intervals, "interval_elements", fail)
     monkeypatch.setattr(verify, "run_checks", fail)
-    path = tmp_path / "missing" / "out"
-    assert run([*argv, str(path)]) == 2
+    argv, path = _unwritable(argv, tmp_path)
+    assert run(argv) == 2
     err = capsys.readouterr().err.splitlines()
-    assert len(err) == 1 and err[0].startswith("error: ") and str(path) in err[0]
+    assert len(err) == 1 and err[0].startswith("error: ") and repr(path) in err[0]
 
 
 @pytest.mark.parametrize("argv", [

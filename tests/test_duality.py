@@ -13,7 +13,6 @@ from odd_diagrams.classes import (
     class_of,
     class_shape,
     classes_of_sn,
-    non_self_dual_census,
     non_self_dual_classes,
 )
 from odd_diagrams.cli import check_sweep_degree, run
@@ -171,7 +170,8 @@ def test_boundary_graph_shapes():
 
 def test_bipartite_criterion_fails_on_every_non_self_dual_class_of_s9(golden_s9):
     # the 8 classes of the published S_9 census, not only the golden one
-    count, bad = census(9)
+    count, ends = census(9)
+    bad = [interval_elements(lo, hi) for lo, hi in ends]
     assert count == 103873 and len(bad) == 8 and golden_s9 in bad
     assert [bipartite_criterion(cls) for cls in bad] == [False] * 8
 
@@ -335,7 +335,7 @@ def test_criterion_search_tells_apart_graphs_with_equal_degrees():
 
 @pytest.mark.parametrize("n", range(1, 7))
 def test_small_censuses_are_zero(n):
-    assert non_self_dual_census(n) == 0
+    assert len(census(n)[1]) == 0
 
 
 @pytest.mark.parametrize("n", range(1, 7))
@@ -375,7 +375,7 @@ def test_self_duality_label_independent():
 def test_census_guard():
     # the census rejects only n < 1; its cap at n = 10 is the CLI's rule
     with pytest.raises(ValueError, match="n must be positive"):
-        non_self_dual_census(0)
+        census(0)
     with pytest.raises(ValueError, match="census supports n <= 10"):
         check_sweep_degree("census", 11, long=True)
 
@@ -458,8 +458,8 @@ def test_census_builds_and_searches_only_classes_above_rank_3(monkeypatch):
 def test_census_runs_return_ends_and_the_census_builds_each_kept_class(monkeypatch):
     # the parity block of S_9 with 4, 6, 7, 8, 9 at the even positions holds 6
     # of the 8 non-self-dual classes: a run builds one interval per shape it
-    # searches and returns each kept class as its plain (min, max) ends, and
-    # the census then builds one interval for each class kept
+    # searches and returns each kept class as its plain (min, max) ends, which
+    # the census hands on: it builds no interval past the shapes it searches
     built, searched = _watch_census_builds(monkeypatch)
     count, kept = classes._run_census(9, [(4, 6, 7, 8, 9)])
     assert count == 84 and len(kept) == 6
@@ -469,13 +469,12 @@ def test_census_runs_return_ends_and_the_census_builds_each_kept_class(monkeypat
     assert {lo for lo, _ in kept} & set(searched)
     built.clear()
     searched.clear()
-    count, bad = census(9)
-    assert count == 103873 and len(bad) == 8
-    # the census's searches, then one interval per kept class, in order
-    searches = len(searched)
-    assert [i.bottom for i in built[:searches]] == searched
-    assert len(built) == searches + 8
-    assert all(cls is interval for cls, interval in zip(bad, built[searches:]))
+    count, ends = census(9, 1)
+    assert count == 103873 and len(ends) == 8
+    # the census's searches, one per shape of the classes of rank >= 4, and no other interval
+    assert [i.bottom for i in built] == searched
+    assert len(built) == 95
+    assert all(type(lo) is type(hi) is tuple for lo, hi in ends)
 
 
 @pytest.mark.parametrize("n", [*range(1, 9), pytest.param(9, marks=pytest.mark.long)])
@@ -484,7 +483,8 @@ def test_census_matches_the_search_on_every_open_class(n):
     # searches every class the rank rule leaves open
     table = classes_of_sn(n)
     open_classes = [c for c in table if not self_dual_by_rank(c.rank)]
-    assert census(n) == (len(table), non_self_dual_classes(open_classes))
+    bad = non_self_dual_classes(open_classes)
+    assert census(n) == (len(table), [(c.bottom, c.top) for c in bad])
 
 
 def _reference_block_census(n, evens, tables, verdicts):

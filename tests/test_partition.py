@@ -3,9 +3,8 @@ import pytest
 from odd_diagrams import partition, verify
 from odd_diagrams.classes import class_stream, classes_of_sn, parity_block_ends, parity_sets
 from odd_diagrams.diagrams import odd_diagram_key
-from odd_diagrams.intervals import BruhatInterval, interval_elements
+from odd_diagrams.intervals import BruhatInterval, interval_elements, rank_vector
 from odd_diagrams.partition import (
-    BlockDecomposition,
     PartitionStep,
     anchors,
     block_index,
@@ -14,7 +13,7 @@ from odd_diagrams.partition import (
     phi,
 )
 from odd_diagrams.perms import covers, parse_perm, right_transpose
-from odd_diagrams.polynomials import expand_factors, poincare
+from odd_diagrams.polynomials import IntPolynomial, expand_factors, poincare
 
 
 def fig2_pair():
@@ -62,7 +61,7 @@ def test_factorize_compares_odd_diagrams_once(monkeypatch):
 
     monkeypatch.setattr(partition, "odd_diagram_key", counting)
     u, v = s9_pair()
-    assert len(factorize(u, v).factor_lengths) > 1
+    assert len(factorize(u, v)) > 1
     assert calls == [u, v]
 
 
@@ -74,23 +73,23 @@ def test_block_index_extremes():
 
 
 def test_decompose_s9_chains():
-    decomp = decompose(*s9_pair())
-    assert decomp.u_chain == (
+    _, blocks = decompose(*s9_pair())
+    assert tuple(block.bottom for block in blocks) == (
         parse_perm("654172839"),
         parse_perm("657142839"),
         parse_perm("657182439"),
         parse_perm("657182934"),
     )
-    assert decomp.v_chain[-1] == parse_perm("958172634")
-    sizes = {len(block) for block in decomp.blocks}
+    assert blocks[-1].top == parse_perm("958172634")
+    sizes = {len(block) for block in blocks}
     assert len(sizes) == 1
 
 
 def test_decompose_figure2():
-    decomp = decompose(*fig2_pair())
-    assert len(decomp.blocks) == 3
-    assert all(len(block) == 6 for block in decomp.blocks)
-    assert decomp.u_chain == (
+    _, blocks = decompose(*fig2_pair())
+    assert len(blocks) == 3
+    assert all(len(block) == 6 for block in blocks)
+    assert tuple(block.bottom for block in blocks) == (
         parse_perm("5431627"),
         parse_perm("5461327"),
         parse_perm("5461723"),
@@ -99,11 +98,10 @@ def test_decompose_figure2():
 
 def test_phi_maps_block_to_next():
     u, v = fig2_pair()
-    decomp = decompose(u, v)
-    step = decomp.step
-    for i, block in enumerate(decomp.blocks[:-1], start=1):
+    step, blocks = decompose(u, v)
+    for i, block in enumerate(blocks[:-1], start=1):
         images = {phi(w, step, i) for w in block.elements}
-        assert images == set(decomp.blocks[i].elements)
+        assert images == set(blocks[i].elements)
         for w in block.elements:
             assert covers(w, phi(w, step, i))
 
@@ -119,28 +117,28 @@ def test_phi_rejects_wrong_block():
 
 def test_factorize_golden():
     w = parse_perm("12345")  # a one-member class
-    assert factorize(w, w).factor_lengths == ()
-    assert factorize(w, w).product == 1
+    assert factorize(w, w) == ()
+    assert expand_factors(factorize(w, w)) == 1
     with pytest.raises(ValueError, match="24513 is not the minimum"):  # {24315, 24513}
         factorize(parse_perm("24513"), parse_perm("24513"))
 
-    result = factorize(*fig2_pair())
-    assert result.factor_lengths == (3, 3, 2)
-    assert result.product.coeffs == (1, 3, 5, 5, 3, 1)
+    factors = factorize(*fig2_pair())
+    assert factors == (3, 3, 2)
+    assert expand_factors(factors).coeffs == (1, 3, 5, 5, 3, 1)
 
     small = factorize(parse_perm("213"), parse_perm("312"))
-    assert small.factor_lengths == (2,)
-    assert small.product.coeffs == (1, 1)
+    assert small == (2,)
+    assert expand_factors(small).coeffs == (1, 1)
 
 
 @pytest.mark.parametrize("n", range(1, 7))
 def test_factorize_equals_poincare(n):
     for cls in classes_of_sn(n):
-        result = factorize(cls.bottom, cls.top)
-        assert result.product == poincare(cls.bottom, cls.top)
+        factors = factorize(cls.bottom, cls.top)
+        assert expand_factors(factors) == poincare(cls.bottom, cls.top)
         size = len(interval_elements(cls.bottom, cls.top))
         product_of_lengths = 1
-        for m in result.factor_lengths:
+        for m in factors:
             product_of_lengths *= m
         assert product_of_lengths == size
 
@@ -150,24 +148,19 @@ def test_uniformity_and_coverage(n):
     for cls in classes_of_sn(n):
         if len(cls.elements) == 1:
             continue
-        decomp = decompose(cls.bottom, cls.top)
-        step = decomp.step
-        assert len({len(b) for b in decomp.blocks}) == 1
+        step, blocks = decompose(cls.bottom, cls.top)
+        assert len({len(b) for b in blocks}) == 1
         # every member's k-position is an anchor, and the anchored values
         # of the minimum increase
         for w in cls.elements:
             assert 1 <= block_index(w, step) <= step.m
         values = [cls.bottom[i - 1] for i in step.anchors]
         assert values == sorted(values)
-        # chain construction matches the block extremes
-        for i, block in enumerate(decomp.blocks):
-            assert block.bottom == decomp.u_chain[i]
-            assert block.top == decomp.v_chain[i]
-        # successive chain elements differ by the anchor transposition
+        # successive block ends differ by the anchor transposition
         for i in range(step.m - 1):
             pair = (step.anchors[i], step.anchors[i + 1])
-            assert decomp.u_chain[i + 1] == right_transpose(decomp.u_chain[i], pair)
-            assert decomp.v_chain[i] == right_transpose(decomp.v_chain[i + 1], pair)
+            assert blocks[i + 1].bottom == right_transpose(blocks[i].bottom, pair)
+            assert blocks[i].top == right_transpose(blocks[i + 1].top, pair)
 
 
 @pytest.mark.parametrize("n", range(1, 6))
@@ -233,7 +226,8 @@ def _reference_chains(u, v, step):
 @pytest.mark.parametrize("n", range(1, 8))
 def test_derived_fields_match_the_values_they_replace_on_every_class(n):
     # bottom and top, a and b, the chains and the product were stored fields;
-    # each is now read from the others, and here checked against its source
+    # each is now read from the others, and here checked against its source:
+    # the chains are the blocks' ends, the product the expanded factors
     tables = {}
     ends = {key: (lo, hi) for evens in parity_sets(n)
             for key, lo, hi, _ in parity_block_ends(n, evens, tables)}
@@ -242,15 +236,14 @@ def test_derived_fields_match_the_values_they_replace_on_every_class(n):
     for cls in stream:
         u, v = cls.bottom, cls.top
         assert ends[odd_diagram_key(u)] == (u, v)
-        result = factorize(u, v)
-        assert result.product == expand_factors(result.factor_lengths)
+        assert expand_factors(factorize(u, v)) == IntPolynomial(rank_vector(cls))
         if u == v:
             continue
-        decomp = decompose(u, v)
-        step = decomp.step
+        step, blocks = decompose(u, v)
         assert (step.a, step.b) == (u.index(step.k) + 1, v.index(step.k) + 1)
         assert (step.a, step.b) == (step.anchors[0], step.anchors[-1])
-        assert (decomp.u_chain, decomp.v_chain) == _reference_chains(u, v, step)
+        chains = (tuple(b.bottom for b in blocks), tuple(b.top for b in blocks))
+        assert chains == _reference_chains(u, v, step)
 
 
 def test_block_index_and_phi_reject_a_non_anchor_position():
@@ -276,7 +269,7 @@ def _reference_blocks(u, v):
 def test_cut_blocks_match_the_rebuilt_blocks_on_every_class(n):
     for cls in class_stream(n):
         if len(cls) > 1:
-            assert decompose(cls.bottom, cls.top).blocks == _reference_blocks(cls.bottom, cls.top)
+            assert decompose(cls.bottom, cls.top)[1] == _reference_blocks(cls.bottom, cls.top)
 
 
 @pytest.mark.parametrize("pair", [fig2_pair(), s9_pair()])
@@ -323,11 +316,10 @@ BROKEN = {
 
 def _check_figure2_class(monkeypatch, broken):
     u, v = fig2_pair()
-    real = decompose(u, v)
+    step, blocks = decompose(u, v)
     monkeypatch.setattr(verify.classes_mod, "class_stream",
                         lambda n: iter([interval_elements(u, v)]))
-    monkeypatch.setattr(partition, "decompose", lambda u, v: BlockDecomposition(
-        real.step, broken(real.blocks)))
+    monkeypatch.setattr(partition, "decompose", lambda u, v: (step, broken(blocks)))
     result = verify.CheckResult("uniform_partition")
     verify.check_uniform_partition(7, result)
     return result

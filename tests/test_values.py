@@ -16,8 +16,7 @@ import pytest
 from odd_diagrams import classes
 from odd_diagrams.classes import class_of
 from odd_diagrams.intervals import BruhatInterval, interval_elements
-from odd_diagrams.partition import (BlockDecomposition, FactorizationResult, PartitionStep,
-                                    decompose, factorize)
+from odd_diagrams.partition import PartitionStep, decompose, factorize
 from odd_diagrams.perms import parse_perm
 from odd_diagrams.polynomials import IntPolynomial
 from odd_diagrams.verify import CheckResult, VerificationReport
@@ -41,17 +40,6 @@ class _reference_PartitionStep:
     anchors: tuple
 
 
-@dataclass(frozen=True)
-class _reference_BlockDecomposition:
-    step: PartitionStep
-    blocks: tuple
-
-
-@dataclass(frozen=True)
-class _reference_FactorizationResult:
-    factor_lengths: tuple
-
-
 @dataclass
 class _reference_CheckResult:
     name: str
@@ -73,9 +61,9 @@ def _points(*texts):
     return tuple(interval_elements(w, w) for w in map(parse_perm, texts))
 
 
-# the anchor steps and blocks of the classes [213, 312] and [1324, 1423]
+# the anchor step and blocks of the class [213, 312], and the blocks of [1324, 1423]
 STEP, BLOCKS = PartitionStep(2, (1, 3)), _points("213", "312")
-OTHER_STEP, OTHER_BLOCKS = PartitionStep(3, (2, 4)), _points("1324", "1423")
+OTHER_BLOCKS = _points("1324", "1423")
 
 # each class, its reference, its field names and two sets of field values
 CASES = [
@@ -83,10 +71,6 @@ CASES = [
      (((2, 1, 3), (3, 1, 2)), (1, 2)), (((1, 3, 2, 4), (1, 4, 2, 3)), (1, 2))),
     (PartitionStep, _reference_PartitionStep, ("k", "anchors"),
      (2, (1, 3)), (3, (2, 4))),
-    (BlockDecomposition, _reference_BlockDecomposition, ("step", "blocks"),
-     (STEP, BLOCKS), (OTHER_STEP, OTHER_BLOCKS)),
-    (FactorizationResult, _reference_FactorizationResult, ("factor_lengths",),
-     ((2,),), ((3, 3, 2),)),
     (CheckResult, _reference_CheckResult,
      ("name", "passed", "failed", "findings", "wall_time"),
      ("parity", 3, 1, [{"min": "123"}], 0.5),
@@ -152,15 +136,15 @@ def test_frozen_classes_refuse_assignment_and_deletion(cls, ref, names, values, 
 
 
 def test_the_sample_values_are_those_the_library_builds():
-    # the values and the other values of the first three rows, in turn
-    for column, pair in ((3, ("213", "312")), (4, ("1324", "1423"))):
+    # the values and the other values of the first two rows, in turn, and the blocks
+    for column, pair, blocks in ((3, ("213", "312"), BLOCKS), (4, ("1324", "1423"), OTHER_BLOCKS)):
         u, v = map(parse_perm, pair)
-        decomp = decompose(u, v)
-        for case, built in zip(CASES, (interval_elements(u, v), decomp.step, decomp)):
+        step, built_blocks = decompose(u, v)
+        for case, built in zip(CASES, (interval_elements(u, v), step)):
             assert case[0](*case[column]) == built
-    assert factorize(parse_perm("213"), parse_perm("312")) == FactorizationResult(*CASES[3][3])
-    assert factorize(parse_perm("5431627"), parse_perm("7461523")) == FactorizationResult(
-        *CASES[3][4])
+        assert built_blocks == blocks
+    assert factorize(parse_perm("213"), parse_perm("312")) == (2,)
+    assert factorize(parse_perm("5431627"), parse_perm("7461523")) == (3, 3, 2)
 
 
 def test_derived_properties_read_the_fields_and_are_not_fields():
@@ -168,19 +152,12 @@ def test_derived_properties_read_the_fields_and_are_not_fields():
     assert (interval.bottom, interval.top, interval.n, interval.rank) == (
         (2, 1, 3), (3, 1, 2), 3, 1)
     assert (STEP.a, STEP.b, STEP.m) == (1, 3, 2)
-    decomp = BlockDecomposition(STEP, BLOCKS)
-    assert decomp.u_chain == decomp.v_chain == ((2, 1, 3), (3, 1, 2))
-    assert FactorizationResult((3, 3, 2)).product == IntPolynomial([1, 3, 5, 5, 3, 1])
     # a derived value is no constructor argument, and none can be set
     with pytest.raises(TypeError):
         BruhatInterval((2, 1, 3), (3, 1, 2), *CASES[0][3])
     with pytest.raises(TypeError):
         PartitionStep(2, 1, 3, (1, 3))
-    with pytest.raises(TypeError):
-        FactorizationResult((2,), IntPolynomial([1, 1]))
-    for obj, name in ((interval, "bottom"), (interval, "top"), (STEP, "a"), (STEP, "b"),
-                      (decomp, "u_chain"), (decomp, "v_chain"),
-                      (FactorizationResult((2,)), "product")):
+    for obj, name in ((interval, "bottom"), (interval, "top"), (STEP, "a"), (STEP, "b")):
         with pytest.raises(AttributeError):
             setattr(obj, name, None)
 
