@@ -4,7 +4,6 @@ classes, their uniform partition, and Poincare polynomial factorization."""
 from .classes import (
     class_of,
     classes_of_sn,
-    non_self_dual_classes,
 )
 from .diagrams import (
     first_difference,
@@ -30,7 +29,6 @@ from .perms import (
     descent_set,
     format_perm,
     inverse,
-    left_transpose,
     length,
     make_permutation,
     parse_perm,

@@ -14,8 +14,8 @@ from operator import itemgetter
 
 from .diagrams import legal_swap, odd_diagram_key
 from .duality import has_anti_automorphism, is_self_dual, self_dual_by_rank
-from .intervals import BruhatInterval, interval_elements, rank_vector
-from .partition import _factor_lengths, check_class_size
+from .intervals import BruhatInterval, rank_vector
+from .partition import _factor_lengths, class_interval
 from .perms import Perm, format_perm
 from .polynomials import carrell_holds
 
@@ -32,7 +32,6 @@ __all__ = [
     "class_report",
     "write_report",
     "resolve_jobs",
-    "non_self_dual_classes",
     "census",
 ]
 
@@ -290,19 +289,14 @@ def resolve_jobs(jobs: int) -> int:
     return jobs or cores
 
 
-def non_self_dual_classes(classes: list[BruhatInterval]) -> list[BruhatInterval]:
-    """The classes that are not self-dual, in input order: ``is_self_dual``
-    on each, without the census's memo by shape."""
-    return [c for c in classes if not is_self_dual(c)]
-
-
 def _run_census(n: int, run: list[tuple[int, ...]]) -> tuple[int, list[tuple[Perm, Perm]]]:
     """The number of classes in the parity blocks of S_n in ``run``, and the
     (min, max) of those that are not self-dual, from ``parity_block_ends``
     in sweep order. The classes that ``self_dual_by_rank`` settles are
     dropped by their rank; of the rest one class per ``ends_shape`` is built
-    and searched. The blocks share one store of suffix tables and one memo
-    of verdicts by shape, both of which end with the run."""
+    from its ends by ``class_interval`` and searched. The blocks share one
+    store of suffix tables and one memo of verdicts by shape, both of which
+    end with the run."""
     tables: dict = {}
     verdicts: dict[Shape, bool] = {}
     count = 0
@@ -317,7 +311,7 @@ def _run_census(n: int, run: list[tuple[int, ...]]) -> tuple[int, list[tuple[Per
                 shape = ends_shape(lo, hi)
                 verdict = verdicts.get(shape)
                 if verdict is None:
-                    verdict = verdicts[shape] = has_anti_automorphism(interval_elements(lo, hi))
+                    verdict = verdicts[shape] = has_anti_automorphism(class_interval(lo, hi))
                 if not verdict:
                     kept.append((lo, hi))
             # freed before the next block is swept, not as that sweep returns
@@ -352,18 +346,17 @@ def class_of(w: Perm, max_members: int | None = None) -> BruhatInterval:
     """The odd diagram class of w, the interval between its ends. By Theorem
     B and the parity theorem only the minimum has no lowering ``legal_swap``
     move and only the maximum no raising one, so each walk ends at its
-    extreme within rank steps; members and lengths come from
-    ``interval_elements``, at a cost that follows class size, not n!. With
-    ``max_members``, ``check_class_size`` runs on the ends first."""
+    extreme within rank steps. Members and lengths come from
+    ``class_interval`` on the ends, one walk of their anchor chain and the
+    translates of its blocks, at a cost that follows class size, not n!. With
+    ``max_members``, the class size is checked before any member is built."""
     key = odd_diagram_key(w)
     lo = hi = w
     while x := legal_swap(lo, key, True):
         lo = x
     while x := legal_swap(hi, key, False):
         hi = x
-    if max_members is not None:
-        check_class_size(lo, hi, max_members)
-    return interval_elements(lo, hi)
+    return class_interval(lo, hi, max_members)
 
 
 def class_report(cls: BruhatInterval) -> dict:
@@ -432,8 +425,9 @@ def _record_text(key: int, lo: Perm, hi: Perm, rank: int, memo: _ReportMemo) -> 
     (the proof is in its docstring; ``verify class_shapes`` re-checks them
     per shape). At rank <= 2 the rank vector is (1), (1, 1) or (1, 2, 1): an
     interval of rank 2 has 4 members (Bjorner-Brenti, Lemma 2.7.3). A class
-    of higher rank builds its interval only when it is the first of its
-    shape, for the size and every field but the diagram.
+    of higher rank builds its interval, by ``class_interval`` from its ends,
+    only when it is the first of its shape, for the size and every field but
+    the diagram.
 
     ``kl_is_one`` is P_{min,max} = 1, decided without the KL engine: at rank
     <= 2 by the degree bound deg P <= (rank - 1)/2 < 1 and P(0) = 1, where
@@ -449,7 +443,7 @@ def _record_text(key: int, lo: Perm, hi: Perm, rank: int, memo: _ReportMemo) -> 
         shape = ends_shape(lo, hi)
         entry = memo.by_shape.get(shape)
         if entry is None:
-            interval = interval_elements(lo, hi)
+            interval = class_interval(lo, hi)
             entry = memo.by_shape[shape] = _entry(
                 rank_vector(interval), carrell_holds(interval), is_self_dual(interval),
                 _factor_lengths(lo, hi))

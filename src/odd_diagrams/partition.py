@@ -4,19 +4,23 @@ Given the extremes u < v of an odd diagram class, the positions between
 a = u^-1(k) and b = v^-1(k) (k the first differing value) carrying values
 in [u(a), u(b)] split the interval into equal-sized blocks indexed by the
 position of k.  Iterating the split on the last block's minimum factors
-the Poincare polynomial into terms 1 + t + ... + t^(m-1).
+the Poincare polynomial into terms 1 + t + ... + t^(m-1).  Read back from
+its end, the same walk builds the class: each step's blocks are the
+translates of its last block by the anchor-pair swaps.
 """
 
 import math
+from operator import itemgetter
 
 from .diagrams import first_difference, legal_swap, odd_diagram_key
-from .intervals import BruhatInterval, interval_elements
-from .perms import FrozenRecord, Perm, format_perm, right_transpose
+from .intervals import BruhatInterval
+from .perms import FrozenRecord, Perm, format_perm, length, right_transpose
 
 __all__ = [
     "PartitionStep",
     "anchors",
     "block_index",
+    "class_interval",
     "decompose",
     "phi",
     "factorize",
@@ -124,24 +128,22 @@ def phi(w: Perm, step: PartitionStep, i: int) -> Perm:
 
 def decompose(u: Perm, v: Perm, max_members: int | None = None
               ) -> tuple[PartitionStep, tuple[BruhatInterval, ...]]:
-    """The step of the class [u, v] and its blocks in anchor order: build
-    [u, v] once and cut its members, with their lengths and in member order,
-    by the anchor that holds k. The blocks' bottoms are the u-chain and their
-    tops the v-chain. That the blocks are equal in size and each the Bruhat
-    interval between its ends is the uniform partition theorem, re-proved by
-    ``verify uniform_partition`` and not here. With ``max_members``,
-    ``check_class_size`` runs before any member is built."""
+    """The step of the class [u, v] and its blocks in anchor order, each with
+    its members sorted and their lengths: the last block is the class of the
+    next anchor step, built from the one walk of the anchor chain as
+    ``class_interval`` builds a class, and the others are its translates by
+    the anchor-pair swaps, each one length lower; no member is placed by the
+    position of k. The blocks' bottoms are the u-chain and their tops the
+    v-chain. That these are the blocks of [u, v], equal in size and each the
+    Bruhat interval between its ends, is the uniform partition theorem,
+    re-proved by ``verify uniform_partition`` and not here. With
+    ``max_members``, the class size is checked before any member is built."""
     step = anchors(u, v)
+    chain = _anchor_chain(u, v)
     if max_members is not None:
-        check_class_size(u, v, max_members)
-    interval = interval_elements(u, v)
-    groups: list[tuple[list[Perm], list[int]]] = [([], []) for _ in range(step.m)]
-    for w, lw in zip(interval.elements, interval.lengths):
-        elements, lengths = groups[block_index(w, step) - 1]
-        elements.append(w)
-        lengths.append(lw)
-    return step, tuple([BruhatInterval(tuple(elements), tuple(lengths))
-                        for elements, lengths in groups])
+        _check_chain_size(u, v, chain, max_members)
+    blocks = _translates(*_chain_members(v, chain[1:]), step.anchors)
+    return step, tuple(_sorted_interval(*block) for block in blocks)
 
 
 def factorize(u: Perm, v: Perm) -> tuple[int, ...]:
@@ -158,18 +160,31 @@ def check_class_size(u: Perm, v: Perm, max_members: int) -> None:
     ``max_members`` members. By the factorization theorem its size is the
     product of its factor lengths, the Poincare polynomial at t = 1, so no
     member is built; u and v are not checked to be the extremes."""
-    size = math.prod(_factor_lengths(u, v))
+    _check_chain_size(u, v, _anchor_chain(u, v), max_members)
+
+
+def _check_chain_size(u: Perm, v: Perm, chain: list[tuple[int, tuple[int, ...]]],
+                      max_members: int) -> None:
+    """``check_class_size`` on the ``_anchor_chain`` of u and v."""
+    size = math.prod(len(positions) for _, positions in chain)
     if size > max_members:
         raise ValueError(f"the class [{format_perm(u)}, {format_perm(v)}] has {size} members, "
                          f"more than {max_members}; pass --long to run anyway")
 
 
 def _factor_lengths(u: Perm, v: Perm) -> tuple[int, ...]:
-    """Unchecked ``factorize``: split [current, v] at its anchors, recording
-    each step's block count m, until the pair collapses to a point. The
+    """Unchecked ``factorize``: the block count m of each step of the
+    ``_anchor_chain`` of u and v."""
+    return tuple(len(positions) for _, positions in _anchor_chain(u, v))
+
+
+def _anchor_chain(u: Perm, v: Perm) -> list[tuple[int, tuple[int, ...]]]:
+    """The ``_anchor_positions`` (k, anchors) of each step of the split of
+    the class [u, v]: split [current, v] at its anchors and go on with its
+    last block, until the pair collapses to a point; empty when u = v. The
     last block's minimum is current (a_1 a_2)(a_2 a_3)...(a_{m-1} a_m): the
     anchor values rotated one place toward a_1."""
-    factors = []
+    chain = []
     current = u
     last_k = 0
     while current != v:
@@ -177,9 +192,68 @@ def _factor_lengths(u: Perm, v: Perm) -> tuple[int, ...]:
         if k <= last_k:
             raise AssertionError("first difference failed to increase")
         last_k = k
-        factors.append(len(positions))
+        chain.append((k, positions))
         row = list(current)
         for p, q in zip(positions, positions[1:] + positions[:1]):
             row[p - 1] = current[q - 1]
         current = tuple(row)
-    return tuple(factors)
+    return chain
+
+
+def class_interval(u: Perm, v: Perm, max_members: int | None = None) -> BruhatInterval:
+    """The class with extremes u and v, members and lengths, from one walk
+    of its ``_anchor_chain``, unchecked: u and v are not checked to be the
+    extremes, and the theorems it rests on are re-proved by ``verify
+    theorem_b`` and ``uniform_partition``, not here. By the uniform partition
+    theorem each step's class is the m translates of its last block, which
+    is the next step's class, so the members grow outward from {v}; a class
+    of N members costs O(N) swaps and one sort, where ``interval_elements``
+    halves and doubles its member set along a filter walk. With
+    ``max_members``, ValueError as ``check_class_size`` before any member is
+    built."""
+    chain = _anchor_chain(u, v)
+    if max_members is not None:
+        _check_chain_size(u, v, chain, max_members)
+    return _sorted_interval(*_chain_members(v, chain))
+
+
+# members and their lengths, in two aligned lists
+Block = tuple[list[Perm], list[int]]
+
+
+def _chain_members(v: Perm, chain: list[tuple[int, tuple[int, ...]]]) -> Block:
+    """The members of the class that ``chain`` splits down to v, with their
+    lengths, in no particular order: from {v}, each step from the last adds
+    the translates of what is built so far."""
+    elements, lengths = [v], [length(v)]
+    for _, positions in reversed(chain):
+        # the last block is the one built so far
+        for block_elements, block_lengths in _translates(elements, lengths, positions)[:-1]:
+            elements += block_elements
+            lengths += block_lengths
+    return elements, lengths
+
+
+def _translates(elements: list[Perm], lengths: list[int],
+                positions: tuple[int, ...]) -> list[Block]:
+    """The m blocks of one anchor step in anchor order, given its last
+    block: block i is block i + 1 with the entries at anchors a_i and
+    a_{i+1} swapped, phi^-1, and each member one length lower."""
+    order = list(range(len(elements[0])))
+    blocks = [(elements, lengths)]
+    for i in range(len(positions) - 1, 0, -1):
+        p, q = positions[i - 1] - 1, positions[i] - 1
+        order[p], order[q] = q, p
+        elements = list(map(itemgetter(*order), elements))
+        order[p], order[q] = p, q
+        lengths = [lw - 1 for lw in lengths]
+        blocks.append((elements, lengths))
+    blocks.reverse()
+    return blocks
+
+
+def _sorted_interval(elements: list[Perm], lengths: list[int]) -> BruhatInterval:
+    """The interval of these members and their lengths, sorted by member."""
+    by_member = dict(zip(elements, lengths))
+    ordered = tuple(sorted(by_member))
+    return BruhatInterval(ordered, tuple(map(by_member.__getitem__, ordered)))

@@ -28,7 +28,6 @@ __all__ = [
     "all_perms",
     "inverse",
     "right_transpose",
-    "left_transpose",
     "length",
     "bruhat_leq",
     "covers",
@@ -155,13 +154,6 @@ def right_transpose(w: Perm, t: Transposition) -> Perm:
     out = list(w)
     out[i - 1], out[j - 1] = out[j - 1], out[i - 1]
     return tuple(out)
-
-
-def left_transpose(w: Perm, t: Transposition) -> Perm:
-    """(i j) w: swap the values i and j."""
-    _check_transposition(len(w), t)
-    i, j = t
-    return tuple(j if x == i else i if x == j else x for x in w)
 
 
 def length(w: Perm) -> int:

@@ -108,9 +108,12 @@ def check_diagram_counts(n: int, result: CheckResult) -> None:
 def check_theorem_b(n: int, result: CheckResult) -> None:
     """Every odd diagram class is the Bruhat interval between its extremes:
     the lifting recursion from its first to its last member gives back its
-    members and their carried lengths."""
+    members and their carried lengths. So does ``class_interval``, the
+    builder from the anchor chain of the ends that ``class_of``, the census
+    and the report use."""
     for cls in classes_mod.class_stream(n):
-        result.record(intervals.interval_elements(cls.bottom, cls.top) == cls,
+        result.record(intervals.interval_elements(cls.bottom, cls.top) == cls
+                      and partition.class_interval(cls.bottom, cls.top) == cls,
                       {"min": perms.format_perm(cls.bottom)})
 
 
@@ -156,20 +159,25 @@ def check_legality_sufficiency(n: int, result: CheckResult) -> None:
 
 def check_uniform_partition(n: int, result: CheckResult) -> None:
     """The uniform partition theorem, re-proved here and nowhere else: the
-    blocks of ``decompose`` are non-empty and equal in size, and each is the
-    Bruhat interval between its ends, members and lengths; phi maps each
-    member to a cover in the next block, and each block's ends to the next
-    block's ends, so the u- and v-chains are the anchor transpositions of the
-    class's ends. A ValueError or AssertionError is recorded as a failure,
-    with its message."""
+    blocks of ``decompose`` are non-empty and equal in size, each is the
+    Bruhat interval between its ends, members and lengths, and together they
+    hold each member of [u, v], by the lifting recursion, once and with its
+    length; phi maps each member to a cover in the next block, and each
+    block's ends to the next block's ends, so the u- and v-chains are the
+    anchor transpositions of the class's ends. A ValueError or
+    AssertionError is recorded as a failure, with its message."""
     for cls in classes_mod.class_stream(n):
         if len(cls) == 1:
             continue
         finding = {"min": perms.format_perm(cls.bottom)}
         try:
             step, blocks = partition.decompose(cls.bottom, cls.top)
+            whole = intervals.interval_elements(cls.bottom, cls.top)
+            union = {w: lw for b in blocks for w, lw in zip(b.elements, b.lengths)}
             ok = (len({len(block) for block in blocks}) == 1 and len(blocks[0]) > 0
-                  and all(intervals.interval_elements(b.bottom, b.top) == b for b in blocks))
+                  and all(intervals.interval_elements(b.bottom, b.top) == b for b in blocks)
+                  and sum(map(len, blocks)) == len(whole)
+                  and union == dict(zip(whole.elements, whole.lengths)))
             for i, (block, after) in enumerate(zip(blocks, blocks[1:]), start=1):
                 images = [partition.phi(w, step, i) for w in block.elements]
                 ok = (ok and all(map(perms.covers, block.elements, images))

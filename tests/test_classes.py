@@ -8,7 +8,7 @@ import re
 
 import pytest
 
-from odd_diagrams import classes, diagrams, duality, intervals, polynomials, verify
+from odd_diagrams import classes, diagrams, duality, intervals, partition, polynomials, verify
 from odd_diagrams.classes import (
     class_of,
     class_report,
@@ -19,7 +19,7 @@ from odd_diagrams.cli import check_sweep_degree, run
 from odd_diagrams.diagrams import is_legal, odd_diagram, odd_diagram_key, rothe_diagram
 from odd_diagrams.duality import is_self_dual
 from odd_diagrams.intervals import BruhatInterval, interval_elements, rank_vector
-from odd_diagrams.partition import _factor_lengths, check_class_size
+from odd_diagrams.partition import _factor_lengths, check_class_size, class_interval
 from odd_diagrams.perms import all_perms, bruhat_leq, format_perm, inverse, length, parse_perm
 from odd_diagrams.polynomials import carrell_holds, kl_polynomial, one
 
@@ -340,12 +340,13 @@ RANK_3_SHAPES = {6: 1, 7: 13}
 @pytest.mark.parametrize("n, ranked, count", [(6, 20, 351), (7, 171, 2041)])
 def test_report_builds_an_interval_only_from_rank_3(n, ranked, count, monkeypatch):
     # the report builds one interval per shape of the classes of rank >= 3,
-    # and no class of rank <= 2 reaches ``cover_graph`` or ``rank_vector``
+    # from its anchor chain, and no class of rank <= 2 reaches
+    # ``cover_graph`` or ``rank_vector``
     built = []
     cover_graph = BruhatInterval.cover_graph.func
 
     def counting(lo, hi):
-        iv = interval_elements(lo, hi)
+        iv = class_interval(lo, hi)
         assert iv.rank >= 3
         built.append(iv)
         return iv
@@ -358,7 +359,8 @@ def test_report_builds_an_interval_only_from_rank_3(n, ranked, count, monkeypatc
         assert iv.rank >= 3
         return rank_vector(iv)
 
-    monkeypatch.setattr(classes, "interval_elements", counting)
+    monkeypatch.setattr(classes, "class_interval", counting)
+    monkeypatch.setattr(intervals, "_lifting_step", None)
     monkeypatch.setattr(BruhatInterval, "cover_graph", property(checked_cover_graph))
     monkeypatch.setattr(intervals, "rank_vector", checked_rank_vector)
     monkeypatch.setattr(duality, "rank_vector", checked_rank_vector)
@@ -748,9 +750,9 @@ def test_class_size_is_the_product_of_the_factor_lengths(n):
 
 def test_class_of_checks_the_budget_before_building_members(monkeypatch):
     def fail(*args):
-        raise AssertionError("an interval was built")
+        raise AssertionError("members were built")
 
-    monkeypatch.setattr(classes, "interval_elements", fail)
+    monkeypatch.setattr(partition, "_chain_members", fail)
     with pytest.raises(ValueError, match="has 18 members, more than 17;"):
         class_of(parse_perm("6451723"), max_members=17)
 

@@ -130,16 +130,18 @@ def test_classes_report(tmp_path, capsys):
 
 def test_classes_builds_no_member_tuple_but_one_interval_per_shape(tmp_path, monkeypatch, capsys):
     # the report reads the ends sweep; only the one class of rank >= 3 in S_6
-    # has its members built, as an interval
+    # has its members built, as an interval from its anchor chain, and the
+    # lifting engine is not run
     def fail(*args, **kwargs):
         raise AssertionError("class members built")
 
     for name in ("parity_block", "class_stream", "classes_of_sn"):
         monkeypatch.setattr(classes_mod, name, fail)
     monkeypatch.setattr(classes_mod, "BruhatInterval", fail)
-    built, interval_elements = [], classes_mod.interval_elements
-    monkeypatch.setattr(classes_mod, "interval_elements",
-                        lambda lo, hi: built.append(lo) or interval_elements(lo, hi))
+    monkeypatch.setattr(intervals, "_lifting_step", fail)
+    built, class_interval = [], classes_mod.class_interval
+    monkeypatch.setattr(classes_mod, "class_interval",
+                        lambda lo, hi: built.append(lo) or class_interval(lo, hi))
     path = tmp_path / "s6.json"
     assert run(["classes", "--n", "6", "--out", str(path)]) == 0
     assert capsys.readouterr().out == f"wrote {path} (351 classes)\n"
@@ -709,12 +711,12 @@ def _reversed_halves(n):
 ])
 def test_a_class_above_the_member_budget_exits_2_at_once(argv, monkeypatch, capsys):
     # 10! = 3,628,800 members; the size comes from the factor lengths, and
-    # no interval is built
+    # no member is built
     def fail(*args):
-        raise AssertionError("an interval was built")
+        raise AssertionError("members were built")
 
-    monkeypatch.setattr(classes_mod, "interval_elements", fail)
-    monkeypatch.setattr(partition, "interval_elements", fail)
+    monkeypatch.setattr(partition, "_chain_members", fail)
+    monkeypatch.setattr(intervals, "_lifting_step", fail)
     start = time.perf_counter()
     assert run(argv) == 2
     assert time.perf_counter() - start < 1

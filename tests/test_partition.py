@@ -1,13 +1,20 @@
 import pytest
 
-from odd_diagrams import partition, verify
-from odd_diagrams.classes import class_stream, classes_of_sn, parity_block_ends, parity_sets
+from odd_diagrams import intervals, partition, verify
+from odd_diagrams.classes import (
+    class_of,
+    class_stream,
+    classes_of_sn,
+    parity_block_ends,
+    parity_sets,
+)
 from odd_diagrams.diagrams import odd_diagram_key
 from odd_diagrams.intervals import BruhatInterval, interval_elements, rank_vector
 from odd_diagrams.partition import (
     PartitionStep,
     anchors,
     block_index,
+    class_interval,
     decompose,
     factorize,
     phi,
@@ -274,15 +281,70 @@ def test_cut_blocks_match_the_rebuilt_blocks_on_every_class(n):
 
 @pytest.mark.parametrize("pair", [fig2_pair(), s9_pair()])
 def test_decompose_builds_one_interval(monkeypatch, pair):
-    calls = []
+    # one walk of the anchor chain, and one build of the last block, whose
+    # translates are the others; the lifting engine is not run
+    walks, builds = [], []
+    anchor_chain, chain_members = partition._anchor_chain, partition._chain_members
 
-    def counting(u, v, max_members=None):
-        calls.append((u, v))
-        return interval_elements(u, v, max_members)
+    def counting_walk(u, v):
+        walks.append((u, v))
+        return anchor_chain(u, v)
 
-    monkeypatch.setattr(partition, "interval_elements", counting)
+    def counting_build(v, chain):
+        builds.append(v)
+        return chain_members(v, chain)
+
+    monkeypatch.setattr(partition, "_anchor_chain", counting_walk)
+    monkeypatch.setattr(partition, "_chain_members", counting_build)
+    monkeypatch.setattr(intervals, "_lifting_step", None)
     decompose(*pair)
-    assert calls == [pair]
+    assert walks == [pair]
+    assert builds == [pair[1]]
+
+
+# --- class_interval, the class from its anchor chain ---
+
+
+@pytest.mark.parametrize("n", [*range(1, 8), pytest.param(8, marks=pytest.mark.long)])
+def test_class_interval_matches_the_lifting_engine_on_every_class(n):
+    for cls in class_stream(n):
+        built = class_interval(cls.bottom, cls.top)
+        assert built == interval_elements(cls.bottom, cls.top)
+        assert type(built.elements) is type(built.lengths) is tuple
+
+
+def _interleaved(n):
+    """1, n/2 + 1, 2, n/2 + 2, ...: the minimum of a class of (n/2)! members."""
+    half = n // 2
+    return tuple(c for i in range(1, half + 1) for c in (i, i + half))
+
+
+def _reversed_halves(n):
+    """1, n, 2, n - 1, ...: the maximum of the class of ``_interleaved(n)``."""
+    return tuple(c for i in range(1, n // 2 + 1) for c in (i, n + 1 - i))
+
+
+# the classes of perfbench ``queries`` at seed 1, and the 40,320-member class of S_16
+@pytest.mark.parametrize("w", [*map(parse_perm, ["329145876", "281467395", "5431627",
+                                                 "654172839"]), _interleaved(16)])
+def test_class_interval_matches_the_lifting_engine_on_the_query_classes(w):
+    cls = class_of(w)
+    assert w in cls.elements
+    assert cls == interval_elements(cls.bottom, cls.top)
+
+
+def test_class_interval_checks_the_budget_before_building_members(monkeypatch):
+    # the S_20 class has 10! = 3,628,800 members: its size is the product of
+    # the factor lengths, read from the one walk of the anchor chain
+    def fail(*args):
+        raise AssertionError("members were built")
+
+    u, v = _interleaved(20), _reversed_halves(20)
+    monkeypatch.setattr(partition, "_chain_members", fail)
+    for call in (class_interval, decompose):
+        with pytest.raises(ValueError, match="has 3628800 members, more than 50000;"):
+            call(u, v, partition.MEMBER_BUDGET)
+    assert partition._factor_lengths(u, v) == tuple(range(10, 1, -1))
 
 
 # --- verify uniform_partition on a broken partition ---
@@ -337,3 +399,36 @@ def test_uniform_partition_check_fails_a_broken_partition(monkeypatch, name):
     assert result.findings[0]["min"] == "5431627"
     if name == "blocks swapped":
         assert result.findings[0]["error"] == "5461327 is not in block 1"
+
+
+# --- verify theorem_b and uniform_partition on a broken class builder ---
+
+
+def _drop_a_translate(translates):
+    def broken(elements, lengths, positions):
+        return translates(elements, lengths, positions)[1:]
+    return broken
+
+
+def _shift_a_block(translates):
+    def broken(elements, lengths, positions):
+        blocks = translates(elements, lengths, positions)
+        first_elements, first_lengths = blocks[0]
+        blocks[0] = (first_elements, [lw + 1 for lw in first_lengths])
+        return blocks
+    return broken
+
+
+@pytest.mark.parametrize("check", [verify.check_theorem_b, verify.check_uniform_partition])
+@pytest.mark.parametrize("breaking", [None, _drop_a_translate, _shift_a_block])
+def test_class_checks_fail_a_broken_class_builder(monkeypatch, check, breaking):
+    # both rows re-prove what ``class_interval`` and ``decompose`` assume, so
+    # a builder that drops a translate or shifts a block's lengths fails them
+    u, v = fig2_pair()
+    monkeypatch.setattr(verify.classes_mod, "class_stream",
+                        lambda n: iter([interval_elements(u, v)]))
+    if breaking is not None:
+        monkeypatch.setattr(partition, "_translates", breaking(partition._translates))
+    result = verify.CheckResult(check.__name__)
+    check(7, result)
+    assert (result.passed, result.failed) == ((1, 0) if breaking is None else (0, 1))

