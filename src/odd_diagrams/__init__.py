@@ -8,7 +8,6 @@ from .classes import (
 from .diagrams import (
     first_difference,
     is_legal,
-    legal_move_toward,
     odd_diagram,
     odd_length,
     rothe_diagram,
@@ -20,7 +19,7 @@ from .duality import (
     top_heavy_check,
 )
 from .intervals import BruhatInterval, hasse_edges, interval_elements, rank_vector
-from .partition import anchors, block_index, decompose, factorize, phi
+from .partition import block_index, decompose, factorize, phi
 from .perms import (
     Perm,
     avoids,

@@ -29,7 +29,6 @@ __all__ = [
     "parity_block_ends",
     "parity_sets",
     "class_of",
-    "class_report",
     "write_report",
     "resolve_jobs",
     "census",
@@ -357,14 +356,6 @@ def class_of(w: Perm, max_members: int | None = None) -> BruhatInterval:
     while x := legal_swap(hi, key, False):
         hi = x
     return class_interval(lo, hi, max_members)
-
-
-def class_report(cls: BruhatInterval) -> dict:
-    """Per-class JSON record of the report, schema version 1: the text that
-    ``write_report`` writes for the class, read back by ``json.loads``, so
-    the schema has one encoder, ``_record_text``."""
-    return json.loads(_record_text(odd_diagram_key(cls.bottom), cls.bottom, cls.top, cls.rank,
-                                   _ReportMemo(cls.n)))
 
 
 # a record as ``json.dumps`` writes the record dict: the diagram's boxes, the

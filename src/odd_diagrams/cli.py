@@ -73,10 +73,10 @@ def _highlight(w: perms.Perm, positions) -> str:
 
 def cmd_partition(args) -> int:
     u, v = _interval_args(args)
-    step, blocks = partition.decompose(u, v, max_members=_member_budget(args))
-    print(f"k={step.k} a={step.a} b={step.b} anchors={list(step.anchors)} m={step.m}")
-    print("u_chain: " + " ".join(_highlight(block.bottom, step.anchors) for block in blocks))
-    print("v_chain: " + " ".join(_highlight(block.top, step.anchors) for block in blocks))
+    (k, anchors), blocks = partition.decompose(u, v, max_members=_member_budget(args))
+    print(f"k={k} a={anchors[0]} b={anchors[-1]} anchors={list(anchors)} m={len(anchors)}")
+    print("u_chain: " + " ".join(_highlight(block.bottom, anchors) for block in blocks))
+    print("v_chain: " + " ".join(_highlight(block.top, anchors) for block in blocks))
     for i, block in enumerate(blocks, start=1):
         members = " ".join(perms.format_perm(w) for w in block.elements)
         print(f"block {i} [{perms.format_perm(block.bottom)}, "

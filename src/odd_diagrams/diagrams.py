@@ -21,7 +21,6 @@ __all__ = [
     "is_legal",
     "satisfies_legality_criterion",
     "first_difference",
-    "legal_move_toward",
     "legal_swap",
     "render_diagrams",
 ]
@@ -118,25 +117,6 @@ def first_difference(u: Perm, v: Perm) -> int:
         raise ValueError("permutations are equal; no differing value")
     # value x moves exactly when it stands where u and v differ
     return min(x for x, y in zip(u, v) if x != y)
-
-
-def legal_move_toward(u: Perm, v: Perm) -> Perm:
-    """One legal move from u toward v within their shared odd diagram class.
-
-    With k the first differing value, a = u^-1(k), b = v^-1(k), returns
-    u (a b); the result keeps the odd diagram and strictly increases the
-    first difference with v.
-    """
-    key = odd_diagram_key(u)
-    if odd_diagram_key(v) != key:
-        raise ValueError("odd diagrams differ")
-    k = first_difference(u, v)
-    a = u.index(k) + 1
-    b = v.index(k) + 1
-    moved = right_transpose(u, (min(a, b), max(a, b)))
-    if odd_diagram_key(moved) != key:
-        raise AssertionError(f"move ({a} {b}) not legal for {u}")
-    return moved
 
 
 def legal_swap(w: Perm, key: int, down: bool) -> Perm | None:

@@ -14,18 +14,15 @@ from operator import itemgetter
 
 from .diagrams import first_difference, legal_swap, odd_diagram_key
 from .intervals import BruhatInterval
-from .perms import FrozenRecord, Perm, format_perm, length, right_transpose
+from .perms import Perm, format_perm, length, right_transpose
 
 __all__ = [
-    "PartitionStep",
-    "anchors",
     "block_index",
     "class_interval",
     "decompose",
     "phi",
     "factorize",
     "MEMBER_BUDGET",
-    "check_class_size",
 ]
 
 # The most members ``class --perm`` and ``partition --interval`` build without
@@ -33,30 +30,9 @@ __all__ = [
 MEMBER_BUDGET = 50_000
 
 
-class PartitionStep(FrozenRecord):
-    """The split data for one extreme pair (u, v): the first value k where
-    they differ, and the anchor positions a = u^-1(k) through b = v^-1(k),
-    the first and last of them."""
-
-    __slots__ = _fields = ("k", "anchors")
-    k: int
-    anchors: tuple[int, ...]
-
-    def __init__(self, k: int, anchors: tuple[int, ...]):
-        object.__setattr__(self, "k", k)
-        object.__setattr__(self, "anchors", anchors)
-
-    @property
-    def a(self) -> int:
-        return self.anchors[0]
-
-    @property
-    def b(self) -> int:
-        return self.anchors[-1]
-
-    @property
-    def m(self) -> int:
-        return len(self.anchors)
+# one step of the split of a class: its first difference k, and the anchor
+# positions a = u^-1(k) through b = v^-1(k), the first and last of them
+Step = tuple[int, tuple[int, ...]]
 
 
 def _require_class_extremes(u: Perm, v: Perm) -> None:
@@ -73,22 +49,13 @@ def _require_class_extremes(u: Perm, v: Perm) -> None:
             raise ValueError(f"{format_perm(w)} is not the {extreme} of its odd diagram class")
 
 
-def anchors(u: Perm, v: Perm) -> PartitionStep:
-    """The first difference k of u and v and the anchor positions between
-    u^-1(k) and v^-1(k).
-
-    Requires u != v, the minimum and maximum of one odd diagram class
-    (ValueError otherwise).  The anchor values u(a_1) < ... < u(a_m) are
-    increasing and all anchors share one parity; both facts are asserted.
-    """
-    _require_class_extremes(u, v)
-    return PartitionStep(*_anchor_positions(u, v))
-
-
-def _anchor_positions(u: Perm, v: Perm) -> tuple[int, tuple[int, ...]]:
-    """The first difference k of u and v, and the anchor positions a = u^-1(k)
-    through b = v^-1(k) that hold values in [u(a), u(b)]; a and b are the
-    first and last anchors. Asserts what ``anchors`` says of them."""
+def _anchor_positions(u: Perm, v: Perm) -> Step:
+    """The step of u and v: their first difference k, and the anchor
+    positions a = u^-1(k) through b = v^-1(k) that hold values in
+    [u(a), u(b)]; a and b are the first and last anchors. ValueError if
+    u = v. For u and v the minimum and maximum of one odd diagram class,
+    the anchor values u(a_1) < ... < u(a_m) increase and all anchors share
+    one parity; both facts are asserted."""
     k = first_difference(u, v)
     a = u.index(k) + 1
     b = v.index(k) + 1
@@ -107,42 +74,49 @@ def _anchor_positions(u: Perm, v: Perm) -> tuple[int, tuple[int, ...]]:
     return k, positions
 
 
-def block_index(w: Perm, step: PartitionStep) -> int:
+def block_index(w: Perm, step: Step) -> int:
     """1-based block number of an interval member: which anchor holds k.
     ValueError if w holds k at no anchor."""
-    c = w.index(step.k) + 1
+    k, anchors = step
+    c = w.index(k) + 1
     try:
-        return step.anchors.index(c) + 1
+        return anchors.index(c) + 1
     except ValueError:
-        raise ValueError(f"{format_perm(w)} holds {step.k} at non-anchor position {c}") from None
+        raise ValueError(f"{format_perm(w)} holds {k} at non-anchor position {c}") from None
 
 
-def phi(w: Perm, step: PartitionStep, i: int) -> Perm:
+def phi(w: Perm, step: Step, i: int) -> Perm:
     """The bijection block i -> block i+1: swap the anchor pair positions."""
-    if not 1 <= i < step.m:
-        raise ValueError(f"block index {i} out of range 1..{step.m - 1}")
+    _, anchors = step
+    if not 1 <= i < len(anchors):
+        raise ValueError(f"block index {i} out of range 1..{len(anchors) - 1}")
     if block_index(w, step) != i:
         raise ValueError(f"{format_perm(w)} is not in block {i}")
-    return right_transpose(w, (step.anchors[i - 1], step.anchors[i]))
+    return right_transpose(w, (anchors[i - 1], anchors[i]))
 
 
 def decompose(u: Perm, v: Perm, max_members: int | None = None
-              ) -> tuple[PartitionStep, tuple[BruhatInterval, ...]]:
-    """The step of the class [u, v] and its blocks in anchor order, each with
-    its members sorted and their lengths: the last block is the class of the
-    next anchor step, built from the one walk of the anchor chain as
-    ``class_interval`` builds a class, and the others are its translates by
-    the anchor-pair swaps, each one length lower; no member is placed by the
-    position of k. The blocks' bottoms are the u-chain and their tops the
-    v-chain. That these are the blocks of [u, v], equal in size and each the
-    Bruhat interval between its ends, is the uniform partition theorem,
-    re-proved by ``verify uniform_partition`` and not here. With
-    ``max_members``, the class size is checked before any member is built."""
-    step = anchors(u, v)
+              ) -> tuple[Step, tuple[BruhatInterval, ...]]:
+    """The first step (k, anchors) of the class [u, v] and its blocks in
+    anchor order, each with its members sorted and their lengths: the last
+    block is the class of the next anchor step, built from the one walk of
+    the anchor chain as ``class_interval`` builds a class, and the others
+    are its translates by the anchor-pair swaps, each one length lower; no
+    member is placed by the position of k. The blocks' bottoms are the
+    u-chain and their tops the v-chain. That these are the blocks of
+    [u, v], equal in size and each the Bruhat interval between its ends, is
+    the uniform partition theorem, re-proved by ``verify uniform_partition``
+    and not here. ValueError unless u < v are the minimum and maximum of one
+    odd diagram class, and with ``max_members`` as ``_check_chain_size``,
+    before any member is built."""
+    _require_class_extremes(u, v)
     chain = _anchor_chain(u, v)
+    if not chain:
+        raise ValueError("permutations are equal; no differing value")
     if max_members is not None:
         _check_chain_size(u, v, chain, max_members)
-    blocks = _translates(*_chain_members(v, chain[1:]), step.anchors)
+    step = chain[0]
+    blocks = _translates(*_chain_members(v, chain[1:]), step[1])
     return step, tuple(_sorted_interval(*block) for block in blocks)
 
 
@@ -155,17 +129,12 @@ def factorize(u: Perm, v: Perm) -> tuple[int, ...]:
     return _factor_lengths(u, v)
 
 
-def check_class_size(u: Perm, v: Perm, max_members: int) -> None:
-    """ValueError if the class with extremes u and v has more than
-    ``max_members`` members. By the factorization theorem its size is the
-    product of its factor lengths, the Poincare polynomial at t = 1, so no
-    member is built; u and v are not checked to be the extremes."""
-    _check_chain_size(u, v, _anchor_chain(u, v), max_members)
-
-
-def _check_chain_size(u: Perm, v: Perm, chain: list[tuple[int, tuple[int, ...]]],
-                      max_members: int) -> None:
-    """``check_class_size`` on the ``_anchor_chain`` of u and v."""
+def _check_chain_size(u: Perm, v: Perm, chain: list[Step], max_members: int) -> None:
+    """ValueError if the class with extremes u and v, split by ``chain``
+    (its ``_anchor_chain``), has more than ``max_members`` members. By the
+    factorization theorem its size is the product of its factor lengths,
+    the Poincare polynomial at t = 1, so no member is built; u and v are
+    not checked to be the extremes."""
     size = math.prod(len(positions) for _, positions in chain)
     if size > max_members:
         raise ValueError(f"the class [{format_perm(u)}, {format_perm(v)}] has {size} members, "
@@ -178,9 +147,9 @@ def _factor_lengths(u: Perm, v: Perm) -> tuple[int, ...]:
     return tuple(len(positions) for _, positions in _anchor_chain(u, v))
 
 
-def _anchor_chain(u: Perm, v: Perm) -> list[tuple[int, tuple[int, ...]]]:
-    """The ``_anchor_positions`` (k, anchors) of each step of the split of
-    the class [u, v]: split [current, v] at its anchors and go on with its
+def _anchor_chain(u: Perm, v: Perm) -> list[Step]:
+    """The step (k, anchors), ``_anchor_positions``, of each split of the
+    class [u, v]: split [current, v] at its anchors and go on with its
     last block, until the pair collapses to a point; empty when u = v. The
     last block's minimum is current (a_1 a_2)(a_2 a_3)...(a_{m-1} a_m): the
     anchor values rotated one place toward a_1."""
@@ -209,8 +178,8 @@ def class_interval(u: Perm, v: Perm, max_members: int | None = None) -> BruhatIn
     is the next step's class, so the members grow outward from {v}; a class
     of N members costs O(N) swaps and one sort, where ``interval_elements``
     halves and doubles its member set along a filter walk. With
-    ``max_members``, ValueError as ``check_class_size`` before any member is
-    built."""
+    ``max_members``, ValueError as ``_check_chain_size`` before any member
+    is built."""
     chain = _anchor_chain(u, v)
     if max_members is not None:
         _check_chain_size(u, v, chain, max_members)
@@ -221,7 +190,7 @@ def class_interval(u: Perm, v: Perm, max_members: int | None = None) -> BruhatIn
 Block = tuple[list[Perm], list[int]]
 
 
-def _chain_members(v: Perm, chain: list[tuple[int, tuple[int, ...]]]) -> Block:
+def _chain_members(v: Perm, chain: list[Step]) -> Block:
     """The members of the class that ``chain`` splits down to v, with their
     lengths, in no particular order: from {v}, each step from the last adds
     the translates of what is built so far."""

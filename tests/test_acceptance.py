@@ -14,7 +14,7 @@ import pytest
 from odd_diagrams.classes import census, class_of, classes_of_sn
 from odd_diagrams.diagrams import is_legal, satisfies_legality_criterion
 from odd_diagrams.intervals import interval_elements, rank_vector
-from odd_diagrams.partition import anchors, decompose, factorize, phi
+from odd_diagrams.partition import decompose, factorize, phi
 from odd_diagrams.perms import (
     all_perms,
     avoids,
@@ -80,15 +80,14 @@ def test_criterion_3_figure2_golden():
     u, v = parse_perm("5431627"), parse_perm("7461523")
     cls = class_of(u)
     interval = interval_elements(u, v)
-    step = anchors(u, v)
-    _, blocks = decompose(u, v)
+    (k, anchors), blocks = decompose(u, v)
     factors = factorize(u, v)
     ok = (
         (cls.bottom, cls.top) == (u, v)
         and len(cls.elements) == 18
         and rank_vector(interval) == (1, 3, 5, 5, 3, 1)
-        and step.k == 3
-        and step.anchors == (3, 5, 7)
+        and k == 3
+        and anchors == (3, 5, 7)
         and len(blocks) == 3
         and all(len(b) == 6 for b in blocks)
         and Counter(factors) == Counter({3: 2, 2: 1})
@@ -99,13 +98,12 @@ def test_criterion_3_figure2_golden():
 def test_criterion_4_s9_golden():
     u = parse_perm("654172839")
     cls = class_of(u)
-    step = anchors(cls.bottom, cls.top)
-    _, blocks = decompose(cls.bottom, cls.top)
+    (k, anchors), blocks = decompose(cls.bottom, cls.top)
     ok = (
         cls.bottom == u
         and cls.top == parse_perm("958172634")
-        and step.k == 4
-        and step.anchors == (3, 5, 7, 9)
+        and k == 4
+        and anchors == (3, 5, 7, 9)
         and tuple(b.bottom for b in blocks)
         == (
             parse_perm("654172839"),

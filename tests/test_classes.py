@@ -11,7 +11,6 @@ import pytest
 from odd_diagrams import classes, diagrams, duality, intervals, partition, polynomials, verify
 from odd_diagrams.classes import (
     class_of,
-    class_report,
     class_shape,
     classes_of_sn,
 )
@@ -19,7 +18,7 @@ from odd_diagrams.cli import check_sweep_degree, run
 from odd_diagrams.diagrams import is_legal, odd_diagram, odd_diagram_key, rothe_diagram
 from odd_diagrams.duality import is_self_dual
 from odd_diagrams.intervals import BruhatInterval, interval_elements, rank_vector
-from odd_diagrams.partition import _factor_lengths, check_class_size, class_interval
+from odd_diagrams.partition import _factor_lengths, class_interval
 from odd_diagrams.perms import all_perms, bruhat_leq, format_perm, inverse, length, parse_perm
 from odd_diagrams.polynomials import carrell_holds, kl_polynomial, one
 
@@ -248,12 +247,6 @@ def _report_text(n):
     return out.getvalue()
 
 
-@pytest.mark.parametrize("n", range(1, 8))
-def test_class_report_matches_the_interval_report(n):
-    for cls in classes_of_sn(n):
-        assert class_report(cls) == _reference_class_report(cls)
-
-
 def _reference_report_text(table):
     """Reference: the report text, its records from ``_reference_class_report``."""
     records = ",\n".join(json.dumps(_reference_class_report(c)) for c in table)
@@ -430,8 +423,8 @@ def test_report_is_the_same_json_on_stdout_and_in_a_file(n, tmp_path, capsys):
 
 
 def test_class_report_fields():
-    cls = class_of(parse_perm("5431627"))
-    record = class_report(cls)
+    records = json.loads(_report_text(7))["classes"]
+    record = next(r for r in records if r["min"] == "5431627")
     assert record["size"] == 18
     assert record["min"] == "5431627"
     assert record["max"] == "7461523"
@@ -448,12 +441,10 @@ def test_report_matches_the_kl_engine(n, counted):
     # the reference is P_{min,max} = 1 by the KL engine; the ``counted``
     # classes, of rank >= 3, go through the reflection count, the rest
     # through the degree bound
-    records = []
-    for cls in classes_of_sn(n):
-        record = class_report(cls)
+    records = json.loads(_report_text(n))["classes"]
+    for cls, record in zip(classes_of_sn(n), records, strict=True):
         old = dict(record, kl_is_one=kl_polynomial(cls.bottom, cls.top) == one())
         assert record == old
-        records.append(record)
     assert sum(len(r["rank_vector"]) > 3 for r in records) == counted
 
 
@@ -743,9 +734,9 @@ def test_class_size_is_the_product_of_the_factor_lengths(n):
         found = class_of(cls.top)
         lo, hi, size = found.bottom, found.top, len(found.elements)
         assert math.prod(_factor_lengths(lo, hi)) == size == len(cls)
-        check_class_size(lo, hi, size)
+        assert class_interval(lo, hi, size) == found
         with pytest.raises(ValueError, match=f"has {size} members, more than {size - 1};"):
-            check_class_size(lo, hi, size - 1)
+            class_interval(lo, hi, size - 1)
 
 
 def test_class_of_checks_the_budget_before_building_members(monkeypatch):

@@ -661,6 +661,13 @@ def test_a_pair_of_different_degree_is_a_degree_mismatch(command, capsys):
     assert capsys.readouterr() == ("", "error: degree mismatch\n")
 
 
+@pytest.mark.parametrize("w", ["1", "132"])
+def test_partition_of_a_one_member_class_has_no_step(w, capsys):
+    # a one-member class is its own minimum and maximum, with no value to split at
+    assert run(["partition", "--interval", w, w]) == 2
+    assert capsys.readouterr() == ("", "error: permutations are equal; no differing value\n")
+
+
 def test_factorize_error_names_the_failing_end(capsys):
     assert run(["factorize", "--interval", "31425", "41523"]) == 2
     assert "41523 is not the maximum" in capsys.readouterr().err

@@ -4,11 +4,9 @@ from itertools import combinations
 import pytest
 from hypothesis import given
 
-from odd_diagrams import diagrams
 from odd_diagrams.diagrams import (
     first_difference,
     is_legal,
-    legal_move_toward,
     legal_swap,
     odd_diagram,
     odd_diagram_key,
@@ -116,19 +114,6 @@ def test_legal_swap_is_the_first_legal_same_parity_swap(n):
             assert legal_swap(u, key, down) == expected
 
 
-def test_legal_move_toward_keys_each_permutation_once(monkeypatch):
-    seen = []
-
-    def counting(w):
-        seen.append(w)
-        return odd_diagram_key(w)
-
-    monkeypatch.setattr(diagrams, "odd_diagram_key", counting)
-    u, v = parse_perm("654172839"), parse_perm("958172634")
-    moved = legal_move_toward(u, v)
-    assert seen == [u, v, moved]
-
-
 def test_legality_criterion_golden():
     assert satisfies_legality_criterion(parse_perm("654172839"), (3, 9))
     assert not satisfies_legality_criterion(parse_perm("1432"), (1, 3))
@@ -149,35 +134,6 @@ def test_first_difference_golden():
     assert first_difference(parse_perm("5431627"), parse_perm("7461523")) == 3
     with pytest.raises(ValueError):
         first_difference(parse_perm("123"), parse_perm("123"))
-
-
-def test_legal_move_toward_golden():
-    u = parse_perm("654172839")
-    v = parse_perm("958172634")
-    assert legal_move_toward(u, v) == parse_perm("659172834")
-    assert legal_move_toward(parse_perm("5431627"), parse_perm("7461523")) == parse_perm(
-        "5471623"
-    )
-
-
-def test_legal_move_toward_converges():
-    u = parse_perm("654172839")
-    v = parse_perm("958172634")
-    steps = 0
-    while u != v:
-        nxt = legal_move_toward(u, v)
-        assert first_difference(nxt, v) > first_difference(u, v) if nxt != v else True
-        u = nxt
-        steps += 1
-        assert steps <= 9
-    assert u == v
-
-
-def test_legal_move_toward_rejects():
-    with pytest.raises(ValueError):
-        legal_move_toward(parse_perm("1432"), parse_perm("3412"))
-    with pytest.raises(ValueError):
-        legal_move_toward(parse_perm("213"), parse_perm("213"))
 
 
 def test_render_diagrams():

@@ -12,7 +12,8 @@ from pathlib import Path
 
 import pytest
 
-PACKAGE = Path(__file__).resolve().parent.parent / "src" / "odd_diagrams"
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "odd_diagrams"
 MODULES = sorted(path.stem for path in PACKAGE.glob("*.py"))
 
 
@@ -100,13 +101,19 @@ def _top_level_names(tree: ast.Module) -> set[str]:
     return names
 
 
-def _exported(tree: ast.Module) -> list[str]:
-    """The strings in the module's ``__all__``, [] if it has none."""
+def _literal(tree: ast.Module, name: str, default):
+    """The literal value the module's top level assigns to ``name``, or
+    ``default`` if it assigns none."""
     for node in tree.body:
         if (isinstance(node, ast.Assign)
-                and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets)):
+                and any(isinstance(t, ast.Name) and t.id == name for t in node.targets)):
             return ast.literal_eval(node.value)
-    return []
+    return default
+
+
+def _exported(tree: ast.Module) -> list[str]:
+    """The strings in the module's ``__all__``, [] if it has none."""
+    return _literal(tree, "__all__", [])
 
 
 def _unused_imports(tree: ast.Module) -> list[str]:
@@ -137,3 +144,71 @@ def test_every_top_level_import_is_used(module):
 def test_every_name_in_all_exists(module):
     tree = _tree(module)
     assert [name for name in _exported(tree) if name not in _top_level_names(tree)] == []
+
+
+# --- every re-export of the package is read by the program ---
+
+# re-exports that no package module, benchmark workload or traced metric
+# reads, each with the reason it stays
+LIBRARY_ONLY = {
+    "make_permutation": "validates a permutation given from outside the package",
+}
+
+
+def _reexports(init: ast.Module) -> dict[str, str]:
+    """The names ``__init__`` re-exports, each with the module it takes it from."""
+    return {alias.asname or alias.name: node.module for node in init.body
+            if isinstance(node, ast.ImportFrom) and node.level == 1 and node.module
+            for alias in node.names}
+
+
+def _reads(tree: ast.Module) -> set[tuple[str, str]]:
+    """(module, name) for every name of a package module that this module
+    imports by name or reads as ``module.name``."""
+    reads, modules = set(), {}
+    for node in tree.body:
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            for alias in node.names:
+                if node.module:
+                    reads.add((node.module, alias.name))
+                else:
+                    modules[alias.asname or alias.name] = alias.name
+    reads.update((modules[node.value.id], node.attr) for node in ast.walk(tree)
+                  if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                  and node.value.id in modules)
+    return reads
+
+
+def _unread_reexports(init: ast.Module, modules: list[ast.Module], workloads: ast.Module,
+                      tracing: ast.Module) -> list[str]:
+    """The re-exports of ``init`` that no module of ``modules`` reads, that
+    the benchmark ``workloads`` call as no ``od.<name>``, that the
+    ``tracing`` ``METRICS`` name as no function, and that ``LIBRARY_ONLY``
+    does not list."""
+    read = set().union(*map(_reads, modules))
+    # a function's metrics are named layer.function.measure
+    read.update(tuple(metric.split(".")[:2]) for metric, _ in _literal(tracing, "METRICS", ()))
+    benched = {node.attr for node in ast.walk(workloads)
+               if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+               and node.value.id == "od"}
+    return [name for name, module in _reexports(init).items()
+            if (module, name) not in read and name not in benched and name not in LIBRARY_ONLY]
+
+
+def test_every_reexport_is_read_by_the_program():
+    modules = [_tree(module) for module in MODULES if module != "__init__"]
+    found = _unread_reexports(_tree("__init__"), modules,
+                              ast.parse((ROOT / "perfbench" / "workloads.py").read_text()),
+                              ast.parse((ROOT / "perfbench" / "tracing.py").read_text()))
+    assert found == []
+
+
+def test_the_reexport_lint_finds_an_unread_name():
+    init = ast.parse("from .perms import length, make_permutation, unread, shadow\n"
+                     "from .cli import main\nfrom .partition import decompose, factorize\n")
+    modules = [ast.parse("from .perms import length\nfrom . import partition as p\n"
+                         "p.decompose\nshadow = 1\n")]
+    workloads = ast.parse("od.main()\nod.shadow\nunread()\n")
+    tracing = ast.parse("METRICS = (('partition.factorize.calls', 'count'),)\n")
+    assert _unread_reexports(init, modules, workloads, tracing) == ["unread"]
+    assert _unread_reexports(init, modules, ast.parse(""), tracing) == ["unread", "shadow", "main"]

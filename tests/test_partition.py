@@ -11,8 +11,6 @@ from odd_diagrams.classes import (
 from odd_diagrams.diagrams import odd_diagram_key
 from odd_diagrams.intervals import BruhatInterval, interval_elements, rank_vector
 from odd_diagrams.partition import (
-    PartitionStep,
-    anchors,
     block_index,
     class_interval,
     decompose,
@@ -32,31 +30,24 @@ def s9_pair():
 
 
 def test_anchors_figure2():
-    step = anchors(*fig2_pair())
-    assert (step.k, step.a, step.b) == (3, 3, 7)
-    assert step.anchors == (3, 5, 7)
-    assert step.m == 3
+    assert decompose(*fig2_pair())[0] == (3, (3, 5, 7))
 
 
 def test_anchors_s9():
-    step = anchors(*s9_pair())
-    assert step.k == 4
-    assert step.anchors == (3, 5, 7, 9)
-    assert step.m == 4
+    assert decompose(*s9_pair())[0] == (4, (3, 5, 7, 9))
 
 
 def test_anchors_s3():
-    # the two-element class {213, 312}: first differing value is 2
-    step = anchors(parse_perm("213"), parse_perm("312"))
-    assert (step.k, step.a, step.b) == (2, 1, 3)
-    assert step.anchors == (1, 3)
+    # the two-element class {213, 312}: first differing value is 2, at
+    # positions a = 1 and b = 3
+    assert decompose(parse_perm("213"), parse_perm("312"))[0] == (2, (1, 3))
 
 
 def test_anchors_rejects():
+    with pytest.raises(ValueError, match="213 is not the maximum"):
+        decompose(parse_perm("213"), parse_perm("213"))
     with pytest.raises(ValueError):
-        anchors(parse_perm("213"), parse_perm("213"))
-    with pytest.raises(ValueError):
-        anchors(parse_perm("1432"), parse_perm("3412"))
+        decompose(parse_perm("1432"), parse_perm("3412"))
 
 
 def test_factorize_compares_odd_diagrams_once(monkeypatch):
@@ -74,9 +65,9 @@ def test_factorize_compares_odd_diagrams_once(monkeypatch):
 
 def test_block_index_extremes():
     u, v = fig2_pair()
-    step = anchors(u, v)
+    step, _ = decompose(u, v)
     assert block_index(u, step) == 1
-    assert block_index(v, step) == step.m
+    assert block_index(v, step) == len(step[1])
 
 
 def test_decompose_s9_chains():
@@ -115,7 +106,7 @@ def test_phi_maps_block_to_next():
 
 def test_phi_rejects_wrong_block():
     u, v = fig2_pair()
-    step = anchors(u, v)
+    step, _ = decompose(u, v)
     with pytest.raises(ValueError):
         phi(v, step, 1)
     with pytest.raises(ValueError):
@@ -156,16 +147,17 @@ def test_uniformity_and_coverage(n):
         if len(cls.elements) == 1:
             continue
         step, blocks = decompose(cls.bottom, cls.top)
+        _, anchors = step
         assert len({len(b) for b in blocks}) == 1
         # every member's k-position is an anchor, and the anchored values
         # of the minimum increase
         for w in cls.elements:
-            assert 1 <= block_index(w, step) <= step.m
-        values = [cls.bottom[i - 1] for i in step.anchors]
+            assert 1 <= block_index(w, step) <= len(anchors)
+        values = [cls.bottom[i - 1] for i in anchors]
         assert values == sorted(values)
         # successive block ends differ by the anchor transposition
-        for i in range(step.m - 1):
-            pair = (step.anchors[i], step.anchors[i + 1])
+        for i in range(len(anchors) - 1):
+            pair = (anchors[i], anchors[i + 1])
             assert blocks[i + 1].bottom == right_transpose(blocks[i].bottom, pair)
             assert blocks[i].top == right_transpose(blocks[i + 1].top, pair)
 
@@ -177,7 +169,7 @@ def test_library_accepts_only_the_class_extremes(n):
             for v in cls.elements:
                 if (u, v) == (cls.bottom, cls.top):
                     continue
-                for call in (factorize, anchors, decompose):
+                for call in (factorize, decompose):
                     with pytest.raises(ValueError):
                         call(u, v)
 
@@ -199,13 +191,13 @@ def _reference_factor_lengths(u, v):
     current = u
     last_k = 0
     while current != v:
-        step = PartitionStep(*partition._anchor_positions(current, v))
-        if step.k <= last_k:
+        k, anchors = partition._anchor_positions(current, v)
+        if k <= last_k:
             raise AssertionError("first difference failed to increase")
-        last_k = step.k
-        factors.append(step.m)
-        for i in range(step.m - 1):
-            current = right_transpose(current, (step.anchors[i], step.anchors[i + 1]))
+        last_k = k
+        factors.append(len(anchors))
+        for i in range(len(anchors) - 1):
+            current = right_transpose(current, (anchors[i], anchors[i + 1]))
     return tuple(factors)
 
 
@@ -216,11 +208,11 @@ def test_factor_lengths_match_the_transposition_walk_on_every_class(n):
         assert partition._factor_lengths(u, v) == _reference_factor_lengths(u, v)
 
 
-def _reference_chains(u, v, step):
+def _reference_chains(u, v, anchors):
     """Reference: the chains ``decompose`` built before it read them from its
     blocks, the class's ends carried through the anchor transpositions, u
     upward from the first block and v downward from the last."""
-    pairs = list(zip(step.anchors, step.anchors[1:]))
+    pairs = list(zip(anchors, anchors[1:]))
     u_chain = [u]
     for pair in pairs:
         u_chain.append(right_transpose(u_chain[-1], pair))
@@ -246,15 +238,14 @@ def test_derived_fields_match_the_values_they_replace_on_every_class(n):
         assert expand_factors(factorize(u, v)) == IntPolynomial(rank_vector(cls))
         if u == v:
             continue
-        step, blocks = decompose(u, v)
-        assert (step.a, step.b) == (u.index(step.k) + 1, v.index(step.k) + 1)
-        assert (step.a, step.b) == (step.anchors[0], step.anchors[-1])
+        (k, anchors), blocks = decompose(u, v)
+        assert (anchors[0], anchors[-1]) == (u.index(k) + 1, v.index(k) + 1)
         chains = (tuple(b.bottom for b in blocks), tuple(b.top for b in blocks))
-        assert chains == _reference_chains(u, v, step)
+        assert chains == _reference_chains(u, v, anchors)
 
 
 def test_block_index_and_phi_reject_a_non_anchor_position():
-    step = anchors(*fig2_pair())
+    step, _ = decompose(*fig2_pair())
     w = parse_perm("3124567")
     for call in (lambda: block_index(w, step), lambda: phi(w, step, 1)):
         with pytest.raises(ValueError, match="3124567 holds 3 at non-anchor position 1"):
@@ -265,8 +256,8 @@ def _reference_blocks(u, v):
     """Reference: the blocks ``decompose`` built before it cut them from
     [u, v], one ``interval_elements`` between the ends of each group of
     members that hold k at one anchor."""
-    step = anchors(u, v)
-    groups = [[] for _ in range(step.m)]
+    step = partition._anchor_positions(u, v)
+    groups = [[] for _ in step[1]]
     for w in interval_elements(u, v).elements:
         groups[block_index(w, step) - 1].append(w)
     return tuple(interval_elements(group[0], group[-1]) for group in groups)
@@ -281,25 +272,21 @@ def test_cut_blocks_match_the_rebuilt_blocks_on_every_class(n):
 
 @pytest.mark.parametrize("pair", [fig2_pair(), s9_pair()])
 def test_decompose_builds_one_interval(monkeypatch, pair):
-    # one walk of the anchor chain, and one build of the last block, whose
-    # translates are the others; the lifting engine is not run
-    walks, builds = [], []
-    anchor_chain, chain_members = partition._anchor_chain, partition._chain_members
-
-    def counting_walk(u, v):
-        walks.append((u, v))
-        return anchor_chain(u, v)
-
-    def counting_build(v, chain):
-        builds.append(v)
-        return chain_members(v, chain)
-
-    monkeypatch.setattr(partition, "_anchor_chain", counting_walk)
-    monkeypatch.setattr(partition, "_chain_members", counting_build)
+    # one check of the extremes, one walk of the anchor chain with one step
+    # computed per split, and one build of the last block, whose translates
+    # are the others; the lifting engine is not run
+    first, splits = partition._anchor_positions(*pair), len(factorize(*pair))
+    calls = {name: [] for name in ("_require_class_extremes", "_anchor_chain",
+                                   "_anchor_positions", "_chain_members")}
+    for name, seen in calls.items():
+        monkeypatch.setattr(partition, name, lambda *args, real=getattr(partition, name),
+                            seen=seen: seen.append(args) or real(*args))
     monkeypatch.setattr(intervals, "_lifting_step", None)
-    decompose(*pair)
-    assert walks == [pair]
-    assert builds == [pair[1]]
+    step, _ = decompose(*pair)
+    assert calls["_require_class_extremes"] == calls["_anchor_chain"] == [pair]
+    assert len(calls["_anchor_positions"]) == splits and calls["_anchor_positions"][0] == pair
+    assert [v for v, _ in calls["_chain_members"]] == [pair[1]]
+    assert step == first
 
 
 # --- class_interval, the class from its anchor chain ---

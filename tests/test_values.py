@@ -16,7 +16,7 @@ import pytest
 from odd_diagrams import classes
 from odd_diagrams.classes import class_of
 from odd_diagrams.intervals import BruhatInterval, interval_elements
-from odd_diagrams.partition import PartitionStep, decompose, factorize
+from odd_diagrams.partition import decompose, factorize
 from odd_diagrams.perms import parse_perm
 from odd_diagrams.polynomials import IntPolynomial
 from odd_diagrams.verify import CheckResult, VerificationReport
@@ -32,12 +32,6 @@ SRC = Path(__file__).resolve().parent.parent / "src"
 class _reference_BruhatInterval:
     elements: tuple
     lengths: tuple
-
-
-@dataclass(frozen=True)
-class _reference_PartitionStep:
-    k: int
-    anchors: tuple
 
 
 @dataclass
@@ -61,16 +55,13 @@ def _points(*texts):
     return tuple(interval_elements(w, w) for w in map(parse_perm, texts))
 
 
-# the anchor step and blocks of the class [213, 312], and the blocks of [1324, 1423]
-STEP, BLOCKS = PartitionStep(2, (1, 3)), _points("213", "312")
-OTHER_BLOCKS = _points("1324", "1423")
+# the blocks of the class [213, 312], and of [1324, 1423]
+BLOCKS, OTHER_BLOCKS = _points("213", "312"), _points("1324", "1423")
 
 # each class, its reference, its field names and two sets of field values
 CASES = [
     (BruhatInterval, _reference_BruhatInterval, ("elements", "lengths"),
      (((2, 1, 3), (3, 1, 2)), (1, 2)), (((1, 3, 2, 4), (1, 4, 2, 3)), (1, 2))),
-    (PartitionStep, _reference_PartitionStep, ("k", "anchors"),
-     (2, (1, 3)), (3, (2, 4))),
     (CheckResult, _reference_CheckResult,
      ("name", "passed", "failed", "findings", "wall_time"),
      ("parity", 3, 1, [{"min": "123"}], 0.5),
@@ -136,13 +127,13 @@ def test_frozen_classes_refuse_assignment_and_deletion(cls, ref, names, values, 
 
 
 def test_the_sample_values_are_those_the_library_builds():
-    # the values and the other values of the first two rows, in turn, and the blocks
-    for column, pair, blocks in ((3, ("213", "312"), BLOCKS), (4, ("1324", "1423"), OTHER_BLOCKS)):
+    # the values and the other values of the first row, in turn, and the
+    # step (k, anchors) and the blocks of that class
+    for column, pair, step, blocks in ((3, ("213", "312"), (2, (1, 3)), BLOCKS),
+                                       (4, ("1324", "1423"), (3, (2, 4)), OTHER_BLOCKS)):
         u, v = map(parse_perm, pair)
-        step, built_blocks = decompose(u, v)
-        for case, built in zip(CASES, (interval_elements(u, v), step)):
-            assert case[0](*case[column]) == built
-        assert built_blocks == blocks
+        assert BruhatInterval(*CASES[0][column]) == interval_elements(u, v)
+        assert decompose(u, v) == (step, blocks)
     assert factorize(parse_perm("213"), parse_perm("312")) == (2,)
     assert factorize(parse_perm("5431627"), parse_perm("7461523")) == (3, 3, 2)
 
@@ -151,15 +142,12 @@ def test_derived_properties_read_the_fields_and_are_not_fields():
     interval = BruhatInterval(*CASES[0][3])
     assert (interval.bottom, interval.top, interval.n, interval.rank) == (
         (2, 1, 3), (3, 1, 2), 3, 1)
-    assert (STEP.a, STEP.b, STEP.m) == (1, 3, 2)
     # a derived value is no constructor argument, and none can be set
     with pytest.raises(TypeError):
         BruhatInterval((2, 1, 3), (3, 1, 2), *CASES[0][3])
-    with pytest.raises(TypeError):
-        PartitionStep(2, 1, 3, (1, 3))
-    for obj, name in ((interval, "bottom"), (interval, "top"), (STEP, "a"), (STEP, "b")):
+    for name in ("bottom", "top"):
         with pytest.raises(AttributeError):
-            setattr(obj, name, None)
+            setattr(interval, name, None)
 
 
 @pytest.mark.parametrize("check, report", [
