@@ -422,7 +422,8 @@ def _record_text(key: int, lo: Perm, hi: Perm, rank: int, memo: _ReportMemo) -> 
 
     ``kl_is_one`` is P_{min,max} = 1, decided without the KL engine: at rank
     <= 2 by the degree bound deg P <= (rank - 1)/2 < 1 and P(0) = 1, where
-    ``self_dual_by_rank`` settles ``self_dual``. ``verify kl_carrell`` and
+    ``self_dual_by_rank`` settles ``self_dual``; above, by ``carrell_holds``,
+    the reflection count at the minimum alone. ``verify kl_carrell`` and
     ``kl_class_probe`` re-check ``kl_is_one`` against KL. ``factor_lengths``
     is the unchecked core of ``factorize``, since a class's ends are its
     extremes by construction. A class of rank r <= 2 has r factors of 2:

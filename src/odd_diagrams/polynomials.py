@@ -343,31 +343,38 @@ def kl_polynomial(x: Perm, y: Perm) -> IntPolynomial:
 
 
 def carrell_holds(interval: BruhatInterval) -> bool:
-    """Carrell-Peterson reflection count on [x, y]: for every w in it, the
-    number of transpositions t with w < w t in [x, y] equals length(y) -
-    length(w). By Carrell-Peterson and monotonicity of KL polynomials
-    (Braden-MacPherson) this holds iff P_{x,y} = 1; ``verify kl_carrell``
-    re-checks that on every pair of S_n.
+    """P_{x,y} = 1 for the bottom x and top y of the interval, decided by
+    the reflection count at x alone: the number of transpositions t with
+    x < x t <= y equals length(y) - length(x).
 
-    The sets {t w} and {w t} agree, and w < w t for t swapping positions
-    i < j iff w[i] < w[j]. Such a w t lies above w >= x, so w t <= y iff it
-    is a member. Only the position pairs of ``interval.swaps`` are tried,
-    and lengths are the ones the interval carries."""
+    In type A, X_y is smooth at x exactly when #{t : t x <= y} = length(y)
+    (the Lakshmibai-Seshadri tangent spaces, Bull. AMS 11, 1984); smooth
+    and rationally smooth agree (Deodhar, Comm. Algebra 13, 1985); and
+    rational smoothness at x is P_{u,y} = 1 for every u in [x, y]
+    (Kazhdan-Lusztig 1979), which by monotonicity (Braden-MacPherson,
+    Math. Ann. 321, 2001) holds iff P_{x,y} = 1. The sets {t x} and {x t}
+    agree, and the length(x) reflections with x t < x all lie below y, so
+    the count above x decides it. At x = e it is Billey-Lakshmibai's
+    #{t <= w} = length(w) (Singular Loci of Schubert Varieties, 2000).
+    ``verify kl_carrell`` re-checks the theorem against KL on every pair
+    x <= y of S_n.
+
+    x < x t for t swapping positions i < j iff x[i] < x[j]. Such an x t
+    lies above x, so x t <= y iff it is a member; the rank is read from
+    the lengths the interval carries."""
+    x = interval.elements[0]
     members = set(interval.elements)
-    top = interval.lengths[-1]
-    swaps = interval.swaps
-    for w, lw in zip(interval.elements, interval.lengths):
-        row = list(w)
-        count = 0
-        for i, j in swaps:
-            wi, wj = w[i], w[j]
-            if wi < wj:
-                row[i], row[j] = wj, wi
+    row = list(x)
+    count = 0
+    for i, xi in enumerate(x):
+        for j in range(i + 1, len(x)):
+            xj = x[j]
+            if xi < xj:
+                row[i], row[j] = xj, xi
                 count += tuple(row) in members
-                row[i], row[j] = wi, wj
-        if count != top - lw:
-            return False
-    return True
+                row[j] = xj
+        row[i] = xi
+    return count == interval.rank
 
 
 def carrell_condition(x: Perm, y: Perm) -> bool:

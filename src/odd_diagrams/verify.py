@@ -314,9 +314,11 @@ def check_kl_inversion(n: int, result: CheckResult) -> None:
 def check_kl_carrell(n: int, result: CheckResult) -> None:
     """P_{x,y} = 1 iff [x, y] passes the Carrell-Peterson reflection count,
     for every pair x <= y of S_n (3,781 at n = 5, 394 of them with P_{x,y}
-    != 1). The count says P_{u,y} = 1 for every u in [x, y]; by monotonicity
-    (Braden-MacPherson) that follows from P_{x,y} = 1, which is how the
-    class report reads ``kl_is_one``."""
+    != 1; 98,407 at n = 6 under --long). The count, #{t : x < x t <= y} =
+    length(y) - length(x), is taken at x alone: in type A it says X_y is
+    smooth at x, which is P_{x,y} = 1 (the chain of theorems is in
+    ``carrell_holds``). This row re-checks that theorem against the KL
+    engine; the class report reads ``kl_is_one`` from the count."""
     e = perms.identity(n)
     for y in perms.all_perms(n):
         for x in intervals.interval_elements(e, y).elements:

@@ -1,5 +1,5 @@
+import inspect
 import random
-from itertools import combinations
 
 import pytest
 from hypothesis import given
@@ -10,6 +10,7 @@ from odd_diagrams.classes import classes_of_sn
 from odd_diagrams.intervals import BruhatInterval, interval_elements
 from odd_diagrams.perms import (
     all_perms,
+    avoids,
     bruhat_leq,
     descent_set,
     identity,
@@ -361,48 +362,100 @@ def test_carrell_matches_bruhat_count_on_sampled_lower_intervals_of_s6():
         assert carrell_condition(e, w) == _carrell_by_bruhat(e, w)
 
 
-def test_carrell_matches_bruhat_count_on_sampled_pairs_of_s5():
-    rng = random.Random(5)
-    elems = list(all_perms(5))
-    tried = 0
-    while tried < 300:
-        x, y = rng.choice(elems), rng.choice(elems)
-        if bruhat_leq(x, y):
-            tried += 1
-            assert carrell_condition(x, y) == _carrell_by_bruhat(x, y)
+def _reference_carrell_holds(interval):
+    """The former count, at every member w of the interval: the swaps of
+    ``interval.swaps`` with w < w t that land in the member set must number
+    length(top) - length(w)."""
+    members = set(interval.elements)
+    top = interval.lengths[-1]
+    for w, lw in zip(interval.elements, interval.lengths):
+        count = 0
+        for i, j in interval.swaps:
+            if w[i] < w[j]:
+                row = list(w)
+                row[i], row[j] = w[j], w[i]
+                count += tuple(row) in members
+        if count != top - lw:
+            return False
+    return True
+
+
+def test_carrell_holds_matches_the_reference_on_every_pair_of_s5():
+    e = identity(5)
+    pairs = 0
+    for y in all_perms(5):
+        for x in interval_elements(e, y).elements:
+            interval = interval_elements(x, y)
+            assert carrell_holds(interval) == _reference_carrell_holds(interval), (x, y)
+            pairs += 1
+    assert pairs == 3781
+
+
+def test_carrell_holds_matches_the_reference_on_every_lower_interval_of_s6():
+    e = identity(6)
+    for w in all_perms(6):
+        interval = interval_elements(e, w)
+        assert carrell_holds(interval) == _reference_carrell_holds(interval), w
 
 
 def test_carrell_holds_iff_kl_is_one_on_every_pair_of_s5():
     # Carrell-Peterson plus monotonicity: the count on [x, y] holds iff
-    # P_{x,y} = 1. 394 of the 3,781 pairs have P_{x,y} != 1
+    # P_{x,y} = 1. 394 of the 3,781 pairs have P_{x,y} != 1. The count is
+    # read through the module, so a test can patch a mutant in
     e = identity(5)
     pairs = not_one = 0
     for y in all_perms(5):
         for x in interval_elements(e, y).elements:
             kl_one = kl_polynomial(x, y) == 1
-            assert carrell_holds(interval_elements(x, y)) == kl_one
+            assert polynomials.carrell_holds(interval_elements(x, y)) == kl_one
             pairs += 1
             not_one += not kl_one
     assert (pairs, not_one) == (3781, 394)
 
 
-class _EveryPair(BruhatInterval):
-    """A Bruhat interval whose reflections are tried on every position pair."""
+def test_kl_test_fails_a_count_of_the_descending_pairs(monkeypatch):
+    source = inspect.getsource(polynomials.carrell_holds)
+    assert source.count("if xi < xj:") == 1
+    namespace = dict(vars(polynomials))
+    exec(source.replace("if xi < xj:", "if xi > xj:"), namespace)
+    monkeypatch.setattr(polynomials, "carrell_holds", namespace["carrell_holds"])
+    with pytest.raises(AssertionError):
+        test_carrell_holds_iff_kl_is_one_on_every_pair_of_s5()
 
-    @property
-    def swaps(self):
-        return list(combinations(range(self.n), 2))
+
+def test_carrell_holds_fails_an_interval_missing_a_reflection_of_its_bottom():
+    # [e, 321] less 213 = e (1 2) or 132 = e (2 3); the third, 321, is the top
+    full = interval_elements(identity(3), parse_perm("321"))
+    assert carrell_holds(full)
+    for missing in (parse_perm("213"), parse_perm("132")):
+        kept = [(w, lw) for w, lw in zip(full.elements, full.lengths) if w != missing]
+        broken = BruhatInterval(*map(tuple, zip(*kept)))
+        assert not carrell_holds(broken)
 
 
 @pytest.mark.parametrize("n", range(1, 8))
 def test_class_reflection_counts_from_same_parity_swaps_match_all_pairs(n):
-    # P = 1 on every class, so each count holds exactly when it reads
-    # length(max) - length(w) for every member w: two passing counts agree
-    # member by member. The derived swaps are same-parity pairs at most
+    # P = 1 on every class. The reference counts at every member over the
+    # same-parity pairs of ``swaps``, carrell_holds over every ascending
+    # pair of the bottom
     for cls in classes_of_sn(n):
-        every_pair = _EveryPair(cls.elements, cls.lengths)
         assert all((j - i) % 2 == 0 for i, j in cls.swaps)
-        assert carrell_holds(cls) and carrell_holds(every_pair)
+        assert carrell_holds(cls) and _reference_carrell_holds(cls)
+
+
+@pytest.mark.parametrize("n, smooth", [
+    (1, 1), (2, 2), (3, 6), (4, 22), (5, 88), (6, 366),
+    pytest.param(7, 1552, marks=pytest.mark.long),
+])
+def test_smooth_lower_intervals_are_counted_by_oeis_a032351(n, smooth):
+    # the w of S_n with X_w smooth: OEIS A032351, and by Lakshmibai-Sandhya
+    # the w that avoid 4231 and 3412
+    e = identity(n)
+    by_count = {w for w in all_perms(n) if carrell_condition(e, w)}
+    by_patterns = {w for w in all_perms(n)
+                   if avoids(w, (4, 2, 3, 1)) and avoids(w, (3, 4, 1, 2))}
+    assert len(by_count) == smooth
+    assert by_count == by_patterns
 
 
 def test_carrell_reads_lengths_from_the_interval(monkeypatch):
