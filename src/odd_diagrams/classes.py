@@ -1,6 +1,10 @@
 """Odd diagram classes of S_n, any n >= 1 (``cli.check_sweep_degree`` limits the
 commands): the parity-block sweep, the self-duality census, class lookup, JSON reports.
-A class is the ``BruhatInterval`` between its extremes (Theorem B); a census gives only its ends."""
+A class is the ``BruhatInterval`` between its extremes (Theorem B); a census gives only its ends.
+The sweep places the first positions of a permutation one at a time and reads the
+arrangements of the last few from suffix tables: per-row tables where members are
+kept (``parity_block``), tables grouped by key bits where only the ends are
+(``parity_block_ends``, for the census and the report)."""
 
 import contextlib
 import functools
@@ -35,7 +39,8 @@ __all__ = [
 ]
 
 # the positions at the end of a permutation that ``parity_block`` takes from
-# precomputed tables: C(n, 2) C(n - 2, 2) tables of 4 rows at most
+# per-row suffix tables: C(n, 2) C(n - 2, 2) tables of 4 rows at most. The
+# ends sweep reads grouped tables of ``_ends_suffix(n)`` positions instead
 SUFFIX = 4
 
 # a class as ``parity_block`` gives it: key, sorted members, their lengths
@@ -126,13 +131,23 @@ def parity_block(n: int, evens: tuple[int, ...], tables: dict) -> list[ClassFiel
     the 0-based even positions, each as its ``(key, members, lengths)``. The
     block is swept in lexicographic order, so each class's members are sorted
     and the classes come in the order of their minima. ``tables`` is the
-    store of suffix tables of ``_block_leaves``, shared by every block of one
-    sweep."""
+    store of per-row suffix tables of ``_block_leaves``, shared by every
+    block of one sweep."""
     groups: dict[int, list] = {}  # key -> [member, length, member, length, ...]
     for prefix, key, inv, table in _block_leaves(n, evens, tables):
         for tail, bits, tail_inv in table:
             groups.setdefault(key | bits, []).extend((prefix + tail, inv + tail_inv))
     return [(key, tuple(flat[::2]), tuple(flat[1::2])) for key, flat in groups.items()]
+
+
+def _ends_suffix(n: int) -> int:
+    """The positions at the end of a permutation of S_n that
+    ``parity_block_ends`` takes from grouped suffix tables: SUFFIX up to
+    n = 8, one more above, as measured (README, CLI section). A longer
+    suffix means fewer leaves and fewer groups per row, but more tables to
+    build and hold: at n = 11, 6 positions took 94 MB a census worker
+    against 49 MB at 5."""
+    return SUFFIX if n <= 8 else SUFFIX + 1
 
 
 def parity_block_ends(n: int, evens: tuple[int, ...], tables: dict) -> list[ClassEnds]:
@@ -141,63 +156,75 @@ def parity_block_ends(n: int, evens: tuple[int, ...], tables: dict) -> list[Clas
     the first's. Bruhat order refines lexicographic order, so these are the
     class minimum and maximum (Theorem B), and the class is the interval
     between them; no member tuple of a class is built. ``tables`` is the
-    store of suffix tables of ``_block_leaves``."""
+    store of ``_block_leaves``, grouped tables of ``_ends_suffix(n)``
+    positions over per-row ones.
+
+    One dict step per group of a grouped table, not per row: the rows of a
+    leaf that share their key bits are members of one class, in
+    lexicographic order, and so are the leaves, so a class's first member
+    is the first row of the first group that reaches it, and its last
+    member the last row of the last. A group of one row gives both ends one
+    tuple, as a one-member class has in ``parity_block``."""
     first: dict[int, tuple[Perm, int]] = {}
     last: dict[int, tuple[Perm, int]] = {}
-    for prefix, key, inv, table in _block_leaves(n, evens, tables):
-        for tail, bits, tail_inv in table:
+    for prefix, key, inv, table in _block_leaves(n, evens, tables, _ends_suffix(n), True):
+        for bits, lo, lo_inv, hi, hi_inv in table:
             key_w = key | bits
-            end = (prefix + tail, inv + tail_inv)
+            end = (prefix + hi, inv + hi_inv)
             if key_w not in last:
-                first[key_w] = end
+                first[key_w] = end if lo is hi else (prefix + lo, inv + lo_inv)
             last[key_w] = end
     # both dicts gained their keys in the same order
     return [(key, lo, hi, hi_length - lo_length)
             for (key, (lo, lo_length)), (hi, hi_length) in zip(first.items(), last.values())]
 
 
-def _block_leaves(n: int, evens: tuple[int, ...],
-                  tables: dict) -> list[tuple[Perm, int, int, list[tuple[Perm, int, int]]]]:
+def _block_leaves(n: int, evens: tuple[int, ...], tables: dict, suffix: int = SUFFIX,
+                  grouped: bool = False) -> list[tuple[Perm, int, int, list[tuple]]]:
     """The lexicographic sweep of the parity block of S_n with the values
     ``evens`` at the 0-based even positions, down to its suffix tables: one
     ``(prefix, key, inv, table)`` for each arrangement of the first
-    n - SUFFIX positions, in lexicographic order, with the key bits and
+    n - ``suffix`` positions, in lexicographic order, with the key bits and
     inversions of those positions and the ``_suffix_table`` of the values
-    left. A permutation of the block is a prefix with one tail of its
-    table, its key ``key | bits`` and its length ``inv + tail_inv``.
+    left, grouped when ``grouped`` is true. A permutation of the block is a
+    prefix with one tail of its table, its key ``key | bits`` and its length
+    ``inv + tail_inv``.
 
     In a block the positions of each parity hold exactly that parity's
     values, so row i of the key is the set of values of the other parity
     left to place after position i that lie below w(i), and its inversions
     after i are the values left that lie below w(i). Both are known when
-    w(i) is placed. Position p draws from ``mine``, what is left of its
-    parity's values; the rows and inversions of the last SUFFIX positions
-    depend only on how the values left are arranged. ``tables`` holds the
-    tables for every block of one sweep."""
-    odds = tuple(x for x in range(1, n + 1) if x not in evens)
-    if n <= SUFFIX:
-        return [((), 0, 0, _suffix_table(n, _bits(evens), _bits(odds), tables))]
-    last = n - SUFFIX - 1  # the last position placed one by one
+    w(i) is placed. Position p draws from ``mine_bits``, what is left of its
+    parity's values, stepping through its set bits lowest first; the rows
+    and inversions of the last ``suffix`` positions depend only on how the
+    values left are arranged. ``tables`` holds the tables for every block of
+    one sweep."""
+    mine_bits = _bits(evens)
+    their_bits = (1 << n) - 1 ^ mine_bits
+    # ``_suffix_table`` is read at each call, so a test can stand in for it
+    build = functools.partial(_suffix_table, grouped=True) if grouped else _suffix_table
+    if n <= suffix:
+        return [((), 0, 0, build(n, mine_bits, their_bits, tables))]
+    tag = 1 << 2 * n if grouped else 0  # grouped tables are stored apart
+    last = n - suffix - 1  # the last position placed one by one
+    set_bits = _set_bits(n)
     leaves = []
 
-    def fill(p: int, prefix: Perm, mine: Perm, theirs: Perm, mine_bits: int,
-             their_bits: int, key: int, inv: int) -> None:
+    def fill(p: int, prefix: Perm, mine_bits: int, their_bits: int, key: int, inv: int) -> None:
         left = mine_bits | their_bits
-        for j, y in enumerate(mine):
-            bit = 1 << (y - 1)
+        for bit, head in set_bits[mine_bits]:
             key_y = key | (their_bits & (bit - 1)) << (p * n)
             inv_y = inv + (left & (bit - 1)).bit_count()
             if p < last:
-                fill(p + 1, prefix + (y,), theirs, mine[:j] + mine[j + 1:], their_bits,
-                     mine_bits ^ bit, key_y, inv_y)
+                fill(p + 1, prefix + head, their_bits, mine_bits ^ bit, key_y, inv_y)
             else:
-                # the next position draws from ``theirs``; a table is never
-                # empty, so ``or`` builds only a missing one
-                leaves.append((prefix + (y,), key_y, inv_y,
-                               tables.get(their_bits << n | mine_bits ^ bit)
-                               or _suffix_table(n, their_bits, mine_bits ^ bit, tables)))
+                # the next position draws from ``their_bits``; a table is
+                # never empty, so ``or`` builds only a missing one
+                leaves.append((prefix + head, key_y, inv_y,
+                               tables.get(tag | their_bits << n | mine_bits ^ bit)
+                               or build(n, their_bits, mine_bits ^ bit, tables)))
 
-    fill(0, (), evens, odds, _bits(evens), _bits(odds), 0, 0)
+    fill(0, (), mine_bits, their_bits, 0, 0)
     # ``fill`` refers to itself; dropping the name frees it on return
     # instead of at the next full garbage collection
     del fill
@@ -209,29 +236,57 @@ def _bits(values: tuple[int, ...]) -> int:
     return sum(1 << (y - 1) for y in values)
 
 
-def _suffix_table(n: int, mine_bits: int, their_bits: int,
-                  tables: dict) -> list[tuple[Perm, int, int]]:
+@functools.lru_cache(maxsize=4)
+def _set_bits(n: int) -> tuple[tuple[tuple[int, tuple[int]], ...], ...]:
+    """For each bitmask m of n bits, at index m, its set bits lowest first,
+    each as the bit and the 1-tuple of its value y (bit y - 1): how the
+    sweeps step through a set of values, with no scan of 1..n and no
+    slicing. 2^n entries; an S_11 sweep reads 2,048."""
+    steps = [(1 << (y - 1), (y,)) for y in range(1, n + 1)]
+    return tuple(tuple(step for step in steps if m & step[0]) for m in range(1 << n))
+
+
+def _suffix_table(n: int, mine_bits: int, their_bits: int, tables: dict,
+                  grouped: bool = False) -> list[tuple]:
     """Every arrangement of the last k positions of S_n, k the number of
     values in the bitmasks ``mine_bits`` and ``their_bits``, with the values
     of ``mine_bits`` at the positions of the parity of n - k and the others
-    at the rest, in lexicographic order, each with the key bits of its k rows
-    and its inversions among themselves. Row and inversions of the first of
-    the k positions come from one AND each, as in ``_block_leaves``. Built
-    from the tables one position shorter and kept in ``tables`` under
-    ``mine_bits << n | their_bits``."""
-    name = mine_bits << n | their_bits
+    at the rest, in lexicographic order, each as ``(tail, bits, inv)``: the
+    key bits of its k rows and its inversions among themselves. Row and
+    inversions of the first of the k positions come from one AND each, as in
+    ``_block_leaves``. Built from the per-row tables one position shorter,
+    and kept in ``tables`` under ``mine_bits << n | their_bits``.
+
+    ``grouped`` builds the grouped table instead, in the same pass, with no
+    per-row table of these k positions: one ``(bits, lo, lo_inv, hi,
+    hi_inv)`` for each key bits, its first and last row (``lo is hi`` for
+    one row), in the order of the first rows, kept under the name with bit
+    2n set."""
+    name = (1 << 2 * n if grouped else 0) | mine_bits << n | their_bits
     table = tables.get(name)
     if table is None:
         left = mine_bits | their_bits
         shift = (n - left.bit_count()) * n
         table = [] if mine_bits else [((), 0, 0)]
-        for y in range(1, n + 1):
-            bit = 1 << (y - 1)
-            if mine_bits & bit:
-                row = (their_bits & (bit - 1)) << shift
-                below = (left & (bit - 1)).bit_count()
-                shorter = _suffix_table(n, their_bits, mine_bits ^ bit, tables)
-                table += [((y,) + tail, row | bits, below + inv) for tail, bits, inv in shorter]
+        first: dict[int, tuple[Perm, int]] = {}
+        last: dict[int, tuple[Perm, int]] = {}
+        for bit, head in _set_bits(n)[mine_bits]:
+            row = (their_bits & (bit - 1)) << shift
+            below = (left & (bit - 1)).bit_count()
+            shorter = _suffix_table(n, their_bits, mine_bits ^ bit, tables)
+            if grouped:
+                for tail, bits, inv in shorter:
+                    key = row | bits
+                    end = (head + tail, below + inv)
+                    if key not in last:
+                        first[key] = end
+                    last[key] = end
+            else:
+                table += [(head + tail, row | bits, below + inv) for tail, bits, inv in shorter]
+        if grouped:
+            # both dicts gained their keys in the same order
+            table = [(key, lo, lo_inv, hi, hi_inv)
+                     for (key, (lo, lo_inv)), (hi, hi_inv) in zip(first.items(), last.values())]
         tables[name] = table
     return table
 
@@ -326,7 +381,10 @@ def census(n: int, jobs: int = 1) -> tuple[int, list[tuple[Perm, Perm]]]:
     worker's ``_run_census`` sweeps its run of blocks and returns its count
     and the ends of the classes it keeps. The 66,795 classes of S_10 that
     the rank leaves open have 389 shapes, so a run builds 389 intervals at
-    most; none is built here."""
+    most, and the 833,953 of S_11 have 1,761; none is built here. The ends
+    sweep, on grouped suffix tables (``_ends_suffix``), is most of the run:
+    S_11 (8,248,273 classes, 1,978 not self-dual) took about 15 s with two
+    workers of about 46 MB each on a 2-core host."""
     jobs = resolve_jobs(jobs)
     blocks = parity_sets(n)
     task = functools.partial(_run_census, n)
@@ -452,8 +510,10 @@ def write_report(n: int, out: TextIOBase) -> int:
     by class minimum, each the text of ``_record_text``. S_n is swept as
     the census sweeps it, by ``parity_block_ends`` with one store of suffix
     tables and the collector paused, so each class is held only as the
-    sweep's (key, min, max, rank), sorted by the minimum: about 345 MB for
-    S_10. The row texts and the entries by rank and
+    sweep's (key, min, max, rank), sorted by the minimum: about 349 MB for
+    S_10, of which the grouped tables are about 4. A one-member class holds
+    one tuple for both ends; two would add about 23 MB for the 132,784
+    one-member classes of S_10. The row texts and the entries by rank and
     by shape (13 shapes for the 171 classes of S_7 of rank >= 3) are kept
     until the report is written. ValueError for n < 1."""
     tables: dict = {}

@@ -111,16 +111,23 @@ def cmd_hasse(args) -> int:
     return 0
 
 
+# the largest n each command that sweeps S_n accepts
+SWEEP_CAPS = {"census": 11, "classes": 10}
+
+
 def check_sweep_degree(command: str, n: int, long: bool) -> None:
     """ValueError unless ``command``, ``census`` or ``classes``, may sweep S_n:
-    neither goes past n = 10, which --long cannot lift, and n = 10 needs
-    --long (S_10 has 3.6M permutations). The report holds the key, ends and
-    rank of every class, about 345 MB at n = 10."""
+    the census goes up to n = 11 and the report up to n = 10, caps that
+    --long cannot lift, and n >= 10 needs --long (S_10 has 3.6M permutations,
+    S_11 39.9M). The report holds the key, ends and rank of every class,
+    about 349 MB at n = 10; at n = 11 it would write about 2.5 GB of JSON.
+    The census of S_11 holds only its kept ends: about 46 MB a worker."""
     if n < 1:
         raise ValueError("n must be positive")
-    if n > 10:
-        raise ValueError(f"{command} supports n <= 10")
-    if n == 10 and not long:
+    cap = SWEEP_CAPS[command]
+    if n > cap:
+        raise ValueError(f"{command} supports n <= {cap}")
+    if n >= 10 and not long:
         raise ValueError(f"{command} at n >= 10 requires --long")
 
 

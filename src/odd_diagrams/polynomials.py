@@ -25,6 +25,7 @@ __all__ = [
     "r_polynomial",
     "r_polynomial_choosing",
     "kl_polynomial",
+    "clear_kl_memo",
     "carrell_holds",
     "carrell_condition",
 ]
@@ -328,11 +329,8 @@ def kl_polynomial(x: Perm, y: Perm) -> IntPolynomial:
     (length(y) - length(u) - 1)/2 and P_{u,y}(0) = 1, or the call raises
     AssertionError; ``verify kl_inversion`` re-checks the defining relation.
     """
-    global _kl_memo_values
     if _kl_memo_values > _KL_MEMO_CAP:
-        _KL_MEMO.clear()
-        _KL_ENTRIES.clear()
-        _kl_memo_values = 0
+        clear_kl_memo()
     if len(x) != len(y):
         raise ValueError("degree mismatch")
     if x == y:
@@ -340,6 +338,17 @@ def kl_polynomial(x: Perm, y: Perm) -> IntPolynomial:
     if not bruhat_leq(x, y):
         return zero()
     return IntPolynomial(_kl_column(x, y)[x][1])
+
+
+def clear_kl_memo() -> None:
+    """Drop every KL column and shared entry. ``kl_polynomial`` does so when
+    the columns have grown past their cap, and ``verify kl_class_probe``
+    before each class. The memo only saves work: a column dropped and asked
+    for again is recomputed to the same values."""
+    global _kl_memo_values
+    _KL_MEMO.clear()
+    _KL_ENTRIES.clear()
+    _kl_memo_values = 0
 
 
 def carrell_holds(interval: BruhatInterval) -> bool:

@@ -372,7 +372,7 @@ REPORT_SHA256 = {
     7: "0f5e6eee6204aeee0d47dbacfcc7ced9728b13dffca1074f25d2ce7a0b91365b",
     8: "97e5d62bc3c0aa01d18948e06d25b35f87886255456cb893aff36db7c422173f",
     9: "5aa699eeba0f59c1210ebcb3fb719a579c0f5210825048b71ac38a941b89cebb",
-    # 882,213 classes, 268 MB; the report holds every class's key, ends and rank, about 345 MB
+    # 882,213 classes, 268 MB; the report holds every class's key, ends and rank, about 349 MB
     10: "ba38a79e07ddc2c119ac3419af79b01898f3b1f8d308a848b2cc20113def44c4",
 }
 
@@ -673,6 +673,74 @@ def test_suffix_tables_stay_within_their_bound():
     full = [rows for rows in tables.values() if len(rows[0][0]) == 4]
     assert len(full) == math.comb(8, 2) * math.comb(6, 2)
     assert {len(rows) for rows in full} == {4}
+
+
+def _grouped_by_key_bits(rows):
+    """Reference: a per-row suffix table grouped by key bits, each group as
+    its bits and its first and last row's tail and inversions, the groups in
+    the order of their first rows."""
+    groups = {}
+    for tail, bits, inv in rows:
+        groups.setdefault(bits, []).append((tail, inv))
+    return [(bits, *ends[0], *ends[-1]) for bits, ends in groups.items()]
+
+
+def _grouped_tables(n, tables):
+    """The grouped tables of a store, by name: those named with bit 2n."""
+    return {name: table for name, table in tables.items() if name >> 2 * n}
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_grouped_tables_are_the_per_row_tables_grouped_by_key_bits(n):
+    # every table the ends sweep of S_n reaches, against the per-row table
+    # of ``_reference_suffix_table`` on the same two value sets
+    tables = {}
+    for evens in classes.parity_sets(n):
+        classes.parity_block_ends(n, evens, tables)
+    grouped = _grouped_tables(n, tables)
+    mask = (1 << n) - 1
+    for name, table in grouped.items():
+        rows = _reference_suffix_table(n, _values(name >> n & mask, n), _values(name & mask, n), {})
+        assert table == _grouped_by_key_bits(rows)
+        # a group of one row gives both ends one tuple
+        assert [lo is hi for _, lo, _, hi, _ in table] == [
+            sum(bits == group[0] for _, bits, _ in rows) == 1 for group in table]
+    # grouped tables are the longest, and the per-row tables under them are
+    # those of ``_reference_suffix_table``: no table is held both ways
+    suffix = min(n, classes._ends_suffix(n))
+    assert {len(lo) for table in grouped.values() for _, lo, _, _, _ in table} == {suffix}
+    reference = {}
+    for name in tables.keys() - grouped.keys():
+        _reference_suffix_table(n, _values(name >> n, n), _values(name & mask, n), reference)
+        assert len(tables[name][0][0]) < suffix
+    assert {name: tables[name] for name in reference} == reference
+
+
+def test_a_store_shared_by_both_sweeps_keeps_their_tables_apart():
+    # grouped and per-row tables of one value set have different names
+    tables = {}
+    for evens in classes.parity_sets(7):
+        ends = classes.parity_block_ends(7, evens, tables)
+        block = classes.parity_block(7, evens, tables)
+        assert [end[:3] for end in ends] == [(key, members[0], members[-1])
+                                             for key, members, _ in block]
+        assert block == classes.parity_block(7, evens, {})
+
+
+def test_grouped_tables_stay_within_their_bound():
+    # the ends sweep of S_8 groups 4 positions: one table for each 2 values
+    # of one parity and 2 of the other, C(8, 2) C(6, 2), each with at most
+    # its 4 rows as groups: 1,190 groups for 1,680 rows
+    tables = {}
+    for evens in classes.parity_sets(8):
+        classes.parity_block_ends(8, evens, tables)
+    grouped = _grouped_tables(8, tables)
+    assert classes._ends_suffix(8) == 4
+    assert len(grouped) == math.comb(8, 2) * math.comb(6, 2)
+    assert {len(table) for table in grouped.values()} == {2, 3, 4}
+    assert sum(map(len, grouped.values())) == 1190
+    # below them only per-row tables of 3 positions or fewer
+    assert all(len(tables[name][0][0]) <= 3 for name in tables.keys() - grouped.keys())
 
 
 def test_class_of_in_s12_has_720_members():

@@ -590,9 +590,9 @@ def test_classes_above_guarded_n_states_its_range(capsys):
 
 
 def test_census_above_guarded_n_states_its_range(capsys):
-    assert run(["census", "--n", "11", "--long"]) == 2
+    assert run(["census", "--n", "12", "--long"]) == 2
     err = capsys.readouterr().err
-    assert "census supports n <= 10" in err
+    assert "census supports n <= 11" in err
     assert "allow_large" not in err
 
 
@@ -605,8 +605,9 @@ SWEEP_DEGREE_ERRORS = {
     ("census", 0, False): "n must be positive",
     ("census", 0, True): "n must be positive",
     ("census", 10, False): "census at n >= 10 requires --long",
-    ("census", 11, False): "census supports n <= 10",
-    ("census", 11, True): "census supports n <= 10",
+    ("census", 11, False): "census at n >= 10 requires --long",
+    ("census", 12, False): "census supports n <= 11",
+    ("census", 12, True): "census supports n <= 11",
 }
 
 
@@ -927,9 +928,10 @@ CHECK_NAME = st.sampled_from([*verify.CHECKS, "nope"])
 def sweep_lines(draw):
     """A line of ``verify`` at n in -1..4, with --checks of known, unknown,
     empty or repeated names, or without it; or of ``census`` or ``classes``
-    at n in -1..5, 10 or 11, census with --jobs -1, 1 or one more than the
-    cores. Each with or without --long, except that n = 10 under --long, a
-    sweep of S_10 that takes seconds, is left to its own CI steps."""
+    at n in -1..5, 10, 11 or 12, census with --jobs -1, 1 or one more than
+    the cores. Each with or without --long, except that n = 10 under --long,
+    a sweep of S_10 that takes seconds, and the census of n = 11 under
+    --long, which takes many more, are left to their own CI steps."""
     command = draw(st.sampled_from(["verify", "census", "classes"]))
     long = draw(st.booleans())
     if command == "verify":
@@ -939,8 +941,8 @@ def sweep_lines(draw):
                                 st.lists(CHECK_NAME, min_size=1, max_size=3).map(",".join)))
         options = [] if checks is None else ["--checks", checks]
     else:
-        n = draw(st.sampled_from([*range(-1, 6), 10, 11]))
-        assume(not (n == 10 and long))
+        n = draw(st.sampled_from([*range(-1, 6), 10, 11, 12]))
+        assume(not (long and (n == 10 or n == 11 and command == "census")))
         jobs = draw(st.sampled_from([-1, 1, (os.cpu_count() or 1) + 1]))
         options = ["--jobs", str(jobs)] if command == "census" else []
     return [command, "--n", str(n), *options] + ["--long"] * long

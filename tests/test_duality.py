@@ -380,11 +380,11 @@ def test_self_duality_label_independent():
 
 
 def test_census_guard():
-    # the census rejects only n < 1; its cap at n = 10 is the CLI's rule
+    # the census rejects only n < 1; its cap at n = 11 is the CLI's rule
     with pytest.raises(ValueError, match="n must be positive"):
         census(0)
-    with pytest.raises(ValueError, match="census supports n <= 10"):
-        check_sweep_degree("census", 11, long=True)
+    with pytest.raises(ValueError, match="census supports n <= 11"):
+        check_sweep_degree("census", 12, long=True)
 
 
 def test_self_dual_bipartite_check_builds_each_hasse_diagram_once(monkeypatch):

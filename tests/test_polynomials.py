@@ -501,6 +501,32 @@ def test_kl_memo_holds_a_lower_interval_sweep_of_s6_under_its_cap(fresh_memos, m
     assert peak < full
 
 
+def test_kl_class_probe_holds_one_class_of_columns_at_a_time(fresh_memos, monkeypatch):
+    # each class's KL call starts from an empty memo, so no column of an
+    # earlier class survives into the next, and each polynomial is the one
+    # a memo kept across the classes gives
+    compute = polynomials.kl_polynomial
+    calls = []
+
+    def watching_kl_polynomial(x, y):
+        held = len(polynomials._KL_MEMO)
+        p = compute(x, y)
+        calls.append((x, y, held, p))
+        return p
+
+    monkeypatch.setattr(polynomials, "kl_polynomial", watching_kl_polynomial)
+    cleared = verify.run_checks(6, ["kl_class_probe"]).checks[0]
+    one_at_a_time, calls[:] = calls[:], []
+    assert len(one_at_a_time) == cleared.passed == 351
+    assert {held for _, _, held, _ in one_at_a_time} == {0}
+    # with the memo kept, later classes start with columns of earlier ones
+    monkeypatch.setattr(polynomials, "clear_kl_memo", lambda: None)
+    kept = verify.run_checks(6, ["kl_class_probe"]).checks[0]
+    assert max(held for _, _, held, _ in calls) > 0
+    assert [(x, y, p) for x, y, _, p in calls] == [(x, y, p) for x, y, _, p in one_at_a_time]
+    assert (kept.passed, kept.failed) == (cleared.passed, cleared.failed)
+
+
 def test_r_memo_holds_a_lower_interval_sweep_of_s6_under_its_cap(fresh_memos, monkeypatch):
     e = identity(6)
     first = {w: r_polynomial(e, w) for w in all_perms(6)}

@@ -18,7 +18,7 @@ def _load(name):
     "argv, message",
     [
         (["--max-n", "10"], "requires --long"),
-        (["--max-n", "12", "--long"], "supports n <= 10"),
+        (["--max-n", "12", "--long"], "supports n <= 11"),
         (["--max-n", "3", "--jobs", "-1"], "jobs must be in"),
         (["--min-n", "0"], "need 1 <= --min-n <= --max-n"),
     ],
